@@ -416,9 +416,16 @@ def cmd_solve(args) -> int:
     opts = search_options(cfg, args)
     out = _out_dir(cfg, args)
     with _SearchLogFile(out / "solver.log"):
-        record = _solve_once(
-            spec, fn, delta, opts, _seed(cfg, args), int(cfg.get("samples", 10_000))
-        )
+        try:
+            record = _solve_once(
+                spec, fn, delta, opts, _seed(cfg, args), int(cfg.get("samples", 10_000))
+            )
+        except ValueError as exc:
+            # enumerate_boxes rejects instances beyond its guard; sweep
+            # reports these per row.  Any other ValueError is a bug.
+            if not str(exc).startswith("instance-too-large"):
+                raise
+            raise ConfigError(str(exc)) from exc
     path = out / "result.json"
     path.write_text(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
     code = _exit_for(record)
@@ -468,6 +475,7 @@ def cmd_sweep(args) -> int:
                         "nodes": 0,
                         "wall_time": time.perf_counter() - t0,
                         "certified": "error",
+                        "proof": "",
                     }
                 )
                 continue
@@ -484,17 +492,19 @@ def cmd_sweep(args) -> int:
                     "nodes": record["node_count"],
                     "wall_time": time.perf_counter() - t0,
                     "certified": marker,
+                    "proof": record["proof"],
                 }
             )
 
     table = out / "sweep.csv"
     with table.open("w") as fh:
-        fh.write("delta,objective,nodes,wall_time,certified\n")
+        fh.write("delta,objective,nodes,wall_time,certified,proof\n")
         for row in rows:
             obj = "" if row["objective"] is None else "%.10g" % row["objective"]
             fh.write(
-                "%.10g,%s,%d,%.3f,%s\n"
-                % (row["delta"], obj, row["nodes"], row["wall_time"], row["certified"])
+                "%.10g,%s,%d,%.3f,%s,%s\n"
+                % (row["delta"], obj, row["nodes"], row["wall_time"], row["certified"],
+                   row["proof"])
             )
     plot = out / "sweep_plot.csv"
     with plot.open("w") as fh:

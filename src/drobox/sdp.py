@@ -12,17 +12,35 @@ get slack columns, LMI rows get PSD slack blocks) and runs a homogeneous
 self-dual interior-point method with Nesterov-Todd scaling and Mehrotra
 predictor-corrector steps.  The embedding detects primal infeasibility
 and unboundedness; everything is deterministic for fixed input.
+
+Each step solves normal equations with the m x m matrix A D A^T (D the
+scaling).  The lattice programs have thousands of rows but only a handful
+of columns that touch most of them, so that matrix is never formed
+densely.  Before the iterations the columns are split once: a nonnegative
+column with more than max(10, m // 10) nonzeros is dense, and so is every
+PSD svec column; if m or more nonnegative columns are dense, none is,
+since S is then at most m x m anyway.  The rows get a minimum-degree
+order for the pattern of the sparse part, also once.  Each step forms
+the sparse part
+S = A_s D_s A_s^T with scipy.sparse, collects the scaled dense columns in
+an m x r matrix V (r is about 10 to 15 on the lattice programs), and
+LU-factors the augmented matrix [[S, V], [V^T, -I]] with SuperLU, border
+last; its solutions solve (S + V V^T) z = r even where S alone is
+singular.  Two rounds of iterative refinement against S z + V (V^T z)
+follow each solve (Andersen, ACM TOMS 22(3), 1996; Vanderbei, Linear
+Algebra Appl. 152, 1991).  See _NormalFactor.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -37,10 +55,32 @@ def svec_len(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@functools.lru_cache(maxsize=None)
 def _svec_weights(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    iu = np.triu_indices(d)
-    w = np.where(iu[0] == iu[1], 1.0, _SQRT2)
-    return iu[0], iu[1], w
+    """Row, column and weight of each svec entry; cached, so read-only."""
+    r, c = np.triu_indices(d)
+    w = np.where(r == c, 1.0, _SQRT2)
+    for arr in (r, c, w):
+        arr.flags.writeable = False
+    return r, c, w
+
+
+@functools.lru_cache(maxsize=None)
+def _svec_basis(d: int) -> np.ndarray:
+    """The symmetric matrices E_k with svec(E_k) = e_k, stacked; read-only."""
+    r, c, w = _svec_weights(d)
+    k = np.arange(r.size)
+    E = np.zeros((r.size, d, d))
+    E[k, r, c] = 1.0 / w
+    E[k, c, r] = 1.0 / w
+    E.flags.writeable = False
+    return E
+
+
+def _sym_kron(G: np.ndarray) -> np.ndarray:
+    """Matrix of S -> G S G in svec coordinates; symmetric when G is."""
+    r, c, w = _svec_weights(G.shape[0])
+    return ((G @ _svec_basis(G.shape[0]) @ G)[:, r, c] * w).T
 
 
 def svec(s: np.ndarray) -> np.ndarray:
@@ -436,9 +476,10 @@ def _nt_scaling(cone: _Cone, x: np.ndarray, s: np.ndarray):
     """Nesterov-Todd scaling data per block.
 
     Returns (d_l, blocks) where d_l = x_l / s_l for the nonnegative part and
-    blocks is a list of (H, G, G_inv, lam_vec) per PSD block with
-    H = sym-kron(T) so that H svec(S) = svec(T S T), T the NT matrix, and
-    lam_vec = svec of the scaled point G S G = G^-1 X G^-1.
+    blocks is a list of (W, G, G_inv, lam) per PSD block.  T is the NT
+    matrix, G = T^(1/2), and lam = G S G = G^-1 X G^-1 is the scaled point.
+    W = sym-kron(G), the svec matrix of S -> G S G, is symmetric and squares
+    to H = sym-kron(T): H svec(S) = W W svec(S) = svec(T S T).
     """
     d_l = x[: cone.l] / s[: cone.l] if cone.l else np.zeros(0)
     blocks = []
@@ -460,23 +501,15 @@ def _nt_scaling(cone: _Cone, x: np.ndarray, s: np.ndarray):
         G_inv = (vt * (wt ** -0.5)) @ vt.T
         lam = G @ S @ G
         lam = (lam + lam.T) / 2.0
-        sd = svec_len(d)
-        H = np.empty((sd, sd))
-        r0, c0, w0 = _svec_weights(d)
-        for k in range(sd):
-            Ek = np.zeros((d, d))
-            Ek[r0[k], c0[k]] = 1.0 / w0[k]
-            Ek[c0[k], r0[k]] = 1.0 / w0[k]
-            H[:, k] = svec(T @ Ek @ T)
-        blocks.append((H, G, G_inv, lam))
+        blocks.append((_sym_kron(G), G, G_inv, lam))
     return d_l, blocks
 
 
 def _apply_H(cone: _Cone, d_l, blocks, v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     out[: cone.l] = d_l * v[: cone.l]
-    for (a, b, d), (H, _, _, _) in zip(cone.spans, blocks):
-        out[a:b] = H @ v[a:b]
+    for (a, b, d), (W, _, _, _) in zip(cone.spans, blocks):
+        out[a:b] = W @ (W @ v[a:b])
     return out
 
 
@@ -528,41 +561,84 @@ class SdpSolution:
         return self.primal[name]
 
 
-class _Factor:
-    """Dense Cholesky with jitter escalation, lstsq as a last resort.
+class _NormalFactor:
+    """Factor of the normal matrix M = A D A^T of the interior-point steps.
 
-    Solves apply two rounds of iterative refinement against the original
-    matrix, which matters once the barrier parameter gets small and the
-    Schur complement turns badly conditioned.
+    D is diag(d) on the nonnegative block and H_j = W_j W_j^T on the PSD
+    blocks.  The dense/sparse column split and a fill-reducing order of the
+    rows are fixed once, at construction; S, V and solve() work in that
+    order.  Each factor() forms S = A_s diag(d_s) A_s^T and
+    V = [A_dense diag(sqrt(d_dense)), A_psd W], so that M = S + V V^T,
+    and LU-factors [[S, V], [V^T, -I]]; the first m entries of its
+    solutions solve M z = rhs.  The refinement in solve() matters once the
+    barrier parameter gets small and M turns badly conditioned.
     """
 
-    def __init__(self, M: np.ndarray):
-        self.n = M.shape[0]
-        self.M = M
-        jitter = 0.0
-        base = float(np.mean(np.abs(np.diag(M)))) or 1.0
-        for attempt in range(6):
-            try:
-                self.cho = scipy.linalg.cho_factor(
-                    M + jitter * np.eye(self.n), lower=True, check_finite=False
-                )
-                self.mode = "chol"
-                return
-            except scipy.linalg.LinAlgError:
-                jitter = base * (1e-12 if jitter == 0.0 else jitter / base * 100.0)
-        self.mode = "lstsq"
+    def __init__(self, A: sp.csr_matrix, cone: _Cone):
+        self.m = A.shape[0]
+        A_l = A[:, : cone.l].tocsc()
+        self.dense = np.diff(A_l.indptr) > max(10, self.m // 10)
+        if np.count_nonzero(self.dense) >= self.m:
+            # a border that wide costs more than S itself, which is at
+            # most m x m: short programs with many full columns (the
+            # certify measure programs) split nothing
+            self.dense[:] = False
+        A_s = A_l[:, ~self.dense].tocsr()
+        # S keeps its pattern across iterations, so its minimum-degree
+        # order is taken once, by factoring on the diagonal the positive
+        # definite matrix P P^T + I, P the 0/1 pattern of A_s; factor()
+        # keeps that order and puts the dense border last.  SuperLU's own
+        # per-call column order (COLAMD) gives several times the fill on
+        # the B&B relaxations.
+        ones = sp.csr_matrix((np.ones(A_s.nnz), A_s.indices, A_s.indptr), shape=A_s.shape)
+        pattern = (ones @ ones.T + sp.identity(self.m)).tocsc()
+        self.order = np.argsort(scipy.sparse.linalg.splu(
+            pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options=dict(SymmetricMode=True)).perm_c)
+        self.A_s = A_s[self.order]
+        self.A_sT = self.A_s.T.tocsr()
+        self.A_d = A_l[:, self.dense].toarray()[self.order]
+        self.A_p = [A[:, a:b].toarray()[self.order] for a, b, _ in cone.spans]
+
+    def factor(self, d_l: np.ndarray, roots: list):
+        """Factor for scaling d_l and PSD blocks H_j = roots[j] roots[j]^T.
+
+        Raises RuntimeError when the augmented matrix is not finite, or
+        singular even after one diagonal shift.
+        """
+        A_s = self.A_s
+        scaled = sp.csr_matrix((A_s.data * d_l[~self.dense][A_s.indices],
+                                A_s.indices, A_s.indptr), shape=A_s.shape)
+        self.S = (scaled @ self.A_sT).tocsc()
+        self.V = np.hstack([self.A_d * np.sqrt(d_l[self.dense])]
+                           + [Ap @ W for Ap, W in zip(self.A_p, roots)])
+        if not (np.all(np.isfinite(self.S.data)) and np.all(np.isfinite(self.V))):
+            raise RuntimeError("normal matrix is not finite")
+        r = self.V.shape[1]
+        aug = sp.bmat([[self.S, sp.csc_matrix(self.V)],
+                       [sp.csc_matrix(self.V.T), -sp.identity(r, format="csc")]],
+                      format="csc")
+        try:
+            self.lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
+        except RuntimeError:
+            # redundant == rows make M exactly singular; retry once with a
+            # diagonal shift of 1e-12 times the mean diagonal of M
+            diag_m = self.S.diagonal() + np.einsum("ij,ij->i", self.V, self.V)
+            shift = 1e-12 * (float(np.mean(np.abs(diag_m))) or 1.0)
+            aug = aug + sp.diags(np.r_[np.full(self.m, shift), np.zeros(r)], format="csc")
+            self.lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
 
     def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        if self.mode == "chol":
-            return scipy.linalg.cho_solve(self.cho, rhs, check_finite=False)
-        return np.linalg.lstsq(self.M, rhs, rcond=None)[0]
+        return self.lu.solve(np.concatenate([rhs, np.zeros(self.V.shape[1])]))[: self.m]
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = self._solve_once(rhs)
+        rhs_o = rhs[self.order]
+        z = self._solve_once(rhs_o)
         for _ in range(2):
-            r = rhs - self.M @ z
-            z = z + self._solve_once(r)
-        return z
+            z = z + self._solve_once(rhs_o - self.S @ z - self.V @ (self.V.T @ z))
+        out = np.empty_like(z)
+        out[self.order] = z
+        return out
 
 
 def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
@@ -576,8 +652,7 @@ def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
 def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
               tol: float, max_iter: int, verbose: bool) -> dict:
     m = A.shape[0]
-    A_l = A[:, : cone.l].tocsr()
-    A_p = A[:, cone.l :].toarray() if cone.n > cone.l else np.zeros((m, 0))
+    fact = _NormalFactor(A, cone)
 
     x = cone.identity()
     s = cone.identity()
@@ -660,16 +735,10 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             d_l, blocks = _nt_scaling(cone, x, s)
         except np.linalg.LinAlgError:
             break
-        if cone.l:
-            M_mat = (A_l.multiply(d_l[None, :]) @ A_l.T).toarray()
-        else:
-            M_mat = np.zeros((m, m))
-        if A_p.shape[1]:
-            Hp = scipy.linalg.block_diag(*[blk[0] for blk in blocks])
-            M_mat += A_p @ Hp @ A_p.T
-        if not np.all(np.isfinite(M_mat)):
+        try:
+            fact.factor(d_l, [blk[0] for blk in blocks])
+        except RuntimeError:
             break
-        fact = _Factor(M_mat)
 
         Hc = _apply_H(cone, d_l, blocks, c)
         k1 = fact.solve(mul_A(Hc) + b)
@@ -684,7 +753,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             if cone.l:
                 rc[: cone.l] = target_l / x[: cone.l]
             for (a, bnd, d), blk, tmat in zip(cone.spans, blocks, target_blocks):
-                H, G, G_inv, lam = blk
+                _, G, G_inv, lam = blk
                 D = _lyap_inv(lam, tmat)
                 rc[a:bnd] = svec(G_inv @ D @ G_inv)
             g = rc - eta * r_d
@@ -734,7 +803,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             tgt_l = sigma * mu - x[: cone.l] * s[: cone.l] - dxa[: cone.l] * dsa[: cone.l]
         tgt_blocks = []
         for (a, bnd, d), blk in zip(cone.spans, blocks):
-            H, G, G_inv, lam = blk
+            _, G, G_inv, lam = blk
             dXh = G_inv @ smat(dxa[a:bnd], d) @ G_inv
             dSh = G @ smat(dsa[a:bnd], d) @ G
             corr = (dXh @ dSh + dSh @ dXh) / 2.0

@@ -111,6 +111,15 @@ def test_solve_infeasible_step_reports_delta_max(tmp_path, capsys):
     assert record["objective"] is None
 
 
+def test_solve_too_large_for_enumeration_is_invalid(tmp_path, capsys):
+    code = main(["solve", "--config", REFERENCE, "--delta", "0.025",
+                 "--mode", "enumerate", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: instance-too-large: ")
+
+
 def test_solve_fixed_demo_is_certified(tmp_path):
     code = main(["solve", "--config", FIXED_DEMO, "--out-dir", str(tmp_path)])
     assert code == 0
@@ -183,16 +192,18 @@ def test_sweep_rows_in_input_order_with_failures(tmp_path, capsys):
                  "--delta", "0.3", "--delta", "0.2", "--out-dir", str(tmp_path)])
     capsys.readouterr()
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines[0] == "delta,objective,nodes,wall_time,certified"
+    assert lines[0] == "delta,objective,nodes,wall_time,certified,proof"
     assert len(lines) == 4
     first = lines[1].split(",")
     assert first[0] == "0.1"
     assert float(first[1]) == pytest.approx(2.0, abs=1e-6)
     assert first[4] == "certified"
+    assert first[5] == "optimal"
     second = lines[2].split(",")
     assert second[0] == "0.3"
     assert second[1] == ""
     assert second[4] == "error"
+    assert second[5] == ""
     third = lines[3].split(",")
     assert third[0] == "0.2"
     assert third[1] == ""

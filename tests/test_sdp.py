@@ -1,16 +1,30 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.linalg
+import scipy.sparse as sp
 
+from drobox import cli
+from drobox.assemble import assemble_case1
+from drobox.certify import _measure_program
+from drobox.lipschitz import lipschitz_certificate
+from drobox.model import AmbiguitySpec, BoxRegion, ConfidenceSet, lattice_points
 from drobox.sdp import (
     ConicProgram,
     SolveOptions,
+    _Cone,
+    _NormalFactor,
+    _compile,
+    _sym_kron,
     dump_program,
     kkt_residuals,
     smat,
     solve_sdp,
     svec,
+    svec_len,
 )
 from oracles import diagonal_sdp_batch, dual_pair_sdp_batch, eigmin_sdp_batch
 
@@ -301,3 +315,121 @@ def test_iteration_cap_yields_numerical_failure_not_exception():
     sol = solve_sdp(p, SolveOptions(max_iter=1))
     assert sol.status == "numerical-failure"
     assert np.isnan(sol.objective)
+
+
+def normal_factor_case(m, n_sparse, n_dense, psd_dims, rng, dense_only_row=None):
+    """A random standard-form matrix and its cone.
+
+    Sparse nonnegative columns touch one to three rows (never
+    dense_only_row), dense ones touch every row, PSD columns are full.
+    """
+    cols = []
+    for _ in range(n_sparse):
+        rows = [r for r in range(m) if r != dense_only_row]
+        pick = rng.choice(rows, size=int(rng.integers(1, 4)), replace=False)
+        col = np.zeros(m)
+        col[pick] = rng.normal(size=pick.size)
+        cols.append(col)
+    cols += [rng.normal(size=m) for _ in range(n_dense)]
+    cols += [rng.normal(size=m) for d in psd_dims for _ in range(svec_len(d))]
+    return sp.csr_matrix(np.column_stack(cols)), _Cone(n_sparse + n_dense, list(psd_dims))
+
+
+def assert_solves_normal_equations(A, cone, rng):
+    """Factor A D A^T for a random scaling D and check it against numpy."""
+    d_l = rng.uniform(0.5, 2.0, size=cone.l)
+    roots = [rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+             for n in map(svec_len, cone.dims)]
+    D = scipy.linalg.block_diag(np.diag(d_l), *[W @ W.T for W in roots])
+    M = A.toarray() @ D @ A.toarray().T
+    fact = _NormalFactor(A, cone)
+    fact.factor(d_l, roots)
+    for _ in range(3):
+        rhs = rng.normal(size=M.shape[0])
+        ref = np.linalg.solve(M, rhs)
+        assert np.linalg.norm(fact.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
+    return fact
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_normal_factor_matches_dense_solve(seed):
+    rng = np.random.default_rng(seed)
+    fact = assert_solves_normal_equations(*normal_factor_case(120, 400, 3, (2, 3), rng), rng)
+    assert int(np.sum(fact.dense)) == 3
+    assert fact.V.shape == (120, 3 + 3 + 6)
+
+
+def test_normal_factor_handles_rows_only_dense_columns_touch():
+    # an == row touched only by dense columns leaves S singular
+    rng = np.random.default_rng(4)
+    A, cone = normal_factor_case(60, 200, 2, (2, 2), rng, dense_only_row=7)
+    fact = assert_solves_normal_equations(A, cone, rng)
+    assert np.any(np.diff(fact.S.tocsr().indptr) == 0)
+    assert np.linalg.matrix_rank(fact.S.toarray()) < 60
+
+
+def test_normal_factor_on_a_wide_short_program_splits_nothing():
+    # the certify measure shape: 10 rows, thousands of columns touching
+    # all of them, small PSD slack blocks
+    rng = np.random.default_rng(5)
+    A = sp.csr_matrix(rng.normal(size=(10, 3000 + 9)))
+    fact = assert_solves_normal_equations(A, _Cone(3000, [3, 2]), rng)
+    assert not np.any(fact.dense)
+    assert fact.S.shape == (10, 10)
+
+
+def test_normal_factor_keeps_the_border_narrow_on_a_measure_program():
+    # one confidence box adds an 11th row, so every in-box atom off the
+    # axes has more than max(10, 11 // 10) nonzeros; splitting them all
+    # off would border S with a block of about 1,600 x 1,600
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.0, 0.0], sigma=[[2.0, 0.5], [0.5, 1.0]], eps_mu=0.1,
+        eps_sigma=1.0, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.2),))
+    pts = lattice_points(1.0, 2, 0.0125).points
+    vals = BoxRegion([0.1, 0.1], [0.6, 0.6]).contains(pts).astype(float)
+    comp = _compile(_measure_program(spec, pts, vals, np.ones(len(pts), bool)))
+    cone = _Cone(comp.n_nonneg, comp.psd_dims)
+    assert comp.A.shape[0] == 11
+    assert np.sum(np.diff(comp.A[:, : cone.l].tocsc().indptr) > 10) >= 1000
+    rng = np.random.default_rng(6)
+    fact = assert_solves_normal_equations(comp.A, cone, rng)
+    assert not np.any(fact.dense)
+    assert fact.V.shape == (11, cone.n - cone.l)
+
+
+def test_fixed_demo_at_fine_step_reaches_reference_objective():
+    config = Path(cli.__file__).with_name("configs") / "fixed_two_boxes.json"
+    spec, fn = cli.build_instance(cli.load_config(str(config)))
+    lattice = lattice_points(spec.edge, spec.m, 0.02)
+    model = assemble_case1(spec, fn, lattice, lipschitz_certificate(spec, fn).L)
+    sol = solve_sdp(model.program)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(0.2793752712, abs=1e-6)
+
+
+def test_redundant_equality_rows_still_solve():
+    # a repeated == row makes A D A^T exactly singular
+    p = ConicProgram()
+    p.add_scalar("x", nonneg=True)
+    p.add_scalar("y", nonneg=True)
+    p.add_row({"x": 1.0, "y": 1.0}, "==", 1.0)
+    p.add_row({"x": 1.0, "y": 1.0}, "==", 1.0)
+    p.set_objective("min", {"x": 1.0, "y": 2.0})
+    sol = solve_sdp(p)
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(1.0, abs=1e-7)
+    assert sol.primal["x"] == pytest.approx(1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sym_kron_of_the_root_squares_to_the_nt_map(dim):
+    rng = np.random.default_rng(dim)
+    raw = rng.normal(size=(dim, dim))
+    T = raw @ raw.T + np.eye(dim)
+    w, v = np.linalg.eigh(T)
+    W = _sym_kron((v * np.sqrt(w)) @ v.T)
+    raw = rng.normal(size=(dim, dim))
+    S = raw + raw.T
+    np.testing.assert_allclose(W, W.T, atol=1e-14)
+    np.testing.assert_allclose(W @ (W @ svec(S)), svec(T @ S @ T), atol=1e-11)
