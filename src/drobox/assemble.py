@@ -28,6 +28,7 @@ import numpy as np
 
 from .model import (
     BoxRegion,
+    DualSolution,
     FixedBoxes,
     Lattice,
     SimpleFunctionSpec,
@@ -79,6 +80,17 @@ def _add_dual_variables(program: ConicProgram, spec, var_index: dict):
         name = "y[%d]" % i
         program.add_scalar(name, nonneg=True)
         var_index[("y", i)] = name
+
+
+def decode_duals(sol, model: AssembledModel) -> DualSolution:
+    """The (Y1, Y2, y) values of an optimal solve of model.program."""
+    spec = model.spec
+    return DualSolution(
+        Y1=sol.value("Y1"),
+        Y2=sol.value("Y2"),
+        y=np.array([sol.value("y[%d]" % i) for i in range(len(spec.confidence_sets))]),
+        spec=spec,
+    )
 
 
 def _add_threshold_row(program: ConicProgram, spec):

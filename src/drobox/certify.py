@@ -7,7 +7,9 @@ set, so the oracle value is an upper bound on the true adversarial
 minimum: a value below b falsifies the decision, while a value at or
 above b is a necessary check only, never a full proof.  The full proof is
 the feasibility of the assembled program itself; everything in this
-module is defense in depth on top of it.
+module is defense in depth on top of it.  The same measure program, on
+the assembly lattice, lets enumerate_boxes rule candidates out before
+their assembled solve.
 
 Zero-width boxes are kept as stated in both checks.  The empty-box
 sentinel produced by decoding (width 0 at the origin) is therefore
@@ -34,8 +36,7 @@ from .model import (
     smoothed_indicator,
     smoothed_indicator_lower,
 )
-from .sdp import ConicProgram, SolveOptions, solve_sdp
-from .sdp import _compile as sdp_compile
+from .sdp import ConicProgram, solve_sdp
 
 
 @dataclass(frozen=True)
@@ -60,90 +61,41 @@ class Certificate:
         }
 
 
-def _measure_program(spec: AmbiguitySpec, pts: np.ndarray, vals: np.ndarray,
-                     active: np.ndarray) -> ConicProgram:
-    """Discrete-measure program over the atoms flagged by active.
-
-    Rows are emitted in the same order regardless of the active subset so
-    that the compiled row coordinates of a restricted program line up
-    with those of the full one.
-    """
-    n = pts.shape[0]
+def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
+                     vals: np.ndarray) -> ConicProgram:
+    """Discrete-measure program over the atoms pts with values vals."""
     m = spec.m
-    names = ["w[%d]" % j for j in range(n)]
+    names = ["w[%d]" % j for j in range(pts.shape[0])]
     program = ConicProgram()
-    for j in np.flatnonzero(active):
-        program.add_scalar(names[j], nonneg=True)
-    program.add_row(
-        {names[j]: 1.0 for j in np.flatnonzero(active)}, "==", 1.0, name="mass"
-    )
+    for name in names:
+        program.add_scalar(name, nonneg=True)
+    program.add_row(dict.fromkeys(names, 1.0), "==", 1.0, name="mass")
     for i, cs in enumerate(spec.confidence_sets):
         if isinstance(cs.region, WholeDomain):
             continue  # the mass equality already covers the normalization pair
         sgn = math.copysign(1.0, cs.eps)
-        inside = np.asarray(cs.region.contains(pts), dtype=float)
-        lin = {
-            names[j]: sgn * inside[j] for j in np.flatnonzero(active) if inside[j]
-        }
+        inside = np.asarray(cs.region.contains(pts), dtype=bool)
+        lin = {names[j]: sgn for j in np.flatnonzero(inside)}
         program.add_row(lin, ">=", cs.eps, name="confidence[%d]" % i)
 
     d = pts - spec.mu
     block_coeffs = {}
     outer_coeffs = {}
-    for j in np.flatnonzero(active):
+    for j, name in enumerate(names):
         blk = np.zeros((m + 1, m + 1))
         blk[:m, :m] = spec.sigma
         blk[:m, m] = d[j]
         blk[m, :m] = d[j]
         blk[m, m] = spec.eps_mu
-        block_coeffs[names[j]] = blk
-        outer_coeffs[names[j]] = -np.outer(d[j], d[j])
+        block_coeffs[name] = blk
+        outer_coeffs[name] = -np.outer(d[j], d[j])
     program.add_lmi(block_coeffs, np.zeros((m + 1, m + 1)), name="first-moment")
     program.add_lmi(outer_coeffs, spec.eps_sigma * spec.sigma, name="second-moment")
-    program.set_objective(
-        "min", {names[j]: float(vals[j]) for j in np.flatnonzero(active)}
-    )
+    program.set_objective("min", {name: float(v) for name, v in zip(names, vals)})
     return program
 
 
-def _polish_stalled_adversary(spec, pts, vals, program, stalled_primal, options):
-    """Finish a stalled adversary solve by re-solving on its support.
-
-    Interior-point iterations can stagnate on heavily degenerate optimal
-    faces (most atoms carry weight zero).  The stalled iterate still
-    identifies the support well, so re-solve restricted to atoms with
-    non-negligible weight and then prove that restriction lossless: with
-    the restricted dual multipliers, every excluded atom must have a
-    nonnegative reduced cost in the full program.  Returns
-    (value, weights) on success, None when the polish cannot be verified.
-    """
-    n = pts.shape[0]
-    names = ["w[%d]" % j for j in range(n)]
-    stalled = np.array([stalled_primal.get(name, 0.0) for name in names])
-    top = float(np.max(stalled)) if stalled.size else 0.0
-    if not (top > 0.0 and np.all(np.isfinite(stalled))):
-        return None
-    active = stalled >= 1e-6 * top
-    if not (0 < int(np.count_nonzero(active)) <= 400):
-        return None
-    sub_sol = solve_sdp(_measure_program(spec, pts, vals, active), options)
-    if sub_sol.status != "optimal" or sub_sol._internal is None:
-        return None
-    comp = sdp_compile(program)
-    reduced = comp.c - comp.A.T @ sub_sol._internal["y"]
-    floor = -1e-7 * (1.0 + float(np.max(np.abs(comp.c))))
-    for j in np.flatnonzero(~active):
-        kind = comp.scalar_cols[names[j]]
-        if reduced[kind[1]] < floor:
-            return None
-    weights = np.zeros(n)
-    for j in np.flatnonzero(active):
-        weights[j] = max(sub_sol.primal[names[j]], 0.0)
-    return float(sub_sol.objective), weights
-
-
-def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
-                      options: Optional[SolveOptions] = None):
+def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice):
     """Solve the discrete-measure adversary and keep the measure.
 
     Returns (status, value, weights) where weights is the minimizing
@@ -151,19 +103,10 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.  A
-    stalled interior-point run is finished by a verified
-    support-restricted polish before any failure is reported.
+    stalled interior-point run is reported as it ended, with no weights.
     """
     pts = fine_lattice.points
-    vals = decision.evaluate(pts)
-    program = _measure_program(spec, pts, vals, np.ones(pts.shape[0], dtype=bool))
-    sol = solve_sdp(program, options)
-    if sol.status == "numerical-failure" and sol.primal:
-        polished = _polish_stalled_adversary(
-            spec, pts, vals, program, sol.primal, options
-        )
-        if polished is not None:
-            return "optimal", polished[0], polished[1]
+    sol = solve_sdp(_measure_program(spec, pts, decision.evaluate(pts)))
     if sol.status != "optimal":
         return sol.status, float("nan"), None
     names = ["w[%d]" % j for j in range(pts.shape[0])]
@@ -179,12 +122,7 @@ def adversary_oracle(decision: Decision, spec: AmbiguitySpec,
     the caller should treat that as inconclusive.  A finite value below b
     falsifies the decision outright.
     """
-    status, value, _ = adversary_problem(decision, spec, fine_lattice)
-    if status == "infeasible":
-        return float("nan")
-    if status != "optimal":
-        return float("nan")
-    return value
+    return adversary_problem(decision, spec, fine_lattice)[1]
 
 
 def weak_duality_gap(dual_solution: DualSolution, oracle_value: float) -> float:

@@ -23,8 +23,7 @@ never defaulted, solver knobs carry defaults):
       "delta": 0.1,
       "deltas": [0.1, 0.05],
       "search": {"mode": "enumerate", "node_limit": 100000,
-                 "time_limit": 3600.0, "gap_tol": 0.0,
-                 "branching": "line-guided"},
+                 "time_limit": 3600.0, "gap_tol": 0.0},
       "samples": 10000,
       "seed": 0,
       "out_dir": "."
@@ -59,7 +58,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assemble import assemble_case1, assemble_case2
+from .assemble import assemble_case1, assemble_case2, decode_duals
 from .certify import certify_solution
 from .lipschitz import lipschitz_certificate, max_safe_step
 from .model import (
@@ -211,7 +210,7 @@ def search_options(cfg: dict, args) -> SearchOptions:
         knobs["mode"] = args.mode
     if args.time_limit is not None:
         knobs["time_limit"] = args.time_limit
-    allowed = {"mode", "node_limit", "time_limit", "gap_tol", "branching"}
+    allowed = {"mode", "node_limit", "time_limit", "gap_tol"}
     unknown = set(knobs) - allowed
     if unknown:
         raise ConfigError("unknown search knobs: %s" % sorted(unknown))
@@ -304,17 +303,7 @@ def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
                 [sol.value("x[%d]" % i) for i in range(len(fn.mode.boxes))]
             )
             decision = Decision(heights=heights, boxes=list(fn.mode.boxes))
-            duals = DualSolution(
-                Y1=sol.value("Y1"),
-                Y2=sol.value("Y2"),
-                y=np.array(
-                    [
-                        sol.value("y[%d]" % i)
-                        for i in range(len(spec.confidence_sets))
-                    ]
-                ),
-                spec=spec,
-            )
+            duals = decode_duals(sol, model)
     else:
         record["case"] = "variable"
         model = assemble_case2(spec, fn, lattice, L)
@@ -611,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out-dir", help="output directory")
         sp.add_argument("--seed", type=int, help="sampling seed override")
         sp.add_argument("--time-limit", type=float, help="search seconds")
-        sp.add_argument("--mode", choices=("bnb", "enumerate", "both"))
+        sp.add_argument("--mode", choices=("bnb", "enumerate"))
         if name == "certify":
             sp.add_argument(
                 "--solution", required=True, help="result record to re-check"

@@ -29,11 +29,15 @@ last; its solutions solve (S + V V^T) z = r even where S alone is
 singular.  Two rounds of iterative refinement against S z + V (V^T z)
 follow each solve (Andersen, ACM TOMS 22(3), 1996; Vanderbei, Linear
 Algebra Appl. 152, 1991).  See _NormalFactor.
+
+Progress goes to the drobox.sdp logger as one DEBUG line per iteration in
+key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=.
 """
 
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +45,8 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
+
+LOG = logging.getLogger("drobox.sdp")
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 200
@@ -529,7 +535,6 @@ def _lyap_inv(lam: np.ndarray, M: np.ndarray) -> np.ndarray:
 class SolveOptions:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    verbose: bool = False
 
 
 @dataclass
@@ -642,15 +647,15 @@ class _NormalFactor:
 
 
 def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
-               tol: float, max_iter: int, verbose: bool) -> dict:
+               tol: float, max_iter: int) -> dict:
     # interior-point internals legitimately push floats to their limits;
     # non-finite iterates are caught explicitly, not via warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _hsd_loop(A, b, c, cone, tol, max_iter, verbose)
+        return _hsd_loop(A, b, c, cone, tol, max_iter)
 
 
 def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
-              tol: float, max_iter: int, verbose: bool) -> dict:
+              tol: float, max_iter: int) -> dict:
     m = A.shape[0]
     fact = _NormalFactor(A, cone)
 
@@ -697,9 +702,8 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         dobj = by / tau
         gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
         phi = max(pres, dres, gap)
-        if verbose:
-            print("iter %3d mu=%9.2e pres=%8.1e dres=%8.1e gap=%8.1e tau=%8.1e kappa=%8.1e"
-                  % (it, mu, pres, dres, gap, tau, kappa))
+        LOG.debug("iter=%d mu=%.3g pres=%.3g dres=%.3g gap=%.3g tau=%.3g kappa=%.3g",
+                  it, mu, pres, dres, gap, tau, kappa)
         if phi < best_phi:
             best_phi = phi
             best = (x.copy(), y.copy(), s.copy(), tau, kappa)
@@ -796,7 +800,8 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         alpha_a = min(1.0, 0.99995 * alpha_a)
         mu_aff = (float((x + alpha_a * dxa) @ (s + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / nu
-        sigma = max(min((mu_aff / mu) ** 3, 1.0), 1e-10)
+        # clip before cubing: a blown-up affine step must not overflow
+        sigma = max(min(max(mu_aff / mu, 0.0), 1.0) ** 3, 1e-10)
 
         # corrector pass
         if cone.l:
@@ -844,10 +849,6 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             # 1e-6) still hold
             status = "optimal"
             x, y, s, tau, kappa = best
-        elif best is not None and math.isfinite(best_phi):
-            # hand back the closest-to-feasible iterate so callers can
-            # attempt a support-restricted polish
-            x, y, s, tau, kappa = best
 
     return {
         "status": status,
@@ -873,7 +874,7 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
     if comp.A.shape[0] == 0:
         return _solve_unconstrained(program, comp, cone)
 
-    raw = _solve_hsd(comp.A, comp.b, comp.c, cone, opts.tol, opts.max_iter, opts.verbose)
+    raw = _solve_hsd(comp.A, comp.b, comp.c, cone, opts.tol, opts.max_iter)
     status = raw["status"]
     n_program_rows = len(comp.row_of_scalar)
     if status == "optimal":
@@ -916,13 +917,8 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
         worst = -math.inf if program.obj_sense == "min" else math.inf
         return SdpSolution(status, worst, {}, np.zeros(n_program_rows), [], None,
                            raw["iterations"])
-    sol = SdpSolution("numerical-failure", math.nan, {}, np.zeros(n_program_rows), [],
-                      None, raw["iterations"])
-    tau = raw["tau"]
-    if math.isfinite(tau) and tau > 1e-8 and np.all(np.isfinite(raw["x"])):
-        # expose the stalled iterate; callers may polish from its support
-        sol.primal = _extract_primal(program, comp, raw["x"] / tau)
-    return sol
+    return SdpSolution("numerical-failure", math.nan, {}, np.zeros(n_program_rows), [],
+                       None, raw["iterations"])
 
 
 def _solve_unconstrained(program, comp, cone) -> SdpSolution:

@@ -9,9 +9,11 @@ take the no-jump pair, which is feasible whenever the wasteful double
 jump is).  enumerate_boxes is an exact oracle for tiny instances: it
 walks lattice-aligned candidate boxes in nondecreasing bound order,
 discards candidates that a cached adversary measure already rules out,
-and solves the remaining fixed SDPs honestly; the first candidate whose
-true objective beats every open bound is optimal.  run_search dispatches
-on SearchOptions.mode and cross-checks the two routes in "both" mode.
+solves each remaining candidate's adversary measure program first (a
+measure below b + margin rules it out by weak duality) and solves the
+fixed SDP of the survivors honestly; the first candidate whose true
+objective beats every open bound is optimal.  run_search dispatches on
+SearchOptions.mode, "bnb" or "enumerate".
 
 Progress goes to the drobox.search logger as machine-parseable key=value
 lines: node=, bound=, incumbent=, gap= (all in minimization scale).
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assemble import AssembledModel, canonical_assignment, decode_box
+from .assemble import AssembledModel, canonical_assignment, decode_box, decode_duals
 from .certify import adversary_problem
 from .model import BoxRegion, Decision, DualSolution, WholeDomain
 from .sdp import SdpSolution, SolveOptions, solve_sdp
@@ -44,8 +46,8 @@ _INTEGRAL_TOL = 1e-6
 class SearchOptions:
     """Knobs shared by both search drivers.
 
-    node_limit counts SDP relaxation solves in solve_bnb and honest
-    candidate solves in enumerate_boxes.  gap_tol is an absolute gap on
+    node_limit counts SDP relaxation solves in solve_bnb and candidates
+    that reach a solve in enumerate_boxes.  gap_tol is an absolute gap on
     the objective; 0 demands a full proof.
     """
 
@@ -53,13 +55,10 @@ class SearchOptions:
     node_limit: int = 100_000
     time_limit: float = 3600.0
     gap_tol: float = 0.0
-    branching: str = "line-guided"
 
     def __post_init__(self):
-        if self.mode not in ("bnb", "enumerate", "both"):
-            raise ValueError("mode must be bnb, enumerate or both")
-        if self.branching not in ("most-fractional", "line-guided"):
-            raise ValueError("branching must be most-fractional or line-guided")
+        if self.mode not in ("bnb", "enumerate"):
+            raise ValueError("mode must be bnb or enumerate")
         if self.gap_tol < 0:
             raise ValueError("gap_tol must be >= 0")
         if self.node_limit < 1:
@@ -141,16 +140,6 @@ def _propagate_jumps(model: AssembledModel, bt_fixed: dict) -> dict:
                 out["dm[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] > 0.5 else 0.0
                 out["dp[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] < -0.5 else 0.0
     return out
-
-
-def _duals_from(sol: SdpSolution, model: AssembledModel) -> DualSolution:
-    n_conf = len(model.spec.confidence_sets)
-    return DualSolution(
-        Y1=sol.value("Y1"),
-        Y2=sol.value("Y2"),
-        y=np.array([sol.value("y[%d]" % i) for i in range(n_conf)]),
-        spec=model.spec,
-    )
 
 
 def _decode_quiet(values: dict, model: AssembledModel) -> tuple:
@@ -244,7 +233,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
         if sol.status != "optimal":
             return False
         accepted = best.offer(sgn * sol.objective, sol.objective,
-                              _decode_quiet(assign, model), _duals_from(sol, model))
+                              _decode_quiet(assign, model), decode_duals(sol, model))
         if accepted:
             log_progress(logging.INFO, math.inf)
         return accepted
@@ -294,8 +283,6 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
                 fracs[name] = frac
         if not fracs:
             return None
-        if opts.branching == "most-fractional":
-            return max(sorted(fracs), key=lambda n: fracs[n])
         lattice = model.lattice
         best_line, best_mass = None, 0.0
         for i in range(model.fn.k):
@@ -511,11 +498,15 @@ def enumerate_boxes(model: AssembledModel,
     """Exact search over lattice-aligned boxes for tiny instances.
 
     Candidates stream in nondecreasing bound order from a lazy product
-    heap; each surviving candidate is fixed through canonical_assignment
-    and solved honestly, and feasible ones re-enter the heap keyed by
-    their true objective.  Popping a solved candidate therefore proves
-    optimality.  Infeasible candidates donate their adversary measure to
-    the screening pool.  node_count reports honest candidate solves.
+    heap.  A candidate the screening pool does not rule out gets its
+    adversary measure program solved on the assembly lattice first: a
+    measure whose expected value falls below b + margin proves the fixed
+    SDP infeasible by weak duality, and joins the pool.  Every other
+    candidate is fixed through canonical_assignment and solved honestly;
+    that optimal solve is the proof of feasibility and supplies the
+    duals.  Feasible candidates re-enter the heap keyed by their true
+    objective, so popping one proves optimality.  node_count reports the
+    candidates that reached a solve.
     """
     _require_variable(model)
     opts = opts or SearchOptions()
@@ -569,6 +560,14 @@ def enumerate_boxes(model: AssembledModel,
         if not pool.point_mass_ok(boxes) or pool.ruled_out(boxes):
             continue
         solves += 1
+        nonempty = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
+        if nonempty:
+            decision = Decision(np.array([h for h, _ in nonempty]),
+                                tuple(b for _, b in nonempty))
+            _, value, weights = adversary_problem(decision, model.spec, lattice)
+            if value < pool.threshold:  # a stalled solve's nan rules nothing out
+                pool.add(weights)
+                continue
         assign = canonical_assignment(boxes, model)
         sol = solve_sdp(model.program.fix_binaries(assign))
         if sol.status == "optimal":
@@ -576,22 +575,13 @@ def enumerate_boxes(model: AssembledModel,
             decoded = tuple(b if b is not None
                             else BoxRegion(np.zeros(lattice.dim), np.zeros(lattice.dim))
                             for b in boxes)
-            duals = _duals_from(sol, model)
+            duals = decode_duals(sol, model)
             best.offer(scaled, sol.objective, decoded, duals)
             heapq.heappush(heap, (max(scaled, bound), 0, next(counter),
                                   (sol.objective, decoded, duals)))
             LOG.info("node=%d bound=%.9g incumbent=%.9g gap=%.9g",
                      solves, bound, best.scaled, max(best.scaled - bound, 0.0))
-        elif sol.status == "infeasible":
-            nonempty = [(h, b) for h, b in zip(model.fn.heights, boxes)
-                        if b is not None]
-            if nonempty:
-                decision = Decision(np.array([h for h, _ in nonempty]),
-                                    tuple(b for _, b in nonempty))
-                _, _, weights = adversary_problem(decision, model.spec, lattice)
-                if weights is not None:
-                    pool.add(weights)
-        else:
+        elif sol.status != "infeasible":
             unknown_best = min(unknown_best, bound)
 
     wall = time.perf_counter() - t0
@@ -614,31 +604,8 @@ def enumerate_boxes(model: AssembledModel,
 
 def run_search(model: AssembledModel,
                opts: Optional[SearchOptions] = None) -> Incumbent:
-    """Dispatch on opts.mode; "both" cross-checks the two drivers.
-
-    In "both" mode the enumerate result is returned when it proves
-    optimality (it pins the argmin as well as the value); a disagreement
-    beyond 1e-6 between two optimal proofs raises RuntimeError.
-    """
+    """Run the search opts.mode names: solve_bnb or enumerate_boxes."""
     opts = opts or SearchOptions()
-    if opts.mode == "bnb":
-        return solve_bnb(model, opts)
     if opts.mode == "enumerate":
         return enumerate_boxes(model, opts)
-    enum_inc = enumerate_boxes(model, opts)
-    bnb_inc = solve_bnb(model, opts)
-    if enum_inc.proof == "optimal" and bnb_inc.proof == "optimal":
-        if enum_inc.status != bnb_inc.status:
-            raise RuntimeError("search drivers disagree on feasibility: "
-                               "enumerate=%s bnb=%s" % (enum_inc.status, bnb_inc.status))
-        if enum_inc.status == "solved":
-            scale = max(1.0, abs(enum_inc.objective))
-            if abs(enum_inc.objective - bnb_inc.objective) > 1e-6 * scale:
-                raise RuntimeError(
-                    "search drivers disagree on the optimum: enumerate=%.12g "
-                    "bnb=%.12g" % (enum_inc.objective, bnb_inc.objective))
-    if enum_inc.proof == "optimal":
-        return enum_inc
-    if bnb_inc.proof == "optimal":
-        return bnb_inc
-    return enum_inc
+    return solve_bnb(model, opts)

@@ -132,14 +132,6 @@ def test_solve_fixed_demo_is_certified(tmp_path):
     assert record["certificate"]["verdict"] == "certified"
 
 
-def test_solve_mode_both_cross_checks(tmp_path):
-    code = main(["solve", "--config", REFERENCE, "--mode", "both",
-                 "--out-dir", str(tmp_path)])
-    assert code == 0
-    record = json.loads((tmp_path / "result.json").read_text())
-    assert record["objective"] == pytest.approx(2.0, abs=1e-6)
-
-
 def test_certify_round_trip_matches_solve(solved_reference, tmp_path):
     _, record, out = solved_reference
     code = main(["certify", "--config", REFERENCE,

@@ -1,3 +1,6 @@
+import logging
+import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +320,26 @@ def test_iteration_cap_yields_numerical_failure_not_exception():
     assert np.isnan(sol.objective)
 
 
+def test_blown_up_affine_step_is_a_numerical_failure(monkeypatch):
+    # a huge direction with an unbounded step length drives mu_aff / mu far
+    # past what a float can cube; the solve must still end in a status
+    solve = _NormalFactor.solve
+    monkeypatch.setattr(_NormalFactor, "solve", lambda self, rhs: 1e60 * solve(self, rhs))
+    monkeypatch.setattr(_Cone, "max_step", lambda self, x, dx: math.inf)
+    sol = solve_sdp(lmi_correlation_program())
+    assert sol.status == "numerical-failure"
+
+
+def test_iterations_log_key_value_lines(caplog):
+    with caplog.at_level(logging.DEBUG, logger="drobox.sdp"):
+        sol = solve_sdp(lmi_correlation_program())
+    pattern = re.compile(r"^iter=\d+( (mu|pres|dres|gap|tau|kappa)=[-+0-9.eEinfa]+){6}$")
+    messages = [r.getMessage() for r in caplog.records if r.name == "drobox.sdp"]
+    assert len(messages) == sol.iterations
+    for msg in messages:
+        assert pattern.match(msg), msg
+
+
 def normal_factor_case(m, n_sparse, n_dense, psd_dims, rng, dense_only_row=None):
     """A random standard-form matrix and its cone.
 
@@ -388,7 +411,7 @@ def test_normal_factor_keeps_the_border_narrow_on_a_measure_program():
         extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.2),))
     pts = lattice_points(1.0, 2, 0.0125).points
     vals = BoxRegion([0.1, 0.1], [0.6, 0.6]).contains(pts).astype(float)
-    comp = _compile(_measure_program(spec, pts, vals, np.ones(len(pts), bool)))
+    comp = _compile(_measure_program(spec, pts, vals))
     cone = _Cone(comp.n_nonneg, comp.psd_dims)
     assert comp.A.shape[0] == 11
     assert np.sum(np.diff(comp.A[:, : cone.l].tocsc().indptr) > 10) >= 1000

@@ -14,7 +14,7 @@ from drobox.model import (
     VariableBoxes,
     lattice_points,
 )
-from drobox.sdp import solve_sdp
+from drobox.sdp import ConicProgram, solve_sdp
 from drobox.search import (
     SearchOptions,
     enumerate_boxes,
@@ -50,7 +50,7 @@ def test_options_reject_bad_values():
     with pytest.raises(ValueError):
         SearchOptions(mode="simplex")
     with pytest.raises(ValueError):
-        SearchOptions(branching="random")
+        SearchOptions(mode="both")
     with pytest.raises(ValueError):
         SearchOptions(gap_tol=-0.1)
     with pytest.raises(ValueError):
@@ -81,12 +81,6 @@ def test_reference_bnb_optimum(ref_model):
     assert inc.objective == pytest.approx(2.0, abs=1e-6)
 
 
-def test_most_fractional_branching_same_optimum(ref_model):
-    inc = solve_bnb(ref_model, SearchOptions(branching="most-fractional"))
-    assert inc.proof == "optimal"
-    assert inc.objective == pytest.approx(2.0, abs=1e-6)
-
-
 def test_incumbent_duals_satisfy_fixed_rows(ref_model, ref_spec):
     # spec'd invariant: the (Y1, Y2, y) stored with the incumbent satisfy
     # every lattice row (>= margin) and the threshold row (>= b) once the
@@ -107,6 +101,31 @@ def test_incumbent_duals_satisfy_fixed_rows(ref_model, ref_spec):
     assert float(np.min(d.y)) >= -1e-9
     assert float(np.linalg.eigvalsh(d.Y1).min()) >= -1e-8
     assert float(np.linalg.eigvalsh(d.Y2).min()) >= -1e-8
+
+
+def test_enumerate_proves_the_reference_optimum_at_step_one_fifteenth(ref_spec, ref_fn):
+    L = lipschitz_certificate(ref_spec, ref_fn).L
+    model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 1 / 15), L)
+    inc = enumerate_boxes(model, SearchOptions())
+    assert inc.proof == "optimal"
+    assert inc.status == "solved"
+    assert inc.objective == pytest.approx(2.0, abs=1e-6)
+
+
+def test_enumerate_rules_candidates_out_without_the_assembled_solve(ref_model, monkeypatch):
+    # candidates whose adversary measure falls short never reach the
+    # assembled program, yet each of them counts as a node
+    fixes = []
+    fix_binaries = ConicProgram.fix_binaries
+
+    def spy(self, values):
+        fixes.append(values)
+        return fix_binaries(self, values)
+
+    monkeypatch.setattr(ConicProgram, "fix_binaries", spy)
+    inc = enumerate_boxes(ref_model, SearchOptions())
+    assert inc.proof == "optimal"
+    assert 1 <= len(fixes) < inc.node_count
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +152,7 @@ def test_two_box_line_instance_splits():
 def test_run_search_modes_agree(ref_model):
     results = {
         mode: run_search(ref_model, SearchOptions(mode=mode))
-        for mode in ("bnb", "enumerate", "both")
+        for mode in ("bnb", "enumerate")
     }
     for inc in results.values():
         assert inc.proof == "optimal"
