@@ -366,19 +366,48 @@ def decode_box(values: dict, model: AssembledModel) -> list:
     return out
 
 
+def implied_jumps(bt: dict, model: AssembledModel) -> dict:
+    """Jump binaries implied by decided membership values.
+
+    bt maps membership names "bt[i,f]" to 0 or 1 and may be partial.  For
+    each lattice step the jump row forces dm - dp = next - here, with
+    "next" equal to 0 past the upper boundary.  Wherever both endpoints
+    are decided the difference pins (dm, dp) up to the wasteful (1, 1)
+    choice at equal endpoints; that choice burns per-line jump budget and
+    tightens nothing, so the returned pair is always the sparse one.
+    Steps with an undecided endpoint get no entry.
+    """
+    lattice = model.lattice
+    out = {}
+    for i in range(model.fn.k):
+        grid = np.array([bt.get("bt[%d,%d]" % (i, f), np.nan)
+                         for f in range(lattice.n_points)], dtype=float)
+        grid = grid.reshape(lattice.shape)
+        for j in range(lattice.dim):
+            pad_shape = list(lattice.shape)
+            pad_shape[j] = 1
+            shifted = np.concatenate(
+                [np.take(grid, range(1, lattice.n_axis), axis=j), np.zeros(pad_shape)],
+                axis=j)
+            diff = (shifted - grid).reshape(-1)
+            for f in np.nonzero(~np.isnan(diff))[0]:
+                out["dm[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] > 0.5 else 0.0
+                out["dp[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] < -0.5 else 0.0
+    return out
+
+
 def canonical_assignment(boxes, model: AssembledModel) -> dict:
     """Binary assignment putting each given box into the encoding.
 
     boxes is a sequence of BoxRegion or None (empty).  Width-0 sentinel
     boxes count as empty.  Returns values for every binary variable:
-    b~ = box membership, a dm jump one step below each interior lower
-    edge, a dp jump at each upper edge, both restricted to grid lines
-    meeting the box.
+    b~ = box membership, and the jumps implied_jumps derives from it (a
+    dm jump one step below each interior lower edge, a dp jump at each
+    upper edge, both on grid lines meeting the box).
     """
     if model.case != "variable":
         raise ValueError("canonical_assignment applies to variable-mode models")
     lattice = model.lattice
-    delta = lattice.delta
     values = {}
     for i in range(model.fn.k):
         box = boxes[i]
@@ -393,21 +422,5 @@ def canonical_assignment(boxes, model: AssembledModel) -> dict:
             member = np.asarray(box.contains(lattice.points), dtype=bool)
         for f in range(lattice.n_points):
             values["bt[%d,%d]" % (i, f)] = 1.0 if member[f] else 0.0
-        for j in range(lattice.dim):
-            for f in range(lattice.n_points):
-                dm = 0.0
-                dp = 0.0
-                if box is not None:
-                    t = lattice.points[f]
-                    others_in = True
-                    for jj in range(lattice.dim):
-                        if jj != j and not (box.lower[jj] - 1e-9 <= t[jj] <= box.upper[jj] + 1e-9):
-                            others_in = False
-                    if others_in:
-                        if box.lower[j] > 0.0 and abs(t[j] - (box.lower[j] - delta)) < 1e-9:
-                            dm = 1.0
-                        if abs(t[j] - box.upper[j]) < 1e-9:
-                            dp = 1.0
-                values["dm[%d,%d,%d]" % (i, j, f)] = dm
-                values["dp[%d,%d,%d]" % (i, j, f)] = dp
+    values.update(implied_jumps(values, model))
     return values

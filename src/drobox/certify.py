@@ -32,7 +32,9 @@ from .model import (
     DualSolution,
     Lattice,
     WholeDomain,
+    first_moment_block,
     lattice_points,
+    second_moment_outer,
     smoothed_indicator,
     smoothed_indicator_lower,
 )
@@ -78,17 +80,8 @@ def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
         lin = {names[j]: sgn for j in np.flatnonzero(inside)}
         program.add_row(lin, ">=", cs.eps, name="confidence[%d]" % i)
 
-    d = pts - spec.mu
-    block_coeffs = {}
-    outer_coeffs = {}
-    for j, name in enumerate(names):
-        blk = np.zeros((m + 1, m + 1))
-        blk[:m, :m] = spec.sigma
-        blk[:m, m] = d[j]
-        blk[m, :m] = d[j]
-        blk[m, m] = spec.eps_mu
-        block_coeffs[name] = blk
-        outer_coeffs[name] = -np.outer(d[j], d[j])
+    block_coeffs = {name: first_moment_block(t, spec) for name, t in zip(names, pts)}
+    outer_coeffs = {name: -second_moment_outer(t, spec) for name, t in zip(names, pts)}
     program.add_lmi(block_coeffs, np.zeros((m + 1, m + 1)), name="first-moment")
     program.add_lmi(outer_coeffs, spec.eps_sigma * spec.sigma, name="second-moment")
     program.set_objective("min", {name: float(v) for name, v in zip(names, vals)})

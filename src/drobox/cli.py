@@ -384,8 +384,9 @@ def cmd_validate(args) -> int:
     return 0 if report.passed else 1
 
 
-def _validated_instance(cfg, args, delta):
-    spec, fn = build_instance(cfg)
+def _validate_step(spec, fn, delta):
+    """Raise ConfigError, after printing each failed check, unless the
+    instance passes validation at step delta."""
     try:
         lattice = lattice_points(spec.edge, spec.m, delta)
     except ValueError as exc:
@@ -395,13 +396,13 @@ def _validated_instance(cfg, args, delta):
         for check in report.failures():
             print("FAIL %s %s" % (check.name, check.detail), file=sys.stderr)
         raise ConfigError("config failed validation")
-    return spec, fn
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     delta = _single_delta(cfg, args)
-    spec, fn = _validated_instance(cfg, args, delta)
+    spec, fn = build_instance(cfg)
+    _validate_step(spec, fn, delta)
     opts = search_options(cfg, args)
     out = _out_dir(cfg, args)
     with _SearchLogFile(out / "solver.log"):
@@ -454,6 +455,7 @@ def cmd_sweep(args) -> int:
         for delta in deltas:
             t0 = time.perf_counter()
             try:
+                _validate_step(spec, fn, delta)
                 record = _solve_once(spec, fn, delta, opts, seed, samples)
             except (ValueError, ConfigError) as exc:
                 logger.warning("sweep row delta=%.9g failed: %s", delta, exc)

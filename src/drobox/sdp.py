@@ -668,12 +668,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
     norm_b = 1.0 + float(np.max(np.abs(b))) if m else 1.0
     norm_c = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     amax = float(np.max(np.abs(A.data))) if A.nnz else 1.0
-
-    def mul_A(v):
-        return A @ v
-
-    def mul_At(w):
-        return A.T @ w
+    At = A.T.tocsr()
 
     status = "numerical-failure"
     it = 0
@@ -685,8 +680,8 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
                 and np.all(np.isfinite(y)) and math.isfinite(tau)
                 and math.isfinite(kappa)):
             break
-        r_p = mul_A(x) - b * tau
-        r_d = -mul_At(y) - s + c * tau
+        r_p = A @ x - b * tau
+        r_d = -(At @ y) - s + c * tau
         cx = float(c @ x)
         by = float(b @ y)
         r_g = cx - by + kappa
@@ -696,8 +691,8 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         xs = x / tau
         ys = y / tau
         ss = s / tau
-        pres = float(np.max(np.abs(mul_A(xs) - b))) / norm_b if m else 0.0
-        dres = float(np.max(np.abs(mul_At(ys) + ss - c))) / norm_c
+        pres = float(np.max(np.abs(A @ xs - b))) / norm_b if m else 0.0
+        dres = float(np.max(np.abs(At @ ys + ss - c))) / norm_c
         pobj = cx / tau
         dobj = by / tau
         gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
@@ -719,12 +714,12 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             if by > 0.0:
                 yn = y / by
                 sn = s / by
-                if float(np.max(np.abs(mul_At(yn) + sn))) <= tol * (1.0 + amax):
+                if float(np.max(np.abs(At @ yn + sn))) <= tol * (1.0 + amax):
                     status = "infeasible"
                     break
             if cx < 0.0:
                 xn = x / (-cx)
-                if (float(np.max(np.abs(mul_A(xn)))) if m else 0.0) <= tol * (1.0 + amax):
+                if (float(np.max(np.abs(A @ xn))) if m else 0.0) <= tol * (1.0 + amax):
                     status = "unbounded"
                     break
         if tau <= 1e-12 and kappa >= 1e-8:
@@ -745,11 +740,11 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             break
 
         Hc = _apply_H(cone, d_l, blocks, c)
-        k1 = fact.solve(mul_A(Hc) + b)
+        k1 = fact.solve(A @ Hc + b)
         if not np.all(np.isfinite(k1)):
             break
         cHc = float(c @ Hc)
-        cHAt_k = lambda vec: float(c @ _apply_H(cone, d_l, blocks, mul_At(vec)))
+        cHAt_k = lambda vec: float(c @ _apply_H(cone, d_l, blocks, At @ vec))
 
         def direction(target_l, target_blocks, target_tk, eta):
             """Solve one Newton system; targets live in scaled space."""
@@ -761,17 +756,17 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
                 D = _lyap_inv(lam, tmat)
                 rc[a:bnd] = svec(G_inv @ D @ G_inv)
             g = rc - eta * r_d
-            k2 = fact.solve(-eta * r_p - mul_A(_apply_H(cone, d_l, blocks, g)))
+            k2 = fact.solve(-eta * r_p - A @ _apply_H(cone, d_l, blocks, g))
             den = cHAt_k(k1) - float(b @ k1) - cHc - kappa / tau
-            num = (-eta * r_g - float((c @ _apply_H(cone, d_l, blocks, mul_At(k2))))
+            num = (-eta * r_g - float(c @ _apply_H(cone, d_l, blocks, At @ k2))
                    + float(b @ k2) - float(c @ _apply_H(cone, d_l, blocks, g))
                    - target_tk / tau)
             if abs(den) < 1e-300:
                 return None
             dtau = num / den
             dy = k1 * dtau + k2
-            dx = _apply_H(cone, d_l, blocks, mul_At(dy) - c * dtau + g)
-            ds = -mul_At(dy) + c * dtau + eta * r_d
+            dx = _apply_H(cone, d_l, blocks, At @ dy - c * dtau + g)
+            ds = -(At @ dy) + c * dtau + eta * r_d
             dkappa = (target_tk - kappa * dtau) / tau
             if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
                     and np.all(np.isfinite(ds)) and math.isfinite(dtau)
@@ -840,9 +835,9 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         loose = max(1e-7, 10.0 * tol) * (1.0 + amax)
         by = float(b @ y)
         cx = float(c @ x)
-        if by > 0.0 and float(np.max(np.abs(mul_At(y / by) + s / by))) <= loose:
+        if by > 0.0 and float(np.max(np.abs(At @ (y / by) + s / by))) <= loose:
             status = "infeasible"
-        elif cx < 0.0 and (float(np.max(np.abs(mul_A(x / (-cx))))) if m else 0.0) <= loose:
+        elif cx < 0.0 and (float(np.max(np.abs(A @ (x / (-cx))))) if m else 0.0) <= loose:
             status = "unbounded"
         elif best is not None and best_phi <= 10.0 * tol:
             # close enough that downstream checks (KKT at 1e-7, gaps at

@@ -7,12 +7,15 @@ and jump binaries are never branched on (once both endpoints of a lattice
 step are decided, the jump pair follows by propagation; equal endpoints
 take the no-jump pair, which is feasible whenever the wasteful double
 jump is).  enumerate_boxes is an exact oracle for tiny instances: it
-walks lattice-aligned candidate boxes in nondecreasing bound order,
-discards candidates that a cached adversary measure already rules out,
-solves each remaining candidate's adversary measure program first (a
-measure below b + margin rules it out by weak duality) and solves the
-fixed SDP of the survivors honestly; the first candidate whose true
-objective beats every open bound is optimal.  run_search dispatches on
+walks lattice-aligned candidate boxes, as lattice index pairs, in
+nondecreasing bound order and screens each with one measure pool: a
+candidate falls when some held lattice measure gives it an expected
+value below b + margin (weak duality).  The pool starts with a point
+mass on every feasible lattice atom.  A candidate that passes gets its
+own adversary measure program solved first (a value below b + margin
+rules it out, and its measure joins the pool), and the fixed SDP of the
+survivors is solved honestly; the first candidate whose true objective
+beats every open bound is optimal.  run_search dispatches on
 SearchOptions.mode, "bnb" or "enumerate".
 
 Progress goes to the drobox.search logger as machine-parseable key=value
@@ -32,7 +35,13 @@ from typing import Optional
 
 import numpy as np
 
-from .assemble import AssembledModel, canonical_assignment, decode_box, decode_duals
+from .assemble import (
+    AssembledModel,
+    canonical_assignment,
+    decode_box,
+    decode_duals,
+    implied_jumps,
+)
 from .certify import adversary_problem
 from .model import BoxRegion, Decision, DualSolution, WholeDomain
 from .sdp import SdpSolution, SolveOptions, solve_sdp
@@ -111,37 +120,6 @@ def _bt_names(model: AssembledModel) -> list:
             for i in range(model.fn.k) for f in range(model.lattice.n_points)]
 
 
-def _propagate_jumps(model: AssembledModel, bt_fixed: dict) -> dict:
-    """Jump binaries implied by decided membership pairs.
-
-    For each lattice step the jump row forces dm - dp = next - here, with
-    "next" equal to 0 past the upper boundary.  Whenever both endpoints
-    are fixed the difference pins (dm, dp) up to the wasteful (1, 1)
-    choice at equal endpoints; that choice burns per-line jump budget and
-    tightens nothing, so the propagated pair is always the sparse one.
-    """
-    lattice = model.lattice
-    out = {}
-    for i in range(model.fn.k):
-        grid = np.full(lattice.n_points, np.nan)
-        for f in range(lattice.n_points):
-            v = bt_fixed.get("bt[%d,%d]" % (i, f))
-            if v is not None:
-                grid[f] = v
-        grid = grid.reshape(lattice.shape)
-        for j in range(lattice.dim):
-            pad_shape = list(lattice.shape)
-            pad_shape[j] = 1
-            shifted = np.concatenate(
-                [np.take(grid, range(1, lattice.n_axis), axis=j), np.zeros(pad_shape)],
-                axis=j)
-            diff = (shifted - grid).reshape(-1)
-            for f in np.nonzero(~np.isnan(diff))[0]:
-                out["dm[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] > 0.5 else 0.0
-                out["dp[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] < -0.5 else 0.0
-    return out
-
-
 def _decode_quiet(values: dict, model: AssembledModel) -> tuple:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -187,7 +165,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
 
     Node selection is best-bound with depth-first plunging; ties break on
     insertion order, which follows lattice index order.  Only bt variables
-    are branched; jump binaries come from _propagate_jumps.  Limits never
+    are branched; jump binaries come from implied_jumps.  Limits never
     raise: the incumbent is returned with proof "resource-limit".
     """
     _require_variable(model)
@@ -228,7 +206,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
             return False
         tried.add(key)
         assign = dict(bt_values)
-        assign.update(_propagate_jumps(model, bt_values))
+        assign.update(implied_jumps(bt_values, model))
         sol = solve_sdp(program.fix_binaries(assign))
         if sol.status != "optimal":
             return False
@@ -308,7 +286,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
         if prunable(bound0):
             continue
         node_count += 1
-        derived = _propagate_jumps(model, fixed)
+        derived = implied_jumps(fixed, model)
         sol = solve_sdp(program.relax_binaries({**fixed, **derived}))
         if sol.status == "infeasible":
             log_progress(logging.DEBUG, math.inf)
@@ -377,20 +355,25 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
 
 
 class _MeasurePool:
-    """Adversary measures that prune candidate boxes without a solve.
+    """Lattice measures that rule candidate boxes out without a solve.
 
     Summing the assembled lattice rows with the weights of any measure in
     the discrete ambiguity family, and dropping the PSD and sign terms,
     shows every feasible candidate must give the measure expected value
-    at least b + margin.  Candidates falling short for any cached measure
-    are infeasible.  The point-mass variant precomputes which lattice
-    atoms are feasible measures on their own; those checks are free.
+    at least b + margin.  Candidates falling short for any held measure
+    are infeasible.  The pool starts with a point mass on each lattice
+    atom that is a feasible measure on its own, and grows by the
+    adversary measures enumerate_boxes solves for.
+
+    Each measure is held as one row of grids: its zero-padded prefix-sum
+    grid, flattened.  The mass of a lattice box is then a signed sum over
+    its 2^m padded corners (inclusion-exclusion), for all measures at once.
     """
 
     def __init__(self, model: AssembledModel):
-        self.model = model
         spec = model.spec
         lattice = model.lattice
+        self.shape = lattice.shape
         self.heights = np.asarray(model.fn.heights, dtype=float)
         self.threshold = spec.b + model.margin - 1e-7
         d = lattice.points - spec.mu
@@ -404,53 +387,50 @@ class _MeasurePool:
                 ok &= inside
             elif -cs.eps < 1.0:
                 ok &= ~inside
-        self.atoms = lattice.points[ok]
-        self.prefix = []
+        # corner u picks the lower end (sign -1) or one past the upper end
+        # (sign +1) per axis
+        self.picks = list(itertools.product((0, 1), repeat=lattice.dim))
+        self.signs = np.array([math.prod(1.0 if u else -1.0 for u in pick)
+                               for pick in self.picks])
+        self.grids = self._prefix(np.eye(lattice.n_points)[ok])
 
-    def point_mass_ok(self, boxes) -> bool:
-        if self.atoms.shape[0] == 0:
-            return True
-        total = np.zeros(self.atoms.shape[0])
-        for h, box in zip(self.heights, boxes):
-            if box is not None:
-                total = total + h * box.contains(self.atoms)
-        return bool(np.all(total >= self.threshold))
+    def _prefix(self, weights) -> np.ndarray:
+        grid = np.asarray(weights, dtype=float).reshape((-1,) + self.shape)
+        for ax in range(1, grid.ndim):
+            grid = np.cumsum(grid, axis=ax)
+        grid = np.pad(grid, [(0, 0)] + [(1, 0)] * len(self.shape))
+        return grid.reshape(grid.shape[0], math.prod(grid.shape[1:]))
 
     def add(self, weights: np.ndarray):
-        lattice = self.model.lattice
-        grid = np.asarray(weights, dtype=float).reshape(lattice.shape)
-        for ax in range(lattice.dim):
-            grid = np.cumsum(grid, axis=ax)
-        self.prefix.append(np.pad(grid, [(1, 0)] * lattice.dim))
+        self.grids = np.vstack([self.grids, self._prefix(weights)])
 
-    def _mass(self, pad: np.ndarray, box: BoxRegion) -> float:
-        lattice = self.model.lattice
-        lo = [lattice.index_of_value(v) for v in box.lower]
-        hi = [lattice.index_of_value(v) for v in box.upper]
-        total = 0.0
-        for corner in itertools.product(*[((l, -1.0), (h + 1, 1.0))
-                                          for l, h in zip(lo, hi)]):
-            idx = tuple(c[0] for c in corner)
-            sign = math.prod(c[1] for c in corner)
-            total += sign * pad[idx]
-        return total
+    def corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Flat padded-grid indices of the corners of boxes, in signs order.
 
-    def ruled_out(self, boxes) -> bool:
-        for pad in self.prefix:
-            value = 0.0
-            for h, box in zip(self.heights, boxes):
-                if box is not None:
-                    value += h * self._mass(pad, box)
-            if value < self.threshold:
-                return True
-        return False
+        lo and hi are (n, m) axis indices of the lower and upper corners.
+        The empty box lo = 0, hi = -1 puts every corner on the zero pad.
+        """
+        ends = (lo, hi + 1)
+        padded = tuple(n + 1 for n in self.shape)
+        return np.stack(
+            [np.ravel_multi_index(tuple(ends[u][:, j] for j, u in enumerate(pick)), padded)
+             for pick in self.picks], axis=1)
+
+    def ruled_out(self, corners) -> bool:
+        """Whether some measure gives these boxes, one corners row per
+        height, an expected value below the threshold."""
+        value = sum(h * (self.grids[:, c] @ self.signs)
+                    for h, c in zip(self.heights, corners))
+        return bool(np.any(value < self.threshold))
 
 
-def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> list:
+def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> tuple:
     """All candidate boxes for one index, sorted by optimistic bound.
 
-    Entries are (scaled bound, code); code is None for the empty box or a
-    (lo_multi, hi_multi) pair of per-axis index tuples.  For the width-sum
+    Returns (bound, lo, hi): the scaled bound of each candidate and the
+    (n, m) axis indices of its lower and upper corners.  The empty box is
+    lo = 0, hi = -1; it sorts first among equal bounds, and other ties
+    break on (lo, hi) in lexicographic order.  For the width-sum
     objective the bound is exact.  Under an explicit corner objective the
     empty box leaves its corner variables anywhere in the feasible
     triangle 0 <= lo <= hi <= edge, so its bound takes the best corner.
@@ -458,39 +438,37 @@ def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> list:
     lattice = model.lattice
     mode = model.fn.mode
     axis = lattice.axis
-    entries = []
+    m = lattice.dim
+    first, last = np.triu_indices(lattice.n_axis)
+    combo = np.indices((first.size,) * m).reshape(m, -1).T
+    lo = np.vstack([np.zeros((1, m), dtype=int), first[combo]])
+    hi = np.vstack([np.full((1, m), -1), last[combo]])
+    total = 0.0
     if mode.width_sum:
-        entries.append((0.0, None))
-
-        def bound_box(lo, hi):
-            return float(sum(axis[b] - axis[a] for a, b in zip(lo, hi)))
+        for j in range(m):
+            total = total + (axis[hi[1:, j]] - axis[lo[1:, j]])
+        bound = np.concatenate([[0.0], total])
     else:
         cm = np.atleast_2d(mode.c_minus)[i]
         cp = np.atleast_2d(mode.c_plus)[i]
         edge = lattice.edge
-        empty = sum(min(sgn * (cm[j] * lo + cp[j] * hi)
-                        for lo, hi in ((0.0, 0.0), (0.0, edge), (edge, edge)))
-                    for j in range(lattice.dim))
-        entries.append((float(empty), None))
-
-        def bound_box(lo, hi):
-            return sgn * float(sum(cm[j] * axis[a] + cp[j] * axis[b]
-                                   for j, (a, b) in enumerate(zip(lo, hi))))
-
-    axis_pairs = [(a, b) for a in range(lattice.n_axis) for b in range(a, lattice.n_axis)]
-    for combo in itertools.product(axis_pairs, repeat=lattice.dim):
-        lo = tuple(a for a, _ in combo)
-        hi = tuple(b for _, b in combo)
-        entries.append((bound_box(lo, hi), (lo, hi)))
-    entries.sort(key=lambda e: (e[0], e[1] is not None, e[1] or ()))
-    return entries
+        empty = sum(min(sgn * (cm[j] * a + cp[j] * b)
+                        for a, b in ((0.0, 0.0), (0.0, edge), (edge, edge)))
+                    for j in range(m))
+        for j in range(m):
+            total = total + (cm[j] * axis[lo[1:, j]] + cp[j] * axis[hi[1:, j]])
+        bound = np.concatenate([[float(empty)], sgn * total])
+    is_box = np.arange(bound.size) > 0
+    keys = [hi[:, j] for j in reversed(range(m))] + [lo[:, j] for j in reversed(range(m))]
+    order = np.lexsort(keys + [is_box, bound])
+    return bound[order], lo[order], hi[order]
 
 
-def _box_of_code(lattice, code):
-    if code is None:
+def _box_at(lattice, stream, n: int):
+    _, lo, hi = stream
+    if hi[n, 0] < lo[n, 0]:
         return None
-    lo, hi = code
-    return BoxRegion(lattice.axis[list(lo)], lattice.axis[list(hi)])
+    return BoxRegion(lattice.axis[lo[n]], lattice.axis[hi[n]])
 
 
 def enumerate_boxes(model: AssembledModel,
@@ -498,8 +476,10 @@ def enumerate_boxes(model: AssembledModel,
     """Exact search over lattice-aligned boxes for tiny instances.
 
     Candidates stream in nondecreasing bound order from a lazy product
-    heap.  A candidate the screening pool does not rule out gets its
-    adversary measure program solved on the assembly lattice first: a
+    heap, as lattice index pairs; a BoxRegion is built only for one that
+    reaches a solve.  A candidate the measure pool (seeded with the
+    feasible point masses) does not rule out gets its adversary measure
+    program solved on the assembly lattice first: a
     measure whose expected value falls below b + margin proves the fixed
     SDP infeasible by weak duality, and joins the pool.  Every other
     candidate is fixed through canonical_assignment and solved honestly;
@@ -520,11 +500,13 @@ def enumerate_boxes(model: AssembledModel,
     sgn = 1.0 if model.program.obj_sense == "min" else -1.0
     streams = [_candidate_stream(model, i, sgn) for i in range(k)]
     pool = _MeasurePool(model)
+    corners = [pool.corners(lo, hi) for _, lo, hi in streams]
+    bounds = [bound.tolist() for bound, _, _ in streams]
     counter = itertools.count()
 
     heap = []
     start = (0,) * k
-    heapq.heappush(heap, (sum(streams[i][0][0] for i in range(k)), 1,
+    heapq.heappush(heap, (sum(bounds[i][0] for i in range(k)), 1,
                           next(counter), start))
     seen = {start}
     solves = 0
@@ -551,15 +533,14 @@ def enumerate_boxes(model: AssembledModel,
             return finish(best.objective, best.boxes, best.duals)
         for i in range(k):
             nxt = payload[:i] + (payload[i] + 1,) + payload[i + 1:]
-            if nxt[i] < len(streams[i]) and nxt not in seen:
+            if nxt[i] < len(bounds[i]) and nxt not in seen:
                 seen.add(nxt)
-                heapq.heappush(heap, (sum(streams[i][nxt[i]][0] for i in range(k)),
+                heapq.heappush(heap, (sum(bounds[i][nxt[i]] for i in range(k)),
                                       1, next(counter), nxt))
-        codes = [streams[i][payload[i]][1] for i in range(k)]
-        boxes = [_box_of_code(lattice, c) for c in codes]
-        if not pool.point_mass_ok(boxes) or pool.ruled_out(boxes):
+        if pool.ruled_out([corners[i][payload[i]] for i in range(k)]):
             continue
         solves += 1
+        boxes = [_box_at(lattice, streams[i], payload[i]) for i in range(k)]
         nonempty = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
         if nonempty:
             decision = Decision(np.array([h for h, _ in nonempty]),

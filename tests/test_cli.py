@@ -214,3 +214,17 @@ def test_sweep_all_certified_exits_zero(tmp_path):
     lines = (tmp_path / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].split(",")[4] == "certified"
+
+
+def test_sweep_validates_each_step(tmp_path, capsys):
+    path = write_config(tmp_path, eps_sigma=0.5)
+    code = main(["sweep", "--config", path, "--delta", "0.1",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "FAIL eps_sigma_at_least_one" in capsys.readouterr().err
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2
+    row = lines[1].split(",")
+    assert row[1] == ""
+    assert row[4] == "error"
+    assert row[5] == ""

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 
@@ -6,17 +7,24 @@ import pytest
 
 from drobox.assemble import assemble_case1, assemble_case2
 from drobox.lipschitz import lipschitz_certificate
+from drobox.certify import adversary_problem
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
+    Decision,
     FixedBoxes,
     SimpleFunctionSpec,
     VariableBoxes,
+    first_moment_block,
     lattice_points,
+    second_moment_outer,
 )
 from drobox.sdp import ConicProgram, solve_sdp
 from drobox.search import (
     SearchOptions,
+    _box_at,
+    _candidate_stream,
+    _MeasurePool,
     enumerate_boxes,
     root_relaxation,
     run_search,
@@ -126,6 +134,73 @@ def test_enumerate_rules_candidates_out_without_the_assembled_solve(ref_model, m
     inc = enumerate_boxes(ref_model, SearchOptions())
     assert inc.proof == "optimal"
     assert 1 <= len(fixes) < inc.node_count
+
+
+def _feasible_point_masses(model):
+    """One-hot weights of the lattice atoms whose point mass satisfies
+    both moment constraints (the instances here have no confidence rows
+    beyond the normalization pair)."""
+    spec = model.spec
+    pts = model.lattice.points
+    out = []
+    for f, t in enumerate(pts):
+        first = np.linalg.eigvalsh(first_moment_block(t, spec)).min()
+        second = np.linalg.eigvalsh(spec.eps_sigma * spec.sigma
+                                    - second_moment_outer(t, spec)).min()
+        if first >= -1e-12 and second >= -1e-12:
+            out.append(np.eye(len(pts))[f])
+    return out
+
+
+@pytest.mark.parametrize("which", ["reference-quarter-step", "line-two-boxes",
+                                   "reference-half-step-two-boxes"])
+def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
+    # the pool rules a candidate out exactly when one of its measures
+    # gives the candidate's simple function an expected value below
+    # b + margin, over every candidate (pair) of a small instance; on the
+    # line every lattice point is an atom, so there the added measure
+    # cannot rule out more than the point masses do
+    adversary_box = BoxRegion([0.0, 0.0], [0.5, 0.5])
+    if which == "reference-quarter-step":
+        model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.25), 1.0,
+                               margin_override=0.2)
+    elif which == "line-two-boxes":
+        model = line_model(k=2, heights=(0.6, 0.4), margin_override=0.35)
+        adversary_box = BoxRegion([0.05], [0.15])
+    else:
+        fn = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
+        model = assemble_case2(ref_spec, fn, lattice_points(1.0, 2, 0.5), 1.0,
+                               margin_override=0.2)
+    lattice = model.lattice
+    heights = np.asarray(model.fn.heights, dtype=float)
+    status, _, weights = adversary_problem(Decision([1.0], (adversary_box,)),
+                                           model.spec, lattice)
+    assert status == "optimal"
+    measures = _feasible_point_masses(model) + [weights]
+    assert len(measures) >= 2
+    pool = _MeasurePool(model)
+    pool.add(weights)
+
+    streams = [_candidate_stream(model, i, 1.0) for i in range(model.fn.k)]
+    corners = [pool.corners(lo, hi) for _, lo, hi in streams]
+    threshold = model.spec.b + model.margin - 1e-7
+    verdicts = []
+    for idx in itertools.product(*[range(len(bound)) for bound, _, _ in streams]):
+        boxes = [_box_at(lattice, streams[i], n) for i, n in enumerate(idx)]
+        kept = [(h, box) for h, box in zip(heights, boxes) if box is not None]
+        values = np.zeros(lattice.n_points)
+        if kept:
+            values = Decision([h for h, _ in kept], [box for _, box in kept]).evaluate(
+                lattice.points)
+        expected = [float(w @ values) for w in measures]
+        assert min(abs(e - threshold) for e in expected) > 1e-9  # no ties to split
+        want = min(expected) < threshold
+        assert pool.ruled_out([corners[i][n] for i, n in enumerate(idx)]) == want, boxes
+        verdicts.append(want)
+    n_boxes = {"reference-quarter-step": 226, "line-two-boxes": 16,
+               "reference-half-step-two-boxes": 37}[which]
+    assert len(verdicts) == n_boxes ** model.fn.k
+    assert any(verdicts) and not all(verdicts)
 
 
 # ---------------------------------------------------------------------------
