@@ -8,8 +8,17 @@ minimum: a value below b falsifies the decision, while a value at or
 above b is a necessary check only, never a full proof.  The full proof is
 the feasibility of the assembled program itself; everything in this
 module is defense in depth on top of it.  The same measure program, on
-the assembly lattice, lets enumerate_boxes rule candidates out before
+the assembly lattice, lets the search drivers rule candidates out before
 their assembled solve.
+
+The measure program has one column per lattice atom, so it is solved by
+column generation.  Each round solves the program restricted to a few
+active atoms and prices every atom against that master's row and LMI
+duals in one vectorized pass; the most negative atoms join the master.
+The rounds stop when no atom prices below -1e-9, which makes the
+master's duals feasible for the whole lattice and its optimum the
+lattice optimum.  Rounds go to the drobox.certify logger at DEBUG level
+as key=value lines: round=, atoms=, value=, min_reduced_cost=, status=.
 
 Zero-width boxes are kept as stated in both checks.  The empty-box
 sentinel produced by decoding (width 0 at the origin) is therefore
@@ -20,6 +29,7 @@ instance met in practice.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -39,6 +49,15 @@ from .model import (
     smoothed_indicator_lower,
 )
 from .sdp import ConicProgram, solve_sdp
+
+LOG = logging.getLogger("drobox.certify")
+
+# Column generation for the adversary: points per axis of the first seed,
+# fewest atoms to add per round, and the reduced cost that counts as
+# negative.
+_SEED_POINTS = 5
+_MIN_ENTERING = 10
+_PRICE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,23 +107,111 @@ def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
     return program
 
 
-def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice):
+class _Pricer:
+    """Reduced costs of every lattice atom against a master's duals.
+
+    The column of atom t_j in the measure program is its value v_j, a 1 in
+    the mass row, sgn_i on each confidence row whose region holds t_j, and
+    the two moment blocks F1(t_j) and -(t_j - mu)(t_j - mu)^T.  Its reduced
+    cost under row duals y and LMI duals (Z1, Z2) is
+
+        v_j - [1, sgn * 1[t_j in C_i]] . y - <F1(t_j), Z1>
+            + <(t_j - mu)(t_j - mu)^T, Z2>,
+
+    evaluated for all atoms at once.
+    """
+
+    def __init__(self, spec: AmbiguitySpec, pts: np.ndarray, vals: np.ndarray):
+        self.spec = spec
+        self.vals = vals
+        self.d = pts - spec.mu
+        cols = [np.ones(pts.shape[0])]
+        for cs in spec.confidence_sets:
+            if not isinstance(cs.region, WholeDomain):
+                cols.append(math.copysign(1.0, cs.eps) * cs.region.contains(pts))
+        self.rows = np.stack(cols, axis=1)
+
+    def __call__(self, sol) -> np.ndarray:
+        spec = self.spec
+        m = spec.m
+        Z1, Z2 = sol.lmi_duals
+        first = (float(np.sum(spec.sigma * Z1[:m, :m])) + spec.eps_mu * Z1[m, m]
+                 + self.d @ (Z1[:m, m] + Z1[m, :m]))
+        second = np.einsum("ni,ij,nj->n", self.d, Z2, self.d)
+        return self.vals - self.rows @ sol.row_duals - first + second
+
+
+def _seeds(lattice: Lattice, spec: AmbiguitySpec):
+    """Active atom sets to start column generation from, coarse to fine.
+
+    Each is a sublattice with 5, 9, 17, ... points per axis, ends
+    included, plus the atom nearest mu; the last is the whole lattice.
+    """
+    n = lattice.n_axis
+    near = np.clip(np.round(spec.mu / lattice.delta), 0, n - 1).astype(int)
+    near_flat = np.ravel_multi_index(tuple(near), lattice.shape)
+    per_axis = _SEED_POINTS
+    while per_axis < n:
+        idx = np.unique(np.round(np.linspace(0, n - 1, per_axis)).astype(int))
+        flat = np.ravel_multi_index(
+            tuple(np.meshgrid(*([idx] * lattice.dim), indexing="ij")), lattice.shape)
+        yield np.union1d(flat.ravel(), near_flat)
+        per_axis = 2 * per_axis - 1
+    yield np.arange(lattice.n_points)
+
+
+def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
+                      *, stop_below: float = -math.inf):
     """Solve the discrete-measure adversary and keep the measure.
 
     Returns (status, value, weights) where weights is the minimizing
     probability vector over fine_lattice.points (None unless optimal).
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
-    equality; exact indicators evaluate the decision on the atoms.  A
-    stalled interior-point run is reported as it ended, with no weights.
+    equality; exact indicators evaluate the decision on the atoms.
+
+    The program is solved by column generation.  Each round solves the
+    measure program restricted to the active atoms (the master) and
+    prices every atom of the lattice against its duals; the most negative
+    ones, at least 10 and up to as many as are active, join the master.
+    The rounds stop when no atom prices below -1e-9: the master's duals
+    are then feasible for the whole lattice, so its optimum is the lattice
+    optimum.  A master that ends infeasible or stalls restarts the rounds
+    from a finer seed (see _seeds); only an infeasible or stalled solve on
+    the whole lattice is reported as it ended, with no weights.
+
+    With stop_below, the rounds also stop once a master's value falls
+    below it.  That measure is feasible on the lattice, so its value is an
+    upper bound on the optimum, which suffices to rule a candidate out.
     """
     pts = fine_lattice.points
-    sol = solve_sdp(_measure_program(spec, pts, decision.evaluate(pts)))
-    if sol.status != "optimal":
-        return sol.status, float("nan"), None
-    names = ["w[%d]" % j for j in range(pts.shape[0])]
-    weights = np.array([max(sol.primal[name], 0.0) for name in names])
-    return sol.status, float(sol.objective), weights
+    vals = decision.evaluate(pts)
+    price = _Pricer(spec, pts, vals)
+    rounds = 0
+    for active in _seeds(fine_lattice, spec):
+        while True:
+            rounds += 1
+            sol = solve_sdp(_measure_program(spec, pts[active], vals[active]))
+            if sol.status != "optimal":
+                LOG.debug("round=%d atoms=%d value=nan min_reduced_cost=nan status=%s",
+                          rounds, active.size, sol.status)
+                break
+            cost = price(sol)
+            cost[active] = np.inf
+            lowest = float(cost.min())
+            LOG.debug("round=%d atoms=%d value=%.9g min_reduced_cost=%.3g status=optimal",
+                      rounds, active.size, sol.objective, lowest)
+            if lowest >= -_PRICE_TOL or sol.objective < stop_below:
+                weights = np.zeros(pts.shape[0])
+                weights[active] = [max(sol.primal["w[%d]" % j], 0.0)
+                                   for j in range(active.size)]
+                return sol.status, float(sol.objective), weights
+            entering = np.flatnonzero(cost < -_PRICE_TOL)
+            count = max(_MIN_ENTERING, active.size)
+            if entering.size > count:
+                entering = entering[np.argpartition(cost[entering], count)[:count]]
+            active = np.union1d(active, entering)
+    return sol.status, float("nan"), None
 
 
 def adversary_oracle(decision: Decision, spec: AmbiguitySpec,

@@ -531,6 +531,7 @@ def cmd_certify(args) -> int:
         if key not in record or record[key] is None:
             raise ConfigError("solution record has no %r field" % key)
     delta = float(record["delta"])
+    _validate_step(spec, fn, delta)
     decision = Decision(
         heights=np.asarray(record["heights"], dtype=float),
         boxes=[BoxRegion(b["lower"], b["upper"]) for b in record["boxes"]],
@@ -545,13 +546,16 @@ def cmd_certify(args) -> int:
         if len(args.delta) != 1:
             raise ConfigError("certify takes at most one --delta", 2)
         fine_step = float(args.delta[0])
+        try:
+            fine = lattice_points(spec.edge, spec.m, fine_step)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         if fine_step > delta / 2.0 + 1e-12:
             print(
                 "warning: fine step %.9g is coarser than delta/2=%.9g; "
                 "the verdict will be inconclusive" % (fine_step, delta / 2.0),
                 file=sys.stderr,
             )
-        fine = lattice_points(spec.edge, spec.m, fine_step)
     else:
         fine = None
     cert = certify_solution(

@@ -166,7 +166,10 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     Node selection is best-bound with depth-first plunging; ties break on
     insertion order, which follows lattice index order.  Only bt variables
     are branched; jump binaries come from implied_jumps.  Limits never
-    raise: the incumbent is returned with proof "resource-limit".
+    raise: the incumbent is returned with proof "resource-limit".  A node
+    with every bt fixed whose solve ends neither optimal nor infeasible is
+    unresolved unless its adversary measure rules its boxes out, as in
+    enumerate_boxes; any unresolved node leaves the proof at "gap-limit".
     """
     _require_variable(model)
     opts = opts or SearchOptions()
@@ -184,7 +187,8 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     counter = itertools.count()
     heap = []  # (scaled bound, seq, fixed bt dict)
     stack = []  # plunge pile, same tuples, LIFO
-    tried = set()
+    tried = {}  # frozenset of member bt names -> status of its honest solve
+    unresolved = 0  # fully fixed nodes whose solve ended neither way
 
     def global_bound(extra: float) -> float:
         vals = [extra]
@@ -199,22 +203,32 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
         LOG.log(level, "node=%d bound=%.9g incumbent=%.9g gap=%.9g",
                 node_count, bound, inc, max(inc - bound, 0.0))
 
-    def try_assignment(bt_values: dict) -> bool:
-        """Fix a full binary assignment and offer the honest solve."""
+    def try_assignment(bt_values: dict) -> str:
+        """Fix a full binary assignment, offer the honest solve and
+        return its status."""
         key = frozenset(name for name in bt_names if bt_values[name] > 0.5)
         if key in tried:
-            return False
-        tried.add(key)
+            return tried[key]
         assign = dict(bt_values)
         assign.update(implied_jumps(bt_values, model))
         sol = solve_sdp(program.fix_binaries(assign))
-        if sol.status != "optimal":
-            return False
-        accepted = best.offer(sgn * sol.objective, sol.objective,
-                              _decode_quiet(assign, model), decode_duals(sol, model))
-        if accepted:
+        tried[key] = sol.status
+        if sol.status == "optimal" and best.offer(
+                sgn * sol.objective, sol.objective,
+                _decode_quiet(assign, model), decode_duals(sol, model)):
             log_progress(logging.INFO, math.inf)
-        return accepted
+        return sol.status
+
+    def measure_rules_out(bt_values: dict) -> bool:
+        """Whether a lattice measure proves a full assignment infeasible."""
+        try:
+            boxes = _decode_quiet(bt_values, model)
+        except ValueError:  # not a box pattern
+            return False
+        n = model.lattice.n_points
+        boxes = [box if any(bt_values["bt[%d,%d]" % (i, f)] > 0.5 for f in range(n))
+                 else None for i, box in enumerate(boxes)]
+        return _ruling_measure(model, boxes) is not None
 
     def membership(fixed: dict, values: dict, name: str) -> float:
         if name in fixed:
@@ -312,15 +326,20 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
                 rounded = {n: (fixed[n] if n in fixed else
                                (1.0 if membership(fixed, values, n) >= 0.5 else 0.0))
                            for n in bt_names}
-                try_assignment(rounded)
+                status = try_assignment(rounded)
                 if not (best.have and best.scaled <= bound + 1e-6) and unfixed:
                     branch_var = unfixed[0]  # integral node failed its honest solve
                 else:
+                    if (not unfixed and status not in ("optimal", "infeasible")
+                            and not measure_rules_out(rounded)):
+                        unresolved += 1
                     log_progress(logging.DEBUG, bound)
                     continue
             prefer = 1.0 if membership(fixed, values, branch_var) >= 0.5 else 0.0
         else:
             if not unfixed:
+                if not measure_rules_out(fixed):
+                    unresolved += 1
                 log_progress(logging.DEBUG, math.inf)
                 continue
             branch_var = unfixed[0]
@@ -337,7 +356,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     if best.have:
         if hit_limit and (heap or stack):
             proof = "resource-limit"
-        elif gap_pruned[0]:
+        elif gap_pruned[0] or unresolved:
             proof = "gap-limit"
         else:
             proof = "optimal"
@@ -346,12 +365,38 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     if hit_limit:
         return Incumbent(sgn * math.inf, (), None, node_count, wall,
                          "resource-limit", "unknown")
+    if unresolved:
+        return Incumbent(sgn * math.inf, (), None, node_count, wall,
+                         "gap-limit", "unknown")
     return Incumbent(sgn * math.inf, (), None, node_count, wall,
                      "optimal", "infeasible-model")
 
 
 # ---------------------------------------------------------------------------
 # Exact enumeration for tiny instances
+
+
+def _rule_out_threshold(model: AssembledModel) -> float:
+    return model.spec.b + model.margin - 1e-7
+
+
+def _ruling_measure(model: AssembledModel, boxes: list):
+    """Adversary weights that prove boxes infeasible, or None.
+
+    boxes holds one BoxRegion per height, None for an empty one.  The
+    adversary measure program of the nonempty boxes is solved on the
+    assembly lattice, its rounds stopped as soon as a measure falls below
+    b + margin; such a measure proves the fixed SDP infeasible by weak
+    duality.  A stalled solve, or all boxes empty, rules nothing out.
+    """
+    kept = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
+    if not kept:
+        return None
+    threshold = _rule_out_threshold(model)
+    _, value, weights = adversary_problem(
+        Decision(np.array([h for h, _ in kept]), tuple(b for _, b in kept)),
+        model.spec, model.lattice, stop_below=threshold)
+    return weights if value < threshold else None
 
 
 class _MeasurePool:
@@ -375,7 +420,7 @@ class _MeasurePool:
         lattice = model.lattice
         self.shape = lattice.shape
         self.heights = np.asarray(model.fn.heights, dtype=float)
-        self.threshold = spec.b + model.margin - 1e-7
+        self.threshold = _rule_out_threshold(model)
         d = lattice.points - spec.mu
         dist = np.einsum("ni,ij,nj->n", d, np.linalg.inv(spec.sigma), d)
         ok = dist <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
@@ -541,14 +586,10 @@ def enumerate_boxes(model: AssembledModel,
             continue
         solves += 1
         boxes = [_box_at(lattice, streams[i], payload[i]) for i in range(k)]
-        nonempty = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
-        if nonempty:
-            decision = Decision(np.array([h for h, _ in nonempty]),
-                                tuple(b for _, b in nonempty))
-            _, value, weights = adversary_problem(decision, model.spec, lattice)
-            if value < pool.threshold:  # a stalled solve's nan rules nothing out
-                pool.add(weights)
-                continue
+        weights = _ruling_measure(model, boxes)
+        if weights is not None:
+            pool.add(weights)
+            continue
         assign = canonical_assignment(boxes, model)
         sol = solve_sdp(model.program.fix_binaries(assign))
         if sol.status == "optimal":

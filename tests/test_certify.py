@@ -1,10 +1,15 @@
+import logging
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drobox.assemble import assemble_case2
 from drobox.certify import (
+    _measure_program,
+    _Pricer,
     adversary_oracle,
     adversary_problem,
     certify_solution,
@@ -23,6 +28,7 @@ from drobox.model import (
     first_moment_block,
     lattice_points,
 )
+from drobox.sdp import _compile, solve_sdp, svec, svec_len
 from drobox.search import SearchOptions, enumerate_boxes
 
 
@@ -83,6 +89,28 @@ def test_oracle_falsifies_tiny_box_under_huge_ambiguity():
     assert value < spec.b - 1e-6
 
 
+def assert_feasible_measure(weights, spec, fine, decision, value):
+    """weights is a probability vector over fine.points inside the
+    discrete ambiguity family, with expectation value for decision."""
+    assert weights.shape == (fine.n_points,)
+    assert weights.min() >= 0.0
+    assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-7)
+    blocks = sum(
+        w * first_moment_block(t, spec)
+        for w, t in zip(weights, fine.points)
+    )
+    assert np.linalg.eigvalsh(blocks).min() >= -1e-7
+    d = fine.points - spec.mu
+    second = sum(w * np.outer(dj, dj) for w, dj in zip(weights, d))
+    cap = spec.eps_sigma * spec.sigma - second
+    assert np.linalg.eigvalsh(cap).min() >= -1e-7
+    for cs in spec.confidence_sets[2:]:
+        mass = float(weights @ cs.region.contains(fine.points))
+        assert math.copysign(1.0, cs.eps) * mass >= cs.eps - 1e-7
+    expect = float(weights @ decision.evaluate(fine.points))
+    assert expect == pytest.approx(value, abs=1e-8)
+
+
 def test_oracle_measure_is_feasible(line_spec):
     decision = Decision(
         heights=np.array([1.0]), boxes=[BoxRegion([0.05], [0.15])]
@@ -90,19 +118,94 @@ def test_oracle_measure_is_feasible(line_spec):
     fine = lattice_points(0.2, 1, 0.025)
     status, value, weights = adversary_problem(decision, line_spec, fine)
     assert status == "optimal"
-    assert weights.min() >= 0.0
-    assert float(np.sum(weights)) == pytest.approx(1.0, abs=1e-7)
-    blocks = sum(
-        w * first_moment_block(t, line_spec)
-        for w, t in zip(weights, fine.points)
+    assert_feasible_measure(weights, line_spec, fine, decision, value)
+
+
+def _column_generation_case(which, ref_spec, line_spec):
+    if which == "reference":
+        return (Decision([1.0], [BoxRegion([0.0, 0.0], [0.5, 0.5])]), ref_spec,
+                lattice_points(1.0, 2, 0.05))
+    if which == "line":
+        return (Decision([1.0], [BoxRegion([0.05], [0.15])]), line_spec,
+                lattice_points(0.2, 1, 0.0125))
+    if which == "tight-moments":
+        # a tight covariance makes both moment blocks bind (nonzero LMI
+        # duals); the confidence rows, one of each sign, stay slack
+        spec = AmbiguitySpec.with_normalization(
+            edge=1.0, mu=[0.5, 0.5], sigma=[[0.02, 0.005], [0.005, 0.01]],
+            eps_mu=0.1, eps_sigma=1.0, b=0.1,
+            extra_sets=(ConfidenceSet(BoxRegion([0.3, 0.3], [0.55, 0.7]), 0.3),
+                        ConfidenceSet(BoxRegion([0.55, 0.3], [0.7, 0.7]), -0.5)),
+        )
+        return (Decision([1.0], [BoxRegion([0.3, 0.3], [0.7, 0.7])]), spec,
+                lattice_points(1.0, 2, 0.05))
+    # 0.9 of the mass must sit on 0.0625, 0.075 or 0.0875, none of which is
+    # on the 5-point seed 0, 0.05, ..., 0.2
+    spec = AmbiguitySpec.with_normalization(
+        edge=0.2, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.06], [0.09]), 0.9),),
     )
-    assert np.linalg.eigvalsh(blocks).min() >= -1e-7
-    d = fine.points - line_spec.mu
-    second = sum(w * np.outer(dj, dj) for w, dj in zip(weights, d))
-    cap = line_spec.eps_sigma * line_spec.sigma - second
-    assert np.linalg.eigvalsh(cap).min() >= -1e-7
-    expect = float(weights @ decision.evaluate(fine.points))
-    assert expect == pytest.approx(value, abs=1e-8)
+    return (Decision([1.0], [BoxRegion([0.05], [0.15])]), spec,
+            lattice_points(0.2, 1, 0.0125))
+
+
+_ROUND_LINE = re.compile(
+    r"^round=\d+ atoms=\d+ value=\S+ min_reduced_cost=\S+ status=[a-z-]+$")
+
+
+@pytest.mark.parametrize("which", ["reference", "line", "confidence-off-seed",
+                                   "tight-moments"])
+def test_column_generation_matches_the_whole_lattice(ref_spec, line_spec, which, caplog):
+    decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
+    direct = solve_sdp(_measure_program(spec, fine.points, decision.evaluate(fine.points)))
+    assert direct.status == "optimal"
+    with caplog.at_level(logging.DEBUG, logger="drobox.certify"):
+        status, value, weights = adversary_problem(decision, spec, fine)
+    assert status == "optimal"
+    assert value == pytest.approx(direct.objective, abs=1e-7)
+    assert_feasible_measure(weights, spec, fine, decision, value)
+    lines = [r.getMessage() for r in caplog.records if r.name == "drobox.certify"]
+    assert lines and all(_ROUND_LINE.match(line) for line in lines), lines
+    assert lines[-1].endswith("status=optimal")
+    atoms = [int(re.search(r"atoms=(\d+)", line).group(1)) for line in lines]
+    assert max(atoms) < fine.n_points  # never the whole lattice
+    if which == "confidence-off-seed":
+        assert lines[0] == "round=1 atoms=5 value=nan min_reduced_cost=nan status=infeasible"
+        assert atoms[1] == 9  # the seed grew to 9 points
+
+
+@pytest.mark.parametrize("which", ["reference", "tight-moments"])
+def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
+    # under any duals y, the reduced cost of weight column j in the
+    # solver's own standard form is c_j - A_j^T y; random duals make every
+    # term of the batched pricing count
+    decision, spec, fine = _column_generation_case(which, ref_spec, None)
+    vals = decision.evaluate(fine.points)
+    comp = _compile(_measure_program(spec, fine.points, vals))
+    rng = np.random.default_rng(3)
+    duals = SimpleNamespace(row_duals=rng.normal(size=len(comp.row_of_scalar)),
+                            lmi_duals=[])
+    y = np.zeros(comp.A.shape[0])
+    y[comp.row_of_scalar] = duals.row_duals
+    for start, d in comp.lmi_row_spans:
+        Z = rng.normal(size=(d, d))
+        duals.lmi_duals.append(Z + Z.T)
+        y[start:start + svec_len(d)] = svec(Z + Z.T)
+    n = fine.n_points
+    compiled = comp.c[:n] - comp.A[:, :n].T @ y
+    priced = _Pricer(spec, fine.points, vals)(duals)
+    assert np.max(np.abs(priced - compiled)) <= 1e-12 * (1.0 + np.max(np.abs(compiled)))
+
+
+def test_column_generation_stops_below_the_threshold(ref_spec):
+    decision, spec, fine = _column_generation_case("reference", ref_spec, None)
+    _, optimum, _ = adversary_problem(decision, spec, fine)
+    status, value, weights = adversary_problem(decision, spec, fine, stop_below=1.0)
+    # the first master already falls below 1; its measure is feasible, so
+    # its value bounds the lattice optimum from above
+    assert status == "optimal"
+    assert optimum + 1e-6 < value < 1.0
+    assert_feasible_measure(weights, spec, fine, decision, value)
 
 
 def test_oracle_nonincreasing_under_refinement(line_spec):

@@ -179,6 +179,42 @@ def test_certify_requires_solution_fields(solved_reference, tmp_path, capsys):
     assert "has no" in capsys.readouterr().err
 
 
+def test_certify_validates_the_instance(solved_reference, tmp_path, capsys, monkeypatch):
+    _, _, out = solved_reference
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an invalid instance reached the certificate")
+
+    monkeypatch.setattr(cli, "certify_solution", must_not_run)
+    code = main(["certify", "--config", write_config(tmp_path, eps_sigma=0.5),
+                 "--solution", str(out / "result.json"), "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "FAIL eps_sigma_at_least_one" in capsys.readouterr().err
+    assert not (tmp_path / "certificate.json").exists()
+
+
+def test_certify_misaligned_fine_step_is_invalid(solved_reference, tmp_path, capsys):
+    _, _, out = solved_reference
+    code = main(["certify", "--config", REFERENCE,
+                 "--solution", str(out / "result.json"),
+                 "--delta", "0.7", "--out-dir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "does not divide" in err[0]
+
+
+def test_certify_stored_record_at_the_finest_bench_step(tmp_path):
+    # 25,921 atoms: the adversary needs column generation to finish here
+    record = Path(__file__).parents[1] / "perfbench" / "records" / "bin_creating_d0.05.json"
+    code = main(["certify", "--config", REFERENCE, "--solution", str(record),
+                 "--delta", "0.00625", "--out-dir", str(tmp_path)])
+    assert code == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verdict"] == "certified"
+    assert cert["fine_delta"] == 0.00625
+
+
 def test_sweep_rows_in_input_order_with_failures(tmp_path, capsys):
     code = main(["sweep", "--config", REFERENCE, "--delta", "0.1",
                  "--delta", "0.3", "--delta", "0.2", "--out-dir", str(tmp_path)])

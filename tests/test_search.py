@@ -19,7 +19,7 @@ from drobox.model import (
     lattice_points,
     second_moment_outer,
 )
-from drobox.sdp import ConicProgram, solve_sdp
+from drobox.sdp import ConicProgram, SdpSolution, solve_sdp
 from drobox.search import (
     SearchOptions,
     _box_at,
@@ -325,6 +325,41 @@ def test_gap_tol_stops_early_within_band():
     assert inc.status == "solved"
     # incumbent is feasible (>= optimum) and within gap_tol of it
     assert 0.15 - 1e-9 <= inc.objective <= 0.15 + 0.2 + 1e-6
+
+
+@pytest.mark.parametrize("failing", ["fixed-node-relaxation", "honest-solve"])
+def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch, failing):
+    # every solve of a fully fixed program stalls (or only the honest
+    # solves of full assignments do): the run must not claim a proof
+    fix, relax = ConicProgram.fix_binaries, ConicProgram.relax_binaries
+    stalled = []
+
+    def fix_spy(self, values):
+        out = fix(self, values)
+        out.stall = True
+        return out
+
+    def relax_spy(self, fixed=None):
+        out = relax(self, fixed)
+        out.stall = failing == "fixed-node-relaxation" and not any(
+            row.name.startswith("ub[") for row in out.rows)
+        return out
+
+    def solve_spy(program, options=None):
+        if getattr(program, "stall", False):
+            stalled.append(program)
+            return SdpSolution("numerical-failure", np.nan, {}, np.zeros(program.n_rows),
+                               [], None, 0)
+        return solve_sdp(program, options)
+
+    monkeypatch.setattr(ConicProgram, "fix_binaries", fix_spy)
+    monkeypatch.setattr(ConicProgram, "relax_binaries", relax_spy)
+    monkeypatch.setattr("drobox.search.solve_sdp", solve_spy)
+    inc = solve_bnb(line_model())
+    assert stalled
+    assert inc.proof == "gap-limit"
+    assert inc.status == "unknown"
+    assert inc.objective == np.inf
 
 
 def test_search_is_deterministic():
