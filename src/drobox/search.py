@@ -1,22 +1,24 @@
 """Search drivers for the variable-box models built by assemble_case2.
 
-Two independent routes to the same answer.  solve_bnb runs branch and
-bound on the box membership binaries: every node solves the SDP
-relaxation for a bound, a rounding heuristic probes integral candidates,
-and jump binaries are never branched on (once both endpoints of a lattice
-step are decided, the jump pair follows by propagation; equal endpoints
-take the no-jump pair, which is feasible whenever the wasteful double
-jump is).  enumerate_boxes is an exact oracle for tiny instances: it
-walks lattice-aligned candidate boxes, as lattice index pairs, in
-nondecreasing bound order and screens each with one measure pool: a
-candidate falls when some held lattice measure gives it an expected
-value below b + margin (weak duality).  The pool starts with a point
-mass on every feasible lattice atom.  A candidate that passes gets its
-own adversary measure program solved first (a value below b + margin
-rules it out, and its measure joins the pool), and the fixed SDP of the
-survivors is solved honestly; the first candidate whose true objective
-beats every open bound is optimal.  run_search dispatches on
-SearchOptions.mode, "bnb" or "enumerate".
+Two independent routes to the same answer, built from the same proof
+steps.  One pool of lattice measures screens sets of boxes: a set falls
+when some held measure gives it an expected value below b + margin
+(weak duality).  The pool starts with a point mass on every feasible
+lattice atom.  A set of boxes that passes gets its own adversary measure
+program solved first (a value below b + margin rules it out, and its
+measure joins the pool), and the fixed SDP of the survivors is solved
+honestly; that solve proves feasibility and supplies the duals.
+
+enumerate_boxes is an exact oracle for tiny instances: it walks
+lattice-aligned candidate boxes, as lattice index pairs, in
+nondecreasing bound order, and the first candidate whose true objective
+beats every open bound is optimal.  solve_bnb is a best-first branch
+and bound over sets of boxes (efficient subwindow search): a node holds,
+per height, either the empty box or an interval of lattice indices for
+each corner coordinate.  Heights are positive, so the node's outer box
+has its largest expectation under every measure, and one pool gather on
+it drops the whole node.  run_search dispatches on SearchOptions.mode,
+"bnb" or "enumerate".
 
 Progress goes to the drobox.search logger as machine-parseable key=value
 lines: node=, bound=, incumbent=, gap= (all in minimization scale).
@@ -29,35 +31,27 @@ import itertools
 import logging
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .assemble import (
-    AssembledModel,
-    canonical_assignment,
-    decode_box,
-    decode_duals,
-    implied_jumps,
-)
+from .assemble import AssembledModel, canonical_assignment, decode_duals
 from .certify import adversary_problem
 from .model import BoxRegion, Decision, DualSolution, WholeDomain
 from .sdp import SdpSolution, SolveOptions, solve_sdp
 
 LOG = logging.getLogger("drobox.search")
 
-_INTEGRAL_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class SearchOptions:
     """Knobs shared by both search drivers.
 
-    node_limit counts SDP relaxation solves in solve_bnb and candidates
-    that reach a solve in enumerate_boxes.  gap_tol is an absolute gap on
-    the objective; 0 demands a full proof.
+    node_limit counts, in either driver, the sets of boxes that pass the
+    measure pool and reach a solve (their adversary measure, then maybe
+    their fixed SDP).  gap_tol is an absolute gap on the objective; 0
+    demands a full proof.
     """
 
     mode: str = "bnb"
@@ -115,17 +109,6 @@ def _require_variable(model: AssembledModel):
         raise TypeError("search drivers need a variable-mode model")
 
 
-def _bt_names(model: AssembledModel) -> list:
-    return ["bt[%d,%d]" % (i, f)
-            for i in range(model.fn.k) for f in range(model.lattice.n_points)]
-
-
-def _decode_quiet(values: dict, model: AssembledModel) -> tuple:
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return tuple(decode_box(values, model))
-
-
 def _quantum_ceil(value: float, quantum) -> float:
     if quantum is None or not math.isfinite(value):
         return value
@@ -156,226 +139,6 @@ class _BestCell:
         return True
 
 
-# ---------------------------------------------------------------------------
-# Branch and bound
-
-
-def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> Incumbent:
-    """Branch-and-bound over membership binaries with SDP node relaxations.
-
-    Node selection is best-bound with depth-first plunging; ties break on
-    insertion order, which follows lattice index order.  Only bt variables
-    are branched; jump binaries come from implied_jumps.  Limits never
-    raise: the incumbent is returned with proof "resource-limit".  A node
-    with every bt fixed whose solve ends neither optimal nor infeasible is
-    unresolved unless its adversary measure rules its boxes out, as in
-    enumerate_boxes; any unresolved node leaves the proof at "gap-limit".
-    """
-    _require_variable(model)
-    opts = opts or SearchOptions()
-    t0 = time.perf_counter()
-    program = model.program
-    sgn = 1.0 if program.obj_sense == "min" else -1.0
-    quantum = model.objective_quantum
-    bt_names = _bt_names(model)
-    grid_slack = (quantum - 1e-9) if quantum else 1e-12
-
-    best = _BestCell()
-    node_count = 0
-    hit_limit = False
-    gap_pruned = [False]
-    counter = itertools.count()
-    heap = []  # (scaled bound, seq, fixed bt dict)
-    stack = []  # plunge pile, same tuples, LIFO
-    tried = {}  # frozenset of member bt names -> status of its honest solve
-    unresolved = 0  # fully fixed nodes whose solve ended neither way
-
-    def global_bound(extra: float) -> float:
-        vals = [extra]
-        if heap:
-            vals.append(heap[0][0])
-        vals.extend(entry[0] for entry in stack)
-        return min(vals)
-
-    def log_progress(level: int, extra_bound: float):
-        bound = global_bound(extra_bound)
-        inc = best.scaled if best.have else math.inf
-        LOG.log(level, "node=%d bound=%.9g incumbent=%.9g gap=%.9g",
-                node_count, bound, inc, max(inc - bound, 0.0))
-
-    def try_assignment(bt_values: dict) -> str:
-        """Fix a full binary assignment, offer the honest solve and
-        return its status."""
-        key = frozenset(name for name in bt_names if bt_values[name] > 0.5)
-        if key in tried:
-            return tried[key]
-        assign = dict(bt_values)
-        assign.update(implied_jumps(bt_values, model))
-        sol = solve_sdp(program.fix_binaries(assign))
-        tried[key] = sol.status
-        if sol.status == "optimal" and best.offer(
-                sgn * sol.objective, sol.objective,
-                _decode_quiet(assign, model), decode_duals(sol, model)):
-            log_progress(logging.INFO, math.inf)
-        return sol.status
-
-    def measure_rules_out(bt_values: dict) -> bool:
-        """Whether a lattice measure proves a full assignment infeasible."""
-        try:
-            boxes = _decode_quiet(bt_values, model)
-        except ValueError:  # not a box pattern
-            return False
-        n = model.lattice.n_points
-        boxes = [box if any(bt_values["bt[%d,%d]" % (i, f)] > 0.5 for f in range(n))
-                 else None for i, box in enumerate(boxes)]
-        return _ruling_measure(model, boxes) is not None
-
-    def membership(fixed: dict, values: dict, name: str) -> float:
-        if name in fixed:
-            return fixed[name]
-        return float(np.clip(values.get(name, 0.0), 0.0, 1.0))
-
-    def round_to_boxes(fixed: dict, values: dict, theta: float) -> dict:
-        """Bounding rectangle of each box's relaxed support above theta."""
-        lattice = model.lattice
-        out = {}
-        for i in range(model.fn.k):
-            member = np.array([membership(fixed, values, "bt[%d,%d]" % (i, f))
-                               for f in range(lattice.n_points)])
-            sel = np.nonzero(member > theta)[0]
-            chosen = np.zeros(lattice.n_points, dtype=bool)
-            if sel.size:
-                multis = np.array(np.unravel_index(sel, lattice.shape)).T
-                lo, hi = multis.min(axis=0), multis.max(axis=0)
-                all_multis = np.array(
-                    np.unravel_index(np.arange(lattice.n_points), lattice.shape)).T
-                chosen = np.all((all_multis >= lo) & (all_multis <= hi), axis=1)
-            for f in range(lattice.n_points):
-                out["bt[%d,%d]" % (i, f)] = 1.0 if chosen[f] else 0.0
-        return out
-
-    def prunable(bound: float) -> bool:
-        if not best.have:
-            return False
-        if bound >= best.scaled - grid_slack:
-            return True
-        if bound >= best.scaled - opts.gap_tol:
-            gap_pruned[0] = True
-            return True
-        return False
-
-    def pick_branch(fixed: dict, values: dict):
-        fracs = {}
-        for name in bt_names:
-            if name in fixed:
-                continue
-            v = membership(fixed, values, name)
-            frac = min(v, 1.0 - v)
-            if frac > _INTEGRAL_TOL:
-                fracs[name] = frac
-        if not fracs:
-            return None
-        lattice = model.lattice
-        best_line, best_mass = None, 0.0
-        for i in range(model.fn.k):
-            for j in range(lattice.dim):
-                for line in lattice.lines(j):
-                    members = ["bt[%d,%d]" % (i, f) for f in line]
-                    mass = sum(fracs.get(n, 0.0) for n in members)
-                    if mass > best_mass + 1e-15:
-                        best_mass = mass
-                        best_line = members
-        return max(best_line, key=lambda n: (fracs.get(n, 0.0), -bt_names.index(n)))
-
-    # A cheap honest start: all boxes spanning the whole domain.
-    try_assignment({name: 1.0 for name in bt_names})
-
-    heapq.heappush(heap, (-math.inf, next(counter), {}))
-    while heap or stack:
-        if node_count >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
-            hit_limit = True
-            break
-        entry = stack.pop() if stack else heapq.heappop(heap)
-        bound0, _, fixed = entry
-        if prunable(bound0):
-            continue
-        node_count += 1
-        derived = implied_jumps(fixed, model)
-        sol = solve_sdp(program.relax_binaries({**fixed, **derived}))
-        if sol.status == "infeasible":
-            log_progress(logging.DEBUG, math.inf)
-            continue
-        if sol.status == "optimal":
-            bound = max(bound0, _quantum_ceil(sgn * sol.objective, quantum))
-            values = sol.primal
-        else:
-            bound = bound0  # keep the inherited bound; explore blind
-            values = None
-        if prunable(bound):
-            log_progress(logging.DEBUG, math.inf)
-            continue
-        unfixed = [n for n in bt_names if n not in fixed]
-        if values is not None:
-            for theta in (0.5, 1e-3):
-                try_assignment(round_to_boxes(fixed, values, theta))
-            if prunable(bound):
-                log_progress(logging.DEBUG, math.inf)
-                continue
-            branch_var = pick_branch(fixed, values)
-            if branch_var is None:
-                rounded = {n: (fixed[n] if n in fixed else
-                               (1.0 if membership(fixed, values, n) >= 0.5 else 0.0))
-                           for n in bt_names}
-                status = try_assignment(rounded)
-                if not (best.have and best.scaled <= bound + 1e-6) and unfixed:
-                    branch_var = unfixed[0]  # integral node failed its honest solve
-                else:
-                    if (not unfixed and status not in ("optimal", "infeasible")
-                            and not measure_rules_out(rounded)):
-                        unresolved += 1
-                    log_progress(logging.DEBUG, bound)
-                    continue
-            prefer = 1.0 if membership(fixed, values, branch_var) >= 0.5 else 0.0
-        else:
-            if not unfixed:
-                if not measure_rules_out(fixed):
-                    unresolved += 1
-                log_progress(logging.DEBUG, math.inf)
-                continue
-            branch_var = unfixed[0]
-            prefer = 1.0
-        other = dict(fixed)
-        other[branch_var] = 1.0 - prefer
-        heapq.heappush(heap, (bound, next(counter), other))
-        plunge = dict(fixed)
-        plunge[branch_var] = prefer
-        stack.append((bound, next(counter), plunge))
-        log_progress(logging.DEBUG, bound)
-
-    wall = time.perf_counter() - t0
-    if best.have:
-        if hit_limit and (heap or stack):
-            proof = "resource-limit"
-        elif gap_pruned[0] or unresolved:
-            proof = "gap-limit"
-        else:
-            proof = "optimal"
-        return Incumbent(best.objective, best.boxes, best.duals,
-                         node_count, wall, proof, "solved")
-    if hit_limit:
-        return Incumbent(sgn * math.inf, (), None, node_count, wall,
-                         "resource-limit", "unknown")
-    if unresolved:
-        return Incumbent(sgn * math.inf, (), None, node_count, wall,
-                         "gap-limit", "unknown")
-    return Incumbent(sgn * math.inf, (), None, node_count, wall,
-                     "optimal", "infeasible-model")
-
-
-# ---------------------------------------------------------------------------
-# Exact enumeration for tiny instances
-
-
 def _rule_out_threshold(model: AssembledModel) -> float:
     return model.spec.b + model.margin - 1e-7
 
@@ -400,15 +163,15 @@ def _ruling_measure(model: AssembledModel, boxes: list):
 
 
 class _MeasurePool:
-    """Lattice measures that rule candidate boxes out without a solve.
+    """Lattice measures that rule sets of boxes out without a solve.
 
     Summing the assembled lattice rows with the weights of any measure in
     the discrete ambiguity family, and dropping the PSD and sign terms,
-    shows every feasible candidate must give the measure expected value
-    at least b + margin.  Candidates falling short for any held measure
+    shows every feasible set of boxes must give the measure expected
+    value at least b + margin.  Sets falling short for any held measure
     are infeasible.  The pool starts with a point mass on each lattice
     atom that is a feasible measure on its own, and grows by the
-    adversary measures enumerate_boxes solves for.
+    adversary measures the search drivers solve for.
 
     Each measure is held as one row of grids: its zero-padded prefix-sum
     grid, flattened.  The mass of a lattice box is then a signed sum over
@@ -437,7 +200,15 @@ class _MeasurePool:
         self.picks = list(itertools.product((0, 1), repeat=lattice.dim))
         self.signs = np.array([math.prod(1.0 if u else -1.0 for u in pick)
                                for pick in self.picks])
-        self.grids = self._prefix(np.eye(lattice.n_points)[ok])
+        # the padded prefix grid of a point mass is 1 exactly where every
+        # padded index lies past the atom's, so build it axis by axis
+        atoms = np.unravel_index(np.flatnonzero(ok), self.shape)
+        grids = np.ones((atoms[0].size,) + (1,) * lattice.dim)
+        for j, n in enumerate(self.shape):
+            past = np.arange(n + 1) > atoms[j][:, None]
+            grids = grids * past.reshape(
+                (-1,) + (1,) * j + (n + 1,) + (1,) * (lattice.dim - 1 - j))
+        self.grids = grids.reshape(grids.shape[0], math.prod(grids.shape[1:]))
 
     def _prefix(self, weights) -> np.ndarray:
         grid = np.asarray(weights, dtype=float).reshape((-1,) + self.shape)
@@ -469,40 +240,112 @@ class _MeasurePool:
         return bool(np.any(value < self.threshold))
 
 
+def _empty_bound(model: AssembledModel, i: int, sgn: float) -> float:
+    """Scaled objective bound of an empty box for height i.
+
+    Under the width-sum objective an empty box costs nothing.  Under an
+    explicit corner objective it leaves its corner variables anywhere in
+    the feasible triangle 0 <= lo <= hi <= edge, so its bound takes the
+    best corner.
+    """
+    mode = model.fn.mode
+    if mode.width_sum:
+        return 0.0
+    cm = np.atleast_2d(mode.c_minus)[i]
+    cp = np.atleast_2d(mode.c_plus)[i]
+    edge = model.lattice.edge
+    return float(sum(min(sgn * (cm[j] * a + cp[j] * b)
+                         for a, b in ((0.0, 0.0), (0.0, edge), (edge, edge)))
+                     for j in range(model.lattice.dim)))
+
+
+def _box_bounds(model: AssembledModel, i: int, sgn: float, a, b, c, d):
+    """Scaled objective bound of height i's box over lo in [a, b], hi in [c, d].
+
+    a, b, c and d are axis indices, arrays of shape (..., m).  Each
+    coordinate takes the best end of its interval: the width of an axis
+    is at least max(axis[c] - axis[b], 0), and a corner term is the
+    smaller of its values at the two ends.  With a = b and c = d this is
+    the box's exact objective.
+    """
+    mode = model.fn.mode
+    axis = model.lattice.axis
+    total = 0.0
+    for j in range(model.lattice.dim):
+        if mode.width_sum:
+            total = total + np.maximum(axis[c[..., j]] - axis[b[..., j]], 0.0)
+        else:
+            cm = sgn * np.atleast_2d(mode.c_minus)[i, j]
+            cp = sgn * np.atleast_2d(mode.c_plus)[i, j]
+            total = total + (np.minimum(cm * axis[a[..., j]], cm * axis[b[..., j]])
+                             + np.minimum(cp * axis[c[..., j]], cp * axis[d[..., j]]))
+    return total
+
+
+def _solve_candidate(model: AssembledModel, boxes: list,
+                     pool: Optional[_MeasurePool] = None) -> tuple:
+    """Decide one set of boxes, a BoxRegion or None (empty) per height.
+
+    With a pool, the adversary measure goes first: one that rules the
+    boxes out joins the pool, and the status is "infeasible".  Otherwise
+    the boxes are fixed through canonical_assignment and their SDP is
+    solved honestly.  Returns (status, found): found is (objective,
+    boxes, duals) when that solve is optimal, with empty boxes as the
+    width-0 origin sentinel, and None otherwise.
+    """
+    if pool is not None:
+        weights = _ruling_measure(model, boxes)
+        if weights is not None:
+            pool.add(weights)
+            return "infeasible", None
+    sol = solve_sdp(model.program.fix_binaries(canonical_assignment(boxes, model)))
+    if sol.status != "optimal":
+        return sol.status, None
+    origin = np.zeros(model.lattice.dim)
+    decoded = tuple(BoxRegion(origin, origin) if box is None else box for box in boxes)
+    return sol.status, (sol.objective, decoded, decode_duals(sol, model))
+
+
+def _log_progress(level: int, nodes: int, bound: float, incumbent: float):
+    LOG.log(level, "node=%d bound=%.9g incumbent=%.9g gap=%.9g",
+            nodes, bound, incumbent, max(incumbent - bound, 0.0))
+
+
+def _no_incumbent(sgn: float, nodes: int, t0: float, hit_limit: bool,
+                  unknown_best: float) -> Incumbent:
+    """Result of a run that found no feasible boxes: a limit, an
+    unresolved leaf or candidate, or a proof that none exist."""
+    if hit_limit:
+        proof, status = "resource-limit", "unknown"
+    elif math.isfinite(unknown_best):
+        proof, status = "gap-limit", "unknown"
+    else:
+        proof, status = "optimal", "infeasible-model"
+    return Incumbent(sgn * math.inf, (), None, nodes, time.perf_counter() - t0,
+                     proof, status)
+
+
+# ---------------------------------------------------------------------------
+# Exact enumeration for tiny instances
+
+
 def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> tuple:
     """All candidate boxes for one index, sorted by optimistic bound.
 
     Returns (bound, lo, hi): the scaled bound of each candidate and the
     (n, m) axis indices of its lower and upper corners.  The empty box is
-    lo = 0, hi = -1; it sorts first among equal bounds, and other ties
-    break on (lo, hi) in lexicographic order.  For the width-sum
-    objective the bound is exact.  Under an explicit corner objective the
-    empty box leaves its corner variables anywhere in the feasible
-    triangle 0 <= lo <= hi <= edge, so its bound takes the best corner.
+    lo = 0, hi = -1 with the _empty_bound; it sorts first among equal
+    bounds, and other ties break on (lo, hi) in lexicographic order.
+    Every other bound is the box's exact objective.
     """
     lattice = model.lattice
-    mode = model.fn.mode
-    axis = lattice.axis
     m = lattice.dim
     first, last = np.triu_indices(lattice.n_axis)
     combo = np.indices((first.size,) * m).reshape(m, -1).T
     lo = np.vstack([np.zeros((1, m), dtype=int), first[combo]])
     hi = np.vstack([np.full((1, m), -1), last[combo]])
-    total = 0.0
-    if mode.width_sum:
-        for j in range(m):
-            total = total + (axis[hi[1:, j]] - axis[lo[1:, j]])
-        bound = np.concatenate([[0.0], total])
-    else:
-        cm = np.atleast_2d(mode.c_minus)[i]
-        cp = np.atleast_2d(mode.c_plus)[i]
-        edge = lattice.edge
-        empty = sum(min(sgn * (cm[j] * a + cp[j] * b)
-                        for a, b in ((0.0, 0.0), (0.0, edge), (edge, edge)))
-                    for j in range(m))
-        for j in range(m):
-            total = total + (cm[j] * axis[lo[1:, j]] + cp[j] * axis[hi[1:, j]])
-        bound = np.concatenate([[float(empty)], sgn * total])
+    bound = np.concatenate([[_empty_bound(model, i, sgn)],
+                            _box_bounds(model, i, sgn, lo[1:], lo[1:], hi[1:], hi[1:])])
     is_box = np.arange(bound.size) > 0
     keys = [hi[:, j] for j in reversed(range(m))] + [lo[:, j] for j in reversed(range(m))]
     order = np.lexsort(keys + [is_box, bound])
@@ -523,12 +366,9 @@ def enumerate_boxes(model: AssembledModel,
     Candidates stream in nondecreasing bound order from a lazy product
     heap, as lattice index pairs; a BoxRegion is built only for one that
     reaches a solve.  A candidate the measure pool (seeded with the
-    feasible point masses) does not rule out gets its adversary measure
-    program solved on the assembly lattice first: a
-    measure whose expected value falls below b + margin proves the fixed
-    SDP infeasible by weak duality, and joins the pool.  Every other
-    candidate is fixed through canonical_assignment and solved honestly;
-    that optimal solve is the proof of feasibility and supplies the
+    feasible point masses) does not rule out is decided by
+    _solve_candidate: its adversary measure first, then its fixed SDP,
+    whose optimal solve is the proof of feasibility and supplies the
     duals.  Feasible candidates re-enter the heap keyed by their true
     objective, so popping one proves optimality.  node_count reports the
     candidates that reached a solve.
@@ -540,7 +380,7 @@ def enumerate_boxes(model: AssembledModel,
     if k > 2 or lattice.dim > 2 or lattice.n_axis > 26:
         raise ValueError(
             "instance-too-large: enumerate_boxes handles k <= 2, m <= 2 "
-            "and at most 26 lattice points per axis")
+            "and at most 26 lattice points per axis; --mode bnb has no such limit")
     t0 = time.perf_counter()
     sgn = 1.0 if model.program.obj_sense == "min" else -1.0
     streams = [_candidate_stream(model, i, sgn) for i in range(k)]
@@ -561,8 +401,7 @@ def enumerate_boxes(model: AssembledModel,
 
     def finish(objective, boxes, duals):
         proof = "optimal" if unknown_best >= sgn * objective - 1e-9 else "gap-limit"
-        LOG.info("node=%d bound=%.9g incumbent=%.9g gap=0",
-                 solves, sgn * objective, sgn * objective)
+        _log_progress(logging.INFO, solves, sgn * objective, sgn * objective)
         return Incumbent(objective, boxes, duals, solves,
                          time.perf_counter() - t0, proof, "solved")
 
@@ -586,38 +425,136 @@ def enumerate_boxes(model: AssembledModel,
             continue
         solves += 1
         boxes = [_box_at(lattice, streams[i], payload[i]) for i in range(k)]
-        weights = _ruling_measure(model, boxes)
-        if weights is not None:
-            pool.add(weights)
-            continue
-        assign = canonical_assignment(boxes, model)
-        sol = solve_sdp(model.program.fix_binaries(assign))
-        if sol.status == "optimal":
-            scaled = sgn * sol.objective
-            decoded = tuple(b if b is not None
-                            else BoxRegion(np.zeros(lattice.dim), np.zeros(lattice.dim))
-                            for b in boxes)
-            duals = decode_duals(sol, model)
-            best.offer(scaled, sol.objective, decoded, duals)
-            heapq.heappush(heap, (max(scaled, bound), 0, next(counter),
-                                  (sol.objective, decoded, duals)))
-            LOG.info("node=%d bound=%.9g incumbent=%.9g gap=%.9g",
-                     solves, bound, best.scaled, max(best.scaled - bound, 0.0))
-        elif sol.status != "infeasible":
+        status, found = _solve_candidate(model, boxes, pool)
+        if found is not None:
+            scaled = sgn * found[0]
+            best.offer(scaled, *found)
+            heapq.heappush(heap, (max(scaled, bound), 0, next(counter), found))
+            _log_progress(logging.INFO, solves, bound, best.scaled)
+        elif status != "infeasible":
             unknown_best = min(unknown_best, bound)
 
-    wall = time.perf_counter() - t0
     if best.have:
-        return Incumbent(best.objective, best.boxes, best.duals, solves, wall,
-                         "resource-limit", "solved")
+        return Incumbent(best.objective, best.boxes, best.duals, solves,
+                         time.perf_counter() - t0, "resource-limit", "solved")
+    return _no_incumbent(sgn, solves, t0, hit_limit, unknown_best)
+
+
+# ---------------------------------------------------------------------------
+# Branch and bound over box-corner intervals
+
+
+def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> Incumbent:
+    """Best-first branch and bound over sets of lattice-aligned boxes.
+
+    A node gives each height either the empty box or, on each axis j,
+    lattice index intervals lo_j in [a_j, b_j] and hi_j in [c_j, d_j]; a
+    node with some a_j > d_j holds no box and is dropped.  The roots take
+    every empty/nonempty choice with whole-axis intervals.  Heights are
+    positive, so the outer box (lo = a, hi = d) has the largest
+    expectation in the node under every measure, and a node the measure
+    pool rules out on it is dropped whole.  The node bound takes the best
+    end of each interval, rounded up to the objective quantum.  Nodes pop
+    best bound first, ties in creation order, and an inner node halves
+    its widest interval without a solve.  A leaf holds one box per height
+    and is decided by _solve_candidate, as a candidate of enumerate_boxes
+    is; node_count reports the leaves that reach it.  The whole-domain
+    boxes get a fixed solve before the loop as the seed incumbent.
+
+    Limits never raise: the incumbent is returned with proof
+    "resource-limit".  A leaf whose solve ends neither optimal nor
+    infeasible keeps its bound, and leaves the proof at "gap-limit" when
+    that bound is below the incumbent.
+    """
+    _require_variable(model)
+    opts = opts or SearchOptions()
+    t0 = time.perf_counter()
+    lattice = model.lattice
+    k, m, top = model.fn.k, lattice.dim, lattice.n_axis - 1
+    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
+    quantum = model.objective_quantum
+    grid_slack = (quantum - 1e-9) if quantum else 1e-12
+    empty_bound = [_empty_bound(model, i, sgn) for i in range(k)]
+    pool = _MeasurePool(model)
+    counter = itertools.count()
+    heap = []  # (scaled bound, seq, parts); parts[i] is None or rows a, b, c, d
+    best = _BestCell()
+    node_count = 0
+    hit_limit = gap_pruned = False
+    unknown_best = math.inf
+
+    def prunable(bound: float) -> bool:
+        nonlocal gap_pruned
+        if bound >= best.scaled - grid_slack:
+            return True
+        if bound >= best.scaled - opts.gap_tol:
+            gap_pruned = True
+            return True
+        return False
+
+    def push(parts: tuple):
+        if any(p is not None and np.any(p[0] > p[3]) for p in parts):
+            return
+        bound = _quantum_ceil(sum(
+            empty_bound[i] if p is None else float(_box_bounds(model, i, sgn, *p))
+            for i, p in enumerate(parts)), quantum)
+        if not prunable(bound):
+            heapq.heappush(heap, (bound, next(counter), parts))
+
+    whole = BoxRegion(lattice.axis[[0] * m], lattice.axis[[top] * m])
+    _, found = _solve_candidate(model, [whole] * k)
+    if found is not None:
+        best.offer(sgn * found[0], *found)
+    full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
+    for empty in itertools.product((True, False), repeat=k):
+        push(tuple(None if e else full for e in empty))
+    if best.have:
+        _log_progress(logging.INFO, 0, heap[0][0] if heap else best.scaled, best.scaled)
+
+    while heap:
+        if node_count >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
+            hit_limit = True
+            break
+        bound, _, parts = heapq.heappop(heap)
+        if prunable(bound):
+            break  # every open node is bounded below by this one
+        lo = np.array([np.zeros(m, dtype=int) if p is None else p[0] for p in parts])
+        hi = np.array([np.full(m, -1) if p is None else p[3] for p in parts])
+        if pool.ruled_out(pool.corners(lo, hi)):
+            continue
+        # widths of the lo (row 0) and hi (row 1) intervals of each box
+        widths = [np.zeros((2, m), dtype=int) if p is None else p[[1, 3]] - p[[0, 2]]
+                  for p in parts]
+        i, half, j = np.unravel_index(np.argmax(widths), (k, 2, m))
+        if widths[i][half, j] > 0:
+            row = 2 * half
+            mid = (parts[i][row, j] + parts[i][row + 1, j]) // 2
+            for end, value in ((row + 1, mid), (row, mid + 1)):
+                child = parts[i].copy()
+                child[end, j] = value
+                push(parts[:i] + (child,) + parts[i + 1:])
+            continue
+        node_count += 1
+        boxes = [None if p is None else BoxRegion(lattice.axis[p[0]], lattice.axis[p[3]])
+                 for p in parts]
+        status, found = _solve_candidate(model, boxes, pool)
+        if found is not None:
+            if best.offer(sgn * found[0], *found):
+                _log_progress(logging.INFO, node_count, bound, best.scaled)
+        elif status != "infeasible":
+            unknown_best = min(unknown_best, bound)
+        _log_progress(logging.DEBUG, node_count, bound, best.scaled)
+
+    if not best.have:
+        return _no_incumbent(sgn, node_count, t0, hit_limit, unknown_best)
     if hit_limit:
-        return Incumbent(sgn * math.inf, (), None, solves, wall,
-                         "resource-limit", "unknown")
-    if math.isfinite(unknown_best):
-        return Incumbent(sgn * math.inf, (), None, solves, wall,
-                         "gap-limit", "unknown")
-    return Incumbent(sgn * math.inf, (), None, solves, wall,
-                     "optimal", "infeasible-model")
+        proof = "resource-limit"
+    elif gap_pruned or unknown_best < best.scaled - 1e-9:
+        proof = "gap-limit"
+    else:
+        proof = "optimal"
+    return Incumbent(best.objective, best.boxes, best.duals, node_count,
+                     time.perf_counter() - t0, proof, "solved")
 
 
 # ---------------------------------------------------------------------------

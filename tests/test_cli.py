@@ -118,6 +118,18 @@ def test_solve_too_large_for_enumeration_is_invalid(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: instance-too-large: ")
+    assert "--mode bnb has no such limit" in err[0]
+
+
+def test_solve_past_the_enumeration_limit_with_bnb(tmp_path, capsys):
+    code = main(["solve", "--config", REFERENCE, "--delta", "0.025",
+                 "--mode", "bnb", "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert "proof=optimal" in capsys.readouterr().out
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert record["proof"] == "optimal"
+    assert record["objective"] == pytest.approx(1.45, abs=1e-6)
+    assert record["certificate"]["verdict"] == "certified"
 
 
 def test_solve_fixed_demo_is_certified(tmp_path):

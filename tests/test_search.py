@@ -1,6 +1,8 @@
 import itertools
 import logging
 import re
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from drobox.search import (
     SearchOptions,
     _box_at,
     _candidate_stream,
+    _empty_bound,
     _MeasurePool,
     enumerate_boxes,
     root_relaxation,
@@ -39,12 +42,13 @@ def ref_model(ref_spec, ref_fn, ref_lattice):
     return assemble_case2(ref_spec, ref_fn, ref_lattice, L)
 
 
-def line_model(k=1, heights=(1.0,), b=0.1, delta=0.05, margin_override=None):
+def line_model(k=1, heights=(1.0,), b=0.1, delta=0.05, margin_override=None,
+               mode=None):
     """1-D instance on [0, 0.2]; small enough for fast MISDP solves."""
     spec = AmbiguitySpec.with_normalization(
         edge=0.2, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=b
     )
-    fn = SimpleFunctionSpec(k=k, heights=list(heights), mode=VariableBoxes())
+    fn = SimpleFunctionSpec(k=k, heights=list(heights), mode=mode or VariableBoxes())
     L = lipschitz_certificate(spec, fn).L
     lattice = lattice_points(0.2, 1, delta)
     return assemble_case2(spec, fn, lattice, L, margin_override=margin_override)
@@ -87,6 +91,27 @@ def test_reference_bnb_optimum(ref_model):
     assert inc.proof == "optimal"
     assert inc.status == "solved"
     assert inc.objective == pytest.approx(2.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("delta,objective", [(0.05, 1.7), (0.04, 1.56)])
+def test_bnb_proves_the_reference_at_fine_steps(ref_spec, ref_fn, monkeypatch,
+                                                delta, objective):
+    # the box-corner search never solves a relaxed program
+    relaxed = []
+    relax = ConicProgram.relax_binaries
+
+    def spy(self, fixed=None):
+        relaxed.append(fixed)
+        return relax(self, fixed)
+
+    monkeypatch.setattr(ConicProgram, "relax_binaries", spy)
+    L = lipschitz_certificate(ref_spec, ref_fn).L
+    model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, delta), L)
+    inc = solve_bnb(model, SearchOptions(node_limit=50))
+    assert inc.proof == "optimal"
+    assert inc.status == "solved"
+    assert inc.objective == pytest.approx(objective, abs=1e-6)
+    assert relaxed == []
 
 
 def test_incumbent_duals_satisfy_fixed_rows(ref_model, ref_spec):
@@ -203,6 +228,44 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
     assert any(verdicts) and not all(verdicts)
 
 
+def _cube_stand_in(delta):
+    """What _MeasurePool reads of a model, for the 3-D instance with
+    sigma = I + 0.2 * ones, without assembling its program."""
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.0, 0.0, 0.0], sigma=np.eye(3) + 0.2, eps_mu=0.1,
+        eps_sigma=1.0, b=0.1)
+    return SimpleNamespace(spec=spec, lattice=lattice_points(1.0, 3, delta),
+                           fn=SimpleNamespace(heights=[1.0]), margin=0.1)
+
+
+@pytest.mark.parametrize("which", ["reference-quarter-step", "line", "cube-quarter-step"])
+def test_measure_pool_point_masses_match_the_identity_build(ref_spec, ref_fn, which):
+    if which == "reference-quarter-step":
+        model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.25), 1.0)
+    elif which == "line":
+        model = line_model()
+    else:
+        model = _cube_stand_in(0.25)
+    pool = _MeasurePool(model)
+    want = pool._prefix(np.array(_feasible_point_masses(model)))
+    assert len(want) >= 2
+    assert pool.grids.dtype == want.dtype
+    assert np.array_equal(pool.grids, want)
+
+
+def test_measure_pool_memory_stays_below_the_identity():
+    # 15,625 atoms: an identity over them alone would take 1.95 GB
+    model = _cube_stand_in(1 / 24)
+    tracemalloc.start()
+    try:
+        pool = _MeasurePool(model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pool.grids.shape[1] == 26 ** 3
+    assert peak < 150e6
+
+
 # ---------------------------------------------------------------------------
 # cross-solver agreement
 
@@ -222,6 +285,40 @@ def test_two_box_line_instance_splits():
     assert inc.objective == pytest.approx(0.15, abs=1e-6)
     widths = sorted(float(np.sum(box.widths)) for box in inc.boxes)
     assert widths == pytest.approx([0.05, 0.10], abs=1e-9)
+
+
+@pytest.mark.parametrize("mode,objective", [
+    (VariableBoxes(c_minus=[[1], [1]], c_plus=[[-1], [-1]], sense="max"), -0.15),
+    (VariableBoxes(c_minus=[[0], [0]], c_plus=[[1], [1]], sense="min"), 0.2),
+])
+def test_drivers_agree_on_corner_objectives(mode, objective):
+    model = line_model(k=2, heights=(0.6, 0.4), mode=mode)
+    a = enumerate_boxes(model, SearchOptions())
+    b = solve_bnb(model, SearchOptions())
+    assert a.proof == b.proof == "optimal"
+    assert a.status == b.status == "solved"
+    assert a.objective == pytest.approx(objective, abs=1e-6)
+    assert abs(a.objective - b.objective) <= 1e-6
+    spans = np.array(sorted((box.lower[0], box.upper[0]) for box in b.boxes))
+    if mode.sense == "max":
+        np.testing.assert_allclose(spans, [[0.0, 0.1], [0.15, 0.2]], atol=1e-9)
+    else:
+        # one box is the empty origin sentinel, the other reaches the edge
+        np.testing.assert_allclose(spans[0], [0.0, 0.0], atol=1e-9)
+        assert spans[1, 1] == pytest.approx(0.2, abs=1e-9)
+
+
+@pytest.mark.parametrize("c_minus,c_plus,sense", [
+    (1, -1, "max"), (-2, 1, "min"), (0, -1, "min"), (1, 1, "max")])
+def test_empty_box_bound_takes_the_best_corner(c_minus, c_plus, sense):
+    # an empty box leaves its corners anywhere in 0 <= lo <= hi <= edge
+    model = line_model(mode=VariableBoxes(c_minus=[[c_minus]], c_plus=[[c_plus]],
+                                          sense=sense))
+    sgn = 1.0 if sense == "min" else -1.0
+    grid = np.linspace(0.0, 0.2, 21)
+    want = min(sgn * (c_minus * lo + c_plus * hi)
+               for lo in grid for hi in grid if lo <= hi)
+    assert _empty_bound(model, 0, sgn) == pytest.approx(want, abs=1e-12)
 
 
 def test_run_search_modes_agree(ref_model):
@@ -297,10 +394,10 @@ def test_root_relaxation_detects_infeasible_margin(ref_spec, ref_fn):
 
 def test_node_limit_reports_resource_limit(ref_model):
     model = line_model(k=2, heights=(0.6, 0.4))
-    inc = solve_bnb(model, SearchOptions(node_limit=5))
+    inc = solve_bnb(model, SearchOptions(node_limit=1))
     assert inc.proof == "resource-limit"
     assert inc.status == "solved"  # seed incumbent exists
-    assert inc.node_count <= 5
+    assert inc.node_count <= 1
     assert inc.objective >= 0.15 - 1e-9
 
     # on the reference instance the first surviving candidate is infeasible,
@@ -327,22 +424,14 @@ def test_gap_tol_stops_early_within_band():
     assert 0.15 - 1e-9 <= inc.objective <= 0.15 + 0.2 + 1e-6
 
 
-@pytest.mark.parametrize("failing", ["fixed-node-relaxation", "honest-solve"])
-def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch, failing):
-    # every solve of a fully fixed program stalls (or only the honest
-    # solves of full assignments do): the run must not claim a proof
-    fix, relax = ConicProgram.fix_binaries, ConicProgram.relax_binaries
+def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch):
+    # every fixed solve stalls: the run must not claim a proof
+    fix = ConicProgram.fix_binaries
     stalled = []
 
     def fix_spy(self, values):
         out = fix(self, values)
         out.stall = True
-        return out
-
-    def relax_spy(self, fixed=None):
-        out = relax(self, fixed)
-        out.stall = failing == "fixed-node-relaxation" and not any(
-            row.name.startswith("ub[") for row in out.rows)
         return out
 
     def solve_spy(program, options=None):
@@ -353,7 +442,6 @@ def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch, failing):
         return solve_sdp(program, options)
 
     monkeypatch.setattr(ConicProgram, "fix_binaries", fix_spy)
-    monkeypatch.setattr(ConicProgram, "relax_binaries", relax_spy)
     monkeypatch.setattr("drobox.search.solve_sdp", solve_spy)
     inc = solve_bnb(line_model())
     assert stalled
