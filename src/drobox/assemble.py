@@ -179,6 +179,12 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
                           "fixed", None)
 
 
+def corner_coeffs(con, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A VariableBoxes constraint's (k, m) coefficients on x_minus and x_plus."""
+    cm, cp = np.asarray(con.coeffs, dtype=float)[: 2 * k * m].reshape(2, k, m)
+    return cm, cp
+
+
 def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
                    margin_override: Optional[float] = None) -> AssembledModel:
     """Variable boxes with fixed positive heights: the mixed-binary model.
@@ -314,16 +320,14 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
         program.set_objective(mode.sense, obj)
 
     for n, con in enumerate(mode.constraints):
-        coeffs = np.asarray(con.coeffs, dtype=float)
+        cm, cp = corner_coeffs(con, k, m)
         lin = {}
         for i in range(k):
             for j in range(m):
-                cm = float(coeffs[i * m + j])
-                cp = float(coeffs[k * m + i * m + j])
-                if cm:
-                    lin["xm[%d,%d]" % (i, j)] = cm
-                if cp:
-                    lin["xp[%d,%d]" % (i, j)] = cp
+                if cm[i, j]:
+                    lin["xm[%d,%d]" % (i, j)] = float(cm[i, j])
+                if cp[i, j]:
+                    lin["xp[%d,%d]" % (i, j)] = float(cp[i, j])
         program.add_row(lin, con.sense, con.rhs, name="user[%d]" % n)
 
     return AssembledModel(program, var_index, margin, lattice, spec, fn,

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from drobox.model import AmbiguitySpec, FixedBoxes, SimpleFunctionSpec, VariableBoxes
 
@@ -65,6 +64,9 @@ def _max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> floa
     at_mean = np.array([1.0 if box.contains(spec.mu) else 0.0 for box in mode.boxes])
     if mode.heights_pinned:
         return float(at_mean @ fn.heights)
+
+    # scipy.optimize is slow to import and only fixed boxes with free heights need it
+    from scipy.optimize import linprog
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
     for row in mode.constraints:

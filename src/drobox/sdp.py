@@ -137,7 +137,7 @@ class ConicProgram:
     def __init__(self):
         self.scalar_vars: dict[str, str] = {}  # name -> "free" | "nonneg"
         self.psd_vars: dict[str, int] = {}  # name -> dim
-        self.binary_vars: list[str] = []
+        self.binary_vars: dict[str, None] = {}  # an insertion-ordered set
         self.rows: list[_ScalarRow] = []
         self.lmis: list[_LmiRow] = []
         self.obj_sense: str = "min"
@@ -161,7 +161,7 @@ class ConicProgram:
 
     def add_binary(self, name: str) -> str:
         self._check_fresh(name)
-        self.binary_vars.append(name)
+        self.binary_vars[name] = None
         return name
 
     def _check_fresh(self, name: str):
@@ -219,7 +219,7 @@ class ConicProgram:
         are kept as an unsatisfiable marker row so the solve reports
         infeasible.  Returns a new program; self is unchanged.
         """
-        unknown = set(fixed) - set(self.binary_vars)
+        unknown = [v for v in fixed if v not in self.binary_vars]
         if unknown:
             raise ValueError("not binary variables: %s" % sorted(unknown))
         remaining = [v for v in self.binary_vars if v not in fixed]
@@ -294,135 +294,97 @@ class _Compiled:
     c: np.ndarray
     n_nonneg: int
     psd_dims: list
-    scalar_cols: dict  # name -> ("nonneg", col) | ("free", col_pos, col_neg)
-    psd_offsets: dict  # name -> (svec column offset inside psd range, dim)
-    row_of_scalar: list  # compiled row index per program row
-    lmi_row_spans: list  # (row_start, dim) per lmi
+    scalar_cols: dict  # name -> its columns: (col,) if nonneg, (col_pos, col_neg) if free
+    psd_offsets: dict  # name -> (first svec column, dim)
+    lmi_row_spans: list  # (row_start, dim) per lmi, after the program's rows
     obj_sign: float
     obj_offset: float
+
+
+# sign of a scalar's coefficient on each of its columns: a free scalar is
+# the difference of two adjacent nonnegative columns
+_SPLIT = (1.0, -1.0)
 
 
 def _compile(p: ConicProgram) -> _Compiled:
     if p.binary_vars:
         raise ValueError("fix or relax binary variables before solving")
-    cols_nonneg = 0
-    scalar_cols = {}
+    scalar_cols, n = {}, 0
     for name, kind in p.scalar_vars.items():
-        if kind == "nonneg":
-            scalar_cols[name] = ("nonneg", cols_nonneg)
-            cols_nonneg += 1
-        else:
-            scalar_cols[name] = ("free", cols_nonneg, cols_nonneg + 1)
-            cols_nonneg += 2
-    n_slack = sum(1 for r in p.rows if r.sense != "==")
-    slack_base = cols_nonneg
-    cols_nonneg += n_slack
-
+        scalar_cols[name] = (n,) if kind == "nonneg" else (n, n + 1)
+        n += len(scalar_cols[name])
+    slack = n
+    n += sum(1 for r in p.rows if r.sense != "==")
+    n_nonneg = n
     psd_dims, psd_offsets = [], {}
-    off = 0
     for name, d in p.psd_vars.items():
-        psd_offsets[name] = (off, d)
+        psd_offsets[name] = (n, d)
         psd_dims.append(d)
-        off += svec_len(d)
-    lmi_slack_offsets = []
+        n += svec_len(d)
+    lmi_slacks = []
     for lmi in p.lmis:
-        d = lmi.const.shape[0]
-        lmi_slack_offsets.append(off)
-        psd_dims.append(d)
-        off += svec_len(d)
-    n_psd_cols = off
-    n_cols = cols_nonneg + n_psd_cols
+        lmi_slacks.append(n)
+        psd_dims.append(lmi.const.shape[0])
+        n += svec_len(lmi.const.shape[0])
 
     rows_i, cols_j, vals = [], [], []
-    b_list = []
+    b = [row.rhs for row in p.rows]
 
-    def put(r, c, v):
+    def put(r, j, v):
         if v != 0.0:
             rows_i.append(r)
-            cols_j.append(c)
+            cols_j.append(j)
             vals.append(v)
 
-    def put_scalar_term(r, name, coef):
-        kind = scalar_cols[name]
-        if kind[0] == "nonneg":
-            put(r, kind[1], coef)
-        else:
-            put(r, kind[1], coef)
-            put(r, kind[2], -coef)
-
-    nrow = 0
-    row_of_scalar = []
-    slack_idx = 0
-    psd_col_base = cols_nonneg
-    for row in p.rows:
+    for r, row in enumerate(p.rows):
         for name, coef in row.lin.items():
-            put_scalar_term(nrow, name, coef)
+            for j, sign in zip(scalar_cols[name], _SPLIT):
+                put(r, j, sign * coef)
         for name, mat in row.mats.items():
-            base, d = psd_offsets[name]
             v = svec(mat)
-            for k in np.nonzero(v)[0]:
-                put(nrow, psd_col_base + base + int(k), float(v[k]))
-        if row.sense == ">=":
-            put(nrow, slack_base + slack_idx, -1.0)
-            slack_idx += 1
-        elif row.sense == "<=":
-            put(nrow, slack_base + slack_idx, 1.0)
-            slack_idx += 1
-        b_list.append(row.rhs)
-        row_of_scalar.append(nrow)
-        nrow += 1
+            k = v.nonzero()[0]
+            rows_i += [r] * k.size
+            cols_j += (psd_offsets[name][0] + k).tolist()
+            vals += v[k].tolist()
+        if row.sense != "==":
+            put(r, slack, -1.0 if row.sense == ">=" else 1.0)
+            slack += 1
 
+    # sum_j x_j svec(F_j) - svec(U) = -svec(G) for the LMI F(x) + G = U >= 0
     lmi_row_spans = []
-    for lmi, off_u in zip(p.lmis, lmi_slack_offsets):
+    for lmi, off in zip(p.lmis, lmi_slacks):
         d = lmi.const.shape[0]
-        gvec = svec(lmi.const)
-        span_start = nrow
-        for k in range(svec_len(d)):
-            # sum_j x_j svec(F_j)[k] - svec(U)[k] = -svec(G)[k]
-            put(nrow, psd_col_base + off_u + k, -1.0)
-            b_list.append(-float(gvec[k]))
-            nrow += 1
+        start, size = len(b), svec_len(d)
+        rows_i += range(start, start + size)
+        cols_j += range(off, off + size)
+        vals += [-1.0] * size
+        b += (-svec(lmi.const)).tolist()
         for name, mat in lmi.coeffs.items():
             v = svec(mat)
-            for k in np.nonzero(v)[0]:
-                kind = scalar_cols[name]
-                if kind[0] == "nonneg":
-                    put(span_start + int(k), kind[1], float(v[k]))
-                else:
-                    put(span_start + int(k), kind[1], float(v[k]))
-                    put(span_start + int(k), kind[2], -float(v[k]))
-        lmi_row_spans.append((span_start, d))
+            k = v.nonzero()[0]
+            for j, sign in zip(scalar_cols[name], _SPLIT):
+                rows_i += (start + k).tolist()
+                cols_j += [j] * k.size
+                vals += (sign * v[k]).tolist()
+        lmi_row_spans.append((start, d))
 
-    c = np.zeros(n_cols)
+    c = np.zeros(n)
     obj_sign = 1.0 if p.obj_sense == "min" else -1.0
     for name, coef in p.obj_lin.items():
-        kind = scalar_cols[name]
-        if kind[0] == "nonneg":
-            c[kind[1]] += obj_sign * coef
-        else:
-            c[kind[1]] += obj_sign * coef
-            c[kind[2]] -= obj_sign * coef
+        for j, sign in zip(scalar_cols[name], _SPLIT):
+            c[j] += sign * obj_sign * coef
     for name, mat in p.obj_mats.items():
         base, d = psd_offsets[name]
-        c[psd_col_base + base : psd_col_base + base + svec_len(d)] += obj_sign * svec(mat)
+        c[base : base + svec_len(d)] += obj_sign * svec(mat)
 
     A = sp.csr_matrix(
         (np.array(vals), (np.array(rows_i, dtype=np.int64), np.array(cols_j, dtype=np.int64))),
-        shape=(nrow, n_cols),
+        shape=(len(b), n),
     )
-    return _Compiled(
-        A=A,
-        b=np.array(b_list),
-        c=c,
-        n_nonneg=cols_nonneg,
-        psd_dims=psd_dims,
-        scalar_cols=scalar_cols,
-        psd_offsets={k: (psd_col_base + v[0], v[1]) for k, v in psd_offsets.items()},
-        row_of_scalar=row_of_scalar,
-        lmi_row_spans=lmi_row_spans,
-        obj_sign=obj_sign,
-        obj_offset=p.obj_offset,
-    )
+    return _Compiled(A=A, b=np.array(b), c=c, n_nonneg=n_nonneg, psd_dims=psd_dims,
+                     scalar_cols=scalar_cols, psd_offsets=psd_offsets,
+                     lmi_row_spans=lmi_row_spans, obj_sign=obj_sign,
+                     obj_offset=p.obj_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -871,13 +833,12 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
 
     raw = _solve_hsd(comp.A, comp.b, comp.c, cone, opts.tol, opts.max_iter)
     status = raw["status"]
-    n_program_rows = len(comp.row_of_scalar)
     if status == "optimal":
         tau = raw["tau"]
         xs = raw["x"] / tau
         ys = raw["y"] / tau
         primal = _extract_primal(program, comp, xs)
-        row_duals = np.array([ys[i] * comp.obj_sign for i in comp.row_of_scalar])
+        row_duals = ys[: program.n_rows] * comp.obj_sign
         lmi_duals = []
         for start, d in comp.lmi_row_spans:
             lmi_duals.append(smat(ys[start : start + svec_len(d)] * comp.obj_sign, d))
@@ -904,15 +865,8 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
         sol.kkt = kkt_residuals(program, sol)
         return sol
 
-    if status == "infeasible":
-        worst = math.inf if program.obj_sense == "min" else -math.inf
-        return SdpSolution(status, worst, {}, np.zeros(n_program_rows), [], None,
-                           raw["iterations"])
-    if status == "unbounded":
-        worst = -math.inf if program.obj_sense == "min" else math.inf
-        return SdpSolution(status, worst, {}, np.zeros(n_program_rows), [], None,
-                           raw["iterations"])
-    return SdpSolution("numerical-failure", math.nan, {}, np.zeros(n_program_rows), [],
+    worst = {"infeasible": math.inf, "unbounded": -math.inf}.get(status, math.nan)
+    return SdpSolution(status, comp.obj_sign * worst, {}, np.zeros(program.n_rows), [],
                        None, raw["iterations"])
 
 
@@ -934,11 +888,8 @@ def _solve_unconstrained(program, comp, cone) -> SdpSolution:
 
 def _extract_primal(program: ConicProgram, comp: _Compiled, xs: np.ndarray) -> dict:
     primal = {}
-    for name, kind in comp.scalar_cols.items():
-        if kind[0] == "nonneg":
-            primal[name] = float(xs[kind[1]])
-        else:
-            primal[name] = float(xs[kind[1]] - xs[kind[2]])
+    for name, cols in comp.scalar_cols.items():
+        primal[name] = float(xs[cols[0]] - xs[cols[1]] if len(cols) == 2 else xs[cols[0]])
     for name, (base, d) in comp.psd_offsets.items():
         primal[name] = smat(xs[base : base + svec_len(d)], d)
     return primal

@@ -36,7 +36,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assemble import AssembledModel, canonical_assignment, decode_duals
+from .assemble import AssembledModel, canonical_assignment, corner_coeffs, decode_duals
 from .certify import adversary_problem
 from .model import BoxRegion, Decision, DualSolution, WholeDomain
 from .sdp import SdpSolution, SolveOptions, solve_sdp
@@ -46,12 +46,13 @@ LOG = logging.getLogger("drobox.search")
 
 @dataclass(frozen=True)
 class SearchOptions:
-    """Knobs shared by both search drivers.
+    """Knobs of the search drivers.
 
     node_limit counts, in either driver, the sets of boxes that pass the
     measure pool and reach a solve (their adversary measure, then maybe
-    their fixed SDP).  gap_tol is an absolute gap on the objective; 0
-    demands a full proof.
+    their fixed SDP).  gap_tol is an absolute gap on the objective that
+    lets solve_bnb stop early; 0 demands a full proof.  enumerate_boxes
+    ignores it and always runs to a full proof or a limit.
     """
 
     mode: str = "bnb"
@@ -282,17 +283,42 @@ def _box_bounds(model: AssembledModel, i: int, sgn: float, a, b, c, d):
     return total
 
 
+def _breaks_user_constraint(model: AssembledModel, boxes: list) -> bool:
+    """Whether boxes break a user constraint by more than 1e-9 at their
+    lattice corners, the tolerance resolve_binaries has for collapsed rows.
+
+    The encoding pins the corners of a nonempty box to its lattice
+    corners.  Those of an empty box (None, or the origin sentinel) float,
+    so a constraint with a coefficient on them is skipped.
+    """
+    k, m = model.fn.k, model.lattice.dim
+    lo = np.array([np.zeros(m) if box is None else box.lower for box in boxes])
+    hi = np.array([np.zeros(m) if box is None else box.upper for box in boxes])
+    empty = ~hi.any(axis=1)
+    for con in model.fn.mode.constraints:
+        cm, cp = corner_coeffs(con, k, m)
+        if np.any(cm[empty]) or np.any(cp[empty]):
+            continue
+        excess = float(np.sum(cm * lo) + np.sum(cp * hi)) - con.rhs
+        if {"<=": excess, ">=": -excess, "==": abs(excess)}[con.sense] > 1e-9:
+            return True
+    return False
+
+
 def _solve_candidate(model: AssembledModel, boxes: list,
                      pool: Optional[_MeasurePool] = None) -> tuple:
     """Decide one set of boxes, a BoxRegion or None (empty) per height.
 
-    With a pool, the adversary measure goes first: one that rules the
+    Boxes that break a user constraint are "infeasible" without a solve.
+    With a pool, the adversary measure goes next: one that rules the
     boxes out joins the pool, and the status is "infeasible".  Otherwise
     the boxes are fixed through canonical_assignment and their SDP is
     solved honestly.  Returns (status, found): found is (objective,
     boxes, duals) when that solve is optimal, with empty boxes as the
     width-0 origin sentinel, and None otherwise.
     """
+    if _breaks_user_constraint(model, boxes):
+        return "infeasible", None
     if pool is not None:
         weights = _ruling_measure(model, boxes)
         if weights is not None:

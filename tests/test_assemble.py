@@ -72,7 +72,7 @@ def test_case1_row_counts(ref_spec, fixed_fn, ref_lattice, ref_L):
     model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_L)
     counts = name_counts(model.program)
     assert counts == {"threshold": 1, "lattice": 121, "pin": 1}
-    assert model.program.binary_vars == []
+    assert list(model.program.binary_vars) == []
     assert model.case == "fixed"
     assert model.margin == pytest.approx(ref_L * 0.1 * np.sqrt(2.0))
 

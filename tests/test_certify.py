@@ -181,12 +181,12 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
     # term of the batched pricing count
     decision, spec, fine = _column_generation_case(which, ref_spec, None)
     vals = decision.evaluate(fine.points)
-    comp = _compile(_measure_program(spec, fine.points, vals))
+    program = _measure_program(spec, fine.points, vals)
+    comp = _compile(program)
     rng = np.random.default_rng(3)
-    duals = SimpleNamespace(row_duals=rng.normal(size=len(comp.row_of_scalar)),
-                            lmi_duals=[])
+    duals = SimpleNamespace(row_duals=rng.normal(size=program.n_rows), lmi_duals=[])
     y = np.zeros(comp.A.shape[0])
-    y[comp.row_of_scalar] = duals.row_duals
+    y[: program.n_rows] = duals.row_duals  # program rows compile first, in order
     for start, d in comp.lmi_row_spans:
         Z = rng.normal(size=(d, d))
         duals.lmi_duals.append(Z + Z.T)

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import drobox
 from drobox.lipschitz import (
     lipschitz_certificate,
     lipschitz_constant,
@@ -152,3 +157,12 @@ def test_poly_part_batch_matches_scalar(ref_spec):
     batch = poly_part_batch(pts, Y1, Y2, ref_spec)
     singles = [poly_part(p, Y1, Y2, ref_spec) for p in pts]
     np.testing.assert_allclose(batch, singles, atol=1e-12)
+
+
+def test_importing_the_cli_leaves_scipy_optimize_out():
+    # only the height-polytope LP of fixed boxes with free heights needs it
+    env = dict(os.environ, PYTHONPATH=str(Path(drobox.__file__).resolve().parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, drobox.cli; print('scipy.optimize' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

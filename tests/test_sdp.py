@@ -21,6 +21,7 @@ from drobox.sdp import (
     _Cone,
     _NormalFactor,
     _compile,
+    _extract_primal,
     _sym_kron,
     dump_program,
     kkt_residuals,
@@ -164,7 +165,7 @@ def test_fix_binaries_substitutes_into_rows_and_objective():
     p.add_lmi({"x": np.eye(2), "u": np.eye(2)}, np.zeros((2, 2)))
     p.set_objective("min", {"x": 1.0, "u": 10.0}, offset=1.0)
     fixed = p.fix_binaries({"u": 1, "v": 0})
-    assert fixed.binary_vars == []
+    assert list(fixed.binary_vars) == []
     sol = solve_sdp(fixed)
     # row becomes x >= -1, objective x + 10 + 1, so the optimum sits at x = 0
     assert sol.status == "optimal"
@@ -190,7 +191,7 @@ def test_relax_binaries_adds_unit_interval_bounds():
     sol = solve_sdp(partially)
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
     # the original program is untouched
-    assert p.binary_vars == ["u", "v"]
+    assert list(p.binary_vars) == ["u", "v"]
 
 
 def test_lmi_dual_matrix_prices_the_largest_eigenvalue():
@@ -290,6 +291,64 @@ def test_builder_rejects_unknown_names_and_bad_senses():
         p.add_scalar("x")
     with pytest.raises(ValueError):
         p.set_objective("minimize")
+    p.add_binary("u")
+    with pytest.raises(ValueError):
+        p.add_scalar("u")
+    with pytest.raises(ValueError):
+        p.add_psd("x", 2)
+    with pytest.raises(ValueError):
+        p.add_lmi({"nope": np.eye(2)}, np.eye(2))
+    with pytest.raises(ValueError):
+        p.add_psd("Z", 0)
+
+
+def _sym(rng, d):
+    m = rng.normal(size=(d, d))
+    return m + m.T
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("sense", ["min", "max"])
+def test_compile_evaluates_the_program_it_compiles(seed, sense):
+    # at any standard-form point z, each compiled row is the program row's
+    # left-hand side plus its slack term, each LMI span is
+    # sum_j x_j svec(F_j) - svec(U), and c.z is the objective
+    rng = np.random.default_rng(seed)
+    p = ConicProgram()
+    scalars = [p.add_scalar(n, nonneg=n.startswith("n")) for n in ("f0", "n0", "f1", "n1")]
+    dims = {p.add_psd("X", 2): 2, p.add_psd("Y", 3): 3}
+    for sense_r in (">=", "==", "<=", ">=", "<=", "=="):
+        lin = {v: float(rng.normal()) for v in scalars if rng.random() < 0.7}
+        mats = {v: _sym(rng, d) for v, d in dims.items() if rng.random() < 0.7}
+        p.add_row(lin, sense_r, float(rng.normal()), mats=mats)
+    p.add_lmi({"f1": _sym(rng, 3), "n0": _sym(rng, 3)}, _sym(rng, 3))
+    p.set_objective(sense, {"f0": 1.5, "n1": -2.0}, mats={"Y": _sym(rng, 3)}, offset=0.75)
+    comp = _compile(p)
+    z = rng.normal(size=comp.A.shape[1])
+    Az = comp.A @ z
+    val = _extract_primal(p, comp, z)
+
+    def lhs(lin, mats):
+        return (sum(coef * val[v] for v, coef in lin.items())
+                + sum(float(np.sum(mat * val[v])) for v, mat in mats.items()))
+
+    slack = sum(len(cols) for cols in comp.scalar_cols.values())
+    for r, row in enumerate(p.rows):
+        want = lhs(row.lin, row.mats)
+        if row.sense != "==":
+            want += (-1.0 if row.sense == ">=" else 1.0) * z[slack]
+            slack += 1
+        assert Az[r] == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert slack == comp.n_nonneg
+    lmi = p.lmis[0]
+    start, d = comp.lmi_row_spans[0]
+    assert start == p.n_rows
+    u_first = comp.n_nonneg + sum(svec_len(k) for k in dims.values())
+    want = sum(val[v] * svec(f) for v, f in lmi.coeffs.items()) - z[u_first:]
+    np.testing.assert_allclose(Az[start:], want, rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal(comp.b, [row.rhs for row in p.rows] + list(-svec(lmi.const)))
+    objective = comp.obj_sign * float(comp.c @ z) + comp.obj_offset
+    assert objective == pytest.approx(lhs(p.obj_lin, p.obj_mats) + 0.75, rel=1e-12)
 
 
 def test_dump_program_is_stable_and_readable():

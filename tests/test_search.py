@@ -15,6 +15,7 @@ from drobox.model import (
     BoxRegion,
     Decision,
     FixedBoxes,
+    LinearConstraint,
     SimpleFunctionSpec,
     VariableBoxes,
     first_moment_block,
@@ -28,6 +29,7 @@ from drobox.search import (
     _candidate_stream,
     _empty_bound,
     _MeasurePool,
+    _breaks_user_constraint,
     enumerate_boxes,
     root_relaxation,
     run_search,
@@ -448,6 +450,43 @@ def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch):
     assert inc.proof == "gap-limit"
     assert inc.status == "unknown"
     assert inc.objective == np.inf
+
+
+@pytest.mark.parametrize("k,heights,objective,status", [
+    (1, (1.0,), -np.inf, "infeasible-model"), (2, (0.6, 0.4), -0.15, "solved")])
+def test_user_corner_constraint_decides_leaves_without_a_solve(k, heights, objective,
+                                                               status, monkeypatch):
+    # max sum(lo - hi) subject to hi <= 0.15 on box 0: a leaf that breaks
+    # the constraint is infeasible without a solve (its fixed SDP stalls),
+    # and with k = 1 the pool rules out every leaf that keeps it
+    con = LinearConstraint([0.0] * k + [1.0] + [0.0] * (k - 1), "<=", 0.15)
+    model = line_model(k=k, heights=heights, mode=VariableBoxes(
+        c_minus=[[1]] * k, c_plus=[[-1]] * k, sense="max", constraints=[con]))
+    statuses = []
+
+    def solve_spy(program, options=None):
+        sol = solve_sdp(program, options)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr("drobox.search.solve_sdp", solve_spy)
+    for driver in (enumerate_boxes, solve_bnb):
+        inc = driver(model, SearchOptions())
+        assert (inc.proof, inc.status) == ("optimal", status)
+        assert inc.objective == pytest.approx(objective, abs=1e-6)
+    assert statuses == ([] if k == 1 else ["optimal", "optimal"])
+
+
+def test_user_corner_constraint_skips_the_floating_corners_of_empty_boxes():
+    # hi >= 0.1 on box 0: an empty box (None or the origin sentinel) leaves
+    # its corners free, so only a nonempty box can break the constraint
+    con = LinearConstraint([0.0, 1.0], ">=", 0.1)
+    model = line_model(mode=VariableBoxes(c_minus=[[1]], c_plus=[[-1]], constraints=[con]))
+    origin = BoxRegion([0.0], [0.0])
+    assert not _breaks_user_constraint(model, [None])
+    assert not _breaks_user_constraint(model, [origin])
+    assert _breaks_user_constraint(model, [BoxRegion([0.0], [0.05])])
+    assert not _breaks_user_constraint(model, [BoxRegion([0.05], [0.1])])
 
 
 def test_search_is_deterministic():
