@@ -269,7 +269,8 @@ def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
 
     The record always carries delta, L, delta_max, margin, status and
     timings; solution fields (objective, heights, boxes, duals,
-    certificate) appear when a solution exists.
+    certificate) appear when a solution exists.  An instance too large
+    for enumerate_boxes raises ConfigError.
     """
     cert_bundle = lipschitz_certificate(spec, fn)
     L = cert_bundle.L
@@ -307,7 +308,14 @@ def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
     else:
         record["case"] = "variable"
         model = assemble_case2(spec, fn, lattice, L)
-        inc = run_search(model, opts)
+        try:
+            inc = run_search(model, opts)
+        except ValueError as exc:
+            # enumerate_boxes rejects instances beyond its guard; any
+            # other ValueError is a bug
+            if not str(exc).startswith("instance-too-large"):
+                raise
+            raise ConfigError(str(exc)) from exc
         record["status"] = inc.status
         record["proof"] = inc.proof
         record["node_count"] = inc.node_count
@@ -406,16 +414,9 @@ def cmd_solve(args) -> int:
     opts = search_options(cfg, args)
     out = _out_dir(cfg, args)
     with _SearchLogFile(out / "solver.log"):
-        try:
-            record = _solve_once(
-                spec, fn, delta, opts, _seed(cfg, args), int(cfg.get("samples", 10_000))
-            )
-        except ValueError as exc:
-            # enumerate_boxes rejects instances beyond its guard; sweep
-            # reports these per row.  Any other ValueError is a bug.
-            if not str(exc).startswith("instance-too-large"):
-                raise
-            raise ConfigError(str(exc)) from exc
+        record = _solve_once(
+            spec, fn, delta, opts, _seed(cfg, args), int(cfg.get("samples", 10_000))
+        )
     path = out / "result.json"
     path.write_text(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
     code = _exit_for(record)
@@ -457,7 +458,7 @@ def cmd_sweep(args) -> int:
             try:
                 _validate_step(spec, fn, delta)
                 record = _solve_once(spec, fn, delta, opts, seed, samples)
-            except (ValueError, ConfigError) as exc:
+            except ConfigError as exc:
                 logger.warning("sweep row delta=%.9g failed: %s", delta, exc)
                 rows.append(
                     {

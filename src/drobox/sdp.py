@@ -520,7 +520,6 @@ class SdpSolution:
     primal: dict
     row_duals: np.ndarray
     lmi_duals: list
-    kkt: Optional[KktResiduals]
     iterations: int
     _internal: Optional[dict] = field(default=None, repr=False)
 
@@ -844,13 +843,12 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
             lmi_duals.append(smat(ys[start : start + svec_len(d)] * comp.obj_sign, d))
         internal_obj = float(comp.c @ xs)
         objective = comp.obj_sign * internal_obj + comp.obj_offset
-        sol = SdpSolution(
+        return SdpSolution(
             status="optimal",
             objective=objective,
             primal=primal,
             row_duals=row_duals,
             lmi_duals=lmi_duals,
-            kkt=None,
             iterations=raw["iterations"],
             _internal={
                 "x": xs,
@@ -862,12 +860,10 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
                 "obj_sign": comp.obj_sign,
             },
         )
-        sol.kkt = kkt_residuals(program, sol)
-        return sol
 
     worst = {"infeasible": math.inf, "unbounded": -math.inf}.get(status, math.nan)
     return SdpSolution(status, comp.obj_sign * worst, {}, np.zeros(program.n_rows), [],
-                       None, raw["iterations"])
+                       raw["iterations"])
 
 
 def _solve_unconstrained(program, comp, cone) -> SdpSolution:
@@ -881,9 +877,9 @@ def _solve_unconstrained(program, comp, cone) -> SdpSolution:
         xs = np.zeros(cone.n)
         primal = _extract_primal(program, comp, xs)
         return SdpSolution("optimal", comp.obj_sign * 0.0 + comp.obj_offset, primal,
-                           np.zeros(0), [], None, 0)
+                           np.zeros(0), [], 0)
     worst = -math.inf if program.obj_sense == "min" else math.inf
-    return SdpSolution("unbounded", worst, {}, np.zeros(0), [], None, 0)
+    return SdpSolution("unbounded", worst, {}, np.zeros(0), [], 0)
 
 
 def _extract_primal(program: ConicProgram, comp: _Compiled, xs: np.ndarray) -> dict:

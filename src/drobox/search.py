@@ -9,16 +9,17 @@ program solved first (a value below b + margin rules it out, and its
 measure joins the pool), and the fixed SDP of the survivors is solved
 honestly; that solve proves feasibility and supplies the duals.
 
-enumerate_boxes is an exact oracle for tiny instances: it walks
-lattice-aligned candidate boxes, as lattice index pairs, in
-nondecreasing bound order, and the first candidate whose true objective
-beats every open bound is optimal.  solve_bnb is a best-first branch
-and bound over sets of boxes (efficient subwindow search): a node holds,
-per height, either the empty box or an interval of lattice indices for
-each corner coordinate.  Heights are positive, so the node's outer box
-has its largest expectation under every measure, and one pool gather on
-it drops the whole node.  run_search dispatches on SearchOptions.mode,
-"bnb" or "enumerate".
+Both drivers run one best-first loop, which owns the limits, the pruning
+by the objective quantum and gap_tol, the incumbent and the proof; they
+differ only in how a node expands.  enumerate_boxes, an exact oracle for
+tiny instances, pops lattice-aligned candidate boxes (lattice index
+pairs) in nondecreasing bound order and expands each into the next
+entries of the sorted candidate product.  solve_bnb is efficient
+subwindow search: a node holds, per height, either the empty box or an
+interval of lattice indices for each corner coordinate, and expands by
+halving its widest interval.  Heights are positive, so the node's outer
+box has its largest expectation under every measure, and one pool gather
+on it drops the whole node.  run_search dispatches on SearchOptions.mode.
 
 Progress goes to the drobox.search logger as machine-parseable key=value
 lines: node=, bound=, incumbent=, gap= (all in minimization scale).
@@ -51,8 +52,8 @@ class SearchOptions:
     node_limit counts, in either driver, the sets of boxes that pass the
     measure pool and reach a solve (their adversary measure, then maybe
     their fixed SDP).  gap_tol is an absolute gap on the objective that
-    lets solve_bnb stop early; 0 demands a full proof.  enumerate_boxes
-    ignores it and always runs to a full proof or a limit.
+    lets either driver stop early, with proof "gap-limit"; 0 demands a
+    full proof.
     """
 
     mode: str = "bnb"
@@ -114,30 +115,6 @@ def _quantum_ceil(value: float, quantum) -> float:
     if quantum is None or not math.isfinite(value):
         return value
     return math.ceil(value / quantum - 1e-9) * quantum
-
-
-class _BestCell:
-    """Monotone incumbent store in minimization scale."""
-
-    def __init__(self):
-        self.scaled = math.inf
-        self.objective = math.nan
-        self.boxes = ()
-        self.duals = None
-
-    @property
-    def have(self) -> bool:
-        return math.isfinite(self.scaled)
-
-    def offer(self, scaled: float, objective: float, boxes: tuple,
-              duals: DualSolution) -> bool:
-        if scaled >= self.scaled - 1e-12:
-            return False
-        self.scaled = scaled
-        self.objective = objective
-        self.boxes = boxes
-        self.duals = duals
-        return True
 
 
 def _rule_out_threshold(model: AssembledModel) -> float:
@@ -337,18 +314,81 @@ def _log_progress(level: int, nodes: int, bound: float, incumbent: float):
             nodes, bound, incumbent, max(incumbent - bound, 0.0))
 
 
-def _no_incumbent(sgn: float, nodes: int, t0: float, hit_limit: bool,
-                  unknown_best: float) -> Incumbent:
-    """Result of a run that found no feasible boxes: a limit, an
-    unresolved leaf or candidate, or a proof that none exist."""
+def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
+                opts: SearchOptions, t0: float, seed: Optional[tuple] = None) -> Incumbent:
+    """The best-first loop both search drivers run.
+
+    roots and the children expand(node) returns are (bound, node) pairs,
+    bounds in minimization scale; expand returns (children, boxes), boxes
+    being the set of boxes a leaf holds (None for an inner node, or one
+    the pool rules out).  Nodes pop best bound first, ties in push order.
+    A node whose bound cannot beat the incumbent by a full objective
+    quantum is dropped, as is one within gap_tol of it (the proof then
+    stops at "gap-limit"), so popping one ends the run.  Each leaf counts
+    as a node and is decided by _solve_candidate; one whose solve ends
+    neither optimal nor infeasible keeps its bound, and leaves the proof
+    at "gap-limit" when that bound is below the incumbent.  seed is a
+    starting incumbent (objective, boxes, duals).  Limits never raise:
+    the incumbent is returned with proof "resource-limit".
+    """
+    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
+    quantum = model.objective_quantum
+    grid_slack = (quantum - 1e-9) if quantum else 1e-9
+    slack = max(grid_slack, opts.gap_tol)
+    best = seed
+    best_scaled = math.inf if seed is None else sgn * seed[0]
+    heap = []
+    counter = itertools.count()
+    nodes = 0
+    hit_limit = gap_pruned = False
+    unknown_best = math.inf
+
+    def prunable(bound: float) -> bool:
+        nonlocal gap_pruned
+        if bound < best_scaled - slack:
+            return False
+        gap_pruned = gap_pruned or bound < best_scaled - grid_slack
+        return True
+
+    def push(children):
+        for bound, node in children:
+            if not prunable(bound):
+                heapq.heappush(heap, (bound, next(counter), node))
+
+    push(roots)
+    if best is not None:
+        _log_progress(logging.INFO, 0, heap[0][0] if heap else best_scaled, best_scaled)
+    while heap:
+        if nodes >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
+            hit_limit = True
+            break
+        bound, _, node = heapq.heappop(heap)
+        if prunable(bound):
+            break  # every open node is bounded below by this one
+        children, boxes = expand(node)
+        push(children)
+        if boxes is None:
+            continue
+        nodes += 1
+        status, found = _solve_candidate(model, boxes, pool)
+        if found is not None:
+            if sgn * found[0] < best_scaled - 1e-12:
+                best, best_scaled = found, sgn * found[0]
+                _log_progress(logging.INFO, nodes, bound, best_scaled)
+        elif status != "infeasible":
+            unknown_best = min(unknown_best, bound)
+        _log_progress(logging.DEBUG, nodes, bound, best_scaled)
+
     if hit_limit:
-        proof, status = "resource-limit", "unknown"
-    elif math.isfinite(unknown_best):
-        proof, status = "gap-limit", "unknown"
+        proof = "resource-limit"
+    elif gap_pruned or unknown_best < best_scaled - 1e-9:
+        proof = "gap-limit"
     else:
-        proof, status = "optimal", "infeasible-model"
-    return Incumbent(sgn * math.inf, (), None, nodes, time.perf_counter() - t0,
-                     proof, status)
+        proof = "optimal"
+    if best is not None:
+        return Incumbent(*best, nodes, time.perf_counter() - t0, proof, "solved")
+    status = "infeasible-model" if proof == "optimal" else "unknown"
+    return Incumbent(sgn * math.inf, (), None, nodes, time.perf_counter() - t0, proof, status)
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +430,15 @@ def enumerate_boxes(model: AssembledModel,
     """Exact search over lattice-aligned boxes for tiny instances.
 
     Candidates stream in nondecreasing bound order from a lazy product
-    heap, as lattice index pairs; a BoxRegion is built only for one that
+    heap, as lattice index pairs; popping one pushes the candidates one
+    stream entry past it, and a BoxRegion is built only for one that
     reaches a solve.  A candidate the measure pool (seeded with the
-    feasible point masses) does not rule out is decided by
-    _solve_candidate: its adversary measure first, then its fixed SDP,
-    whose optimal solve is the proof of feasibility and supplies the
-    duals.  Feasible candidates re-enter the heap keyed by their true
-    objective, so popping one proves optimality.  node_count reports the
-    candidates that reached a solve.
+    feasible point masses) does not rule out is a leaf of _best_first,
+    decided by _solve_candidate: its adversary measure first, then its
+    fixed SDP, whose optimal solve is the proof of feasibility and
+    supplies the duals.  A candidate's bound is its exact objective, so
+    once the incumbent is no worse than the next pop it is optimal.
+    node_count reports the candidates that reached a solve.
     """
     _require_variable(model)
     opts = opts or SearchOptions()
@@ -413,57 +454,21 @@ def enumerate_boxes(model: AssembledModel,
     pool = _MeasurePool(model)
     corners = [pool.corners(lo, hi) for _, lo, hi in streams]
     bounds = [bound.tolist() for bound, _, _ in streams]
-    counter = itertools.count()
-
-    heap = []
     start = (0,) * k
-    heapq.heappush(heap, (sum(bounds[i][0] for i in range(k)), 1,
-                          next(counter), start))
     seen = {start}
-    solves = 0
-    hit_limit = False
-    unknown_best = math.inf
-    best = _BestCell()
 
-    def finish(objective, boxes, duals):
-        proof = "optimal" if unknown_best >= sgn * objective - 1e-9 else "gap-limit"
-        _log_progress(logging.INFO, solves, sgn * objective, sgn * objective)
-        return Incumbent(objective, boxes, duals, solves,
-                         time.perf_counter() - t0, proof, "solved")
-
-    while heap:
-        if solves >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
-            hit_limit = True
-            break
-        bound, flag, _, payload = heapq.heappop(heap)
-        if flag == 0:
-            return finish(*payload)
-        if best.have and bound >= best.scaled - 1e-9:
-            # every open candidate is bounded below by this pop
-            return finish(best.objective, best.boxes, best.duals)
+    def expand(idx: tuple) -> tuple:
+        children = []
         for i in range(k):
-            nxt = payload[:i] + (payload[i] + 1,) + payload[i + 1:]
+            nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1:]
             if nxt[i] < len(bounds[i]) and nxt not in seen:
                 seen.add(nxt)
-                heapq.heappush(heap, (sum(bounds[i][nxt[i]] for i in range(k)),
-                                      1, next(counter), nxt))
-        if pool.ruled_out([corners[i][payload[i]] for i in range(k)]):
-            continue
-        solves += 1
-        boxes = [_box_at(lattice, streams[i], payload[i]) for i in range(k)]
-        status, found = _solve_candidate(model, boxes, pool)
-        if found is not None:
-            scaled = sgn * found[0]
-            best.offer(scaled, *found)
-            heapq.heappush(heap, (max(scaled, bound), 0, next(counter), found))
-            _log_progress(logging.INFO, solves, bound, best.scaled)
-        elif status != "infeasible":
-            unknown_best = min(unknown_best, bound)
+                children.append((sum(bounds[j][nxt[j]] for j in range(k)), nxt))
+        if pool.ruled_out([corners[i][idx[i]] for i in range(k)]):
+            return children, None
+        return children, [_box_at(lattice, streams[i], idx[i]) for i in range(k)]
 
-    if best.have:
-        return Incumbent(best.objective, best.boxes, best.duals, solves,
-                         time.perf_counter() - t0, "resource-limit", "solved")
-    return _no_incumbent(sgn, solves, t0, hit_limit, unknown_best)
+    return _best_first(model, pool, [(sum(b[0] for b in bounds), start)], expand, opts, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -475,22 +480,16 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
 
     A node gives each height either the empty box or, on each axis j,
     lattice index intervals lo_j in [a_j, b_j] and hi_j in [c_j, d_j]; a
-    node with some a_j > d_j holds no box and is dropped.  The roots take
-    every empty/nonempty choice with whole-axis intervals.  Heights are
-    positive, so the outer box (lo = a, hi = d) has the largest
+    node with some a_j > d_j holds no box and is never made.  The roots
+    take every empty/nonempty choice with whole-axis intervals.  Heights
+    are positive, so the outer box (lo = a, hi = d) has the largest
     expectation in the node under every measure, and a node the measure
     pool rules out on it is dropped whole.  The node bound takes the best
-    end of each interval, rounded up to the objective quantum.  Nodes pop
-    best bound first, ties in creation order, and an inner node halves
-    its widest interval without a solve.  A leaf holds one box per height
-    and is decided by _solve_candidate, as a candidate of enumerate_boxes
-    is; node_count reports the leaves that reach it.  The whole-domain
-    boxes get a fixed solve before the loop as the seed incumbent.
-
-    Limits never raise: the incumbent is returned with proof
-    "resource-limit".  A leaf whose solve ends neither optimal nor
-    infeasible keeps its bound, and leaves the proof at "gap-limit" when
-    that bound is below the incumbent.
+    end of each interval, rounded up to the objective quantum.  An inner
+    node halves its widest interval without a solve; a node with one box
+    per height is a leaf of _best_first, and node_count reports the leaves
+    that reach a solve.  The whole-domain boxes get a fixed solve before
+    the loop as the seed incumbent.
     """
     _require_variable(model)
     opts = opts or SearchOptions()
@@ -498,89 +497,43 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     lattice = model.lattice
     k, m, top = model.fn.k, lattice.dim, lattice.n_axis - 1
     sgn = 1.0 if model.program.obj_sense == "min" else -1.0
-    quantum = model.objective_quantum
-    grid_slack = (quantum - 1e-9) if quantum else 1e-12
     empty_bound = [_empty_bound(model, i, sgn) for i in range(k)]
     pool = _MeasurePool(model)
-    counter = itertools.count()
-    heap = []  # (scaled bound, seq, parts); parts[i] is None or rows a, b, c, d
-    best = _BestCell()
-    node_count = 0
-    hit_limit = gap_pruned = False
-    unknown_best = math.inf
 
-    def prunable(bound: float) -> bool:
-        nonlocal gap_pruned
-        if bound >= best.scaled - grid_slack:
-            return True
-        if bound >= best.scaled - opts.gap_tol:
-            gap_pruned = True
-            return True
-        return False
-
-    def push(parts: tuple):
-        if any(p is not None and np.any(p[0] > p[3]) for p in parts):
-            return
-        bound = _quantum_ceil(sum(
+    def bounded(parts: tuple) -> tuple:
+        """(bound, parts) of a node; parts[i] is None or rows a, b, c, d."""
+        return _quantum_ceil(sum(
             empty_bound[i] if p is None else float(_box_bounds(model, i, sgn, *p))
-            for i, p in enumerate(parts)), quantum)
-        if not prunable(bound):
-            heapq.heappush(heap, (bound, next(counter), parts))
+            for i, p in enumerate(parts)), model.objective_quantum), parts
 
-    whole = BoxRegion(lattice.axis[[0] * m], lattice.axis[[top] * m])
-    _, found = _solve_candidate(model, [whole] * k)
-    if found is not None:
-        best.offer(sgn * found[0], *found)
-    full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
-    for empty in itertools.product((True, False), repeat=k):
-        push(tuple(None if e else full for e in empty))
-    if best.have:
-        _log_progress(logging.INFO, 0, heap[0][0] if heap else best.scaled, best.scaled)
-
-    while heap:
-        if node_count >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
-            hit_limit = True
-            break
-        bound, _, parts = heapq.heappop(heap)
-        if prunable(bound):
-            break  # every open node is bounded below by this one
+    def expand(parts: tuple) -> tuple:
         lo = np.array([np.zeros(m, dtype=int) if p is None else p[0] for p in parts])
         hi = np.array([np.full(m, -1) if p is None else p[3] for p in parts])
         if pool.ruled_out(pool.corners(lo, hi)):
-            continue
+            return (), None
         # widths of the lo (row 0) and hi (row 1) intervals of each box
         widths = [np.zeros((2, m), dtype=int) if p is None else p[[1, 3]] - p[[0, 2]]
                   for p in parts]
         i, half, j = np.unravel_index(np.argmax(widths), (k, 2, m))
-        if widths[i][half, j] > 0:
-            row = 2 * half
-            mid = (parts[i][row, j] + parts[i][row + 1, j]) // 2
-            for end, value in ((row + 1, mid), (row, mid + 1)):
-                child = parts[i].copy()
-                child[end, j] = value
-                push(parts[:i] + (child,) + parts[i + 1:])
-            continue
-        node_count += 1
-        boxes = [None if p is None else BoxRegion(lattice.axis[p[0]], lattice.axis[p[3]])
-                 for p in parts]
-        status, found = _solve_candidate(model, boxes, pool)
-        if found is not None:
-            if best.offer(sgn * found[0], *found):
-                _log_progress(logging.INFO, node_count, bound, best.scaled)
-        elif status != "infeasible":
-            unknown_best = min(unknown_best, bound)
-        _log_progress(logging.DEBUG, node_count, bound, best.scaled)
+        if widths[i][half, j] == 0:
+            return (), [None if p is None else BoxRegion(lattice.axis[p[0]], lattice.axis[p[3]])
+                        for p in parts]
+        row = 2 * half
+        mid = (parts[i][row, j] + parts[i][row + 1, j]) // 2
+        children = []
+        for end, value in ((row + 1, mid), (row, mid + 1)):
+            child = parts[i].copy()
+            child[end, j] = value
+            if np.all(child[0] <= child[3]):
+                children.append(bounded(parts[:i] + (child,) + parts[i + 1:]))
+        return children, None
 
-    if not best.have:
-        return _no_incumbent(sgn, node_count, t0, hit_limit, unknown_best)
-    if hit_limit:
-        proof = "resource-limit"
-    elif gap_pruned or unknown_best < best.scaled - 1e-9:
-        proof = "gap-limit"
-    else:
-        proof = "optimal"
-    return Incumbent(best.objective, best.boxes, best.duals, node_count,
-                     time.perf_counter() - t0, proof, "solved")
+    whole = BoxRegion(lattice.axis[[0] * m], lattice.axis[[top] * m])
+    _, seed = _solve_candidate(model, [whole] * k)
+    full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
+    roots = [bounded(tuple(None if e else full for e in empty))
+             for empty in itertools.product((True, False), repeat=k)]
+    return _best_first(model, pool, roots, expand, opts, t0, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -276,3 +276,44 @@ def test_sweep_validates_each_step(tmp_path, capsys):
     assert row[1] == ""
     assert row[4] == "error"
     assert row[5] == ""
+
+
+@pytest.mark.parametrize("mode", ["enumerate", "bnb"])
+def test_solve_honours_confidence_sets(tmp_path, mode):
+    # P([0, 0.5]^2) >= 0.9 pulls the box into that corner: 1.0 instead of
+    # the 1.7 of the plain instance at this step
+    path = write_config(tmp_path, confidence_sets=[
+        {"lower": [0.0, 0.0], "upper": [0.5, 0.5], "eps": 0.9}])
+    code = main(["solve", "--config", path, "--delta", "0.05", "--mode", mode,
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert (record["status"], record["proof"]) == ("solved", "optimal")
+    assert record["objective"] == pytest.approx(1.0, abs=1e-6)
+    assert record["boxes"] == [{"lower": [0.0, 0.0], "upper": [0.5, 0.5]}]
+    assert record["node_count"] == 3
+    assert len(record["duals"]["y"]) == 3
+    assert record["certificate"]["verdict"] == "certified"
+    assert record["certificate"]["worst_case_expectation"] == pytest.approx(0.9, abs=1e-6)
+
+
+def test_sweep_too_large_for_enumeration_is_an_error_row(tmp_path, capsys):
+    code = main(["sweep", "--config", REFERENCE, "--delta", "0.025",
+                 "--mode", "enumerate", "--out-dir", str(tmp_path)])
+    assert code == 1
+    capsys.readouterr()
+    row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+    assert row[0] == "0.025"
+    assert row[1] == ""
+    assert row[4] == "error"
+
+
+@pytest.mark.parametrize("verb", ["solve", "sweep"])
+def test_internal_value_errors_propagate(tmp_path, monkeypatch, verb):
+    # only instance-too-large is a user error; any other ValueError is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(cli, "run_search", broken)
+    with pytest.raises(ValueError, match="boom"):
+        main([verb, "--config", REFERENCE, "--delta", "0.1", "--out-dir", str(tmp_path)])

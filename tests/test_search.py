@@ -13,11 +13,13 @@ from drobox.certify import adversary_problem
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
+    ConfidenceSet,
     Decision,
     FixedBoxes,
     LinearConstraint,
     SimpleFunctionSpec,
     VariableBoxes,
+    WholeDomain,
     first_moment_block,
     lattice_points,
     second_moment_outer,
@@ -165,8 +167,8 @@ def test_enumerate_rules_candidates_out_without_the_assembled_solve(ref_model, m
 
 def _feasible_point_masses(model):
     """One-hot weights of the lattice atoms whose point mass satisfies
-    both moment constraints (the instances here have no confidence rows
-    beyond the normalization pair)."""
+    both moment constraints and every confidence row,
+    sign(eps) * 1[t in C] >= eps."""
     spec = model.spec
     pts = model.lattice.points
     out = []
@@ -174,7 +176,10 @@ def _feasible_point_masses(model):
         first = np.linalg.eigvalsh(first_moment_block(t, spec)).min()
         second = np.linalg.eigvalsh(spec.eps_sigma * spec.sigma
                                     - second_moment_outer(t, spec)).min()
-        if first >= -1e-12 and second >= -1e-12:
+        rows = all(np.copysign(1.0, cs.eps)
+                   * (1.0 if isinstance(cs.region, WholeDomain) else float(cs.region.contains(t)))
+                   >= cs.eps for cs in spec.confidence_sets)
+        if first >= -1e-12 and second >= -1e-12 and rows:
             out.append(np.eye(len(pts))[f])
     return out
 
@@ -230,6 +235,19 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
     assert any(verdicts) and not all(verdicts)
 
 
+def _confidence_stand_in():
+    """What _MeasurePool reads of a model, for a 2-D instance centred at
+    (0.5, 0.5) whose confidence rows keep [0, 0.5]^2 above 0.9 and
+    [0.5, 1]^2 below 0.3."""
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.5, 0.5], sigma=[[2.0, 0.5], [0.5, 1.0]], eps_mu=0.1,
+        eps_sigma=1.0, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.9),
+                    ConfidenceSet(BoxRegion([0.5, 0.5], [1.0, 1.0]), -0.3)))
+    return SimpleNamespace(spec=spec, lattice=lattice_points(1.0, 2, 0.25),
+                           fn=SimpleNamespace(heights=[1.0]), margin=0.1)
+
+
 def _cube_stand_in(delta):
     """What _MeasurePool reads of a model, for the 3-D instance with
     sigma = I + 0.2 * ones, without assembling its program."""
@@ -240,17 +258,23 @@ def _cube_stand_in(delta):
                            fn=SimpleNamespace(heights=[1.0]), margin=0.1)
 
 
-@pytest.mark.parametrize("which", ["reference-quarter-step", "line", "cube-quarter-step"])
+@pytest.mark.parametrize("which", ["reference-quarter-step", "line", "cube-quarter-step",
+                                   "confidence-rows"])
 def test_measure_pool_point_masses_match_the_identity_build(ref_spec, ref_fn, which):
     if which == "reference-quarter-step":
         model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.25), 1.0)
     elif which == "line":
         model = line_model()
-    else:
+    elif which == "cube-quarter-step":
         model = _cube_stand_in(0.25)
+    else:
+        model = _confidence_stand_in()
     pool = _MeasurePool(model)
     want = pool._prefix(np.array(_feasible_point_masses(model)))
     assert len(want) >= 2
+    if which == "confidence-rows":
+        # the moments allow 7 atoms; the first row keeps 4, the second 3
+        assert len(want) == 3
     assert pool.grids.dtype == want.dtype
     assert np.array_equal(pool.grids, want)
 
@@ -394,7 +418,7 @@ def test_root_relaxation_detects_infeasible_margin(ref_spec, ref_fn):
 # limits, gaps, determinism
 
 
-def test_node_limit_reports_resource_limit(ref_model):
+def test_node_limit_reports_resource_limit(ref_model, ref_spec, ref_fn):
     model = line_model(k=2, heights=(0.6, 0.4))
     inc = solve_bnb(model, SearchOptions(node_limit=1))
     assert inc.proof == "resource-limit"
@@ -408,6 +432,19 @@ def test_node_limit_reports_resource_limit(ref_model):
     assert inc.proof == "resource-limit"
     assert inc.status == "unknown"
     assert inc.objective == np.inf
+
+    # at delta = 0.05 the ninth surviving candidate is the optimum: a budget
+    # of eight ends with nothing, nine finds it without the proof, and ten
+    # proves it
+    L = lipschitz_certificate(ref_spec, ref_fn).L
+    fine = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.05), L)
+    for limit, proof, status, objective in [(8, "resource-limit", "unknown", np.inf),
+                                            (9, "resource-limit", "solved", 1.7),
+                                            (10, "optimal", "solved", 1.7)]:
+        inc = enumerate_boxes(fine, SearchOptions(node_limit=limit))
+        assert (inc.proof, inc.status) == (proof, status), limit
+        assert inc.objective == pytest.approx(objective, abs=1e-6)
+        assert inc.node_count == min(limit, 9)
 
 
 def test_time_limit_keeps_seed_incumbent(ref_model):
@@ -426,7 +463,10 @@ def test_gap_tol_stops_early_within_band():
     assert 0.15 - 1e-9 <= inc.objective <= 0.15 + 0.2 + 1e-6
 
 
-def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch):
+@pytest.mark.parametrize("k,heights,nodes", [(1, (1.0,), 1), (2, (0.6, 0.4), 51)],
+                         ids=["k1", "k2"])
+@pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
+def test_failed_fixed_node_ends_gap_limit(monkeypatch, driver, k, heights, nodes):
     # every fixed solve stalls: the run must not claim a proof
     fix = ConicProgram.fix_binaries
     stalled = []
@@ -440,16 +480,16 @@ def test_bnb_failed_fixed_node_ends_gap_limit(monkeypatch):
         if getattr(program, "stall", False):
             stalled.append(program)
             return SdpSolution("numerical-failure", np.nan, {}, np.zeros(program.n_rows),
-                               [], None, 0)
+                               [], 0)
         return solve_sdp(program, options)
 
     monkeypatch.setattr(ConicProgram, "fix_binaries", fix_spy)
     monkeypatch.setattr("drobox.search.solve_sdp", solve_spy)
-    inc = solve_bnb(line_model())
+    inc = driver(line_model(k=k, heights=heights))
     assert stalled
-    assert inc.proof == "gap-limit"
-    assert inc.status == "unknown"
+    assert (inc.proof, inc.status) == ("gap-limit", "unknown")
     assert inc.objective == np.inf
+    assert inc.node_count == nodes
 
 
 @pytest.mark.parametrize("k,heights,objective,status", [
