@@ -1,10 +1,14 @@
 """Batch front end: validate, solve, sweep, and certify from JSON configs.
 
-Verbs
+Verbs, and the flags each reads besides --config and --delta
     validate  check a config's instance invariants, print the report
-    solve     assemble and solve at one lattice step, then self-certify
-    sweep     repeat solve over a list of steps, emit a CSV table
-    certify   re-run the certificate on a stored result record
+    solve     assemble and solve at one lattice step, then self-certify;
+              --out-dir, --seed, --time-limit, --mode
+    sweep     repeat solve over a list of steps (--delta repeats), emit a
+              CSV table; the same flags as solve
+    certify   re-run the certificate on a stored result record, on the
+              fine lattice of --delta when given; --out-dir, --seed,
+              --solution
 
 Config schema (one JSON object; statistical parameters are explicit and
 never defaulted, solver knobs carry defaults):
@@ -41,13 +45,19 @@ current directory): result.json, sweep.csv, sweep_plot.csv,
 certificate.json, solver.log.  Every sweep column except wall_time is
 deterministic for a fixed seed and platform.
 
-Exit codes: 0 certified (or validation passed), 1 invalid or
-inconclusive, 2 parse or usage error, 3 falsified, 4 infeasible.
+Exit codes: 2 for a parse or usage error (a flag the verb does not
+read is one), 1 for an invalid input, which prints one "error: ..."
+line, and otherwise by outcome: 0 certified (or validation passed),
+3 falsified, 4 infeasible, 1 anything else (inconclusive, no
+solution).  A sweep exits 3 if any step is falsified, else 4 if any is
+infeasible, else 1 if any step is neither certified nor either of
+those, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import math
@@ -92,11 +102,12 @@ class ConfigError(Exception):
 # config parsing
 
 
-def load_config(path: str) -> dict:
+def load_config(path: str, what: str = "config") -> dict:
+    """Parse a JSON object from path: a config, or a stored solution record."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ConfigError("cannot read config %s: %s" % (path, exc), 2)
+        raise ConfigError("cannot read %s %s: %s" % (what, path, exc), 2)
     try:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -108,6 +119,13 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+def _float(value, what: str) -> float:
+    try:
+        return float(value)
+    except (ValueError, TypeError):
+        raise ConfigError("%s must be a number, got %r" % (what, value))
+
+
 def _need(cfg: dict, key: str):
     if key not in cfg:
         raise ConfigError("config is missing the required key %r" % key)
@@ -117,7 +135,10 @@ def _need(cfg: dict, key: str):
 def _box_from(obj, what: str) -> BoxRegion:
     if not isinstance(obj, dict) or "lower" not in obj or "upper" not in obj:
         raise ConfigError("%s must be an object with lower and upper" % what)
-    return BoxRegion(obj["lower"], obj["upper"])
+    try:
+        return BoxRegion(obj["lower"], obj["upper"])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("%s: %s" % (what, exc))
 
 
 def _constraints_from(items, what: str) -> tuple:
@@ -145,7 +166,7 @@ def build_instance(cfg: dict) -> tuple:
         box = _box_from(item, "confidence_sets[%d]" % n)
         if "eps" not in item:
             raise ConfigError("confidence_sets[%d] is missing eps" % n)
-        extra.append(ConfidenceSet(box, float(item["eps"])))
+        extra.append(ConfidenceSet(box, _float(item["eps"], "confidence_sets[%d].eps" % n)))
     try:
         spec = AmbiguitySpec.with_normalization(
             edge=float(_need(cfg, "edge")),
@@ -220,14 +241,29 @@ def search_options(cfg: dict, args) -> SearchOptions:
         raise ConfigError("invalid search options: %s" % exc)
 
 
+def _one_delta(args) -> Optional[float]:
+    """The --delta given on the command line, None without one."""
+    if not args.delta:
+        return None
+    if len(args.delta) != 1:
+        raise ConfigError("%s takes at most one --delta" % args.command, 2)
+    return args.delta[0]
+
+
 def _single_delta(cfg: dict, args) -> float:
-    if args.delta:
-        if len(args.delta) != 1:
-            raise ConfigError("this command takes exactly one --delta", 2)
-        return float(args.delta[0])
+    delta = _one_delta(args)
+    if delta is not None:
+        return delta
     if "delta" in cfg:
-        return float(cfg["delta"])
+        return _float(cfg["delta"], "delta")
     raise ConfigError('config is missing "delta" and no --delta was given')
+
+
+def _lattice(spec: AmbiguitySpec, delta: float):
+    try:
+        return lattice_points(spec.edge, spec.m, delta)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
 
 def _out_dir(cfg: dict, args) -> Path:
@@ -236,8 +272,47 @@ def _out_dir(cfg: dict, args) -> Path:
     return out
 
 
-def _seed(cfg: dict, args) -> int:
-    return int(args.seed if args.seed is not None else cfg.get("seed", 0))
+def _sampling(cfg: dict, args) -> tuple:
+    """(seed, samples) of the certificate's sampling check."""
+    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    samples = cfg.get("samples", 10_000)
+    for name, value, least in (("seed", seed, 0), ("samples", samples, 1)):
+        if isinstance(value, bool) or not isinstance(value, int) or value < least:
+            raise ConfigError("%s must be an integer >= %d, got %r" % (name, least, value))
+    return seed, samples
+
+
+def _solution_from(record: dict, spec: AmbiguitySpec) -> tuple:
+    """(delta, Decision, DualSolution) of a stored result record, every
+    field present and shaped for the instance."""
+    for key in ("delta", "heights", "boxes", "duals"):
+        if record.get(key) is None:
+            raise ConfigError("solution record has no %r field" % key)
+    duals = record["duals"]
+    for key in ("Y1", "Y2", "y"):
+        if not isinstance(duals, dict) or duals.get(key) is None:
+            raise ConfigError("solution record has no 'duals.%s' field" % key)
+    try:
+        delta = float(record["delta"])
+        heights = np.asarray(record["heights"], dtype=float)
+        Y1, Y2, y = (np.asarray(duals[key], dtype=float) for key in ("Y1", "Y2", "y"))
+        boxes = [_box_from(box, "solution record boxes[%d]" % n)
+                 for n, box in enumerate(record["boxes"])]
+    except (ValueError, TypeError) as exc:
+        raise ConfigError("invalid solution record: %s" % exc)
+    m = spec.m
+    shapes = [("heights", heights.shape, (len(boxes),)), ("duals.Y1", Y1.shape, (m + 1, m + 1)),
+              ("duals.Y2", Y2.shape, (m, m)), ("duals.y", y.shape, (len(spec.confidence_sets),))]
+    shapes += [("boxes[%d]" % n, box.lower.shape, (m,)) for n, box in enumerate(boxes)]
+    for name, got, want in shapes:
+        if got != want:
+            raise ConfigError("solution record: %s has shape %s, expected %s" % (name, got, want))
+    return delta, Decision(heights, boxes), DualSolution(Y1, Y2, y, spec)
+
+
+def _write_json(path: Path, obj) -> Path:
+    path.write_text(json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +338,7 @@ def _jsonable(obj):
     return obj
 
 
-def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
+def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
                 samples: int) -> dict:
     """Assemble, solve, certify; return a result record dictionary.
 
@@ -272,8 +347,8 @@ def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
     certificate) appear when a solution exists.  An instance too large
     for enumerate_boxes raises ConfigError.
     """
-    cert_bundle = lipschitz_certificate(spec, fn)
-    L = cert_bundle.L
+    delta = lattice.delta
+    L = lipschitz_certificate(spec, fn).L
     record = {
         "delta": delta,
         "L": L,
@@ -281,10 +356,9 @@ def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
         "objective": None,
         "node_count": 0,
         "certificate": None,
+        "margin": L * delta * math.sqrt(spec.m),
     }
     t0 = time.perf_counter()
-    lattice = lattice_points(spec.edge, spec.m, delta)
-    record["margin"] = L * delta * math.sqrt(spec.m)
 
     decision = None
     duals = None
@@ -344,34 +418,31 @@ def _solve_once(spec, fn, delta: float, opts: SearchOptions, seed: int,
     return record
 
 
-def _exit_for(record: dict) -> int:
+_EXIT = {"certified": 0, "falsified": 3, "infeasible": 4}  # any other outcome: 1
+
+
+def _outcome(record: dict) -> str:
+    """infeasible, the certificate's verdict, or inconclusive."""
     if record["status"] == "infeasible-model":
-        return 4
-    cert = record.get("certificate")
-    if cert is None:
-        return 1
-    return {"certified": 0, "falsified": 3}.get(cert["verdict"], 1)
+        return "infeasible"
+    return (record["certificate"] or {}).get("verdict", "inconclusive")
 
 
-class _SearchLogFile:
-    """Context manager teeing drobox.search progress lines into a file."""
-
-    def __init__(self, path: Path):
-        self.handler = logging.FileHandler(path, mode="a")
-        self.handler.setFormatter(logging.Formatter("%(message)s"))
-        self.target = logging.getLogger("drobox.search")
-
-    def __enter__(self):
-        self.old_level = self.target.level
-        self.target.setLevel(logging.DEBUG)
-        self.target.addHandler(self.handler)
-        return self
-
-    def __exit__(self, *exc):
-        self.target.removeHandler(self.handler)
-        self.target.setLevel(self.old_level)
-        self.handler.close()
-        return False
+@contextlib.contextmanager
+def _search_log(path: Path):
+    """Tee drobox.search progress lines into a file."""
+    handler = logging.FileHandler(path, mode="a")
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    target = logging.getLogger("drobox.search")
+    old_level = target.level
+    target.setLevel(logging.DEBUG)
+    target.addHandler(handler)
+    try:
+        yield
+    finally:
+        target.removeHandler(handler)
+        target.setLevel(old_level)
+        handler.close()
 
 
 # ---------------------------------------------------------------------------
@@ -381,206 +452,124 @@ class _SearchLogFile:
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     spec, fn = build_instance(cfg)
-    delta = _single_delta(cfg, args)
-    try:
-        lattice = lattice_points(spec.edge, spec.m, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    report = validate_spec(spec, fn, lattice)
+    report = validate_spec(spec, fn, _lattice(spec, _single_delta(cfg, args)))
     print(report.summary())
     print("overall: %s" % ("pass" if report.passed else "FAIL"))
     return 0 if report.passed else 1
 
 
 def _validate_step(spec, fn, delta):
-    """Raise ConfigError, after printing each failed check, unless the
-    instance passes validation at step delta."""
-    try:
-        lattice = lattice_points(spec.edge, spec.m, delta)
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+    """The lattice at step delta; raises ConfigError, after printing each
+    failed check, unless the instance passes validation on it."""
+    lattice = _lattice(spec, delta)
     report = validate_spec(spec, fn, lattice)
     if not report.passed:
         for check in report.failures():
             print("FAIL %s %s" % (check.name, check.detail), file=sys.stderr)
         raise ConfigError("config failed validation")
+    return lattice
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     delta = _single_delta(cfg, args)
     spec, fn = build_instance(cfg)
-    _validate_step(spec, fn, delta)
+    lattice = _validate_step(spec, fn, delta)
     opts = search_options(cfg, args)
+    seed, samples = _sampling(cfg, args)
     out = _out_dir(cfg, args)
-    with _SearchLogFile(out / "solver.log"):
-        record = _solve_once(
-            spec, fn, delta, opts, _seed(cfg, args), int(cfg.get("samples", 10_000))
-        )
-    path = out / "result.json"
-    path.write_text(json.dumps(_jsonable(record), indent=2, sort_keys=True) + "\n")
-    code = _exit_for(record)
-    if code == 4:
+    with _search_log(out / "solver.log"):
+        record = _solve_once(spec, fn, lattice, opts, seed, samples)
+    path = _write_json(out / "result.json", record)
+    outcome = _outcome(record)
+    if outcome == "infeasible":
         print(
             "infeasible at delta=%.9g; guaranteed-feasible steps need "
             "delta <= delta_max=%.9g" % (delta, record["delta_max"]),
             file=sys.stderr,
         )
     else:
-        verdict = (record.get("certificate") or {}).get("verdict", "none")
+        verdict = (record["certificate"] or {}).get("verdict", "none")
         print(
             "status=%s proof=%s objective=%s verdict=%s -> %s"
             % (record["status"], record["proof"], record["objective"], verdict, path)
         )
-    return code
+    return _EXIT.get(outcome, 1)
 
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if args.delta:
-        deltas = [float(d) for d in args.delta]
-    elif "deltas" in cfg:
-        deltas = [float(d) for d in cfg["deltas"]]
-    elif "delta" in cfg:
-        deltas = [float(cfg["delta"])]
+        deltas = args.delta
+    elif "deltas" in cfg or "delta" in cfg:
+        steps = cfg["deltas"] if "deltas" in cfg else [cfg["delta"]]
+        if not isinstance(steps, list):
+            raise ConfigError("deltas must be a list of steps")
+        deltas = [_float(d, "each delta") for d in steps]
     else:
         raise ConfigError('config is missing "deltas" and no --delta was given')
     spec, fn = build_instance(cfg)
     opts = search_options(cfg, args)
+    seed, samples = _sampling(cfg, args)
     out = _out_dir(cfg, args)
-    seed = _seed(cfg, args)
-    samples = int(cfg.get("samples", 10_000))
 
     rows = []
-    with _SearchLogFile(out / "solver.log"):
+    with _search_log(out / "solver.log"):
         for delta in deltas:
             t0 = time.perf_counter()
+            record = {"objective": None, "node_count": 0, "proof": ""}
             try:
-                _validate_step(spec, fn, delta)
-                record = _solve_once(spec, fn, delta, opts, seed, samples)
+                lattice = _validate_step(spec, fn, delta)
+                record = _solve_once(spec, fn, lattice, opts, seed, samples)
+                outcome = _outcome(record)
             except ConfigError as exc:
                 logger.warning("sweep row delta=%.9g failed: %s", delta, exc)
-                rows.append(
-                    {
-                        "delta": delta,
-                        "objective": None,
-                        "nodes": 0,
-                        "wall_time": time.perf_counter() - t0,
-                        "certified": "error",
-                        "proof": "",
-                    }
-                )
-                continue
-            if record["status"] == "infeasible-model":
-                marker = "infeasible"
-            elif record["certificate"] is None:
-                marker = "inconclusive"
-            else:
-                marker = record["certificate"]["verdict"]
-            rows.append(
-                {
-                    "delta": delta,
-                    "objective": record["objective"],
-                    "nodes": record["node_count"],
-                    "wall_time": time.perf_counter() - t0,
-                    "certified": marker,
-                    "proof": record["proof"],
-                }
-            )
+                outcome = "error"
+            rows.append((delta, record["objective"], record["node_count"],
+                         time.perf_counter() - t0, outcome, record["proof"]))
 
     table = out / "sweep.csv"
-    with table.open("w") as fh:
-        fh.write("delta,objective,nodes,wall_time,certified,proof\n")
-        for row in rows:
-            obj = "" if row["objective"] is None else "%.10g" % row["objective"]
-            fh.write(
-                "%.10g,%s,%d,%.3f,%s,%s\n"
-                % (row["delta"], obj, row["nodes"], row["wall_time"], row["certified"],
-                   row["proof"])
-            )
     plot = out / "sweep_plot.csv"
-    with plot.open("w") as fh:
-        for row in rows:
-            if row["objective"] is not None:
-                fh.write("%.10g,%.10g\n" % (row["delta"], row["objective"]))
+    with table.open("w") as fh, plot.open("w") as plot_fh:
+        fh.write("delta,objective,nodes,wall_time,certified,proof\n")
+        for delta, obj, nodes, wall_time, outcome, proof in rows:
+            fh.write("%.10g,%s,%d,%.3f,%s,%s\n" % (
+                delta, "" if obj is None else "%.10g" % obj, nodes, wall_time, outcome, proof))
+            if obj is not None:
+                plot_fh.write("%.10g,%.10g\n" % (delta, obj))
     print("wrote %s and %s" % (table, plot))
 
-    markers = [row["certified"] for row in rows]
-    if all(m == "certified" for m in markers):
-        return 0
-    if "falsified" in markers:
-        return 3
-    if "infeasible" in markers:
-        return 4
-    return 1
+    codes = {_EXIT.get(row[4], 1) for row in rows}
+    return next((code for code in (3, 4, 1) if code in codes), 0)
 
 
 def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     spec, fn = build_instance(cfg)
-    try:
-        record = json.loads(Path(args.solution).read_text())
-    except OSError as exc:
-        raise ConfigError("cannot read solution %s: %s" % (args.solution, exc), 2)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            "%s: line %d column %d: %s"
-            % (args.solution, exc.lineno, exc.colno, exc.msg),
-            2,
-        )
-    for key in ("delta", "heights", "boxes", "duals"):
-        if key not in record or record[key] is None:
-            raise ConfigError("solution record has no %r field" % key)
-    delta = float(record["delta"])
+    delta, decision, duals = _solution_from(load_config(args.solution, "solution"), spec)
     _validate_step(spec, fn, delta)
-    decision = Decision(
-        heights=np.asarray(record["heights"], dtype=float),
-        boxes=[BoxRegion(b["lower"], b["upper"]) for b in record["boxes"]],
-    )
-    duals = DualSolution(
-        Y1=np.asarray(record["duals"]["Y1"], dtype=float),
-        Y2=np.asarray(record["duals"]["Y2"], dtype=float),
-        y=np.asarray(record["duals"]["y"], dtype=float),
-        spec=spec,
-    )
-    if args.delta:
-        if len(args.delta) != 1:
-            raise ConfigError("certify takes at most one --delta", 2)
-        fine_step = float(args.delta[0])
-        try:
-            fine = lattice_points(spec.edge, spec.m, fine_step)
-        except ValueError as exc:
-            raise ConfigError(str(exc))
+    seed, samples = _sampling(cfg, args)
+    fine_step = _one_delta(args)
+    fine = None
+    if fine_step is not None:
+        fine = _lattice(spec, fine_step)
         if fine_step > delta / 2.0 + 1e-12:
             print(
                 "warning: fine step %.9g is coarser than delta/2=%.9g; "
                 "the verdict will be inconclusive" % (fine_step, delta / 2.0),
                 file=sys.stderr,
             )
-    else:
-        fine = None
     cert = certify_solution(
-        decision,
-        duals,
-        spec,
-        delta=delta,
-        fine_lattice=fine,
-        n_samples=int(cfg.get("samples", 10_000)),
-        seed=_seed(cfg, args),
+        decision, duals, spec, delta=delta, fine_lattice=fine, n_samples=samples, seed=seed
     )
-    out = _out_dir(cfg, args)
-    path = out / "certificate.json"
-    path.write_text(
-        json.dumps(_jsonable(cert.as_record()), indent=2, sort_keys=True) + "\n"
-    )
+    path = _write_json(_out_dir(cfg, args) / "certificate.json", cert.as_record())
     print("verdict=%s worst_case=%s -> %s" % (
         cert.verdict, cert.worst_case_expectation, path))
-    return {"certified": 0, "falsified": 3}.get(cert.verdict, 1)
+    return _EXIT.get(cert.verdict, 1)
 
 
 # ---------------------------------------------------------------------------
 # entry point
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -588,15 +577,24 @@ def build_parser() -> argparse.ArgumentParser:
         description="validate, solve, sweep, and certify robust box designs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    handlers = {
-        "validate": cmd_validate,
-        "solve": cmd_solve,
-        "sweep": cmd_sweep,
-        "certify": cmd_certify,
+    # each verb registers only the flags it reads besides --config and --delta
+    solve_flags = ("--out-dir", "--seed", "--time-limit", "--mode")
+    verbs = {
+        "validate": (cmd_validate, ()),
+        "solve": (cmd_solve, solve_flags),
+        "sweep": (cmd_sweep, solve_flags),
+        "certify": (cmd_certify, ("--out-dir", "--seed", "--solution")),
     }
-    for name, fn in handlers.items():
+    flag_args = {
+        "--out-dir": {"help": "output directory"},
+        "--seed": {"type": int, "help": "sampling seed override"},
+        "--time-limit": {"type": float, "help": "search seconds"},
+        "--mode": {"choices": ("bnb", "enumerate")},
+        "--solution": {"required": True, "help": "result record to re-check"},
+    }
+    for name, (handler, flags) in verbs.items():
         sp = sub.add_parser(name)
-        sp.set_defaults(handler=fn)
+        sp.set_defaults(handler=handler)
         sp.add_argument("--config", required=True, help="JSON config path")
         sp.add_argument(
             "--delta",
@@ -604,14 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             help="lattice step; repeatable for sweep, fine step for certify",
         )
-        sp.add_argument("--out-dir", help="output directory")
-        sp.add_argument("--seed", type=int, help="sampling seed override")
-        sp.add_argument("--time-limit", type=float, help="search seconds")
-        sp.add_argument("--mode", choices=("bnb", "enumerate"))
-        if name == "certify":
-            sp.add_argument(
-                "--solution", required=True, help="result record to re-check"
-            )
+        for flag in flags:
+            sp.add_argument(flag, **flag_args[flag])
     return parser
 
 

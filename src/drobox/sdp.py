@@ -626,7 +626,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
     tau, kappa = 1.0, 1.0
     nu = cone.degree + 1.0
 
-    norm_b = 1.0 + float(np.max(np.abs(b))) if m else 1.0
+    norm_b = 1.0 + float(np.max(np.abs(b)))
     norm_c = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
     amax = float(np.max(np.abs(A.data))) if A.nnz else 1.0
     At = A.T.tocsr()
@@ -652,7 +652,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         xs = x / tau
         ys = y / tau
         ss = s / tau
-        pres = float(np.max(np.abs(A @ xs - b))) / norm_b if m else 0.0
+        pres = float(np.max(np.abs(A @ xs - b))) / norm_b
         dres = float(np.max(np.abs(At @ ys + ss - c))) / norm_c
         pobj = cx / tau
         dobj = by / tau
@@ -680,7 +680,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
                     break
             if cx < 0.0:
                 xn = x / (-cx)
-                if (float(np.max(np.abs(A @ xn))) if m else 0.0) <= tol * (1.0 + amax):
+                if float(np.max(np.abs(A @ xn))) <= tol * (1.0 + amax):
                     status = "unbounded"
                     break
         if tau <= 1e-12 and kappa >= 1e-8:
@@ -795,11 +795,8 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         # relaxed threshold, then fall back to the best feasible iterate
         loose = max(1e-7, 10.0 * tol) * (1.0 + amax)
         by = float(b @ y)
-        cx = float(c @ x)
         if by > 0.0 and float(np.max(np.abs(At @ (y / by) + s / by))) <= loose:
             status = "infeasible"
-        elif cx < 0.0 and (float(np.max(np.abs(A @ (x / (-cx))))) if m else 0.0) <= loose:
-            status = "unbounded"
         elif best is not None and best_phi <= 10.0 * tol:
             # close enough that downstream checks (KKT at 1e-7, gaps at
             # 1e-6) still hold

@@ -328,8 +328,10 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
     as a node and is decided by _solve_candidate; one whose solve ends
     neither optimal nor infeasible keeps its bound, and leaves the proof
     at "gap-limit" when that bound is below the incumbent.  seed is a
-    starting incumbent (objective, boxes, duals).  Limits never raise:
-    the incumbent is returned with proof "resource-limit".
+    starting incumbent (objective, boxes, duals).  The node and time
+    limits are checked only when a leaf is about to be counted, so a run
+    whose next pop ends the proof needs no budget for it.  Limits never
+    raise: the incumbent is returned with proof "resource-limit".
     """
     sgn = 1.0 if model.program.obj_sense == "min" else -1.0
     quantum = model.objective_quantum
@@ -359,9 +361,6 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
     if best is not None:
         _log_progress(logging.INFO, 0, heap[0][0] if heap else best_scaled, best_scaled)
     while heap:
-        if nodes >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
-            hit_limit = True
-            break
         bound, _, node = heapq.heappop(heap)
         if prunable(bound):
             break  # every open node is bounded below by this one
@@ -369,6 +368,9 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
         push(children)
         if boxes is None:
             continue
+        if nodes >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
+            hit_limit = True
+            break
         nodes += 1
         status, found = _solve_candidate(model, boxes, pool)
         if found is not None:

@@ -1,12 +1,17 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from drobox import cli
+from drobox.certify import Certificate
 from drobox.cli import main
 
 CONFIG_DIR = Path(cli.__file__).with_name("configs")
@@ -317,3 +322,159 @@ def test_internal_value_errors_propagate(tmp_path, monkeypatch, verb):
     monkeypatch.setattr(cli, "run_search", broken)
     with pytest.raises(ValueError, match="boom"):
         main([verb, "--config", REFERENCE, "--delta", "0.1", "--out-dir", str(tmp_path)])
+
+
+# ---------------------------------------------------------------------------
+# inputs that must end in one error line, and the flags and exits of each verb
+
+
+def stored_record(tmp_path, solved_reference, name="record.json", **changes):
+    """The shared reference record with top-level or duals fields replaced
+    (a value of None deletes the field), written to tmp_path / name."""
+    record = json.loads(json.dumps(solved_reference[1]))
+    for key, value in changes.items():
+        owner = record["duals"] if key in ("Y1", "Y2", "y") else record
+        if value is None:
+            del owner[key]
+        else:
+            owner[key] = value
+    path = tmp_path / name
+    path.write_text(json.dumps(record))
+    return str(path)
+
+
+def bad_inputs(tmp_path, solved_reference):
+    """(name, argv) of each malformed input, every one an exit-1 error line."""
+    out = str(tmp_path / "out")
+    return [
+        ("negative seed", ["solve", "--config", REFERENCE, "--seed", "-1",
+                           "--out-dir", out]),
+        ("no samples", ["solve", "--config", write_config(tmp_path, samples=0),
+                        "--out-dir", out]),
+        ("heights without boxes", ["certify", "--config", REFERENCE, "--solution",
+                                   stored_record(tmp_path, solved_reference, "a.json",
+                                                 heights=[1.0, 1.0]),
+                                   "--out-dir", out]),
+        ("no Y2", ["certify", "--config", REFERENCE, "--solution",
+                   stored_record(tmp_path, solved_reference, "b.json", Y2=None),
+                   "--out-dir", out]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_malformed_input_is_one_error_line(tmp_path, solved_reference, capsys,
+                                           monkeypatch, case):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a malformed input reached a solve")
+
+    monkeypatch.setattr(cli, "run_search", must_not_run)
+    monkeypatch.setattr(cli, "certify_solution", must_not_run)
+    name, argv = bad_inputs(tmp_path, solved_reference)[case]
+    assert main(argv) == 1, name
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), (name, err)
+    assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("changes, field", [
+    ({"boxes": [{"lower": [0.0], "upper": [1.0]}]}, "boxes[0]"),
+    ({"Y1": [[1.0, 0.0], [0.0, 1.0]]}, "duals.Y1"),
+    ({"Y2": [[1.0]]}, "duals.Y2"),
+    ({"y": [0.0, 0.0, 0.0]}, "duals.y"),
+])
+def test_certify_checks_record_shapes(solved_reference, tmp_path, capsys, changes,
+                                      field):
+    path = stored_record(tmp_path, solved_reference, **changes)
+    assert main(["certify", "--config", REFERENCE, "--solution", path,
+                 "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: solution record: %s " % field)
+
+
+def test_record_must_be_an_object(solved_reference, tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[]")
+    assert main(["certify", "--config", REFERENCE, "--solution", str(path)]) == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "--config", REFERENCE, "--mode", "bnb"],
+    ["certify", "--config", REFERENCE, "--solution", "record.json", "--time-limit", "5"],
+])
+def test_flag_the_verb_does_not_read_is_a_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb, flags", [
+    ("validate", set()),
+    ("solve", {"--out-dir", "--seed", "--time-limit", "--mode"}),
+    ("sweep", {"--out-dir", "--seed", "--time-limit", "--mode"}),
+    ("certify", {"--out-dir", "--seed", "--solution"}),
+])
+def test_verb_help_lists_only_its_flags(capsys, verb, flags):
+    with pytest.raises(SystemExit):
+        main([verb, "--help"])
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out))
+    assert listed == {"--help", "--config", "--delta"} | flags
+
+
+@pytest.fixture
+def falsify(monkeypatch):
+    """Make every certificate come back falsified."""
+    def falsified(decision, duals, spec, **kwargs):
+        return Certificate(0.0, 0.0, 0.0, 0.05, 1, "falsified")
+
+    monkeypatch.setattr(cli, "certify_solution", falsified)
+
+
+def test_solve_falsified_exits_3(falsify, tmp_path):
+    assert main(["solve", "--config", REFERENCE, "--out-dir", str(tmp_path)]) == 3
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert record["certificate"]["verdict"] == "falsified"
+
+
+def test_sweep_falsified_beats_infeasible(falsify, tmp_path, capsys):
+    code = main(["sweep", "--config", REFERENCE, "--delta", "0.1", "--delta", "0.2",
+                 "--out-dir", str(tmp_path)])
+    assert code == 3
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[4] for row in rows] == ["falsified", "infeasible"]
+
+
+def test_console_script_prints_no_traceback(tmp_path, solved_reference):
+    # through sys.exit(main()), as the installed drobox script runs it
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    for name, argv in bad_inputs(tmp_path, solved_reference):
+        proc = subprocess.run([sys.executable, "-m", "drobox.cli"] + argv, env=env,
+                              capture_output=True, text=True, timeout=120)
+        err = proc.stderr.strip().splitlines()
+        assert proc.returncode == 1, (name, proc.stderr)
+        assert len(err) == 1 and err[0].startswith("error: "), (name, proc.stderr)
+        assert "Traceback" not in proc.stderr
+
+
+def test_inverted_confidence_box_is_invalid(tmp_path, capsys):
+    path = write_config(tmp_path, confidence_sets=[
+        {"lower": [0.5, 0.5], "upper": [0.0, 0.0], "eps": 0.1}])
+    assert main(["validate", "--config", path]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: confidence_sets[0]: box has upper < lower")
+
+
+@pytest.mark.parametrize("verb, overrides", [
+    ("validate", {"delta": "x"}),
+    ("validate", {"confidence_sets": [{"lower": [0.0, 0.0], "upper": [0.5, 0.5],
+                                       "eps": "a"}]}),
+    ("sweep", {"deltas": 0.1}),
+    ("sweep", {"deltas": [0.1, None]}),
+])
+def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
+    argv = [verb, "--config", write_config(tmp_path, **overrides)]
+    if verb == "sweep":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err

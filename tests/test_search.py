@@ -419,13 +419,6 @@ def test_root_relaxation_detects_infeasible_margin(ref_spec, ref_fn):
 
 
 def test_node_limit_reports_resource_limit(ref_model, ref_spec, ref_fn):
-    model = line_model(k=2, heights=(0.6, 0.4))
-    inc = solve_bnb(model, SearchOptions(node_limit=1))
-    assert inc.proof == "resource-limit"
-    assert inc.status == "solved"  # seed incumbent exists
-    assert inc.node_count <= 1
-    assert inc.objective >= 0.15 - 1e-9
-
     # on the reference instance the first surviving candidate is infeasible,
     # so a one-solve budget ends with no conclusion
     inc = enumerate_boxes(ref_model, SearchOptions(node_limit=1))
@@ -434,17 +427,26 @@ def test_node_limit_reports_resource_limit(ref_model, ref_spec, ref_fn):
     assert inc.objective == np.inf
 
     # at delta = 0.05 the ninth surviving candidate is the optimum: a budget
-    # of eight ends with nothing, nine finds it without the proof, and ten
-    # proves it
+    # of eight ends with nothing, and nine both find and prove it, since the
+    # limit only stops a tenth solve, which the proof does not need
     L = lipschitz_certificate(ref_spec, ref_fn).L
     fine = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.05), L)
     for limit, proof, status, objective in [(8, "resource-limit", "unknown", np.inf),
-                                            (9, "resource-limit", "solved", 1.7),
+                                            (9, "optimal", "solved", 1.7),
                                             (10, "optimal", "solved", 1.7)]:
         inc = enumerate_boxes(fine, SearchOptions(node_limit=limit))
         assert (inc.proof, inc.status) == (proof, status), limit
         assert inc.objective == pytest.approx(objective, abs=1e-6)
         assert inc.node_count == min(limit, 9)
+
+    # B&B keeps its whole-domain seed incumbent when the budget runs out
+    inc = solve_bnb(fine, SearchOptions(node_limit=3))
+    assert (inc.proof, inc.status) == ("resource-limit", "solved")
+    assert inc.objective == pytest.approx(2.0, abs=1e-6)
+    assert inc.node_count == 3
+    inc = solve_bnb(fine, SearchOptions(node_limit=9))
+    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", 9)
+    assert inc.objective == pytest.approx(1.7, abs=1e-6)
 
 
 def test_time_limit_keeps_seed_incumbent(ref_model):
