@@ -328,10 +328,12 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
     as a node and is decided by _solve_candidate; one whose solve ends
     neither optimal nor infeasible keeps its bound, and leaves the proof
     at "gap-limit" when that bound is below the incumbent.  seed is a
-    starting incumbent (objective, boxes, duals).  The node and time
-    limits are checked only when a leaf is about to be counted, so a run
-    whose next pop ends the proof needs no budget for it.  Limits never
-    raise: the incumbent is returned with proof "resource-limit".
+    starting incumbent (objective, boxes, duals).  The time limit is
+    checked on every pop that survives the prune test, inner nodes
+    included; the node limit only when a leaf is about to be counted, so
+    a run whose next pop ends the proof needs no node budget for it.
+    Limits never raise: the incumbent is returned with proof
+    "resource-limit".
     """
     sgn = 1.0 if model.program.obj_sense == "min" else -1.0
     quantum = model.objective_quantum
@@ -364,11 +366,14 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
         bound, _, node = heapq.heappop(heap)
         if prunable(bound):
             break  # every open node is bounded below by this one
+        if time.perf_counter() - t0 > opts.time_limit:
+            hit_limit = True
+            break
         children, boxes = expand(node)
         push(children)
         if boxes is None:
             continue
-        if nodes >= opts.node_limit or time.perf_counter() - t0 > opts.time_limit:
+        if nodes >= opts.node_limit:
             hit_limit = True
             break
         nodes += 1

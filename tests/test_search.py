@@ -456,6 +456,27 @@ def test_time_limit_keeps_seed_incumbent(ref_model):
     assert np.isfinite(inc.objective)
 
 
+@pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
+def test_time_limit_stops_before_expanding(monkeypatch, ref_model, driver):
+    # the time limit bounds inner nodes too: a spent clock stops the run
+    # at its first pop, before any node is expanded
+    import drobox.search as search
+
+    expanded = []
+    best_first = search._best_first
+
+    def counting(model, pool, roots, expand, *rest):
+        def spy(node):
+            expanded.append(node)
+            return expand(node)
+        return best_first(model, pool, roots, spy, *rest)
+
+    monkeypatch.setattr(search, "_best_first", counting)
+    inc = driver(ref_model, SearchOptions(time_limit=1e-9))
+    assert inc.proof == "resource-limit"
+    assert (expanded, inc.node_count) == ([], 0)
+
+
 def test_gap_tol_stops_early_within_band():
     model = line_model(k=2, heights=(0.6, 0.4))
     inc = solve_bnb(model, SearchOptions(gap_tol=0.2))
