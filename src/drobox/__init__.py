@@ -22,7 +22,6 @@ from drobox.assemble import (
     AssembledModel,
     assemble_case1,
     assemble_case2,
-    canonical_assignment,
     decode_box,
 )
 from drobox.certify import (

@@ -26,6 +26,7 @@ from typing import Optional
 
 import numpy as np
 
+from .lipschitz import safety_margin
 from .model import (
     BoxRegion,
     DualSolution,
@@ -115,7 +116,7 @@ def _lattice_row_base(spec, t):
 def _margin_value(spec, lattice, L, margin_override):
     if margin_override is not None:
         return float(margin_override)
-    margin = L * lattice.delta * math.sqrt(spec.m)
+    margin = safety_margin(L, lattice.delta, spec.m)
     if margin <= 0.0:
         raise ValueError("safety margin must be positive, got %g" % margin)
     return margin
@@ -177,12 +178,6 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
             program.set_objective("min", {})
     return AssembledModel(program, var_index, margin, lattice, spec, fn,
                           "fixed", None)
-
-
-def corner_coeffs(con, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """A VariableBoxes constraint's (k, m) coefficients on x_minus and x_plus."""
-    cm, cp = np.asarray(con.coeffs, dtype=float)[: 2 * k * m].reshape(2, k, m)
-    return cm, cp
 
 
 def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
@@ -320,7 +315,7 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
         program.set_objective(mode.sense, obj)
 
     for n, con in enumerate(mode.constraints):
-        cm, cp = corner_coeffs(con, k, m)
+        cm, cp = np.asarray(con.coeffs, dtype=float)[: 2 * k * m].reshape(2, k, m)
         lin = {}
         for i in range(k):
             for j in range(m):
@@ -368,63 +363,3 @@ def decode_box(values: dict, model: AssembledModel) -> list:
             )
         out.append(BoxRegion(lo, hi))
     return out
-
-
-def implied_jumps(bt: dict, model: AssembledModel) -> dict:
-    """Jump binaries implied by decided membership values.
-
-    bt maps membership names "bt[i,f]" to 0 or 1 and may be partial.  For
-    each lattice step the jump row forces dm - dp = next - here, with
-    "next" equal to 0 past the upper boundary.  Wherever both endpoints
-    are decided the difference pins (dm, dp) up to the wasteful (1, 1)
-    choice at equal endpoints; that choice burns per-line jump budget and
-    tightens nothing, so the returned pair is always the sparse one.
-    Steps with an undecided endpoint get no entry.
-    """
-    lattice = model.lattice
-    out = {}
-    for i in range(model.fn.k):
-        grid = np.array([bt.get("bt[%d,%d]" % (i, f), np.nan)
-                         for f in range(lattice.n_points)], dtype=float)
-        grid = grid.reshape(lattice.shape)
-        for j in range(lattice.dim):
-            pad_shape = list(lattice.shape)
-            pad_shape[j] = 1
-            shifted = np.concatenate(
-                [np.take(grid, range(1, lattice.n_axis), axis=j), np.zeros(pad_shape)],
-                axis=j)
-            diff = (shifted - grid).reshape(-1)
-            for f in np.nonzero(~np.isnan(diff))[0]:
-                out["dm[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] > 0.5 else 0.0
-                out["dp[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] < -0.5 else 0.0
-    return out
-
-
-def canonical_assignment(boxes, model: AssembledModel) -> dict:
-    """Binary assignment putting each given box into the encoding.
-
-    boxes is a sequence of BoxRegion or None (empty).  Width-0 sentinel
-    boxes count as empty.  Returns values for every binary variable:
-    b~ = box membership, and the jumps implied_jumps derives from it (a
-    dm jump one step below each interior lower edge, a dp jump at each
-    upper edge, both on grid lines meeting the box).
-    """
-    if model.case != "variable":
-        raise ValueError("canonical_assignment applies to variable-mode models")
-    lattice = model.lattice
-    values = {}
-    for i in range(model.fn.k):
-        box = boxes[i]
-        if box is not None and np.all(box.upper == 0.0) and np.all(box.widths == 0.0):
-            box = None  # the origin sentinel decode_box emits for empty supports
-        if box is None:
-            member = np.zeros(lattice.n_points, dtype=bool)
-        else:
-            for j in range(lattice.dim):
-                lattice.index_of_value(box.lower[j])
-                lattice.index_of_value(box.upper[j])
-            member = np.asarray(box.contains(lattice.points), dtype=bool)
-        for f in range(lattice.n_points):
-            values["bt[%d,%d]" % (i, f)] = 1.0 if member[f] else 0.0
-    values.update(implied_jumps(values, model))
-    return values

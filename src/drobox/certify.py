@@ -5,11 +5,11 @@ probability measures supported on a fine lattice and constrained to the
 ambiguity set.  Discrete supports form a subfamily of the full ambiguity
 set, so the oracle value is an upper bound on the true adversarial
 minimum: a value below b falsifies the decision, while a value at or
-above b is a necessary check only, never a full proof.  The full proof is
-the feasibility of the assembled program itself; everything in this
-module is defense in depth on top of it.  The same measure program, on
-the assembly lattice, lets the search drivers rule candidates out before
-their assembled solve.
+above b is a necessary check only, never a full proof.  The proof of
+feasibility is duals that meet every lattice row and the threshold row;
+on the assembly lattice the search takes them from this same measure
+program (see _lattice_duals), and everything else here is defense in
+depth on top of them.
 
 The measure program has one column per lattice atom, so it is solved by
 column generation.  Each round solves the program restricted to a few
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -141,6 +141,25 @@ class _Pricer:
         return self.vals - self.rows @ sol.row_duals - first + second
 
 
+def _lattice_duals(spec: AmbiguitySpec, price: _Pricer, sol, margin: float) -> DualSolution:
+    """A master's multipliers as duals whose lattice rows hold at margin.
+
+    The LMI duals projected onto the PSD cone give Y1 and Y2, and the
+    confidence-row duals clipped at 0 give y.  Without the mass dual an
+    atom's reduced cost is its lattice row plus y[1] - y[0], so the
+    normalization pair puts the lowest row over every atom at margin.
+    The caller checks the threshold row, dual_objective() >= b.
+    """
+    Y1, Y2 = ((V * np.maximum(w, 0.0)) @ V.T for w, V in map(np.linalg.eigh, sol.lmi_duals))
+    z = np.maximum(sol.row_duals[1:], 0.0)
+    shift = float(price(replace(sol, row_duals=np.r_[0.0, z], lmi_duals=[Y1, Y2])).min()) - margin
+    rows = iter(z)
+    y = [max(-shift, 0.0), max(shift, 0.0)] + [
+        0.0 if isinstance(cs.region, WholeDomain) else next(rows)
+        for cs in spec.confidence_sets[2:]]
+    return DualSolution(Y1, Y2, np.array(y), spec)
+
+
 def _seeds(lattice: Lattice, spec: AmbiguitySpec):
     """Active atom sets to start column generation from, coarse to fine.
 
@@ -161,11 +180,13 @@ def _seeds(lattice: Lattice, spec: AmbiguitySpec):
 
 
 def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
-                      *, stop_below: float = -math.inf):
+                      *, stop_below: float = -math.inf, margin: float = 0.0):
     """Solve the discrete-measure adversary and keep the measure.
 
-    Returns (status, value, weights) where weights is the minimizing
-    probability vector over fine_lattice.points (None unless optimal).
+    Returns (status, value, weights, duals): the minimizing probability
+    vector over fine_lattice.points and the final master's multipliers,
+    whose lattice rows hold at margin (see _lattice_duals), or None twice
+    unless optimal.
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.
@@ -205,13 +226,14 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
                 weights = np.zeros(pts.shape[0])
                 weights[active] = [max(sol.primal["w[%d]" % j], 0.0)
                                    for j in range(active.size)]
-                return sol.status, float(sol.objective), weights
+                return (sol.status, float(sol.objective), weights,
+                        _lattice_duals(spec, price, sol, margin))
             entering = np.flatnonzero(cost < -_PRICE_TOL)
             count = max(_MIN_ENTERING, active.size)
             if entering.size > count:
                 entering = entering[np.argpartition(cost[entering], count)[:count]]
             active = np.union1d(active, entering)
-    return sol.status, float("nan"), None
+    return sol.status, float("nan"), None, None
 
 
 def adversary_oracle(decision: Decision, spec: AmbiguitySpec,

@@ -356,7 +356,6 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
         "objective": None,
         "node_count": 0,
         "certificate": None,
-        "margin": L * delta * math.sqrt(spec.m),
     }
     t0 = time.perf_counter()
 
@@ -399,6 +398,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
                 heights=np.asarray(fn.heights, dtype=float), boxes=list(inc.boxes)
             )
             duals = inc.dual_vars
+    record["margin"] = model.margin
     record["solve_seconds"] = time.perf_counter() - t0
 
     if decision is not None:

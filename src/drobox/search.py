@@ -5,9 +5,9 @@ steps.  One pool of lattice measures screens sets of boxes: a set falls
 when some held measure gives it an expected value below b + margin
 (weak duality).  The pool starts with a point mass on every feasible
 lattice atom.  A set of boxes that passes gets its own adversary measure
-program solved first (a value below b + margin rules it out, and its
-measure joins the pool), and the fixed SDP of the survivors is solved
-honestly; that solve proves feasibility and supplies the duals.
+program solved: a value below b + margin rules it out, and its measure
+joins the pool; otherwise the final master's duals, checked against
+every lattice row and the threshold row, prove it feasible.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .assemble import AssembledModel, canonical_assignment, corner_coeffs, decode_duals
+from .assemble import AssembledModel
 from .certify import adversary_problem
 from .model import BoxRegion, Decision, DualSolution, WholeDomain
 from .sdp import SdpSolution, SolveOptions, solve_sdp
@@ -50,10 +50,9 @@ class SearchOptions:
     """Knobs of the search drivers.
 
     node_limit counts, in either driver, the sets of boxes that pass the
-    measure pool and reach a solve (their adversary measure, then maybe
-    their fixed SDP).  gap_tol is an absolute gap on the objective that
-    lets either driver stop early, with proof "gap-limit"; 0 demands a
-    full proof.
+    measure pool and reach a solve of their adversary measure program.
+    gap_tol is an absolute gap on the objective that lets either driver
+    stop early, with proof "gap-limit"; 0 demands a full proof.
     """
 
     mode: str = "bnb"
@@ -79,9 +78,9 @@ class Incumbent:
     objective follows the model's stated sense; for an infeasible model it
     is +inf when minimizing and -inf when maximizing.  boxes contains one
     BoxRegion per simple-function box (the width-0 origin sentinel stands
-    in for an unused box).  dual_vars holds the (Y1, Y2, y) values of the
-    fixed SDP that certified the incumbent; they satisfy every assembled
-    row with the incumbent binaries substituted.  proof is "optimal",
+    in for an unused box).  dual_vars holds the incumbent's checked
+    measure-master duals (Y1, Y2, y): PSD, nonnegative, every lattice row
+    at the margin and the threshold row to within 1e-9.  proof is "optimal",
     "gap-limit" or "resource-limit"; status is "solved",
     "infeasible-model" or "unknown" (resource limit hit before any
     conclusion).
@@ -117,29 +116,6 @@ def _quantum_ceil(value: float, quantum) -> float:
     return math.ceil(value / quantum - 1e-9) * quantum
 
 
-def _rule_out_threshold(model: AssembledModel) -> float:
-    return model.spec.b + model.margin - 1e-7
-
-
-def _ruling_measure(model: AssembledModel, boxes: list):
-    """Adversary weights that prove boxes infeasible, or None.
-
-    boxes holds one BoxRegion per height, None for an empty one.  The
-    adversary measure program of the nonempty boxes is solved on the
-    assembly lattice, its rounds stopped as soon as a measure falls below
-    b + margin; such a measure proves the fixed SDP infeasible by weak
-    duality.  A stalled solve, or all boxes empty, rules nothing out.
-    """
-    kept = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
-    if not kept:
-        return None
-    threshold = _rule_out_threshold(model)
-    _, value, weights = adversary_problem(
-        Decision(np.array([h for h, _ in kept]), tuple(b for _, b in kept)),
-        model.spec, model.lattice, stop_below=threshold)
-    return weights if value < threshold else None
-
-
 class _MeasurePool:
     """Lattice measures that rule sets of boxes out without a solve.
 
@@ -161,7 +137,7 @@ class _MeasurePool:
         lattice = model.lattice
         self.shape = lattice.shape
         self.heights = np.asarray(model.fn.heights, dtype=float)
-        self.threshold = _rule_out_threshold(model)
+        self.threshold = model.spec.b + model.margin - 1e-7  # less a slack for rounding
         d = lattice.points - spec.mu
         dist = np.einsum("ni,ij,nj->n", d, np.linalg.inv(spec.sigma), d)
         ok = dist <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
@@ -218,95 +194,101 @@ class _MeasurePool:
         return bool(np.any(value < self.threshold))
 
 
-def _empty_bound(model: AssembledModel, i: int, sgn: float) -> float:
-    """Scaled objective bound of an empty box for height i.
-
-    Under the width-sum objective an empty box costs nothing.  Under an
-    explicit corner objective it leaves its corner variables anywhere in
-    the feasible triangle 0 <= lo <= hi <= edge, so its bound takes the
-    best corner.
-    """
+def _corner_costs(model: AssembledModel, sgn: float) -> tuple:
+    """Scaled (k, m) objective coefficients of the lower and upper corners;
+    the width-sum objective is -1 on lower and +1 on upper corners."""
     mode = model.fn.mode
     if mode.width_sum:
-        return 0.0
-    cm = np.atleast_2d(mode.c_minus)[i]
-    cp = np.atleast_2d(mode.c_plus)[i]
-    edge = model.lattice.edge
-    return float(sum(min(sgn * (cm[j] * a + cp[j] * b)
-                         for a, b in ((0.0, 0.0), (0.0, edge), (edge, edge)))
-                     for j in range(model.lattice.dim)))
+        ones = np.ones((model.fn.k, model.lattice.dim))
+        return -ones, ones
+    return sgn * np.atleast_2d(mode.c_minus), sgn * np.atleast_2d(mode.c_plus)
+
+
+def _empty_bound(model: AssembledModel, i: int, sgn: float) -> float:
+    """Scaled objective of an empty box for height i: its corners float in
+    0 <= lo <= hi <= edge, so each axis takes the best of (0, 0), (0, edge)
+    and (edge, edge)."""
+    cm, cp = _corner_costs(model, sgn)
+    return float(np.sum(np.minimum(0.0, np.minimum(cp[i], cm[i] + cp[i]) * model.lattice.edge)))
 
 
 def _box_bounds(model: AssembledModel, i: int, sgn: float, a, b, c, d):
     """Scaled objective bound of height i's box over lo in [a, b], hi in [c, d].
 
-    a, b, c and d are axis indices, arrays of shape (..., m).  Each
-    coordinate takes the best end of its interval: the width of an axis
-    is at least max(axis[c] - axis[b], 0), and a corner term is the
-    smaller of its values at the two ends.  With a = b and c = d this is
-    the box's exact objective.
+    a, b, c and d are corner coordinates, arrays of shape (..., m).  Each
+    corner term takes the better end of its interval, and a width is at
+    least 0.  With a = b and c = d this is the box's exact objective.
+    """
+    cm, cp = _corner_costs(model, sgn)
+    term = np.minimum(cm[i] * a, cm[i] * b) + np.minimum(cp[i] * c, cp[i] * d)
+    if model.fn.mode.width_sum:
+        term = np.maximum(term, 0.0)
+    return np.sum(term, axis=-1)
+
+
+def _leaf_objective(model: AssembledModel, boxes: list, sgn: float):
+    """Scaled objective of a set of boxes, or None when no corner choice
+    meets the user constraints.
+
+    A nonempty box has its lattice corners, and an empty one (None) takes
+    its best corners (_empty_bound).  Under user constraints one LP over
+    all corners, those of nonempty boxes pinned, decides both.
     """
     mode = model.fn.mode
-    axis = model.lattice.axis
-    total = 0.0
-    for j in range(model.lattice.dim):
-        if mode.width_sum:
-            total = total + np.maximum(axis[c[..., j]] - axis[b[..., j]], 0.0)
-        else:
-            cm = sgn * np.atleast_2d(mode.c_minus)[i, j]
-            cp = sgn * np.atleast_2d(mode.c_plus)[i, j]
-            total = total + (np.minimum(cm * axis[a[..., j]], cm * axis[b[..., j]])
-                             + np.minimum(cp * axis[c[..., j]], cp * axis[d[..., j]]))
-    return total
-
-
-def _breaks_user_constraint(model: AssembledModel, boxes: list) -> bool:
-    """Whether boxes break a user constraint by more than 1e-9 at their
-    lattice corners, the tolerance resolve_binaries has for collapsed rows.
-
-    The encoding pins the corners of a nonempty box to its lattice
-    corners.  Those of an empty box (None, or the origin sentinel) float,
-    so a constraint with a coefficient on them is skipped.
-    """
     k, m = model.fn.k, model.lattice.dim
-    lo = np.array([np.zeros(m) if box is None else box.lower for box in boxes])
-    hi = np.array([np.zeros(m) if box is None else box.upper for box in boxes])
-    empty = ~hi.any(axis=1)
-    for con in model.fn.mode.constraints:
-        cm, cp = corner_coeffs(con, k, m)
-        if np.any(cm[empty]) or np.any(cp[empty]):
-            continue
-        excess = float(np.sum(cm * lo) + np.sum(cp * hi)) - con.rhs
-        if {"<=": excess, ">=": -excess, "==": abs(excess)}[con.sense] > 1e-9:
-            return True
-    return False
+    if not mode.constraints:
+        return sum(_empty_bound(model, i, sgn) if box is None
+                   else float(_box_bounds(model, i, sgn, box.lower, box.lower,
+                                          box.upper, box.upper))
+                   for i, box in enumerate(boxes))
+    from scipy.optimize import milp
+
+    lower = np.zeros((2, k, m))
+    upper = np.full((2, k, m), model.lattice.edge)
+    for i, box in enumerate(boxes):
+        if box is not None:
+            lower[:, i] = upper[:, i] = box.lower, box.upper
+    cons = mode.constraints
+    rows = np.vstack([np.hstack([np.eye(k * m), -np.eye(k * m)])]  # lo <= hi
+                     + [np.asarray(con.coeffs, dtype=float)[: 2 * k * m] for con in cons])
+    row_lo = [-np.inf] * (k * m) + [-np.inf if con.sense == "<=" else con.rhs for con in cons]
+    row_hi = [0.0] * (k * m) + [np.inf if con.sense == ">=" else con.rhs for con in cons]
+    res = milp(np.concatenate([np.ravel(c) for c in _corner_costs(model, sgn)]),
+               bounds=(lower.ravel(), upper.ravel()), constraints=(rows, row_lo, row_hi))
+    return float(res.fun) if res.status == 0 else None
 
 
-def _solve_candidate(model: AssembledModel, boxes: list,
-                     pool: Optional[_MeasurePool] = None) -> tuple:
+def _solve_candidate(model: AssembledModel, boxes: list, pool: _MeasurePool) -> tuple:
     """Decide one set of boxes, a BoxRegion or None (empty) per height.
 
-    Boxes that break a user constraint are "infeasible" without a solve.
-    With a pool, the adversary measure goes next: one that rules the
-    boxes out joins the pool, and the status is "infeasible".  Otherwise
-    the boxes are fixed through canonical_assignment and their SDP is
-    solved honestly.  Returns (status, found): found is (objective,
-    boxes, duals) when that solve is optimal, with empty boxes as the
-    width-0 origin sentinel, and None otherwise.
+    Boxes whose corners no choice fits to the user constraints are
+    "infeasible" without a solve.  Otherwise their adversary measure
+    program is solved on the assembly lattice: a value below b + margin
+    rules them out ("infeasible") and its measure joins the pool, and
+    else the final master's duals, whose lattice rows hold at the margin,
+    prove them feasible ("optimal") once their threshold row holds to
+    within 1e-9.  A stalled program or a short threshold row leaves them
+    "unresolved".  Returns (status, found): found is (objective, boxes,
+    duals) when "optimal", empty boxes as the width-0 origin sentinel.
     """
-    if _breaks_user_constraint(model, boxes):
+    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
+    scaled = _leaf_objective(model, boxes, sgn)
+    if scaled is None:
         return "infeasible", None
-    if pool is not None:
-        weights = _ruling_measure(model, boxes)
-        if weights is not None:
-            pool.add(weights)
-            return "infeasible", None
-    sol = solve_sdp(model.program.fix_binaries(canonical_assignment(boxes, model)))
-    if sol.status != "optimal":
-        return sol.status, None
+    kept = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
+    status, value, weights, duals = adversary_problem(
+        Decision(np.array([h for h, _ in kept]), tuple(b for _, b in kept)),
+        model.spec, model.lattice, stop_below=pool.threshold, margin=model.margin)
+    if status != "optimal":
+        return "unresolved", None
+    if value < pool.threshold:
+        pool.add(weights)
+        return "infeasible", None
+    if duals.dual_objective() < model.spec.b - 1e-9:
+        return "unresolved", None
     origin = np.zeros(model.lattice.dim)
     decoded = tuple(BoxRegion(origin, origin) if box is None else box for box in boxes)
-    return sol.status, (sol.objective, decoded, decode_duals(sol, model))
+    return "optimal", (sgn * scaled, decoded, duals)
 
 
 def _log_progress(level: int, nodes: int, bound: float, incumbent: float):
@@ -417,8 +399,9 @@ def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> tuple:
     combo = np.indices((first.size,) * m).reshape(m, -1).T
     lo = np.vstack([np.zeros((1, m), dtype=int), first[combo]])
     hi = np.vstack([np.full((1, m), -1), last[combo]])
+    lo_at, hi_at = lattice.axis[lo[1:]], lattice.axis[hi[1:]]
     bound = np.concatenate([[_empty_bound(model, i, sgn)],
-                            _box_bounds(model, i, sgn, lo[1:], lo[1:], hi[1:], hi[1:])])
+                            _box_bounds(model, i, sgn, lo_at, lo_at, hi_at, hi_at)])
     is_box = np.arange(bound.size) > 0
     keys = [hi[:, j] for j in reversed(range(m))] + [lo[:, j] for j in reversed(range(m))]
     order = np.lexsort(keys + [is_box, bound])
@@ -441,9 +424,8 @@ def enumerate_boxes(model: AssembledModel,
     stream entry past it, and a BoxRegion is built only for one that
     reaches a solve.  A candidate the measure pool (seeded with the
     feasible point masses) does not rule out is a leaf of _best_first,
-    decided by _solve_candidate: its adversary measure first, then its
-    fixed SDP, whose optimal solve is the proof of feasibility and
-    supplies the duals.  A candidate's bound is its exact objective, so
+    decided by _solve_candidate from its adversary measure program alone.
+    A candidate's bound is its exact objective, so
     once the incumbent is no worse than the next pop it is optimal.
     node_count reports the candidates that reached a solve.
     """
@@ -495,8 +477,8 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     end of each interval, rounded up to the objective quantum.  An inner
     node halves its widest interval without a solve; a node with one box
     per height is a leaf of _best_first, and node_count reports the leaves
-    that reach a solve.  The whole-domain boxes get a fixed solve before
-    the loop as the seed incumbent.
+    that reach a solve.  The whole-domain boxes, decided by
+    _solve_candidate with the pool before the loop, seed the incumbent.
     """
     _require_variable(model)
     opts = opts or SearchOptions()
@@ -510,7 +492,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     def bounded(parts: tuple) -> tuple:
         """(bound, parts) of a node; parts[i] is None or rows a, b, c, d."""
         return _quantum_ceil(sum(
-            empty_bound[i] if p is None else float(_box_bounds(model, i, sgn, *p))
+            empty_bound[i] if p is None else float(_box_bounds(model, i, sgn, *lattice.axis[p]))
             for i, p in enumerate(parts)), model.objective_quantum), parts
 
     def expand(parts: tuple) -> tuple:
@@ -536,7 +518,7 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
         return children, None
 
     whole = BoxRegion(lattice.axis[[0] * m], lattice.axis[[top] * m])
-    _, seed = _solve_candidate(model, [whole] * k)
+    _, seed = _solve_candidate(model, [whole] * k, pool)
     full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
     roots = [bounded(tuple(None if e else full for e in empty))
              for empty in itertools.product((True, False), repeat=k)]

@@ -1,6 +1,9 @@
-"""Shared helpers for checking assembled programs row by row in tests."""
+"""Shared helpers for checking assembled programs row by row in tests,
+and for putting given boxes into the binary encoding of assemble_case2."""
 
 import numpy as np
+
+from drobox.assemble import AssembledModel
 
 
 def evaluate_rows(program, values, prefixes=None):
@@ -98,7 +101,6 @@ def fallback_values(model):
     (0, edge) on every axis, width auxiliaries equal the edge length, and
     the dual block is y = (0, b, 0, ...) with zero matrices.
     """
-    from drobox.assemble import canonical_assignment
     from drobox.model import BoxRegion
 
     lattice = model.lattice
@@ -114,3 +116,63 @@ def fallback_values(model):
     vals.update(zero_duals(spec))
     vals["y[1]"] = spec.b
     return vals
+
+
+def implied_jumps(bt: dict, model: AssembledModel) -> dict:
+    """Jump binaries implied by decided membership values.
+
+    bt maps membership names "bt[i,f]" to 0 or 1 and may be partial.  For
+    each lattice step the jump row forces dm - dp = next - here, with
+    "next" equal to 0 past the upper boundary.  Wherever both endpoints
+    are decided the difference pins (dm, dp) up to the wasteful (1, 1)
+    choice at equal endpoints; that choice burns per-line jump budget and
+    tightens nothing, so the returned pair is always the sparse one.
+    Steps with an undecided endpoint get no entry.
+    """
+    lattice = model.lattice
+    out = {}
+    for i in range(model.fn.k):
+        grid = np.array([bt.get("bt[%d,%d]" % (i, f), np.nan)
+                         for f in range(lattice.n_points)], dtype=float)
+        grid = grid.reshape(lattice.shape)
+        for j in range(lattice.dim):
+            pad_shape = list(lattice.shape)
+            pad_shape[j] = 1
+            shifted = np.concatenate(
+                [np.take(grid, range(1, lattice.n_axis), axis=j), np.zeros(pad_shape)],
+                axis=j)
+            diff = (shifted - grid).reshape(-1)
+            for f in np.nonzero(~np.isnan(diff))[0]:
+                out["dm[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] > 0.5 else 0.0
+                out["dp[%d,%d,%d]" % (i, j, f)] = 1.0 if diff[f] < -0.5 else 0.0
+    return out
+
+
+def canonical_assignment(boxes, model: AssembledModel) -> dict:
+    """Binary assignment putting each given box into the encoding.
+
+    boxes is a sequence of BoxRegion or None (empty).  Width-0 sentinel
+    boxes count as empty.  Returns values for every binary variable:
+    b~ = box membership, and the jumps implied_jumps derives from it (a
+    dm jump one step below each interior lower edge, a dp jump at each
+    upper edge, both on grid lines meeting the box).
+    """
+    if model.case != "variable":
+        raise ValueError("canonical_assignment applies to variable-mode models")
+    lattice = model.lattice
+    values = {}
+    for i in range(model.fn.k):
+        box = boxes[i]
+        if box is not None and np.all(box.upper == 0.0) and np.all(box.widths == 0.0):
+            box = None  # the origin sentinel decode_box emits for empty supports
+        if box is None:
+            member = np.zeros(lattice.n_points, dtype=bool)
+        else:
+            for j in range(lattice.dim):
+                lattice.index_of_value(box.lower[j])
+                lattice.index_of_value(box.upper[j])
+            member = np.asarray(box.contains(lattice.points), dtype=bool)
+        for f in range(lattice.n_points):
+            values["bt[%d,%d]" % (i, f)] = 1.0 if member[f] else 0.0
+    values.update(implied_jumps(values, model))
+    return values

@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from drobox.assemble import assemble_case1, assemble_case2, canonical_assignment
+from drobox.assemble import assemble_case1, assemble_case2
 from drobox.certify import adversary_oracle, sample_fc, weak_duality_gap
 from drobox.lipschitz import lipschitz_certificate, max_safe_step
 from drobox.model import (
@@ -46,6 +46,7 @@ from encoding_tools import (
     BINARY_ROW_PREFIXES,
     CORNER_ROW_PREFIXES,
     binary_rows_ok,
+    canonical_assignment,
     corner_feasible,
     evaluate_rows,
     fallback_values,

@@ -6,7 +6,6 @@ import pytest
 from drobox.assemble import (
     assemble_case1,
     assemble_case2,
-    canonical_assignment,
     decode_box,
 )
 from drobox.lipschitz import lipschitz_certificate
@@ -24,6 +23,7 @@ from drobox.model import (
 from drobox.sdp import solve_sdp
 from encoding_tools import (
     binary_rows_ok,
+    canonical_assignment,
     corner_feasible,
     evaluate_rows,
     fallback_values,

@@ -116,7 +116,7 @@ def test_oracle_measure_is_feasible(line_spec):
         heights=np.array([1.0]), boxes=[BoxRegion([0.05], [0.15])]
     )
     fine = lattice_points(0.2, 1, 0.025)
-    status, value, weights = adversary_problem(decision, line_spec, fine)
+    status, value, weights, _ = adversary_problem(decision, line_spec, fine)
     assert status == "optimal"
     assert_feasible_measure(weights, line_spec, fine, decision, value)
 
@@ -160,7 +160,7 @@ def test_column_generation_matches_the_whole_lattice(ref_spec, line_spec, which,
     direct = solve_sdp(_measure_program(spec, fine.points, decision.evaluate(fine.points)))
     assert direct.status == "optimal"
     with caplog.at_level(logging.DEBUG, logger="drobox.certify"):
-        status, value, weights = adversary_problem(decision, spec, fine)
+        status, value, weights, _ = adversary_problem(decision, spec, fine)
     assert status == "optimal"
     assert value == pytest.approx(direct.objective, abs=1e-7)
     assert_feasible_measure(weights, spec, fine, decision, value)
@@ -199,8 +199,8 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
 
 def test_column_generation_stops_below_the_threshold(ref_spec):
     decision, spec, fine = _column_generation_case("reference", ref_spec, None)
-    _, optimum, _ = adversary_problem(decision, spec, fine)
-    status, value, weights = adversary_problem(decision, spec, fine, stop_below=1.0)
+    _, optimum, _, _ = adversary_problem(decision, spec, fine)
+    status, value, weights, _ = adversary_problem(decision, spec, fine, stop_below=1.0)
     # the first master already falls below 1; its measure is feasible, so
     # its value bounds the lattice optimum from above
     assert status == "optimal"

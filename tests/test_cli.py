@@ -95,6 +95,23 @@ def test_solve_reference_is_certified(solved_reference):
     assert (out / "solver.log").read_text().startswith("node=")
 
 
+@pytest.mark.parametrize("mode", ["bnb", "enumerate"])
+def test_variable_solve_makes_no_assembled_solve(tmp_path, monkeypatch, mode):
+    # the search decides every set of boxes on the measure side: nothing
+    # fixes or relaxes the binaries of the assembled program
+    from drobox.sdp import ConicProgram
+
+    calls = []
+    for name in ("fix_binaries", "relax_binaries"):
+        monkeypatch.setattr(ConicProgram, name, lambda self, *a: calls.append(a))
+    assert main(["solve", "--config", REFERENCE, "--mode", mode,
+                 "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert (record["proof"], record["objective"]) == ("optimal", pytest.approx(2.0))
+    assert record["margin"] == pytest.approx(record["L"] * 0.1 * np.sqrt(2.0))
+    assert calls == []
+
+
 def test_solve_record_is_strict_json(solved_reference):
     _, record, out = solved_reference
     # strict parsers reject bare NaN; the writer must never emit it

@@ -9,12 +9,13 @@ import pytest
 
 from drobox.assemble import assemble_case1, assemble_case2
 from drobox.lipschitz import lipschitz_certificate
-from drobox.certify import adversary_problem
+from drobox.certify import adversary_problem, certify_solution
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
     ConfidenceSet,
     Decision,
+    DualSolution,
     FixedBoxes,
     LinearConstraint,
     SimpleFunctionSpec,
@@ -31,7 +32,7 @@ from drobox.search import (
     _candidate_stream,
     _empty_bound,
     _MeasurePool,
-    _breaks_user_constraint,
+    _leaf_objective,
     enumerate_boxes,
     root_relaxation,
     run_search,
@@ -121,23 +122,24 @@ def test_bnb_proves_the_reference_at_fine_steps(ref_spec, ref_fn, monkeypatch,
 def test_incumbent_duals_satisfy_fixed_rows(ref_model, ref_spec):
     # spec'd invariant: the (Y1, Y2, y) stored with the incumbent satisfy
     # every lattice row (>= margin) and the threshold row (>= b) once the
-    # incumbent binaries are substituted.
-    inc = enumerate_boxes(ref_model, SearchOptions())
-    d = inc.dual_vars
-    f_vals = dual_integrand(
-        ref_model.lattice.points,
-        np.asarray(ref_model.fn.heights, dtype=float),
-        list(inc.boxes),
-        d.Y1,
-        d.Y2,
-        d.y,
-        ref_spec,
-    )
-    assert float(np.min(f_vals)) >= ref_model.margin - 1e-7
-    assert d.dual_objective() >= ref_spec.b - 1e-7
-    assert float(np.min(d.y)) >= -1e-9
-    assert float(np.linalg.eigvalsh(d.Y1).min()) >= -1e-8
-    assert float(np.linalg.eigvalsh(d.Y2).min()) >= -1e-8
+    # incumbent binaries are substituted, with either driver.
+    for driver in (enumerate_boxes, solve_bnb):
+        inc = driver(ref_model, SearchOptions())
+        d = inc.dual_vars
+        f_vals = dual_integrand(
+            ref_model.lattice.points,
+            np.asarray(ref_model.fn.heights, dtype=float),
+            list(inc.boxes),
+            d.Y1,
+            d.Y2,
+            d.y,
+            ref_spec,
+        )
+        assert float(np.min(f_vals)) >= ref_model.margin - 1e-7
+        assert d.dual_objective() >= ref_spec.b - 1e-7
+        assert float(np.min(d.y)) >= -1e-9
+        assert float(np.linalg.eigvalsh(d.Y1).min()) >= -1e-8
+        assert float(np.linalg.eigvalsh(d.Y2).min()) >= -1e-8
 
 
 def test_enumerate_proves_the_reference_optimum_at_step_one_fifteenth(ref_spec, ref_fn):
@@ -150,19 +152,23 @@ def test_enumerate_proves_the_reference_optimum_at_step_one_fifteenth(ref_spec, 
 
 
 def test_enumerate_rules_candidates_out_without_the_assembled_solve(ref_model, monkeypatch):
-    # candidates whose adversary measure falls short never reach the
-    # assembled program, yet each of them counts as a node
+    # every set of boxes, bnb's whole-domain seed included, is decided by
+    # its measure program alone: no driver fixes or relaxes the binaries of
+    # the assembled program
     fixes = []
-    fix_binaries = ConicProgram.fix_binaries
+    for name in ("fix_binaries", "relax_binaries"):
+        original = getattr(ConicProgram, name)
 
-    def spy(self, values):
-        fixes.append(values)
-        return fix_binaries(self, values)
+        def spy(self, *args, _original=original):
+            fixes.append(args)
+            return _original(self, *args)
 
-    monkeypatch.setattr(ConicProgram, "fix_binaries", spy)
-    inc = enumerate_boxes(ref_model, SearchOptions())
-    assert inc.proof == "optimal"
-    assert 1 <= len(fixes) < inc.node_count
+        monkeypatch.setattr(ConicProgram, name, spy)
+    for driver in (enumerate_boxes, solve_bnb):
+        inc = driver(ref_model, SearchOptions())
+        assert inc.proof == "optimal"
+        assert inc.node_count >= 1
+    assert fixes == []
 
 
 def _feasible_point_masses(model):
@@ -205,7 +211,7 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
                                margin_override=0.2)
     lattice = model.lattice
     heights = np.asarray(model.fn.heights, dtype=float)
-    status, _, weights = adversary_problem(Decision([1.0], (adversary_box,)),
+    status, _, weights, _ = adversary_problem(Decision([1.0], (adversary_box,)),
                                            model.spec, lattice)
     assert status == "optimal"
     measures = _feasible_point_masses(model) + [weights]
@@ -490,24 +496,14 @@ def test_gap_tol_stops_early_within_band():
                          ids=["k1", "k2"])
 @pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
 def test_failed_fixed_node_ends_gap_limit(monkeypatch, driver, k, heights, nodes):
-    # every fixed solve stalls: the run must not claim a proof
-    fix = ConicProgram.fix_binaries
+    # every leaf's measure program stalls: the run must not claim a proof
     stalled = []
 
-    def fix_spy(self, values):
-        out = fix(self, values)
-        out.stall = True
-        return out
+    def stall(decision, spec, lattice, **kwargs):
+        stalled.append(decision)
+        return "numerical-failure", float("nan"), None, None
 
-    def solve_spy(program, options=None):
-        if getattr(program, "stall", False):
-            stalled.append(program)
-            return SdpSolution("numerical-failure", np.nan, {}, np.zeros(program.n_rows),
-                               [], 0)
-        return solve_sdp(program, options)
-
-    monkeypatch.setattr(ConicProgram, "fix_binaries", fix_spy)
-    monkeypatch.setattr("drobox.search.solve_sdp", solve_spy)
+    monkeypatch.setattr("drobox.search.adversary_problem", stall)
     inc = driver(line_model(k=k, heights=heights))
     assert stalled
     assert (inc.proof, inc.status) == ("gap-limit", "unknown")
@@ -515,13 +511,44 @@ def test_failed_fixed_node_ends_gap_limit(monkeypatch, driver, k, heights, nodes
     assert inc.node_count == nodes
 
 
+@pytest.mark.parametrize("shortfall,proof", [(2e-9, "gap-limit"), (0.5e-9, "optimal")])
+@pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
+def test_duals_short_of_the_threshold_row_leave_the_leaf_unresolved(
+        monkeypatch, ref_model, driver, shortfall, proof):
+    # lower y[1] - y[0] until each leaf's mapped duals meet the threshold
+    # row b only to within shortfall: their lattice rows still hold, but
+    # beyond 1e-9 they prove nothing, and no leaf may end optimal
+    import drobox.search as search
+
+    def short(decision, spec, lattice, **kwargs):
+        out = adversary_problem(decision, spec, lattice, **kwargs)
+        duals = out[3]
+        if duals is None:
+            return out
+        excess = duals.dual_objective() - spec.b + shortfall
+        y = np.array(duals.y)
+        y[0] += max(excess - y[1], 0.0)
+        y[1] -= min(excess, y[1])
+        moved = DualSolution(duals.Y1, duals.Y2, y, spec)
+        assert moved.dual_objective() == pytest.approx(spec.b - shortfall, abs=1e-12)
+        return out[:3] + (moved,)
+
+    monkeypatch.setattr(search, "adversary_problem", short)
+    inc = driver(ref_model, SearchOptions())
+    assert inc.proof == proof
+    if proof == "optimal":
+        assert inc.objective == pytest.approx(2.0, abs=1e-6)
+    else:
+        assert (inc.status, inc.objective) == ("unknown", np.inf)
+
+
 @pytest.mark.parametrize("k,heights,objective,status", [
     (1, (1.0,), -np.inf, "infeasible-model"), (2, (0.6, 0.4), -0.15, "solved")])
 def test_user_corner_constraint_decides_leaves_without_a_solve(k, heights, objective,
                                                                status, monkeypatch):
     # max sum(lo - hi) subject to hi <= 0.15 on box 0: a leaf that breaks
-    # the constraint is infeasible without a solve (its fixed SDP stalls),
-    # and with k = 1 the pool rules out every leaf that keeps it
+    # the constraint is infeasible without a solve, and with k = 1 the pool
+    # rules out every leaf that keeps it
     con = LinearConstraint([0.0] * k + [1.0] + [0.0] * (k - 1), "<=", 0.15)
     model = line_model(k=k, heights=heights, mode=VariableBoxes(
         c_minus=[[1]] * k, c_plus=[[-1]] * k, sense="max", constraints=[con]))
@@ -537,19 +564,50 @@ def test_user_corner_constraint_decides_leaves_without_a_solve(k, heights, objec
         inc = driver(model, SearchOptions())
         assert (inc.proof, inc.status) == ("optimal", status)
         assert inc.objective == pytest.approx(objective, abs=1e-6)
-    assert statuses == ([] if k == 1 else ["optimal", "optimal"])
+    assert statuses == []
 
 
 def test_user_corner_constraint_skips_the_floating_corners_of_empty_boxes():
-    # hi >= 0.1 on box 0: an empty box (None or the origin sentinel) leaves
-    # its corners free, so only a nonempty box can break the constraint
+    # hi >= 0.1 on box 0: an empty box (None) leaves its corners free, so
+    # only a nonempty box can break the constraint; the zero-width box at
+    # the origin is a nonempty box whose corners are pinned at 0
     con = LinearConstraint([0.0, 1.0], ">=", 0.1)
     model = line_model(mode=VariableBoxes(c_minus=[[1]], c_plus=[[-1]], constraints=[con]))
     origin = BoxRegion([0.0], [0.0])
-    assert not _breaks_user_constraint(model, [None])
-    assert not _breaks_user_constraint(model, [origin])
-    assert _breaks_user_constraint(model, [BoxRegion([0.0], [0.05])])
-    assert not _breaks_user_constraint(model, [BoxRegion([0.05], [0.1])])
+    assert _leaf_objective(model, [None], -1.0) == pytest.approx(0.0, abs=1e-12)
+    assert _leaf_objective(model, [origin], -1.0) is None
+    assert _leaf_objective(model, [BoxRegion([0.0], [0.05])], -1.0) is None
+    assert _leaf_objective(model, [BoxRegion([0.05], [0.1])], -1.0) == pytest.approx(0.05)
+
+
+@pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
+def test_zero_width_box_at_the_origin_is_not_the_empty_box(driver):
+    # eps_mu = 0 and mu = 0 leave only the point mass at 0 in the ambiguity
+    # set, so the point box [0, 0] keeps the expectation at 1 with width 0
+    # while the empty box gives 0 < b
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.0], sigma=[[1.0]], eps_mu=0.0, eps_sigma=1.0, b=0.1)
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
+    model = assemble_case2(spec, fn, lattice_points(1.0, 1, 0.1),
+                           lipschitz_certificate(spec, fn).L)
+    inc = driver(model, SearchOptions())
+    assert (inc.proof, inc.status) == ("optimal", "solved")
+    assert inc.objective == pytest.approx(0.0, abs=1e-12)
+    assert (inc.boxes[0].lower.tolist(), inc.boxes[0].upper.tolist()) == ([0.0], [0.0])
+    cert = certify_solution(Decision(fn.heights, inc.boxes), inc.dual_vars, spec, 0.1)
+    assert cert.verdict == "certified"
+
+
+@pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
+def test_user_constraint_on_empty_box_corners_proves_infeasible(driver):
+    # lo >= 0.3 on box 0 of the 0.2 line: no box fits, and an empty box's
+    # floating corners stay inside the domain, so every leaf is infeasible
+    con = LinearConstraint([1.0, 0.0, 0.0, 0.0], ">=", 0.3)
+    model = line_model(k=2, heights=(0.6, 0.4), mode=VariableBoxes(
+        c_minus=[[1], [1]], c_plus=[[-1], [-1]], sense="max", constraints=[con]))
+    inc = driver(model, SearchOptions())
+    assert (inc.proof, inc.status) == ("optimal", "infeasible-model")
+    assert inc.objective == -np.inf
 
 
 def test_search_is_deterministic():
