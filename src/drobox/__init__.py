@@ -75,6 +75,7 @@ from drobox.sdp import (
 )
 from drobox.search import (
     Incumbent,
+    SearchInstance,
     SearchOptions,
     enumerate_boxes,
     root_relaxation,

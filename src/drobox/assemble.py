@@ -20,7 +20,6 @@ minimized.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -59,7 +58,6 @@ class AssembledModel:
     spec: object
     fn: SimpleFunctionSpec
     case: str  # "fixed" | "variable"
-    objective_quantum: Optional[float]
 
     def dump(self) -> str:
         return dump_program(self.program)
@@ -176,8 +174,7 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
             )
         else:
             program.set_objective("min", {})
-    return AssembledModel(program, var_index, margin, lattice, spec, fn,
-                          "fixed", None)
+    return AssembledModel(program, var_index, margin, lattice, spec, fn, "fixed")
 
 
 def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
@@ -288,9 +285,8 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
             program.add_row({xp: 1.0, xm: -1.0}, ">=", 0.0,
                             name="wnn[%d,%d]" % (i, j))
 
-    quantum: Optional[float] = None
+    obj = {}
     if mode.width_sum:
-        obj = {}
         for i in range(k):
             for j in range(m):
                 z = "z[%d,%d]" % (i, j)
@@ -301,18 +297,12 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
                 program.add_row({z: 1.0, xp: 1.0, xm: -1.0}, ">=", 0.0,
                                 name="zhi[%d,%d]" % (i, j))
                 obj[z] = 1.0
-        program.set_objective("min", obj)
-        if not mode.constraints:
-            quantum = delta
     else:
-        obj = {}
-        c_minus = np.asarray(mode.c_minus, dtype=float)
-        c_plus = np.asarray(mode.c_plus, dtype=float)
         for i in range(k):
             for j in range(m):
-                obj["xm[%d,%d]" % (i, j)] = float(c_minus[i, j])
-                obj["xp[%d,%d]" % (i, j)] = float(c_plus[i, j])
-        program.set_objective(mode.sense, obj)
+                obj["xm[%d,%d]" % (i, j)] = float(mode.c_minus[i, j])
+                obj["xp[%d,%d]" % (i, j)] = float(mode.c_plus[i, j])
+    program.set_objective(mode.objective_sense, obj)
 
     for n, con in enumerate(mode.constraints):
         cm, cp = np.asarray(con.coeffs, dtype=float)[: 2 * k * m].reshape(2, k, m)
@@ -325,8 +315,7 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
                     lin["xp[%d,%d]" % (i, j)] = float(cp[i, j])
         program.add_row(lin, con.sense, con.rhs, name="user[%d]" % n)
 
-    return AssembledModel(program, var_index, margin, lattice, spec, fn,
-                          "variable", quantum)
+    return AssembledModel(program, var_index, margin, lattice, spec, fn, "variable")
 
 
 def decode_box(values: dict, model: AssembledModel) -> list:
@@ -335,7 +324,7 @@ def decode_box(values: dict, model: AssembledModel) -> list:
     values maps program variable names to numbers (e.g. SdpSolution.primal
     after fixing binaries, or a canonical assignment).  Per box the b~
     support must form a full lattice rectangle; an all-zero pattern decodes
-    to the width-0 sentinel box at the origin with a warning.
+    to None, the empty box.
     """
     if model.case != "variable":
         raise ValueError("decode_box applies to variable-mode models")
@@ -348,8 +337,7 @@ def decode_box(values: dict, model: AssembledModel) -> list:
             raise ValueError("fractional membership values for box %d" % i)
         support = np.nonzero(vals > 0.5)[0]
         if support.size == 0:
-            warnings.warn("box %d has empty support; decoding as the empty sentinel" % i)
-            out.append(BoxRegion(np.zeros(lattice.dim), np.zeros(lattice.dim)))
+            out.append(None)
             continue
         pts = lattice.points[support]
         lo = pts.min(axis=0)

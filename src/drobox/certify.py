@@ -19,19 +19,13 @@ The rounds stop when no atom prices below -1e-9, which makes the
 master's duals feasible for the whole lattice and its optimum the
 lattice optimum.  Rounds go to the drobox.certify logger at DEBUG level
 as key=value lines: round=, atoms=, value=, min_reduced_cost=, status=.
-
-Zero-width boxes are kept as stated in both checks.  The empty-box
-sentinel produced by decoding (width 0 at the origin) is therefore
-treated like a point box there; its only effect is the mass an adversary
-is forced to place exactly on that point, which is zero for every
-instance met in practice.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -72,14 +66,7 @@ class Certificate:
     verdict: str  # certified | falsified | inconclusive
 
     def as_record(self) -> dict:
-        return {
-            "worst_case_expectation": self.worst_case_expectation,
-            "duality_gap": self.duality_gap,
-            "fc_min_sampled": self.fc_min_sampled,
-            "fine_delta": self.fine_delta,
-            "samples": self.samples,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
@@ -180,13 +167,14 @@ def _seeds(lattice: Lattice, spec: AmbiguitySpec):
 
 
 def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
-                      *, stop_below: float = -math.inf, margin: float = 0.0):
+                      *, stop_below: float = -math.inf, margin: Optional[float] = None):
     """Solve the discrete-measure adversary and keep the measure.
 
     Returns (status, value, weights, duals): the minimizing probability
-    vector over fine_lattice.points and the final master's multipliers,
-    whose lattice rows hold at margin (see _lattice_duals), or None twice
-    unless optimal.
+    vector over fine_lattice.points and, given a margin, the final
+    master's multipliers, whose lattice rows hold at margin (see
+    _lattice_duals).  weights is None unless optimal, and duals is None
+    unless optimal with a margin.
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.
@@ -226,8 +214,8 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
                 weights = np.zeros(pts.shape[0])
                 weights[active] = [max(sol.primal["w[%d]" % j], 0.0)
                                    for j in range(active.size)]
-                return (sol.status, float(sol.objective), weights,
-                        _lattice_duals(spec, price, sol, margin))
+                duals = None if margin is None else _lattice_duals(spec, price, sol, margin)
+                return sol.status, float(sol.objective), weights, duals
             entering = np.flatnonzero(cost < -_PRICE_TOL)
             count = max(_MIN_ENTERING, active.size)
             if entering.size > count:

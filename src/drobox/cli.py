@@ -2,7 +2,8 @@
 
 Verbs, and the flags each reads besides --config and --delta
     validate  check a config's instance invariants, print the report
-    solve     assemble and solve at one lattice step, then self-certify;
+    solve     solve at one lattice step (fixed boxes: the assembled SDP;
+              variable boxes: the box search), then self-certify;
               --out-dir, --seed, --time-limit, --mode
     sweep     repeat solve over a list of steps (--delta repeats), emit a
               CSV table; the same flags as solve
@@ -68,9 +69,10 @@ from typing import Optional
 
 import numpy as np
 
+# uncalled: perfbench/tracer.py wraps assemble_case2 until that hook moves (ROADMAP item 1)
 from .assemble import assemble_case1, assemble_case2, decode_duals
 from .certify import certify_solution
-from .lipschitz import lipschitz_certificate, max_safe_step
+from .lipschitz import lipschitz_certificate, max_safe_step, safety_margin
 from .model import (
     AmbiguitySpec,
     BoxRegion,
@@ -84,7 +86,7 @@ from .model import (
     lattice_points,
     validate_spec,
 )
-from .search import SearchOptions, run_search
+from .search import SearchInstance, SearchOptions, run_search
 from .sdp import solve_sdp
 
 logger = logging.getLogger(__name__)
@@ -284,7 +286,7 @@ def _sampling(cfg: dict, args) -> tuple:
 
 def _solution_from(record: dict, spec: AmbiguitySpec) -> tuple:
     """(delta, Decision, DualSolution) of a stored result record, every
-    field present and shaped for the instance."""
+    field present and shaped for the instance; a null box is empty."""
     for key in ("delta", "heights", "boxes", "duals"):
         if record.get(key) is None:
             raise ConfigError("solution record has no %r field" % key)
@@ -296,18 +298,19 @@ def _solution_from(record: dict, spec: AmbiguitySpec) -> tuple:
         delta = float(record["delta"])
         heights = np.asarray(record["heights"], dtype=float)
         Y1, Y2, y = (np.asarray(duals[key], dtype=float) for key in ("Y1", "Y2", "y"))
-        boxes = [_box_from(box, "solution record boxes[%d]" % n)
+        boxes = [None if box is None else _box_from(box, "solution record boxes[%d]" % n)
                  for n, box in enumerate(record["boxes"])]
     except (ValueError, TypeError) as exc:
         raise ConfigError("invalid solution record: %s" % exc)
     m = spec.m
     shapes = [("heights", heights.shape, (len(boxes),)), ("duals.Y1", Y1.shape, (m + 1, m + 1)),
               ("duals.Y2", Y2.shape, (m, m)), ("duals.y", y.shape, (len(spec.confidence_sets),))]
-    shapes += [("boxes[%d]" % n, box.lower.shape, (m,)) for n, box in enumerate(boxes)]
+    shapes += [("boxes[%d]" % n, box.lower.shape, (m,))
+               for n, box in enumerate(boxes) if box is not None]
     for name, got, want in shapes:
         if got != want:
             raise ConfigError("solution record: %s has shape %s, expected %s" % (name, got, want))
-    return delta, Decision(heights, boxes), DualSolution(Y1, Y2, y, spec)
+    return delta, Decision.nonempty(heights, boxes), DualSolution(Y1, Y2, y, spec)
 
 
 def _write_json(path: Path, obj) -> Path:
@@ -319,8 +322,8 @@ def _write_json(path: Path, obj) -> Path:
 # shared solve core
 
 
-def _json_box(box: BoxRegion) -> dict:
-    return {"lower": box.lower.tolist(), "upper": box.upper.tolist()}
+def _json_box(box: Optional[BoxRegion]) -> Optional[dict]:
+    return None if box is None else {"lower": box.lower.tolist(), "upper": box.upper.tolist()}
 
 
 def _json_float(value: float):
@@ -340,12 +343,13 @@ def _jsonable(obj):
 
 def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
                 samples: int) -> dict:
-    """Assemble, solve, certify; return a result record dictionary.
+    """Solve (fixed boxes: the assembled SDP; variable: the search), certify.
 
-    The record always carries delta, L, delta_max, margin, status and
-    timings; solution fields (objective, heights, boxes, duals,
-    certificate) appear when a solution exists.  An instance too large
-    for enumerate_boxes raises ConfigError.
+    Returns the result record.  It always carries delta, L, delta_max,
+    margin, status and timings; solution fields (objective, heights,
+    boxes, null for an empty one, duals, certificate) appear when a
+    solution exists.  An instance too large for enumerate_boxes raises
+    ConfigError.
     """
     delta = lattice.delta
     L = lipschitz_certificate(spec, fn).L
@@ -359,30 +363,26 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     }
     t0 = time.perf_counter()
 
-    decision = None
-    duals = None
+    boxes = duals = None
     if isinstance(fn.mode, FixedBoxes):
         record["case"] = "fixed"
         model = assemble_case1(spec, fn, lattice, L)
+        record["margin"] = model.margin
         sol = solve_sdp(model.program)
-        record["proof"] = "optimal" if sol.status == "optimal" else sol.status
-        if sol.status == "infeasible":
-            record["status"] = "infeasible-model"
-        elif sol.status != "optimal":
-            record["status"] = "unknown"
-        else:
-            record["status"] = "solved"
+        record["proof"] = sol.status
+        record["status"] = {"optimal": "solved", "infeasible": "infeasible-model"}.get(
+            sol.status, "unknown")
+        if sol.status == "optimal":
             record["objective"] = float(sol.objective)
-            heights = np.array(
-                [sol.value("x[%d]" % i) for i in range(len(fn.mode.boxes))]
-            )
-            decision = Decision(heights=heights, boxes=list(fn.mode.boxes))
+            heights = [sol.value("x[%d]" % i) for i in range(len(fn.mode.boxes))]
+            boxes = fn.mode.boxes
             duals = decode_duals(sol, model)
     else:
         record["case"] = "variable"
-        model = assemble_case2(spec, fn, lattice, L)
+        inst = SearchInstance(spec, fn, lattice, safety_margin(L, delta, spec.m))
+        record["margin"] = inst.margin
         try:
-            inc = run_search(model, opts)
+            inc = run_search(inst, opts)
         except ValueError as exc:
             # enumerate_boxes rejects instances beyond its guard; any
             # other ValueError is a bug
@@ -394,25 +394,17 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
         record["node_count"] = inc.node_count
         if inc.status == "solved":
             record["objective"] = _json_float(inc.objective)
-            decision = Decision(
-                heights=np.asarray(fn.heights, dtype=float), boxes=list(inc.boxes)
-            )
-            duals = inc.dual_vars
-    record["margin"] = model.margin
+            heights, boxes, duals = fn.heights, inc.boxes, inc.dual_vars
     record["solve_seconds"] = time.perf_counter() - t0
 
-    if decision is not None:
-        record["heights"] = [float(h) for h in decision.heights]
-        record["boxes"] = [_json_box(b) for b in decision.boxes]
-        record["duals"] = {
-            "Y1": np.asarray(duals.Y1).tolist(),
-            "Y2": np.asarray(duals.Y2).tolist(),
-            "y": np.asarray(duals.y).tolist(),
-        }
+    if boxes is not None:
+        record["heights"] = [float(h) for h in heights]
+        record["boxes"] = [_json_box(b) for b in boxes]
+        record["duals"] = {key: np.asarray(getattr(duals, key)).tolist()
+                           for key in ("Y1", "Y2", "y")}
         t1 = time.perf_counter()
-        cert = certify_solution(
-            decision, duals, spec, delta=delta, n_samples=samples, seed=seed
-        )
+        cert = certify_solution(Decision.nonempty(heights, boxes), duals, spec,
+                                delta=delta, n_samples=samples, seed=seed)
         record["certify_seconds"] = time.perf_counter() - t1
         record["certificate"] = cert.as_record()
     return record

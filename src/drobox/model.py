@@ -221,6 +221,11 @@ class VariableBoxes:
     def width_sum(self) -> bool:
         return self.c_minus is None
 
+    @property
+    def objective_sense(self) -> str:
+        """min for the width sum, else sense."""
+        return "min" if self.width_sum else self.sense
+
 
 @dataclass(frozen=True, eq=False)
 class SimpleFunctionSpec:
@@ -246,6 +251,12 @@ class Decision:
         object.__setattr__(self, "boxes", tuple(self.boxes))
         if len(self.boxes) != self.heights.shape[0]:
             raise ValueError("need one box per height")
+
+    @classmethod
+    def nonempty(cls, heights, boxes) -> "Decision":
+        """The decision of the heights whose box is not None (empty)."""
+        pairs = [(h, box) for h, box in zip(heights, boxes) if box is not None]
+        return cls([h for h, _ in pairs], [box for _, box in pairs])
 
     def evaluate(self, t) -> np.ndarray:
         """v(t) with exact indicators; t has shape (m,) or (N, m)."""

@@ -1,13 +1,14 @@
-"""Search drivers for the variable-box models built by assemble_case2.
+"""Search drivers for a SearchInstance: spec, function, lattice, margin.
 
-Two independent routes to the same answer, built from the same proof
-steps.  One pool of lattice measures screens sets of boxes: a set falls
-when some held measure gives it an expected value below b + margin
-(weak duality).  The pool starts with a point mass on every feasible
-lattice atom.  A set of boxes that passes gets its own adversary measure
-program solved: a value below b + margin rules it out, and its measure
-joins the pool; otherwise the final master's duals, checked against
-every lattice row and the threshold row, prove it feasible.
+They never build assemble_case2's mixed-binary program.  Two independent
+routes to the same answer, built from the same proof steps.  One pool of
+lattice measures screens sets of boxes: a set falls when some held
+measure gives it an expected value below b + margin (weak duality).  The
+pool starts with a point mass on every feasible lattice atom.  A set of
+boxes that passes gets its own adversary measure program solved: a value
+below b + margin rules it out, and its measure joins the pool; otherwise
+the final master's duals, checked against every lattice row and the
+threshold row, prove it feasible.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -32,14 +33,15 @@ import itertools
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .assemble import AssembledModel
 from .certify import adversary_problem
-from .model import BoxRegion, Decision, DualSolution, WholeDomain
+from .model import (AmbiguitySpec, BoxRegion, Decision, DualSolution, Lattice,
+                    SimpleFunctionSpec, VariableBoxes, WholeDomain)
 from .sdp import SdpSolution, SolveOptions, solve_sdp
 
 LOG = logging.getLogger("drobox.search")
@@ -75,12 +77,12 @@ class SearchOptions:
 class Incumbent:
     """Best solution a search run produced, plus how much it proved.
 
-    objective follows the model's stated sense; for an infeasible model it
-    is +inf when minimizing and -inf when maximizing.  boxes contains one
-    BoxRegion per simple-function box (the width-0 origin sentinel stands
-    in for an unused box).  dual_vars holds the incumbent's checked
-    measure-master duals (Y1, Y2, y): PSD, nonnegative, every lattice row
-    at the margin and the threshold row to within 1e-9.  proof is "optimal",
+    objective follows the mode's objective sense; for an infeasible model
+    it is +inf when minimizing and -inf when maximizing.  boxes holds one
+    BoxRegion per simple-function box, or None for an empty one.
+    dual_vars holds the incumbent's checked measure-master duals (Y1, Y2,
+    y): PSD, nonnegative, every lattice row at the margin and the
+    threshold row to within 1e-9.  proof is "optimal",
     "gap-limit" or "resource-limit"; status is "solved",
     "infeasible-model" or "unknown" (resource limit hit before any
     conclusion).
@@ -95,6 +97,35 @@ class Incumbent:
     status: str
 
 
+@dataclass(frozen=True, eq=False)
+class SearchInstance:
+    """A variable-box instance as the search drivers read it.
+
+    margin is the right-hand side of every lattice row.  sgn is +1 when
+    the mode's objective is minimized and -1 when maximized; the drivers
+    minimize sgn times the objective.  quantum is the lattice step when
+    every objective value is a multiple of it (the width sum without user
+    constraints), else None.
+    """
+
+    spec: AmbiguitySpec
+    fn: SimpleFunctionSpec
+    lattice: Lattice
+    margin: float
+    sgn: float = field(init=False)
+    quantum: Optional[float] = field(init=False)
+
+    def __post_init__(self):
+        mode = self.fn.mode
+        if not isinstance(mode, VariableBoxes):
+            raise TypeError("search drivers need a VariableBoxes decision mode")
+        if np.any(self.fn.heights <= 0.0):
+            raise ValueError("variable mode requires strictly positive heights")
+        object.__setattr__(self, "sgn", 1.0 if mode.objective_sense == "min" else -1.0)
+        object.__setattr__(self, "quantum", self.lattice.delta
+                           if mode.width_sum and not mode.constraints else None)
+
+
 def root_relaxation(model: AssembledModel,
                     options: Optional[SolveOptions] = None) -> SdpSolution:
     """Solve the model with every binary relaxed to [0, 1]."""
@@ -103,11 +134,6 @@ def root_relaxation(model: AssembledModel,
 
 # ---------------------------------------------------------------------------
 # Shared helpers
-
-
-def _require_variable(model: AssembledModel):
-    if model.case != "variable":
-        raise TypeError("search drivers need a variable-mode model")
 
 
 def _quantum_ceil(value: float, quantum) -> float:
@@ -119,7 +145,7 @@ def _quantum_ceil(value: float, quantum) -> float:
 class _MeasurePool:
     """Lattice measures that rule sets of boxes out without a solve.
 
-    Summing the assembled lattice rows with the weights of any measure in
+    Summing the lattice rows with the weights of any measure in
     the discrete ambiguity family, and dropping the PSD and sign terms,
     shows every feasible set of boxes must give the measure expected
     value at least b + margin.  Sets falling short for any held measure
@@ -132,12 +158,12 @@ class _MeasurePool:
     its 2^m padded corners (inclusion-exclusion), for all measures at once.
     """
 
-    def __init__(self, model: AssembledModel):
-        spec = model.spec
-        lattice = model.lattice
+    def __init__(self, inst: SearchInstance):
+        spec = inst.spec
+        lattice = inst.lattice
         self.shape = lattice.shape
-        self.heights = np.asarray(model.fn.heights, dtype=float)
-        self.threshold = model.spec.b + model.margin - 1e-7  # less a slack for rounding
+        self.heights = np.asarray(inst.fn.heights, dtype=float)
+        self.threshold = spec.b + inst.margin - 1e-7  # less a slack for rounding
         d = lattice.points - spec.mu
         dist = np.einsum("ni,ij,nj->n", d, np.linalg.inv(spec.sigma), d)
         ok = dist <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
@@ -194,39 +220,39 @@ class _MeasurePool:
         return bool(np.any(value < self.threshold))
 
 
-def _corner_costs(model: AssembledModel, sgn: float) -> tuple:
+def _corner_costs(inst: SearchInstance) -> tuple:
     """Scaled (k, m) objective coefficients of the lower and upper corners;
     the width-sum objective is -1 on lower and +1 on upper corners."""
-    mode = model.fn.mode
+    mode = inst.fn.mode
     if mode.width_sum:
-        ones = np.ones((model.fn.k, model.lattice.dim))
+        ones = np.ones((inst.fn.k, inst.lattice.dim))
         return -ones, ones
-    return sgn * np.atleast_2d(mode.c_minus), sgn * np.atleast_2d(mode.c_plus)
+    return inst.sgn * mode.c_minus, inst.sgn * mode.c_plus
 
 
-def _empty_bound(model: AssembledModel, i: int, sgn: float) -> float:
+def _empty_bound(inst: SearchInstance, i: int) -> float:
     """Scaled objective of an empty box for height i: its corners float in
     0 <= lo <= hi <= edge, so each axis takes the best of (0, 0), (0, edge)
     and (edge, edge)."""
-    cm, cp = _corner_costs(model, sgn)
-    return float(np.sum(np.minimum(0.0, np.minimum(cp[i], cm[i] + cp[i]) * model.lattice.edge)))
+    cm, cp = _corner_costs(inst)
+    return float(np.sum(np.minimum(0.0, np.minimum(cp[i], cm[i] + cp[i]) * inst.lattice.edge)))
 
 
-def _box_bounds(model: AssembledModel, i: int, sgn: float, a, b, c, d):
+def _box_bounds(inst: SearchInstance, i: int, a, b, c, d):
     """Scaled objective bound of height i's box over lo in [a, b], hi in [c, d].
 
     a, b, c and d are corner coordinates, arrays of shape (..., m).  Each
     corner term takes the better end of its interval, and a width is at
     least 0.  With a = b and c = d this is the box's exact objective.
     """
-    cm, cp = _corner_costs(model, sgn)
+    cm, cp = _corner_costs(inst)
     term = np.minimum(cm[i] * a, cm[i] * b) + np.minimum(cp[i] * c, cp[i] * d)
-    if model.fn.mode.width_sum:
+    if inst.fn.mode.width_sum:
         term = np.maximum(term, 0.0)
     return np.sum(term, axis=-1)
 
 
-def _leaf_objective(model: AssembledModel, boxes: list, sgn: float):
+def _leaf_objective(inst: SearchInstance, boxes: list):
     """Scaled objective of a set of boxes, or None when no corner choice
     meets the user constraints.
 
@@ -234,17 +260,16 @@ def _leaf_objective(model: AssembledModel, boxes: list, sgn: float):
     its best corners (_empty_bound).  Under user constraints one LP over
     all corners, those of nonempty boxes pinned, decides both.
     """
-    mode = model.fn.mode
-    k, m = model.fn.k, model.lattice.dim
+    mode = inst.fn.mode
+    k, m = inst.fn.k, inst.lattice.dim
     if not mode.constraints:
-        return sum(_empty_bound(model, i, sgn) if box is None
-                   else float(_box_bounds(model, i, sgn, box.lower, box.lower,
-                                          box.upper, box.upper))
+        return sum(_empty_bound(inst, i) if box is None
+                   else float(_box_bounds(inst, i, box.lower, box.lower, box.upper, box.upper))
                    for i, box in enumerate(boxes))
     from scipy.optimize import milp
 
     lower = np.zeros((2, k, m))
-    upper = np.full((2, k, m), model.lattice.edge)
+    upper = np.full((2, k, m), inst.lattice.edge)
     for i, box in enumerate(boxes):
         if box is not None:
             lower[:, i] = upper[:, i] = box.lower, box.upper
@@ -253,12 +278,12 @@ def _leaf_objective(model: AssembledModel, boxes: list, sgn: float):
                      + [np.asarray(con.coeffs, dtype=float)[: 2 * k * m] for con in cons])
     row_lo = [-np.inf] * (k * m) + [-np.inf if con.sense == "<=" else con.rhs for con in cons]
     row_hi = [0.0] * (k * m) + [np.inf if con.sense == ">=" else con.rhs for con in cons]
-    res = milp(np.concatenate([np.ravel(c) for c in _corner_costs(model, sgn)]),
+    res = milp(np.concatenate([np.ravel(c) for c in _corner_costs(inst)]),
                bounds=(lower.ravel(), upper.ravel()), constraints=(rows, row_lo, row_hi))
     return float(res.fun) if res.status == 0 else None
 
 
-def _solve_candidate(model: AssembledModel, boxes: list, pool: _MeasurePool) -> tuple:
+def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> tuple:
     """Decide one set of boxes, a BoxRegion or None (empty) per height.
 
     Boxes whose corners no choice fits to the user constraints are
@@ -269,26 +294,22 @@ def _solve_candidate(model: AssembledModel, boxes: list, pool: _MeasurePool) -> 
     prove them feasible ("optimal") once their threshold row holds to
     within 1e-9.  A stalled program or a short threshold row leaves them
     "unresolved".  Returns (status, found): found is (objective, boxes,
-    duals) when "optimal", empty boxes as the width-0 origin sentinel.
+    duals) when "optimal".
     """
-    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
-    scaled = _leaf_objective(model, boxes, sgn)
+    scaled = _leaf_objective(inst, boxes)
     if scaled is None:
         return "infeasible", None
-    kept = [(h, b) for h, b in zip(model.fn.heights, boxes) if b is not None]
     status, value, weights, duals = adversary_problem(
-        Decision(np.array([h for h, _ in kept]), tuple(b for _, b in kept)),
-        model.spec, model.lattice, stop_below=pool.threshold, margin=model.margin)
+        Decision.nonempty(inst.fn.heights, boxes), inst.spec, inst.lattice,
+        stop_below=pool.threshold, margin=inst.margin)
     if status != "optimal":
         return "unresolved", None
     if value < pool.threshold:
         pool.add(weights)
         return "infeasible", None
-    if duals.dual_objective() < model.spec.b - 1e-9:
+    if duals.dual_objective() < inst.spec.b - 1e-9:
         return "unresolved", None
-    origin = np.zeros(model.lattice.dim)
-    decoded = tuple(BoxRegion(origin, origin) if box is None else box for box in boxes)
-    return "optimal", (sgn * scaled, decoded, duals)
+    return "optimal", (inst.sgn * scaled, tuple(boxes), duals)
 
 
 def _log_progress(level: int, nodes: int, bound: float, incumbent: float):
@@ -296,7 +317,7 @@ def _log_progress(level: int, nodes: int, bound: float, incumbent: float):
             nodes, bound, incumbent, max(incumbent - bound, 0.0))
 
 
-def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
+def _best_first(inst: SearchInstance, pool: _MeasurePool, roots: list, expand,
                 opts: SearchOptions, t0: float, seed: Optional[tuple] = None) -> Incumbent:
     """The best-first loop both search drivers run.
 
@@ -317,12 +338,10 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
     Limits never raise: the incumbent is returned with proof
     "resource-limit".
     """
-    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
-    quantum = model.objective_quantum
-    grid_slack = (quantum - 1e-9) if quantum else 1e-9
+    grid_slack = (inst.quantum - 1e-9) if inst.quantum else 1e-9
     slack = max(grid_slack, opts.gap_tol)
     best = seed
-    best_scaled = math.inf if seed is None else sgn * seed[0]
+    best_scaled = math.inf if seed is None else inst.sgn * seed[0]
     heap = []
     counter = itertools.count()
     nodes = 0
@@ -359,10 +378,10 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
             hit_limit = True
             break
         nodes += 1
-        status, found = _solve_candidate(model, boxes, pool)
+        status, found = _solve_candidate(inst, boxes, pool)
         if found is not None:
-            if sgn * found[0] < best_scaled - 1e-12:
-                best, best_scaled = found, sgn * found[0]
+            if inst.sgn * found[0] < best_scaled - 1e-12:
+                best, best_scaled = found, inst.sgn * found[0]
                 _log_progress(logging.INFO, nodes, bound, best_scaled)
         elif status != "infeasible":
             unknown_best = min(unknown_best, bound)
@@ -377,14 +396,16 @@ def _best_first(model: AssembledModel, pool: _MeasurePool, roots: list, expand,
     if best is not None:
         return Incumbent(*best, nodes, time.perf_counter() - t0, proof, "solved")
     status = "infeasible-model" if proof == "optimal" else "unknown"
-    return Incumbent(sgn * math.inf, (), None, nodes, time.perf_counter() - t0, proof, status)
+    return Incumbent(inst.sgn * math.inf, (), None, nodes, time.perf_counter() - t0, proof, status)
 
 
 # ---------------------------------------------------------------------------
 # Exact enumeration for tiny instances
 
+_ENUMERATE_CAP = 200_000  # candidate sets of boxes; the k = 2 reference at 0.1 has 19 million
 
-def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> tuple:
+
+def _candidate_stream(inst: SearchInstance, i: int) -> tuple:
     """All candidate boxes for one index, sorted by optimistic bound.
 
     Returns (bound, lo, hi): the scaled bound of each candidate and the
@@ -393,15 +414,14 @@ def _candidate_stream(model: AssembledModel, i: int, sgn: float) -> tuple:
     bounds, and other ties break on (lo, hi) in lexicographic order.
     Every other bound is the box's exact objective.
     """
-    lattice = model.lattice
-    m = lattice.dim
+    lattice, m = inst.lattice, inst.lattice.dim
     first, last = np.triu_indices(lattice.n_axis)
     combo = np.indices((first.size,) * m).reshape(m, -1).T
     lo = np.vstack([np.zeros((1, m), dtype=int), first[combo]])
     hi = np.vstack([np.full((1, m), -1), last[combo]])
     lo_at, hi_at = lattice.axis[lo[1:]], lattice.axis[hi[1:]]
-    bound = np.concatenate([[_empty_bound(model, i, sgn)],
-                            _box_bounds(model, i, sgn, lo_at, lo_at, hi_at, hi_at)])
+    bound = np.concatenate([[_empty_bound(inst, i)],
+                            _box_bounds(inst, i, lo_at, lo_at, hi_at, hi_at)])
     is_box = np.arange(bound.size) > 0
     keys = [hi[:, j] for j in reversed(range(m))] + [lo[:, j] for j in reversed(range(m))]
     order = np.lexsort(keys + [is_box, bound])
@@ -415,7 +435,7 @@ def _box_at(lattice, stream, n: int):
     return BoxRegion(lattice.axis[lo[n]], lattice.axis[hi[n]])
 
 
-def enumerate_boxes(model: AssembledModel,
+def enumerate_boxes(inst: SearchInstance,
                     opts: Optional[SearchOptions] = None) -> Incumbent:
     """Exact search over lattice-aligned boxes for tiny instances.
 
@@ -425,22 +445,24 @@ def enumerate_boxes(model: AssembledModel,
     reaches a solve.  A candidate the measure pool (seeded with the
     feasible point masses) does not rule out is a leaf of _best_first,
     decided by _solve_candidate from its adversary measure program alone.
-    A candidate's bound is its exact objective, so
-    once the incumbent is no worse than the next pop it is optimal.
-    node_count reports the candidates that reached a solve.
+    A candidate's bound is its exact objective, so once the incumbent is
+    no worse than the next pop it is optimal.  node_count reports the
+    candidates that reached a solve.  An instance with more than
+    _ENUMERATE_CAP candidate sets of boxes (the product of the per-height
+    candidate counts) raises ValueError.
     """
-    _require_variable(model)
     opts = opts or SearchOptions()
-    lattice = model.lattice
-    k = model.fn.k
-    if k > 2 or lattice.dim > 2 or lattice.n_axis > 26:
+    lattice = inst.lattice
+    k = inst.fn.k
+    sets = (1 + (lattice.n_axis * (lattice.n_axis + 1) // 2) ** lattice.dim) ** k
+    if sets > _ENUMERATE_CAP:
         raise ValueError(
-            "instance-too-large: enumerate_boxes handles k <= 2, m <= 2 "
-            "and at most 26 lattice points per axis; --mode bnb has no such limit")
+            "instance-too-large: enumerate_boxes takes at most %d candidate sets "
+            "of boxes, this instance has %d; --mode bnb has no such limit"
+            % (_ENUMERATE_CAP, sets))
     t0 = time.perf_counter()
-    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
-    streams = [_candidate_stream(model, i, sgn) for i in range(k)]
-    pool = _MeasurePool(model)
+    streams = [_candidate_stream(inst, i) for i in range(k)]
+    pool = _MeasurePool(inst)
     corners = [pool.corners(lo, hi) for _, lo, hi in streams]
     bounds = [bound.tolist() for bound, _, _ in streams]
     start = (0,) * k
@@ -457,14 +479,14 @@ def enumerate_boxes(model: AssembledModel,
             return children, None
         return children, [_box_at(lattice, streams[i], idx[i]) for i in range(k)]
 
-    return _best_first(model, pool, [(sum(b[0] for b in bounds), start)], expand, opts, t0)
+    return _best_first(inst, pool, [(sum(b[0] for b in bounds), start)], expand, opts, t0)
 
 
 # ---------------------------------------------------------------------------
 # Branch and bound over box-corner intervals
 
 
-def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> Incumbent:
+def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Incumbent:
     """Best-first branch and bound over sets of lattice-aligned boxes.
 
     A node gives each height either the empty box or, on each axis j,
@@ -480,20 +502,18 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
     that reach a solve.  The whole-domain boxes, decided by
     _solve_candidate with the pool before the loop, seed the incumbent.
     """
-    _require_variable(model)
     opts = opts or SearchOptions()
     t0 = time.perf_counter()
-    lattice = model.lattice
-    k, m, top = model.fn.k, lattice.dim, lattice.n_axis - 1
-    sgn = 1.0 if model.program.obj_sense == "min" else -1.0
-    empty_bound = [_empty_bound(model, i, sgn) for i in range(k)]
-    pool = _MeasurePool(model)
+    lattice = inst.lattice
+    k, m, top = inst.fn.k, lattice.dim, lattice.n_axis - 1
+    empty_bound = [_empty_bound(inst, i) for i in range(k)]
+    pool = _MeasurePool(inst)
 
     def bounded(parts: tuple) -> tuple:
         """(bound, parts) of a node; parts[i] is None or rows a, b, c, d."""
         return _quantum_ceil(sum(
-            empty_bound[i] if p is None else float(_box_bounds(model, i, sgn, *lattice.axis[p]))
-            for i, p in enumerate(parts)), model.objective_quantum), parts
+            empty_bound[i] if p is None else float(_box_bounds(inst, i, *lattice.axis[p]))
+            for i, p in enumerate(parts)), inst.quantum), parts
 
     def expand(parts: tuple) -> tuple:
         lo = np.array([np.zeros(m, dtype=int) if p is None else p[0] for p in parts])
@@ -518,21 +538,21 @@ def solve_bnb(model: AssembledModel, opts: Optional[SearchOptions] = None) -> In
         return children, None
 
     whole = BoxRegion(lattice.axis[[0] * m], lattice.axis[[top] * m])
-    _, seed = _solve_candidate(model, [whole] * k, pool)
+    _, seed = _solve_candidate(inst, [whole] * k, pool)
     full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
     roots = [bounded(tuple(None if e else full for e in empty))
              for empty in itertools.product((True, False), repeat=k)]
-    return _best_first(model, pool, roots, expand, opts, t0, seed)
+    return _best_first(inst, pool, roots, expand, opts, t0, seed)
 
 
 # ---------------------------------------------------------------------------
 # Driver
 
 
-def run_search(model: AssembledModel,
+def run_search(inst: SearchInstance,
                opts: Optional[SearchOptions] = None) -> Incumbent:
     """Run the search opts.mode names: solve_bnb or enumerate_boxes."""
     opts = opts or SearchOptions()
     if opts.mode == "enumerate":
-        return enumerate_boxes(model, opts)
-    return solve_bnb(model, opts)
+        return enumerate_boxes(inst, opts)
+    return solve_bnb(inst, opts)

@@ -151,8 +151,7 @@ def implied_jumps(bt: dict, model: AssembledModel) -> dict:
 def canonical_assignment(boxes, model: AssembledModel) -> dict:
     """Binary assignment putting each given box into the encoding.
 
-    boxes is a sequence of BoxRegion or None (empty).  Width-0 sentinel
-    boxes count as empty.  Returns values for every binary variable:
+    boxes is a sequence of BoxRegion or None (empty).  Returns values for every binary variable:
     b~ = box membership, and the jumps implied_jumps derives from it (a
     dm jump one step below each interior lower edge, a dp jump at each
     upper edge, both on grid lines meeting the box).
@@ -163,8 +162,6 @@ def canonical_assignment(boxes, model: AssembledModel) -> dict:
     values = {}
     for i in range(model.fn.k):
         box = boxes[i]
-        if box is not None and np.all(box.upper == 0.0) and np.all(box.widths == 0.0):
-            box = None  # the origin sentinel decode_box emits for empty supports
         if box is None:
             member = np.zeros(lattice.n_points, dtype=bool)
         else:

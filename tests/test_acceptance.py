@@ -27,7 +27,7 @@ import pytest
 
 from drobox.assemble import assemble_case1, assemble_case2
 from drobox.certify import adversary_oracle, sample_fc, weak_duality_gap
-from drobox.lipschitz import lipschitz_certificate, max_safe_step
+from drobox.lipschitz import lipschitz_certificate, max_safe_step, safety_margin
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
@@ -40,7 +40,7 @@ from drobox.model import (
     lattice_points,
 )
 from drobox.sdp import ConicProgram, kkt_residuals, solve_sdp
-from drobox.search import SearchOptions, enumerate_boxes, solve_bnb
+from drobox.search import SearchInstance, SearchOptions, enumerate_boxes, solve_bnb
 
 from encoding_tools import (
     BINARY_ROW_PREFIXES,
@@ -92,8 +92,9 @@ def sweep_rows(spec2d, fn_var, lip):
     """The reference refinement sweep, solved once and reused."""
     rows = []
     for delta in REFERENCE_DELTAS:
-        model = assemble_case2(spec2d, fn_var, lattice_points(1.0, 2, delta),
-                               lip.L)
+        lattice = lattice_points(1.0, 2, delta)
+        model = SearchInstance(spec2d, fn_var, lattice,
+                               safety_margin(lip.L, lattice.delta, 2))
         start = time.perf_counter()
         inc = enumerate_boxes(model, SearchOptions(mode="enumerate"))
         rows.append({
@@ -190,7 +191,8 @@ def cross_results():
             eps_sigma=eps_sigma, b=b)
         fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
         L = lipschitz_certificate(spec, fn).L
-        model = assemble_case2(spec, fn, lattice_points(edge, 1, delta), L)
+        lattice = lattice_points(edge, 1, delta)
+        model = SearchInstance(spec, fn, lattice, safety_margin(L, lattice.delta, 1))
         out.append({
             "params": (edge, delta, mu, sig, eps_mu, eps_sigma, b),
             "spec": spec,
@@ -630,10 +632,6 @@ def completeness_cases(model, cs, lp_checks):
         # an ulp away from them on edges like 0.3
         lower = [float(lattice.axis[run[0]]) for run in combo]
         upper = [float(lattice.axis[run[1]]) for run in combo]
-        if all(u == 0.0 for u in upper):
-            # the zero-width box at the origin doubles as the empty
-            # sentinel, so it round-trips as the empty decision instead
-            continue
         boxes.append(BoxRegion(lower, upper))
     for box in boxes:
         vals = canonical_assignment([box], model)

@@ -192,7 +192,6 @@ def test_case2_counts(ref_model2):
         "zhi": 2,
     }
     assert program.n_rows == 482
-    assert ref_model2.objective_quantum == pytest.approx(0.1)
 
 
 def test_case2_lattice_row_uses_heights(ref_spec, ref_lattice, ref_L):
@@ -234,7 +233,6 @@ def test_case2_explicit_corner_objective(ref_spec, ref_lattice, ref_L):
     counts = name_counts(model.program)
     assert "zlo" not in counts and "zhi" not in counts
     assert model.program.n_rows == 478
-    assert model.objective_quantum is None
 
 
 def test_case2_user_constraint_row(ref_spec, ref_lattice, ref_L):
@@ -247,7 +245,6 @@ def test_case2_user_constraint_row(ref_spec, ref_lattice, ref_L):
     row = next(r for r in model.program.rows if r.name == "user[0]")
     assert row.lin == {"xm[0,0]": 1.0, "xp[0,1]": 2.0}
     assert row.sense == "<=" and row.rhs == pytest.approx(0.8)
-    assert model.objective_quantum is None
 
 
 # ---------------------------------------------------------------------------
@@ -354,12 +351,13 @@ def test_decode_fallback_assignment(ref_model2):
     np.testing.assert_allclose(out[0].upper, [1.0, 1.0])
 
 
-def test_decode_empty_support_warns(ref_model2):
-    vals = canonical_assignment([None], ref_model2)
-    with pytest.warns(UserWarning):
-        out = decode_box(vals, ref_model2)
-    np.testing.assert_allclose(out[0].lower, [0.0, 0.0])
-    np.testing.assert_allclose(out[0].upper, [0.0, 0.0])
+def test_decode_empty_support_is_none(ref_model2):
+    # only None is the empty box; the point box at the origin decodes as itself
+    assert decode_box(canonical_assignment([None], ref_model2), ref_model2) == [None]
+    origin = BoxRegion([0.0, 0.0], [0.0, 0.0])
+    out = decode_box(canonical_assignment([origin], ref_model2), ref_model2)
+    np.testing.assert_array_equal(out[0].lower, [0.0, 0.0])
+    np.testing.assert_array_equal(out[0].upper, [0.0, 0.0])
 
 
 def test_decode_non_rectangle_support_rejected(ref_model2):

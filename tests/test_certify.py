@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from drobox.assemble import assemble_case2
 from drobox.certify import (
     _measure_program,
     _Pricer,
@@ -16,7 +15,7 @@ from drobox.certify import (
     sample_fc,
     weak_duality_gap,
 )
-from drobox.lipschitz import lipschitz_certificate
+from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
@@ -29,7 +28,14 @@ from drobox.model import (
     lattice_points,
 )
 from drobox.sdp import _compile, solve_sdp, svec, svec_len
-from drobox.search import SearchOptions, enumerate_boxes
+from drobox.search import SearchInstance, SearchOptions, enumerate_boxes
+
+
+def searched(spec, fn, delta):
+    """The enumerate_boxes incumbent at step delta, with the safety margin."""
+    margin = safety_margin(lipschitz_certificate(spec, fn).L, delta, spec.m)
+    lattice = lattice_points(spec.edge, spec.m, delta)
+    return enumerate_boxes(SearchInstance(spec, fn, lattice, margin), SearchOptions())
 
 
 @pytest.fixture
@@ -253,10 +259,8 @@ def test_gap_of_zero_dual(ref_spec):
     )
 
 
-def test_gap_nonnegative_for_solved_pair(ref_spec, ref_fn, ref_lattice):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, ref_lattice, L)
-    inc = enumerate_boxes(model, SearchOptions())
+def test_gap_nonnegative_for_solved_pair(ref_spec, ref_fn):
+    inc = searched(ref_spec, ref_fn, 0.1)
     value = adversary_oracle(
         Decision(heights=np.asarray(ref_fn.heights, dtype=float),
                  boxes=list(inc.boxes)),
@@ -345,10 +349,8 @@ def test_fc_uses_lower_tent_for_negative_heights(ref_spec):
 # end-to-end certificates
 
 
-def test_certify_reference_solution(ref_spec, ref_fn, ref_lattice):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, ref_lattice, L)
-    inc = enumerate_boxes(model, SearchOptions())
+def test_certify_reference_solution(ref_spec, ref_fn):
+    inc = searched(ref_spec, ref_fn, 0.1)
     decision = Decision(
         heights=np.asarray(ref_fn.heights, dtype=float), boxes=list(inc.boxes)
     )
@@ -361,10 +363,26 @@ def test_certify_reference_solution(ref_spec, ref_fn, ref_lattice):
     assert cert.samples == 10_000
 
 
-def test_certify_coarse_fine_lattice_is_inconclusive(ref_spec, ref_fn, ref_lattice):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, ref_lattice, L)
-    inc = enumerate_boxes(model, SearchOptions())
+def test_certify_maps_no_duals(ref_spec, ref_fn, ref_lattice, monkeypatch):
+    # certify_solution reads only the adversary's value, so its oracle call
+    # skips the dual mapping (two eigh and a pricing pass over every atom)
+    import drobox.certify as certify
+
+    inc = searched(ref_spec, ref_fn, 0.1)
+    calls = []
+    mapping = certify._lattice_duals
+    monkeypatch.setattr(certify, "_lattice_duals",
+                        lambda *args: calls.append(args) or mapping(*args))
+    decision = Decision(ref_fn.heights, inc.boxes)
+    assert certify_solution(decision, inc.dual_vars, ref_spec, delta=0.1).verdict == "certified"
+    assert calls == []
+    # given a margin, as the search gives it, the duals are mapped
+    assert adversary_problem(decision, ref_spec, ref_lattice, margin=0.1)[3] is not None
+    assert len(calls) == 1
+
+
+def test_certify_coarse_fine_lattice_is_inconclusive(ref_spec, ref_fn):
+    inc = searched(ref_spec, ref_fn, 0.1)
     decision = Decision(
         heights=np.asarray(ref_fn.heights, dtype=float), boxes=list(inc.boxes)
     )
@@ -382,9 +400,7 @@ def test_certify_falsifies_gap_solution(line_spec):
     # point mass inside the gap is admissible and drives the exact
     # expectation to zero, so the certificate must come back falsified
     fn = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
-    L = lipschitz_certificate(line_spec, fn).L
-    model = assemble_case2(line_spec, fn, lattice_points(0.2, 1, 0.05), L)
-    inc = enumerate_boxes(model, SearchOptions())
+    inc = searched(line_spec, fn, 0.05)
     assert inc.objective == pytest.approx(0.15, abs=1e-6)
     decision = Decision(
         heights=np.asarray(fn.heights, dtype=float), boxes=list(inc.boxes)

@@ -98,12 +98,15 @@ def test_solve_reference_is_certified(solved_reference):
 @pytest.mark.parametrize("mode", ["bnb", "enumerate"])
 def test_variable_solve_makes_no_assembled_solve(tmp_path, monkeypatch, mode):
     # the search decides every set of boxes on the measure side: nothing
-    # fixes or relaxes the binaries of the assembled program
+    # assembles the mixed-binary program, or fixes or relaxes its binaries
+    import drobox.assemble
     from drobox.sdp import ConicProgram
 
     calls = []
     for name in ("fix_binaries", "relax_binaries"):
         monkeypatch.setattr(ConicProgram, name, lambda self, *a: calls.append(a))
+    for module in (cli, drobox.assemble):
+        monkeypatch.setattr(module, "assemble_case2", lambda *a, **kw: calls.append(a))
     assert main(["solve", "--config", REFERENCE, "--mode", mode,
                  "--out-dir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "result.json").read_text())
@@ -152,6 +155,43 @@ def test_solve_past_the_enumeration_limit_with_bnb(tmp_path, capsys):
     assert record["proof"] == "optimal"
     assert record["objective"] == pytest.approx(1.45, abs=1e-6)
     assert record["certificate"]["verdict"] == "certified"
+
+
+def test_solve_cube_with_bnb(tmp_path):
+    # the 3-D instance: sigma = I + 0.2 * ones, mu at the origin, the other
+    # values of the reference config
+    path = write_config(tmp_path, mu=[0.0, 0.0, 0.0],
+                        sigma=(np.eye(3) + 0.2).tolist(), delta=1 / 12)
+    assert main(["solve", "--config", path, "--mode", "bnb", "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert (record["status"], record["proof"], record["node_count"]) == ("solved", "optimal", 6)
+    assert record["objective"] == pytest.approx(3.0, abs=1e-6)
+    assert record["certificate"]["verdict"] == "certified"
+
+
+@pytest.mark.parametrize("mode", ["bnb", "enumerate"])
+def test_empty_box_is_recorded_as_null_and_recertifies(tmp_path, mode):
+    # two boxes on the 0.2 line, min sum(hi): one box reaches the edge and
+    # the other is empty, which the record keeps as null, not as a point box
+    cfg = {"edge": 0.2, "mu": [0.1], "sigma": [[1.0]], "eps_mu": 0.05, "eps_sigma": 1.0,
+           "b": 0.1, "delta": 0.05,
+           "function": {"heights": [0.6, 0.4], "mode": {
+               "kind": "variable", "c_minus": [[0], [0]], "c_plus": [[1], [1]],
+               "sense": "min"}}}
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--mode", mode,
+                 "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert record["objective"] == pytest.approx(0.2, abs=1e-6)
+    assert record["heights"] == [0.6, 0.4]
+    assert sorted(record["boxes"], key=lambda box: box is None) == [
+        {"lower": [0.0], "upper": [0.2]}, None]
+    assert record["certificate"]["verdict"] == "certified"
+    assert main(["certify", "--config", str(path), "--solution",
+                 str(tmp_path / "result.json"), "--out-dir", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert == record["certificate"]
 
 
 def test_solve_fixed_demo_is_certified(tmp_path):

@@ -2,13 +2,12 @@ import itertools
 import logging
 import re
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from drobox.assemble import assemble_case1, assemble_case2
-from drobox.lipschitz import lipschitz_certificate
+from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.certify import adversary_problem, certify_solution
 from drobox.model import (
     AmbiguitySpec,
@@ -27,6 +26,7 @@ from drobox.model import (
 )
 from drobox.sdp import ConicProgram, SdpSolution, solve_sdp
 from drobox.search import (
+    SearchInstance,
     SearchOptions,
     _box_at,
     _candidate_stream,
@@ -41,22 +41,26 @@ from drobox.search import (
 from oracles import dual_integrand
 
 
+def search_instance(spec, fn, delta, margin=None):
+    """The instance at step delta; margin defaults to the safety margin."""
+    lattice = lattice_points(spec.edge, spec.m, delta)
+    if margin is None:
+        margin = safety_margin(lipschitz_certificate(spec, fn).L, lattice.delta, spec.m)
+    return SearchInstance(spec, fn, lattice, margin)
+
+
 @pytest.fixture
-def ref_model(ref_spec, ref_fn, ref_lattice):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    return assemble_case2(ref_spec, ref_fn, ref_lattice, L)
+def ref_model(ref_spec, ref_fn):
+    return search_instance(ref_spec, ref_fn, 0.1)
 
 
-def line_model(k=1, heights=(1.0,), b=0.1, delta=0.05, margin_override=None,
-               mode=None):
-    """1-D instance on [0, 0.2]; small enough for fast MISDP solves."""
+def line_model(k=1, heights=(1.0,), b=0.1, delta=0.05, margin=None, mode=None):
+    """1-D instance on [0, 0.2]; small enough for fast searches."""
     spec = AmbiguitySpec.with_normalization(
         edge=0.2, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=b
     )
     fn = SimpleFunctionSpec(k=k, heights=list(heights), mode=mode or VariableBoxes())
-    L = lipschitz_certificate(spec, fn).L
-    lattice = lattice_points(0.2, 1, delta)
-    return assemble_case2(spec, fn, lattice, L, margin_override=margin_override)
+    return search_instance(spec, fn, delta, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +78,40 @@ def test_options_reject_bad_values():
         SearchOptions(node_limit=0)
     with pytest.raises(ValueError):
         SearchOptions(time_limit=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the search instance
+
+
+def test_search_instance_rejects_fixed_boxes_and_zero_heights(ref_spec, ref_lattice):
+    fixed = SimpleFunctionSpec(k=1, heights=[1.0], mode=FixedBoxes(
+        (BoxRegion([0.0, 0.0], [1.0, 1.0]),)))
+    with pytest.raises(TypeError):
+        SearchInstance(ref_spec, fixed, ref_lattice, 0.1)
+    zero = SimpleFunctionSpec(k=2, heights=[1.0, 0.0], mode=VariableBoxes())
+    with pytest.raises(ValueError):
+        SearchInstance(ref_spec, zero, ref_lattice, 0.1)
+
+
+@pytest.mark.parametrize("mode,sense,quantum", [
+    (VariableBoxes(sense="max"), "min", 0.1),
+    (VariableBoxes(constraints=(LinearConstraint([1.0, 0.0, 0.0, 2.0], "<=", 0.8),)),
+     "min", None),
+    (VariableBoxes(c_minus=[[1.0, 0.0]], c_plus=[[0.0, 1.0]], sense="max"), "max", None),
+    (VariableBoxes(c_minus=[[0.0, 0.0]], c_plus=[[1.0, 1.0]], sense="min"), "min", None),
+], ids=["width-sum", "width-sum-constrained", "corners-max", "corners-min"])
+def test_search_instance_objective_sense_and_quantum(ref_spec, ref_lattice, mode, sense,
+                                                     quantum):
+    # the width sum is minimized whatever mode.sense says, corner costs
+    # follow mode.sense, and only the unconstrained width sum moves on the
+    # lattice step; the search and the assembled program read one rule
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=mode)
+    inst = SearchInstance(ref_spec, fn, ref_lattice, 0.1)
+    assert mode.objective_sense == sense
+    assert inst.sgn == (1.0 if sense == "min" else -1.0)
+    assert inst.quantum == (None if quantum is None else pytest.approx(quantum))
+    assert assemble_case2(ref_spec, fn, ref_lattice, 1.0).program.obj_sense == sense
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +148,7 @@ def test_bnb_proves_the_reference_at_fine_steps(ref_spec, ref_fn, monkeypatch,
         return relax(self, fixed)
 
     monkeypatch.setattr(ConicProgram, "relax_binaries", spy)
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, delta), L)
-    inc = solve_bnb(model, SearchOptions(node_limit=50))
+    inc = solve_bnb(search_instance(ref_spec, ref_fn, delta), SearchOptions(node_limit=50))
     assert inc.proof == "optimal"
     assert inc.status == "solved"
     assert inc.objective == pytest.approx(objective, abs=1e-6)
@@ -121,8 +157,8 @@ def test_bnb_proves_the_reference_at_fine_steps(ref_spec, ref_fn, monkeypatch,
 
 def test_incumbent_duals_satisfy_fixed_rows(ref_model, ref_spec):
     # spec'd invariant: the (Y1, Y2, y) stored with the incumbent satisfy
-    # every lattice row (>= margin) and the threshold row (>= b) once the
-    # incumbent binaries are substituted, with either driver.
+    # every lattice row (>= margin) at the incumbent boxes and the
+    # threshold row (>= b), with either driver.
     for driver in (enumerate_boxes, solve_bnb):
         inc = driver(ref_model, SearchOptions())
         d = inc.dual_vars
@@ -143,9 +179,7 @@ def test_incumbent_duals_satisfy_fixed_rows(ref_model, ref_spec):
 
 
 def test_enumerate_proves_the_reference_optimum_at_step_one_fifteenth(ref_spec, ref_fn):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 1 / 15), L)
-    inc = enumerate_boxes(model, SearchOptions())
+    inc = enumerate_boxes(search_instance(ref_spec, ref_fn, 1 / 15), SearchOptions())
     assert inc.proof == "optimal"
     assert inc.status == "solved"
     assert inc.objective == pytest.approx(2.0, abs=1e-6)
@@ -154,7 +188,7 @@ def test_enumerate_proves_the_reference_optimum_at_step_one_fifteenth(ref_spec, 
 def test_enumerate_rules_candidates_out_without_the_assembled_solve(ref_model, monkeypatch):
     # every set of boxes, bnb's whole-domain seed included, is decided by
     # its measure program alone: no driver fixes or relaxes the binaries of
-    # the assembled program
+    # an assembled program
     fixes = []
     for name in ("fix_binaries", "relax_binaries"):
         original = getattr(ConicProgram, name)
@@ -200,15 +234,13 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
     # cannot rule out more than the point masses do
     adversary_box = BoxRegion([0.0, 0.0], [0.5, 0.5])
     if which == "reference-quarter-step":
-        model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.25), 1.0,
-                               margin_override=0.2)
+        model = search_instance(ref_spec, ref_fn, 0.25, margin=0.2)
     elif which == "line-two-boxes":
-        model = line_model(k=2, heights=(0.6, 0.4), margin_override=0.35)
+        model = line_model(k=2, heights=(0.6, 0.4), margin=0.35)
         adversary_box = BoxRegion([0.05], [0.15])
     else:
         fn = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
-        model = assemble_case2(ref_spec, fn, lattice_points(1.0, 2, 0.5), 1.0,
-                               margin_override=0.2)
+        model = search_instance(ref_spec, fn, 0.5, margin=0.2)
     lattice = model.lattice
     heights = np.asarray(model.fn.heights, dtype=float)
     status, _, weights, _ = adversary_problem(Decision([1.0], (adversary_box,)),
@@ -219,7 +251,7 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
     pool = _MeasurePool(model)
     pool.add(weights)
 
-    streams = [_candidate_stream(model, i, 1.0) for i in range(model.fn.k)]
+    streams = [_candidate_stream(model, i) for i in range(model.fn.k)]
     corners = [pool.corners(lo, hi) for _, lo, hi in streams]
     threshold = model.spec.b + model.margin - 1e-7
     verdicts = []
@@ -241,40 +273,38 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
     assert any(verdicts) and not all(verdicts)
 
 
-def _confidence_stand_in():
-    """What _MeasurePool reads of a model, for a 2-D instance centred at
-    (0.5, 0.5) whose confidence rows keep [0, 0.5]^2 above 0.9 and
-    [0.5, 1]^2 below 0.3."""
+def _confidence_instance():
+    """A 2-D instance centred at (0.5, 0.5) whose confidence rows keep
+    [0, 0.5]^2 above 0.9 and [0.5, 1]^2 below 0.3."""
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.5, 0.5], sigma=[[2.0, 0.5], [0.5, 1.0]], eps_mu=0.1,
         eps_sigma=1.0, b=0.1,
         extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.9),
                     ConfidenceSet(BoxRegion([0.5, 0.5], [1.0, 1.0]), -0.3)))
-    return SimpleNamespace(spec=spec, lattice=lattice_points(1.0, 2, 0.25),
-                           fn=SimpleNamespace(heights=[1.0]), margin=0.1)
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
+    return SearchInstance(spec, fn, lattice_points(1.0, 2, 0.25), 0.1)
 
 
-def _cube_stand_in(delta):
-    """What _MeasurePool reads of a model, for the 3-D instance with
-    sigma = I + 0.2 * ones, without assembling its program."""
+def _cube_instance(delta):
+    """The 3-D instance with sigma = I + 0.2 * ones."""
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.0, 0.0, 0.0], sigma=np.eye(3) + 0.2, eps_mu=0.1,
         eps_sigma=1.0, b=0.1)
-    return SimpleNamespace(spec=spec, lattice=lattice_points(1.0, 3, delta),
-                           fn=SimpleNamespace(heights=[1.0]), margin=0.1)
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
+    return SearchInstance(spec, fn, lattice_points(1.0, 3, delta), 0.1)
 
 
 @pytest.mark.parametrize("which", ["reference-quarter-step", "line", "cube-quarter-step",
                                    "confidence-rows"])
 def test_measure_pool_point_masses_match_the_identity_build(ref_spec, ref_fn, which):
     if which == "reference-quarter-step":
-        model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.25), 1.0)
+        model = search_instance(ref_spec, ref_fn, 0.25, margin=0.1)
     elif which == "line":
         model = line_model()
     elif which == "cube-quarter-step":
-        model = _cube_stand_in(0.25)
+        model = _cube_instance(0.25)
     else:
-        model = _confidence_stand_in()
+        model = _confidence_instance()
     pool = _MeasurePool(model)
     want = pool._prefix(np.array(_feasible_point_masses(model)))
     assert len(want) >= 2
@@ -287,7 +317,7 @@ def test_measure_pool_point_masses_match_the_identity_build(ref_spec, ref_fn, wh
 
 def test_measure_pool_memory_stays_below_the_identity():
     # 15,625 atoms: an identity over them alone would take 1.95 GB
-    model = _cube_stand_in(1 / 24)
+    model = _cube_instance(1 / 24)
     tracemalloc.start()
     try:
         pool = _MeasurePool(model)
@@ -303,7 +333,13 @@ def test_measure_pool_memory_stays_below_the_identity():
 
 
 def test_drivers_agree_on_small_instances(ref_model):
-    models = [ref_model, line_model(), line_model(k=2, heights=(0.6, 0.4))]
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=0.1
+    )
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
+    models = [ref_model, line_model(), line_model(k=2, heights=(0.6, 0.4)),
+              search_instance(spec, fn, 0.025, margin=5.0 * 0.025),  # 862 candidates
+              line_model(k=3, heights=(0.5, 0.3, 0.2))]  # 16^3 candidate sets
     for model in models:
         a = enumerate_boxes(model, SearchOptions())
         b = solve_bnb(model, SearchOptions())
@@ -331,13 +367,15 @@ def test_drivers_agree_on_corner_objectives(mode, objective):
     assert a.status == b.status == "solved"
     assert a.objective == pytest.approx(objective, abs=1e-6)
     assert abs(a.objective - b.objective) <= 1e-6
-    spans = np.array(sorted((box.lower[0], box.upper[0]) for box in b.boxes))
     if mode.sense == "max":
+        spans = np.array(sorted((box.lower[0], box.upper[0]) for box in b.boxes))
         np.testing.assert_allclose(spans, [[0.0, 0.1], [0.15, 0.2]], atol=1e-9)
     else:
-        # one box is the empty origin sentinel, the other reaches the edge
-        np.testing.assert_allclose(spans[0], [0.0, 0.0], atol=1e-9)
-        assert spans[1, 1] == pytest.approx(0.2, abs=1e-9)
+        # one box is empty (None), the other reaches the edge
+        for inc in (a, b):
+            kept = [box for box in inc.boxes if box is not None]
+            assert len(kept) == 1
+            assert kept[0].upper[0] == pytest.approx(0.2, abs=1e-9)
 
 
 @pytest.mark.parametrize("c_minus,c_plus,sense", [
@@ -350,7 +388,7 @@ def test_empty_box_bound_takes_the_best_corner(c_minus, c_plus, sense):
     grid = np.linspace(0.0, 0.2, 21)
     want = min(sgn * (c_minus * lo + c_plus * hi)
                for lo in grid for hi in grid if lo <= hi)
-    assert _empty_bound(model, 0, sgn) == pytest.approx(want, abs=1e-12)
+    assert _empty_bound(model, 0) == pytest.approx(want, abs=1e-12)
 
 
 def test_run_search_modes_agree(ref_model):
@@ -368,8 +406,7 @@ def test_run_search_modes_agree(ref_model):
 
 
 def test_wide_margin_is_infeasible_model(ref_spec, ref_fn):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.5), L)
+    model = search_instance(ref_spec, ref_fn, 0.5)
     for driver in (solve_bnb, enumerate_boxes):
         inc = driver(model, SearchOptions())
         assert inc.status == "infeasible-model"
@@ -380,20 +417,21 @@ def test_wide_margin_is_infeasible_model(ref_spec, ref_fn):
 
 
 def test_zero_threshold_zero_margin_empty_box():
-    model = line_model(b=0.0, margin_override=0.0)
+    model = line_model(b=0.0, margin=0.0)
     for driver in (solve_bnb, enumerate_boxes):
         inc = driver(model, SearchOptions())
         assert inc.status == "solved"
         assert inc.objective == pytest.approx(0.0, abs=1e-7)
-        assert all(float(np.sum(box.widths)) == 0.0 for box in inc.boxes)
+        assert all(box is None or float(np.sum(box.widths)) == 0.0 for box in inc.boxes)
 
 
 # ---------------------------------------------------------------------------
 # root relaxation
 
 
-def test_root_relaxation_bounds_the_optimum(ref_model):
-    rel = root_relaxation(ref_model)
+def test_root_relaxation_bounds_the_optimum(ref_spec, ref_fn, ref_lattice):
+    L = lipschitz_certificate(ref_spec, ref_fn).L
+    rel = root_relaxation(assemble_case2(ref_spec, ref_fn, ref_lattice, L))
     assert rel.status == "optimal"
     assert rel.objective <= 2.0 + 1e-6
 
@@ -435,8 +473,7 @@ def test_node_limit_reports_resource_limit(ref_model, ref_spec, ref_fn):
     # at delta = 0.05 the ninth surviving candidate is the optimum: a budget
     # of eight ends with nothing, and nine both find and prove it, since the
     # limit only stops a tenth solve, which the proof does not need
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    fine = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.05), L)
+    fine = search_instance(ref_spec, ref_fn, 0.05)
     for limit, proof, status, objective in [(8, "resource-limit", "unknown", np.inf),
                                             (9, "optimal", "solved", 1.7),
                                             (10, "optimal", "solved", 1.7)]:
@@ -574,10 +611,10 @@ def test_user_corner_constraint_skips_the_floating_corners_of_empty_boxes():
     con = LinearConstraint([0.0, 1.0], ">=", 0.1)
     model = line_model(mode=VariableBoxes(c_minus=[[1]], c_plus=[[-1]], constraints=[con]))
     origin = BoxRegion([0.0], [0.0])
-    assert _leaf_objective(model, [None], -1.0) == pytest.approx(0.0, abs=1e-12)
-    assert _leaf_objective(model, [origin], -1.0) is None
-    assert _leaf_objective(model, [BoxRegion([0.0], [0.05])], -1.0) is None
-    assert _leaf_objective(model, [BoxRegion([0.05], [0.1])], -1.0) == pytest.approx(0.05)
+    assert _leaf_objective(model, [None]) == pytest.approx(0.0, abs=1e-12)
+    assert _leaf_objective(model, [origin]) is None
+    assert _leaf_objective(model, [BoxRegion([0.0], [0.05])]) is None
+    assert _leaf_objective(model, [BoxRegion([0.05], [0.1])]) == pytest.approx(0.05)
 
 
 @pytest.mark.parametrize("driver", [solve_bnb, enumerate_boxes], ids=["bnb", "enumerate"])
@@ -588,9 +625,7 @@ def test_zero_width_box_at_the_origin_is_not_the_empty_box(driver):
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.0], sigma=[[1.0]], eps_mu=0.0, eps_sigma=1.0, b=0.1)
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
-    model = assemble_case2(spec, fn, lattice_points(1.0, 1, 0.1),
-                           lipschitz_certificate(spec, fn).L)
-    inc = driver(model, SearchOptions())
+    inc = driver(search_instance(spec, fn, 0.1), SearchOptions())
     assert (inc.proof, inc.status) == ("optimal", "solved")
     assert inc.objective == pytest.approx(0.0, abs=1e-12)
     assert (inc.boxes[0].lower.tolist(), inc.boxes[0].upper.tolist()) == ([0.0], [0.0])
@@ -621,19 +656,16 @@ def test_search_is_deterministic():
         np.testing.assert_array_equal(a.upper, b.upper)
 
 
-def test_enumerate_rejects_large_instances():
-    spec = AmbiguitySpec.with_normalization(
-        edge=1.0, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=0.1
-    )
-    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
-    model = assemble_case2(spec, fn, lattice_points(1.0, 1, 0.025), 5.0)
-    with pytest.raises(ValueError, match="instance-too-large"):
-        enumerate_boxes(model, SearchOptions())
-
-    with pytest.raises(ValueError, match="instance-too-large"):
-        enumerate_boxes(
-            line_model(k=3, heights=(0.5, 0.3, 0.2)), SearchOptions()
-        )
+def test_enumerate_rejects_large_instances(ref_spec, monkeypatch):
+    # two boxes on the reference at delta = 0.1: 4,357^2 (about 19 million)
+    # candidate sets of boxes, refused before any measure solve
+    solves = []
+    monkeypatch.setattr("drobox.search.adversary_problem",
+                        lambda *args, **kwargs: solves.append(args))
+    fn = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
+    with pytest.raises(ValueError, match="instance-too-large: .* 18983449;"):
+        enumerate_boxes(search_instance(ref_spec, fn, 0.1), SearchOptions())
+    assert solves == []
 
 
 # ---------------------------------------------------------------------------
