@@ -13,14 +13,18 @@ threshold row, prove it feasible.
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
 differ only in how a node expands.  enumerate_boxes, an exact oracle for
-tiny instances, pops lattice-aligned candidate boxes (lattice index
-pairs) in nondecreasing bound order and expands each into the next
-entries of the sorted candidate product.  solve_bnb is efficient
-subwindow search: a node holds, per height, either the empty box or an
-interval of lattice indices for each corner coordinate, and expands by
-halving its widest interval.  Heights are positive, so the node's outer
-box has its largest expectation under every measure, and one pool gather
-on it drops the whole node.  run_search dispatches on SearchOptions.mode.
+tiny instances, sorts every candidate set of lattice-aligned boxes
+(lattice index pairs) by bound, equal bounds in lexicographic order of
+their stream positions read from the last height, and screens the list
+against the pool in blocks: only a candidate the pool keeps is popped,
+and its one child is the next kept candidate.  The pool only grows, so
+a candidate it rules out never pops and never bounds the proof.
+solve_bnb is efficient subwindow search: a node holds, per height,
+either the empty box or an interval of lattice indices for each corner
+coordinate, and expands by halving its widest interval.  Heights are
+positive, so the node's outer box has its largest expectation under
+every measure, and one pool gather on it drops the whole node.
+run_search dispatches on SearchOptions.mode.
 
 Progress goes to the drobox.search logger as machine-parseable key=value
 lines: node=, bound=, incumbent=, gap= (all in minimization scale).
@@ -136,6 +140,9 @@ def root_relaxation(model: AssembledModel,
 # Shared helpers
 
 
+_SCREEN_BUDGET = 1 << 16  # measure and set pairs per screen: 2 MB of corner masses for m = 2
+
+
 def _quantum_ceil(value: float, quantum) -> float:
     if quantum is None or not math.isfinite(value):
         return value
@@ -153,16 +160,17 @@ class _MeasurePool:
     atom that is a feasible measure on its own, and grows by the
     adversary measures the search drivers solve for.
 
-    Each measure is held as one row of grids: its zero-padded prefix-sum
-    grid, flattened.  The mass of a lattice box is then a signed sum over
-    its 2^m padded corners (inclusion-exclusion), for all measures at once.
+    Each measure is held as one row: its zero-padded prefix-sum grid,
+    flattened.  The mass of a lattice box is then a signed sum over its
+    2^m padded corners (inclusion-exclusion), for all measures at once.
+    grids holds the point-mass seed, built once and never copied; added
+    measures go to their own rows, which grow geometrically.
     """
 
     def __init__(self, inst: SearchInstance):
         spec = inst.spec
         lattice = inst.lattice
         self.shape = lattice.shape
-        self.heights = np.asarray(inst.fn.heights, dtype=float)
         self.threshold = spec.b + inst.margin - 1e-7  # less a slack for rounding
         d = lattice.points - spec.mu
         dist = np.einsum("ni,ij,nj->n", d, np.linalg.inv(spec.sigma), d)
@@ -176,10 +184,13 @@ class _MeasurePool:
             elif -cs.eps < 1.0:
                 ok &= ~inside
         # corner u picks the lower end (sign -1) or one past the upper end
-        # (sign +1) per axis
-        self.picks = list(itertools.product((0, 1), repeat=lattice.dim))
-        self.signs = np.array([math.prod(1.0 if u else -1.0 for u in pick)
-                               for pick in self.picks])
+        # (sign +1) per axis; weights holds height times sign, per height
+        # and then per corner
+        self.picks = np.array(list(itertools.product((0, 1), repeat=lattice.dim)), dtype=bool)
+        signs = np.prod(np.where(self.picks, 1.0, -1.0), axis=1)
+        self.weights = np.kron(np.asarray(inst.fn.heights, dtype=float), signs)
+        padded = [n + 1 for n in self.shape]
+        self.strides = np.array([math.prod(padded[j + 1:]) for j in range(lattice.dim)])
         # the padded prefix grid of a point mass is 1 exactly where every
         # padded index lies past the atom's, so build it axis by axis
         atoms = np.unravel_index(np.flatnonzero(ok), self.shape)
@@ -189,6 +200,8 @@ class _MeasurePool:
             grids = grids * past.reshape(
                 (-1,) + (1,) * j + (n + 1,) + (1,) * (lattice.dim - 1 - j))
         self.grids = grids.reshape(grids.shape[0], math.prod(grids.shape[1:]))
+        self.added = np.empty((0, self.grids.shape[1]))
+        self.n_added = 0
 
     def _prefix(self, weights) -> np.ndarray:
         grid = np.asarray(weights, dtype=float).reshape((-1,) + self.shape)
@@ -198,26 +211,44 @@ class _MeasurePool:
         return grid.reshape(grid.shape[0], math.prod(grid.shape[1:]))
 
     def add(self, weights: np.ndarray):
-        self.grids = np.vstack([self.grids, self._prefix(weights)])
+        if self.n_added == len(self.added):
+            grown = np.empty((2 * len(self.added) + 1, self.grids.shape[1]))
+            grown[:self.n_added] = self.added
+            self.added = grown
+        self.added[self.n_added] = self._prefix(weights)[0]
+        self.n_added += 1
+
+    def block(self) -> int:
+        """How many sets of boxes one screen takes: _SCREEN_BUDGET measure
+        and set pairs, spread over every held measure."""
+        return max(1, _SCREEN_BUDGET // (len(self.grids) + self.n_added))
 
     def corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Flat padded-grid indices of the corners of boxes, in signs order.
+        """Flat padded-grid indices of the corners of boxes, in picks order.
 
         lo and hi are (n, m) axis indices of the lower and upper corners.
         The empty box lo = 0, hi = -1 puts every corner on the zero pad.
         """
-        ends = (lo, hi + 1)
-        padded = tuple(n + 1 for n in self.shape)
-        return np.stack(
-            [np.ravel_multi_index(tuple(ends[u][:, j] for j, u in enumerate(pick)), padded)
-             for pick in self.picks], axis=1)
+        return np.where(self.picks, hi[:, None] + 1, lo[:, None]) @ self.strides
 
-    def ruled_out(self, corners) -> bool:
-        """Whether some measure gives these boxes, one corners row per
-        height, an expected value below the threshold."""
-        value = sum(h * (self.grids[:, c] @ self.signs)
-                    for h, c in zip(self.heights, corners))
-        return bool(np.any(value < self.threshold))
+    def ruled_out(self, corners: np.ndarray) -> np.ndarray:
+        """Whether some measure gives each set of boxes an expected value
+        below the threshold.
+
+        corners is (k, n, 2^m): per height, the corners rows of n sets of
+        boxes.  Returns n verdicts, screened a block() of sets at a time
+        with one gather and one matmul per array of measures.
+        """
+        n = corners.shape[1]
+        flat = corners.transpose(1, 0, 2).reshape(n, -1)  # weights order
+        lowest = np.empty(n)
+        step = self.block()
+        for start in range(0, n, step):
+            c = flat[start:start + step]
+            lowest[start:start + step] = np.minimum(
+                (self.grids[:, c] @ self.weights).min(axis=0, initial=np.inf),
+                (self.added[:self.n_added, c] @ self.weights).min(axis=0, initial=np.inf))
+        return lowest < self.threshold
 
 
 def _corner_costs(inst: SearchInstance) -> tuple:
@@ -439,17 +470,24 @@ def enumerate_boxes(inst: SearchInstance,
                     opts: Optional[SearchOptions] = None) -> Incumbent:
     """Exact search over lattice-aligned boxes for tiny instances.
 
-    Candidates stream in nondecreasing bound order from a lazy product
-    heap, as lattice index pairs; popping one pushes the candidates one
-    stream entry past it, and a BoxRegion is built only for one that
-    reaches a solve.  A candidate the measure pool (seeded with the
-    feasible point masses) does not rule out is a leaf of _best_first,
-    decided by _solve_candidate from its adversary measure program alone.
-    A candidate's bound is its exact objective, so once the incumbent is
-    no worse than the next pop it is optimal.  node_count reports the
-    candidates that reached a solve.  An instance with more than
-    _ENUMERATE_CAP candidate sets of boxes (the product of the per-height
-    candidate counts) raises ValueError.
+    Every candidate set of boxes, one entry of each height's stream, is
+    listed once as stream positions and sorted by bound, the sum of its
+    entries' bounds.  Equal bounds sort by the positions in lexicographic
+    order read from the last height, so with one height the list is the
+    stream itself.  The measure pool (seeded with the feasible point
+    masses) screens the list a block at a time, and only a candidate it
+    keeps is a node of _best_first: a leaf decided by _solve_candidate from
+    its adversary measure program alone, whose one child is the next
+    candidate the pool keeps.  The pool only grows, so a skipped candidate
+    would be ruled out when popped too, and a popped one is screened again
+    first.  A candidate the pool rules out therefore never bounds the
+    proof: with gap_tol > 0 it cannot end a run at "gap-limit".  A
+    candidate's bound is its exact objective, so once the incumbent is no
+    worse than the next pop it is optimal.  node_count reports the
+    candidates that reached a solve, and a BoxRegion is built only for
+    those.  An instance with more than _ENUMERATE_CAP candidate sets of
+    boxes (the product of the per-height candidate counts) raises
+    ValueError.
     """
     opts = opts or SearchOptions()
     lattice = inst.lattice
@@ -463,23 +501,34 @@ def enumerate_boxes(inst: SearchInstance,
     t0 = time.perf_counter()
     streams = [_candidate_stream(inst, i) for i in range(k)]
     pool = _MeasurePool(inst)
-    corners = [pool.corners(lo, hi) for _, lo, hi in streams]
-    bounds = [bound.tolist() for bound, _, _ in streams]
-    start = (0,) * k
-    seen = {start}
+    # stream positions of every set, sorted by bound and then by the
+    # positions, the last height's first
+    pos = np.indices([len(bound) for bound, _, _ in streams]).reshape(k, sets)
+    bound = sum(s[0][p] for s, p in zip(streams, pos))
+    order = np.lexsort(tuple(pos) + (bound,))
+    pos, bound = pos[:, order], bound[order]
+    corners = np.stack([pool.corners(lo, hi)[p] for (_, lo, hi), p in zip(streams, pos)])
 
-    def expand(idx: tuple) -> tuple:
-        children = []
-        for i in range(k):
-            nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1:]
-            if nxt[i] < len(bounds[i]) and nxt not in seen:
-                seen.add(nxt)
-                children.append((sum(bounds[j][nxt[j]] for j in range(k)), nxt))
-        if pool.ruled_out([corners[i][idx[i]] for i in range(k)]):
-            return children, None
-        return children, [_box_at(lattice, streams[i], idx[i]) for i in range(k)]
+    def kept(start: int):
+        """Positions from start on that the pool keeps, a block at a time."""
+        while start < sets:
+            stop = start + pool.block()
+            yield from (start + np.flatnonzero(~pool.ruled_out(corners[:, start:stop]))).tolist()
+            start = stop
 
-    return _best_first(inst, pool, [(sum(b[0] for b in bounds), start)], expand, opts, t0)
+    def child(n) -> list:
+        return [] if n is None else [(float(bound[n]), n)]
+
+    def expand(n: int) -> tuple:
+        # the pool may have grown since n was screened
+        survivors = kept(n)
+        first = next(survivors, None)
+        if first != n:
+            return child(first), None
+        return child(next(survivors, None)), [_box_at(lattice, streams[i], pos[i, n])
+                                               for i in range(k)]
+
+    return _best_first(inst, pool, child(next(kept(0), None)), expand, opts, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +567,7 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
     def expand(parts: tuple) -> tuple:
         lo = np.array([np.zeros(m, dtype=int) if p is None else p[0] for p in parts])
         hi = np.array([np.full(m, -1) if p is None else p[3] for p in parts])
-        if pool.ruled_out(pool.corners(lo, hi)):
+        if pool.ruled_out(pool.corners(lo, hi)[:, None])[0]:
             return (), None
         # widths of the lo (row 0) and hi (row 1) intervals of each box
         widths = [np.zeros((2, m), dtype=int) if p is None else p[[1, 3]] - p[[0, 2]]

@@ -28,6 +28,8 @@ from drobox.sdp import ConicProgram, SdpSolution, solve_sdp
 from drobox.search import (
     SearchInstance,
     SearchOptions,
+    _ENUMERATE_CAP,
+    _SCREEN_BUDGET,
     _box_at,
     _candidate_stream,
     _empty_bound,
@@ -226,36 +228,41 @@ def _feasible_point_masses(model):
 
 @pytest.mark.parametrize("which", ["reference-quarter-step", "line-two-boxes",
                                    "reference-half-step-two-boxes"])
-def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
+def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, which):
     # the pool rules a candidate out exactly when one of its measures
     # gives the candidate's simple function an expected value below
-    # b + margin, over every candidate (pair) of a small instance; on the
-    # line every lattice point is an atom, so there the added measure
-    # cannot rule out more than the point masses do
-    adversary_box = BoxRegion([0.0, 0.0], [0.5, 0.5])
+    # b + margin, over every candidate (pair) of a small instance, screened
+    # in one call; on the line every lattice point is an atom, so there the
+    # added measures cannot rule out more than the point masses do
+    import drobox.search as search
+
+    adversary_boxes = [BoxRegion([0.0, 0.0], [0.5, 0.5]), BoxRegion([0.5, 0.0], [1.0, 0.5])]
     if which == "reference-quarter-step":
         model = search_instance(ref_spec, ref_fn, 0.25, margin=0.2)
     elif which == "line-two-boxes":
         model = line_model(k=2, heights=(0.6, 0.4), margin=0.35)
-        adversary_box = BoxRegion([0.05], [0.15])
+        adversary_boxes = [BoxRegion([0.05], [0.15]), BoxRegion([0.0], [0.1])]
     else:
         fn = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
         model = search_instance(ref_spec, fn, 0.5, margin=0.2)
     lattice = model.lattice
     heights = np.asarray(model.fn.heights, dtype=float)
-    status, _, weights, _ = adversary_problem(Decision([1.0], (adversary_box,)),
-                                           model.spec, lattice)
-    assert status == "optimal"
-    measures = _feasible_point_masses(model) + [weights]
-    assert len(measures) >= 2
     pool = _MeasurePool(model)
-    pool.add(weights)
+    measures = _feasible_point_masses(model)
+    for box in adversary_boxes:
+        status, _, weights, _ = adversary_problem(Decision([1.0], (box,)), model.spec, lattice)
+        assert status == "optimal"
+        pool.add(weights)
+        measures.append(weights)
+    assert pool.n_added < len(pool.added)  # the rows past n_added are not measures
 
     streams = [_candidate_stream(model, i) for i in range(model.fn.k)]
-    corners = [pool.corners(lo, hi) for _, lo, hi in streams]
+    sets = list(itertools.product(*[range(len(bound)) for bound, _, _ in streams]))
+    corners = np.stack([pool.corners(lo, hi)[[idx[i] for idx in sets]]
+                        for i, (_, lo, hi) in enumerate(streams)])
     threshold = model.spec.b + model.margin - 1e-7
-    verdicts = []
-    for idx in itertools.product(*[range(len(bound)) for bound, _, _ in streams]):
+    want = []
+    for idx in sets:
         boxes = [_box_at(lattice, streams[i], n) for i, n in enumerate(idx)]
         kept = [(h, box) for h, box in zip(heights, boxes) if box is not None]
         values = np.zeros(lattice.n_points)
@@ -264,13 +271,16 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, which):
                 lattice.points)
         expected = [float(w @ values) for w in measures]
         assert min(abs(e - threshold) for e in expected) > 1e-9  # no ties to split
-        want = min(expected) < threshold
-        assert pool.ruled_out([corners[i][n] for i, n in enumerate(idx)]) == want, boxes
-        verdicts.append(want)
+        want.append(min(expected) < threshold)
     n_boxes = {"reference-quarter-step": 226, "line-two-boxes": 16,
                "reference-half-step-two-boxes": 37}[which]
-    assert len(verdicts) == n_boxes ** model.fn.k
-    assert any(verdicts) and not all(verdicts)
+    assert len(want) == n_boxes ** model.fn.k
+    assert any(want) and not all(want)
+    assert pool.ruled_out(corners).tolist() == want
+    # blocks of 7 sets: the same verdicts across many block boundaries
+    monkeypatch.setattr(search, "_SCREEN_BUDGET", 7 * (len(pool.grids) + pool.n_added))
+    assert pool.block() == 7
+    assert pool.ruled_out(corners).tolist() == want
 
 
 def _confidence_instance():
@@ -328,6 +338,49 @@ def test_measure_pool_memory_stays_below_the_identity():
     assert peak < 150e6
 
 
+def test_measure_pool_adds_never_copy_the_seed():
+    # added measures grow their own rows; ten adds to the 3-D pool at
+    # delta = 1/24 must not copy its point-mass seed
+    model = _cube_instance(1 / 24)
+    pool = _MeasurePool(model)
+    weights = np.full(model.lattice.n_points, 1.0 / model.lattice.n_points)
+    tracemalloc.start()
+    try:
+        for _ in range(10):
+            pool.add(weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pool.n_added == 10
+    assert peak < 0.1 * pool.grids.nbytes
+
+
+@pytest.mark.parametrize("delta,objective,sets", [(0.05, 1.7, 53_362), (0.04, 1.56, 123_202)],
+                         ids=["step-1/20", "step-1/25-near-the-cap"])
+def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypatch,
+                                                     delta, objective, sets):
+    # only candidates the pool keeps pop: each solved candidate costs a
+    # re-screen and a search for the next kept one, and the whole list at
+    # most one screen per block (one screen per candidate made 53,179 at
+    # delta = 1/20)
+    screens = []
+    ruled_out = _MeasurePool.ruled_out
+
+    def spy(self, corners):
+        screens.append(self)
+        return ruled_out(self, corners)
+
+    monkeypatch.setattr(_MeasurePool, "ruled_out", spy)
+    model = search_instance(ref_spec, ref_fn, delta)
+    inc = enumerate_boxes(model, SearchOptions())
+    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", 9)
+    assert inc.objective == pytest.approx(objective, abs=1e-6)
+    assert len(_candidate_stream(model, 0)[0]) == sets <= _ENUMERATE_CAP
+    pool = screens[-1]  # largest last, so its blocks are the smallest
+    blocks = -(-sets // (_SCREEN_BUDGET // (len(pool.grids) + pool.n_added)))
+    assert len(screens) <= 2 * inc.node_count + blocks
+
+
 # ---------------------------------------------------------------------------
 # cross-solver agreement
 
@@ -349,10 +402,13 @@ def test_drivers_agree_on_small_instances(ref_model):
 
 
 def test_two_box_line_instance_splits():
+    # equal bounds pop in the order of the stream positions read from the
+    # last height, so the first optimum reached gives height 0.4 the
+    # narrower box, which comes first in its stream
     inc = enumerate_boxes(line_model(k=2, heights=(0.6, 0.4)), SearchOptions())
     assert inc.objective == pytest.approx(0.15, abs=1e-6)
-    widths = sorted(float(np.sum(box.widths)) for box in inc.boxes)
-    assert widths == pytest.approx([0.05, 0.10], abs=1e-9)
+    spans = [(box.lower[0], box.upper[0]) for box in inc.boxes]
+    np.testing.assert_allclose(spans, [[0.0, 0.1], [0.15, 0.2]], atol=1e-9)
 
 
 @pytest.mark.parametrize("mode,objective", [
