@@ -13,25 +13,27 @@ self-dual interior-point method with Nesterov-Todd scaling and Mehrotra
 predictor-corrector steps.  The embedding detects primal infeasibility
 and unboundedness; everything is deterministic for fixed input.
 
-Each step solves normal equations with the m x m matrix A D A^T (D the
-scaling).  The lattice programs have thousands of rows but only a handful
-of columns that touch most of them, so that matrix is never formed
-densely.  Before the iterations the columns are split once: a nonnegative
-column with more than max(10, m // 10) nonzeros is dense, and so is every
-PSD svec column; if m or more nonnegative columns are dense, none is,
-since S is then at most m x m anyway.  The rows get a minimum-degree
-order for the pattern of the sparse part, also once.  Each step forms
-the sparse part
-S = A_s D_s A_s^T with scipy.sparse, collects the scaled dense columns in
-an m x r matrix V (r is about 10 to 15 on the lattice programs), and
-LU-factors the augmented matrix [[S, V], [V^T, -I]] with SuperLU, border
-last; its solutions solve (S + V V^T) z = r even where S alone is
-singular.  Two rounds of iterative refinement against S z + V (V^T z)
+Each step solves normal equations with the m x m matrix M = A D A^T
+(D the scaling), in a form chosen once per solve from the program (see
+_NormalFactor).  Short programs whose M has no useful sparsity, such as
+the measure programs of about 10 rows, form M densely and factor it with
+one LAPACK Cholesky call.  The tall lattice programs have thousands of
+rows but only a handful of columns that touch most of them; there the
+sparse part of M and a border of those dense columns are factored
+together with SuperLU.  Two rounds of iterative refinement against M
 follow each solve (Andersen, ACM TOMS 22(3), 1996; Vanderbei, Linear
-Algebra Appl. 152, 1991).  See _NormalFactor.
+Algebra Appl. 152, 1991).
+
+Step lengths are taken in NT-scaled coordinates: with X = G lam G and
+S = G^-1 lam G^-1, one eigendecomposition of lam per block and iteration
+gives both step lengths and serves every Jordan-product solve
+(Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
+2010; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998).
 
 Progress goes to the drobox.sdp logger as one DEBUG line per iteration in
-key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=.
+key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=; and one
+summary line per solve: exit=, status=, iters=, rows=, cols=, normal=.
+exit= is SdpSolution.exit_reason.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.linalg.lapack
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
@@ -99,10 +102,8 @@ def svec(s: np.ndarray) -> np.ndarray:
 def smat(v: np.ndarray, d: int) -> np.ndarray:
     """Inverse of svec."""
     r, c, w = _svec_weights(d)
-    out = np.zeros((d, d))
-    out[r, c] = v / w
-    out = out + out.T
-    out[np.arange(d), np.arange(d)] /= 2.0
+    out = np.empty((d, d))
+    out[r, c] = out[c, r] = v / w
     return out
 
 
@@ -410,45 +411,27 @@ class _Cone:
             e[a:b] = svec(np.eye(d))
         return e
 
-    def max_step(self, x: np.ndarray, dx: np.ndarray) -> float:
-        """Largest alpha with x + alpha dx staying in the cone (x interior)."""
-        alpha = math.inf
-        if self.l:
-            neg = dx[: self.l] < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-x[: self.l][neg] / dx[: self.l][neg])))
-        for a, b, d in self.spans:
-            X = smat(x[a:b], d)
-            D = smat(dx[a:b], d)
-            if not (np.all(np.isfinite(X)) and np.all(np.isfinite(D))):
-                return 0.0
-            try:
-                try:
-                    Lx = np.linalg.cholesky(X)
-                except np.linalg.LinAlgError:
-                    w, v = np.linalg.eigh(X)
-                    w = np.maximum(w, 1e-14 * max(1.0, float(w[-1])))
-                    Lx = v * np.sqrt(w)
-                W = np.linalg.solve(Lx, np.linalg.solve(Lx, D).T)
-                if not np.all(np.isfinite(W)):
-                    return 0.0
-                lam = float(np.min(np.linalg.eigvalsh((W + W.T) / 2.0)))
-            except np.linalg.LinAlgError:
-                return 0.0
-            if lam < 0:
-                alpha = min(alpha, -1.0 / lam)
-        return alpha
+
+@dataclass
+class _NtBlock:
+    """Nesterov-Todd scaling of one PSD block at a point (X, S).
+
+    T is the NT matrix, G = T^(1/2), and lam = G S G = G^-1 X G^-1 is the
+    scaled point, with eigenvalues w and eigenvectors v.  W = sym-kron(G),
+    the svec matrix of S -> G S G, is symmetric and squares to
+    H = sym-kron(T): H svec(S) = W W svec(S) = svec(T S T).
+    """
+
+    W: np.ndarray
+    G: np.ndarray
+    G_inv: np.ndarray
+    lam: np.ndarray
+    w: np.ndarray
+    v: np.ndarray
 
 
 def _nt_scaling(cone: _Cone, x: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling data per block.
-
-    Returns (d_l, blocks) where d_l = x_l / s_l for the nonnegative part and
-    blocks is a list of (W, G, G_inv, lam) per PSD block.  T is the NT
-    matrix, G = T^(1/2), and lam = G S G = G^-1 X G^-1 is the scaled point.
-    W = sym-kron(G), the svec matrix of S -> G S G, is symmetric and squares
-    to H = sym-kron(T): H svec(S) = W W svec(S) = svec(T S T).
-    """
+    """Nesterov-Todd scaling: d_l = x_l / s_l and one _NtBlock per PSD block."""
     d_l = x[: cone.l] / s[: cone.l] if cone.l else np.zeros(0)
     blocks = []
     for a, b, d in cone.spans:
@@ -469,24 +452,61 @@ def _nt_scaling(cone: _Cone, x: np.ndarray, s: np.ndarray):
         G_inv = (vt * (wt ** -0.5)) @ vt.T
         lam = G @ S @ G
         lam = (lam + lam.T) / 2.0
-        blocks.append((_sym_kron(G), G, G_inv, lam))
+        blocks.append(_NtBlock(_sym_kron(G), G, G_inv, lam, *np.linalg.eigh(lam)))
     return d_l, blocks
 
 
 def _apply_H(cone: _Cone, d_l, blocks, v: np.ndarray) -> np.ndarray:
     out = np.empty_like(v)
     out[: cone.l] = d_l * v[: cone.l]
-    for (a, b, d), (W, _, _, _) in zip(cone.spans, blocks):
-        out[a:b] = W @ (W @ v[a:b])
+    for (a, b, d), blk in zip(cone.spans, blocks):
+        out[a:b] = blk.W @ (blk.W @ v[a:b])
     return out
 
 
-def _lyap_inv(lam: np.ndarray, M: np.ndarray) -> np.ndarray:
+def _lyap_inv(blk: _NtBlock, M: np.ndarray) -> np.ndarray:
     """Solve lam o N = M for N, with o the symmetric Jordan product."""
-    w, v = np.linalg.eigh(lam)
-    Mt = v.T @ M @ v
-    denom = (w[:, None] + w[None, :]) / 2.0
-    return v @ (Mt / denom) @ v.T
+    Mt = blk.v.T @ M @ blk.v
+    denom = (blk.w[:, None] + blk.w[None, :]) / 2.0
+    return blk.v @ (Mt / denom) @ blk.v.T
+
+
+def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
+    neg = dv < 0
+    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else math.inf
+
+
+def _scaled_step(Q: np.ndarray, D: np.ndarray) -> float:
+    """Largest alpha with I + alpha Q^T D Q PSD; 0 for a non-finite D."""
+    if not np.all(np.isfinite(D)):
+        return 0.0
+    try:
+        low = float(np.linalg.eigvalsh(Q.T @ D @ Q)[0])
+    except np.linalg.LinAlgError:
+        return 0.0
+    return -1.0 / low if low < 0 else math.inf
+
+
+def _step_lengths(cone: _Cone, blocks: list, x: np.ndarray, s: np.ndarray,
+                  dx: np.ndarray, ds: np.ndarray):
+    """Largest steps keeping x + alpha_x dx and s + alpha_s ds in the cone.
+
+    blocks is the NT scaling at (x, s).  In scaled coordinates X = G lam G
+    and S = G^-1 lam G^-1, so X + a dX stays PSD while lam + a G^-1 dX G^-1
+    does, that is while I + a lam^-1/2 (G^-1 dX G^-1) lam^-1/2 does, and
+    likewise S + a dS with G dS G: the eigenpairs of lam serve both.
+    Returns (alpha_x, alpha_s, scaled), scaled holding (G^-1 dX G^-1,
+    G dS G) per block.  A non-finite direction gives step 0.
+    """
+    alpha = [_ratio_step(x[: cone.l], dx[: cone.l]), _ratio_step(s[: cone.l], ds[: cone.l])]
+    scaled = []
+    for (a, b, d), blk in zip(cone.spans, blocks):
+        pair = (blk.G_inv @ smat(dx[a:b], d) @ blk.G_inv, blk.G @ smat(ds[a:b], d) @ blk.G)
+        Q = blk.v * np.maximum(blk.w, 1e-300) ** -0.5  # Q Q^T = lam^-1
+        for k, D in enumerate(pair):
+            alpha[k] = min(alpha[k], _scaled_step(Q, D))
+        scaled.append(pair)
+    return alpha[0], alpha[1], scaled
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +541,11 @@ class SdpSolution:
     row_duals: np.ndarray
     lmi_duals: list
     iterations: int
+    # how the iterations ended: converged | infeasible | unbounded (a
+    # certificate) | stall (no progress near the floor; the fallback, the
+    # best iterate or a looser infeasibility ray, gave the status) |
+    # stall-failed | tau-collapse | non-finite | tiny-step | iteration-cap
+    exit_reason: str = "converged"
     _internal: Optional[dict] = field(default=None, repr=False)
 
     def value(self, name: str):
@@ -531,36 +556,51 @@ class _NormalFactor:
     """Factor of the normal matrix M = A D A^T of the interior-point steps.
 
     D is diag(d) on the nonnegative block and H_j = W_j W_j^T on the PSD
-    blocks.  The dense/sparse column split and a fill-reducing order of the
-    rows are fixed once, at construction; S, V and solve() work in that
-    order.  Each factor() forms S = A_s diag(d_s) A_s^T and
-    V = [A_dense diag(sqrt(d_dense)), A_psd W], so that M = S + V V^T,
-    and LU-factors [[S, V], [V^T, -I]]; the first m entries of its
-    solutions solve M z = rhs.  The refinement in solve() matters once the
-    barrier parameter gets small and M turns badly conditioned.
+    blocks.  A nonnegative column with more than max(10, m // 10) nonzeros
+    is dense, and so is every PSD svec column; A_s holds the rest.  The
+    form is fixed at construction, from the 0/1 pattern of A_s A_s^T:
+
+    * dense when that pattern covers at least half of the m^2 entries, or
+      when m or more columns are dense and a border would outgrow M.
+      factor() forms M with BLAS and Cholesky-factors it with LAPACK.
+    * sparse otherwise.  The rows get a minimum-degree order for that
+      pattern; factor() forms S = A_s diag(d_s) A_s^T with scipy.sparse
+      and V = [A_dense diag(sqrt(d_dense)), A_psd W], so that
+      M = S + V V^T, and LU-factors [[S, V], [V^T, -I]] with SuperLU,
+      border last; the first m entries of its solutions solve M z = rhs
+      even where S alone is singular.
+
+    solve() refines twice against M, which matters once the barrier
+    parameter gets small and M turns badly conditioned.  A and At are
+    what the iterations multiply by: in the dense form one array and its
+    transposed view.
     """
 
     def __init__(self, A: sp.csr_matrix, cone: _Cone):
         self.m = A.shape[0]
+        self.l = cone.l
         A_l = A[:, : cone.l].tocsc()
         self.dense = np.diff(A_l.indptr) > max(10, self.m // 10)
-        if np.count_nonzero(self.dense) >= self.m:
-            # a border that wide costs more than S itself, which is at
-            # most m x m: short programs with many full columns (the
-            # certify measure programs) split nothing
-            self.dense[:] = False
         A_s = A_l[:, ~self.dense].tocsr()
+        ones = sp.csr_matrix((np.ones(A_s.nnz), A_s.indices, A_s.indptr), shape=A_s.shape)
+        pattern = (ones @ ones.T + sp.identity(self.m)).tocsc()
+        if 2 * pattern.nnz >= self.m ** 2 or np.count_nonzero(self.dense) >= self.m:
+            self.form, self.order = "dense", None
+            self.A = A.toarray()
+            self.At = self.A.T
+            self.A_p = [self.A[:, a:b] for a, b, _ in cone.spans]
+            return
         # S keeps its pattern across iterations, so its minimum-degree
         # order is taken once, by factoring on the diagonal the positive
         # definite matrix P P^T + I, P the 0/1 pattern of A_s; factor()
         # keeps that order and puts the dense border last.  SuperLU's own
         # per-call column order (COLAMD) gives several times the fill on
         # the B&B relaxations.
-        ones = sp.csr_matrix((np.ones(A_s.nnz), A_s.indices, A_s.indptr), shape=A_s.shape)
-        pattern = (ones @ ones.T + sp.identity(self.m)).tocsc()
+        self.form = "sparse"
         self.order = np.argsort(scipy.sparse.linalg.splu(
             pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
             options=dict(SymmetricMode=True)).perm_c)
+        self.A, self.At = A, A.T.tocsr()
         self.A_s = A_s[self.order]
         self.A_sT = self.A_s.T.tocsr()
         self.A_d = A_l[:, self.dense].toarray()[self.order]
@@ -569,42 +609,57 @@ class _NormalFactor:
     def factor(self, d_l: np.ndarray, roots: list):
         """Factor for scaling d_l and PSD blocks H_j = roots[j] roots[j]^T.
 
-        Raises RuntimeError when the augmented matrix is not finite, or
-        singular even after one diagonal shift.
+        Raises RuntimeError when M is not finite, or singular even after
+        one diagonal shift.  Redundant == rows make M exactly singular; the
+        retry shifts its diagonal by 1e-12 times its mean diagonal.
         """
+        V = [Ap @ W for Ap, W in zip(self.A_p, roots)]
+        if self.form == "dense":
+            A_l = self.A[:, : self.l]
+            M = (A_l * d_l) @ A_l.T + sum(AW @ AW.T for AW in V)
+            if not np.all(np.isfinite(M)):
+                raise RuntimeError("normal matrix is not finite")
+            chol, info = scipy.linalg.lapack.dpotrf(M)
+            if info > 0:
+                chol, info = scipy.linalg.lapack.dpotrf(M + _shift(M.diagonal()) * np.eye(self.m))
+                if info > 0:
+                    raise RuntimeError("normal matrix is singular")
+            self._inverse = lambda rhs: scipy.linalg.lapack.dpotrs(chol, rhs)[0]
+            self._times = lambda z: M @ z
+            return
         A_s = self.A_s
         scaled = sp.csr_matrix((A_s.data * d_l[~self.dense][A_s.indices],
                                 A_s.indices, A_s.indptr), shape=A_s.shape)
-        self.S = (scaled @ self.A_sT).tocsc()
-        self.V = np.hstack([self.A_d * np.sqrt(d_l[self.dense])]
-                           + [Ap @ W for Ap, W in zip(self.A_p, roots)])
-        if not (np.all(np.isfinite(self.S.data)) and np.all(np.isfinite(self.V))):
+        self.S = S = (scaled @ self.A_sT).tocsc()
+        self.V = V = np.hstack([self.A_d * np.sqrt(d_l[self.dense])] + V)
+        if not (np.all(np.isfinite(S.data)) and np.all(np.isfinite(V))):
             raise RuntimeError("normal matrix is not finite")
-        r = self.V.shape[1]
-        aug = sp.bmat([[self.S, sp.csc_matrix(self.V)],
-                       [sp.csc_matrix(self.V.T), -sp.identity(r, format="csc")]],
+        r = V.shape[1]
+        aug = sp.bmat([[S, sp.csc_matrix(V)], [sp.csc_matrix(V.T), -sp.identity(r, format="csc")]],
                       format="csc")
         try:
-            self.lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
+            lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
         except RuntimeError:
-            # redundant == rows make M exactly singular; retry once with a
-            # diagonal shift of 1e-12 times the mean diagonal of M
-            diag_m = self.S.diagonal() + np.einsum("ij,ij->i", self.V, self.V)
-            shift = 1e-12 * (float(np.mean(np.abs(diag_m))) or 1.0)
+            shift = _shift(S.diagonal() + np.einsum("ij,ij->i", V, V))
             aug = aug + sp.diags(np.r_[np.full(self.m, shift), np.zeros(r)], format="csc")
-            self.lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
-
-    def _solve_once(self, rhs: np.ndarray) -> np.ndarray:
-        return self.lu.solve(np.concatenate([rhs, np.zeros(self.V.shape[1])]))[: self.m]
+            lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
+        self._inverse = lambda rhs: lu.solve(np.concatenate([rhs, np.zeros(r)]))[: self.m]
+        self._times = lambda z: S @ z + V @ (V.T @ z)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs_o = rhs[self.order]
-        z = self._solve_once(rhs_o)
+        rhs_o = rhs if self.order is None else rhs[self.order]
+        z = self._inverse(rhs_o)
         for _ in range(2):
-            z = z + self._solve_once(rhs_o - self.S @ z - self.V @ (self.V.T @ z))
+            z = z + self._inverse(rhs_o - self._times(z))
+        if self.order is None:
+            return z
         out = np.empty_like(z)
         out[self.order] = z
         return out
+
+
+def _shift(diag_m: np.ndarray) -> float:
+    return 1e-12 * (float(np.mean(np.abs(diag_m))) or 1.0)
 
 
 def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
@@ -618,7 +673,9 @@ def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
 def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
               tol: float, max_iter: int) -> dict:
     m = A.shape[0]
+    amax = float(np.max(np.abs(A.data))) if A.nnz else 1.0
     fact = _NormalFactor(A, cone)
+    A, At = fact.A, fact.At
 
     x = cone.identity()
     s = cone.identity()
@@ -628,10 +685,9 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
 
     norm_b = 1.0 + float(np.max(np.abs(b)))
     norm_c = 1.0 + float(np.max(np.abs(c))) if c.size else 1.0
-    amax = float(np.max(np.abs(A.data))) if A.nnz else 1.0
-    At = A.T.tocsr()
 
     status = "numerical-failure"
+    exit_reason = "iteration-cap"
     it = 0
     best_phi = math.inf
     best = None
@@ -640,6 +696,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))
                 and np.all(np.isfinite(y)) and math.isfinite(tau)
                 and math.isfinite(kappa)):
+            exit_reason = "non-finite"
             break
         r_p = A @ x - b * tau
         r_d = -(At @ y) - s + c * tau
@@ -667,7 +724,7 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         else:
             stall += 1
         if pres <= tol and dres <= tol and gap <= tol:
-            status = "optimal"
+            status, exit_reason = "optimal", "converged"
             break
 
         # -- infeasibility certificates --------------------------------------
@@ -676,36 +733,39 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
                 yn = y / by
                 sn = s / by
                 if float(np.max(np.abs(At @ yn + sn))) <= tol * (1.0 + amax):
-                    status = "infeasible"
+                    status = exit_reason = "infeasible"
                     break
             if cx < 0.0:
                 xn = x / (-cx)
                 if float(np.max(np.abs(A @ xn))) <= tol * (1.0 + amax):
-                    status = "unbounded"
+                    status = exit_reason = "unbounded"
                     break
         if tau <= 1e-12 and kappa >= 1e-8:
             # ray detected but certificate quality poor
+            exit_reason = "tau-collapse"
             break
         if stall >= 5 and mu <= 1e-6:
             # no residual progress near the floor; fall back to best iterate
+            exit_reason = "stall"
             break
 
         # -- scaling and Schur factor ----------------------------------------
+        # every break from here to the step is a numerical breakdown
+        exit_reason = "non-finite"
         try:
             d_l, blocks = _nt_scaling(cone, x, s)
-        except np.linalg.LinAlgError:
-            break
-        try:
-            fact.factor(d_l, [blk[0] for blk in blocks])
-        except RuntimeError:
+            fact.factor(d_l, [blk.W for blk in blocks])
+        except (np.linalg.LinAlgError, RuntimeError):
             break
 
         Hc = _apply_H(cone, d_l, blocks, c)
         k1 = fact.solve(A @ Hc + b)
         if not np.all(np.isfinite(k1)):
             break
-        cHc = float(c @ Hc)
-        cHAt_k = lambda vec: float(c @ _apply_H(cone, d_l, blocks, At @ vec))
+        den = (float(c @ _apply_H(cone, d_l, blocks, At @ k1)) - float(b @ k1)
+               - float(c @ Hc) - kappa / tau)
+        if abs(den) < 1e-300:
+            break
 
         def direction(target_l, target_blocks, target_tk, eta):
             """Solve one Newton system; targets live in scaled space."""
@@ -713,21 +773,17 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             if cone.l:
                 rc[: cone.l] = target_l / x[: cone.l]
             for (a, bnd, d), blk, tmat in zip(cone.spans, blocks, target_blocks):
-                _, G, G_inv, lam = blk
-                D = _lyap_inv(lam, tmat)
-                rc[a:bnd] = svec(G_inv @ D @ G_inv)
+                rc[a:bnd] = svec(blk.G_inv @ _lyap_inv(blk, tmat) @ blk.G_inv)
             g = rc - eta * r_d
             k2 = fact.solve(-eta * r_p - A @ _apply_H(cone, d_l, blocks, g))
-            den = cHAt_k(k1) - float(b @ k1) - cHc - kappa / tau
             num = (-eta * r_g - float(c @ _apply_H(cone, d_l, blocks, At @ k2))
                    + float(b @ k2) - float(c @ _apply_H(cone, d_l, blocks, g))
                    - target_tk / tau)
-            if abs(den) < 1e-300:
-                return None
             dtau = num / den
             dy = k1 * dtau + k2
-            dx = _apply_H(cone, d_l, blocks, At @ dy - c * dtau + g)
-            ds = -(At @ dy) + c * dtau + eta * r_d
+            At_dy = At @ dy
+            dx = _apply_H(cone, d_l, blocks, At_dy - c * dtau + g)
+            ds = -At_dy + c * dtau + eta * r_d
             dkappa = (target_tk - kappa * dtau) / tau
             if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
                     and np.all(np.isfinite(ds)) and math.isfinite(dtau)
@@ -735,24 +791,21 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
                 return None
             return dx, dy, ds, dtau, dkappa
 
+        def step(dx, ds, dtau, dkappa):
+            alpha_x, alpha_s, scaled = _step_lengths(cone, blocks, x, s, dx, ds)
+            return min(alpha_x, alpha_s,
+                       (-tau / dtau) if dtau < 0 else math.inf,
+                       (-kappa / dkappa) if dkappa < 0 else math.inf), scaled
+
         # nonneg target in scaled coordinates: lam_l * (dxh + dsh) = target_l
         # with our parametrization rc = target_l / x (see module notes)
         # affine pass
         tgt_l = -(x[: cone.l] * s[: cone.l]) if cone.l else np.zeros(0)
-        tgt_blocks = []
-        for (a, bnd, d), blk in zip(cone.spans, blocks):
-            lam = blk[3]
-            tgt_blocks.append(-(lam @ lam))
-        res = direction(tgt_l, tgt_blocks, -tau * kappa, 1.0)
+        res = direction(tgt_l, [-(blk.lam @ blk.lam) for blk in blocks], -tau * kappa, 1.0)
         if res is None:
             break
         dxa, dya, dsa, dtaua, dkappaa = res
-        alpha_a = min(
-            cone.max_step(x, dxa),
-            cone.max_step(s, dsa),
-            (-tau / dtaua) if dtaua < 0 else math.inf,
-            (-kappa / dkappaa) if dkappaa < 0 else math.inf,
-        )
+        alpha_a, scaled = step(dxa, dsa, dtaua, dkappaa)
         alpha_a = min(1.0, 0.99995 * alpha_a)
         mu_aff = (float((x + alpha_a * dxa) @ (s + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / nu
@@ -763,26 +816,19 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         if cone.l:
             tgt_l = sigma * mu - x[: cone.l] * s[: cone.l] - dxa[: cone.l] * dsa[: cone.l]
         tgt_blocks = []
-        for (a, bnd, d), blk in zip(cone.spans, blocks):
-            _, G, G_inv, lam = blk
-            dXh = G_inv @ smat(dxa[a:bnd], d) @ G_inv
-            dSh = G @ smat(dsa[a:bnd], d) @ G
+        for (a, bnd, d), blk, (dXh, dSh) in zip(cone.spans, blocks, scaled):
             corr = (dXh @ dSh + dSh @ dXh) / 2.0
-            tgt_blocks.append(sigma * mu * np.eye(d) - lam @ lam - corr)
+            tgt_blocks.append(sigma * mu * np.eye(d) - blk.lam @ blk.lam - corr)
         tgt_tk = sigma * mu - tau * kappa - dtaua * dkappaa
         res = direction(tgt_l, tgt_blocks, tgt_tk, 1.0)
         if res is None:
             break
         dx, dy, ds, dtau, dkappa = res
-        alpha = min(
-            cone.max_step(x, dx),
-            cone.max_step(s, ds),
-            (-tau / dtau) if dtau < 0 else math.inf,
-            (-kappa / dkappa) if dkappa < 0 else math.inf,
-        )
-        alpha = min(1.0, 0.99 * alpha)
+        alpha = min(1.0, 0.99 * step(dx, ds, dtau, dkappa)[0])
         if alpha <= 1e-13:
+            exit_reason = "tiny-step"
             break
+        exit_reason = "iteration-cap"
         x = x + alpha * dx
         y = y + alpha * dy
         s = s + alpha * ds
@@ -802,9 +848,14 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             # 1e-6) still hold
             status = "optimal"
             x, y, s, tau, kappa = best
+        elif exit_reason == "stall":
+            exit_reason = "stall-failed"
+    LOG.debug("exit=%s status=%s iters=%d rows=%d cols=%d normal=%s",
+              exit_reason, status, it, m, cone.n, fact.form)
 
     return {
         "status": status,
+        "exit_reason": exit_reason,
         "x": x,
         "y": y,
         "s": s,
@@ -847,6 +898,7 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
             row_duals=row_duals,
             lmi_duals=lmi_duals,
             iterations=raw["iterations"],
+            exit_reason=raw["exit_reason"],
             _internal={
                 "x": xs,
                 "y": ys,
@@ -860,7 +912,7 @@ def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> 
 
     worst = {"infeasible": math.inf, "unbounded": -math.inf}.get(status, math.nan)
     return SdpSolution(status, comp.obj_sign * worst, {}, np.zeros(program.n_rows), [],
-                       raw["iterations"])
+                       raw["iterations"], raw["exit_reason"])
 
 
 def _solve_unconstrained(program, comp, cone) -> SdpSolution:
@@ -876,7 +928,7 @@ def _solve_unconstrained(program, comp, cone) -> SdpSolution:
         return SdpSolution("optimal", comp.obj_sign * 0.0 + comp.obj_offset, primal,
                            np.zeros(0), [], 0)
     worst = -math.inf if program.obj_sense == "min" else math.inf
-    return SdpSolution("unbounded", worst, {}, np.zeros(0), [], 0)
+    return SdpSolution("unbounded", worst, {}, np.zeros(0), [], 0, "unbounded")
 
 
 def _extract_primal(program: ConicProgram, comp: _Compiled, xs: np.ndarray) -> dict:

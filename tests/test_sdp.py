@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import scipy.linalg
 import scipy.sparse as sp
 
-from drobox import cli
+from drobox import cli, sdp
 from drobox.assemble import assemble_case1
 from drobox.certify import _measure_program
 from drobox.lipschitz import lipschitz_certificate
@@ -22,6 +23,8 @@ from drobox.sdp import (
     _NormalFactor,
     _compile,
     _extract_primal,
+    _nt_scaling,
+    _step_lengths,
     _sym_kron,
     dump_program,
     kkt_residuals,
@@ -44,7 +47,7 @@ def lmi_correlation_program():
 
 def test_offdiagonal_entry_maximization():
     sol = solve_sdp(lmi_correlation_program())
-    assert sol.status == "optimal"
+    assert (sol.status, sol.exit_reason) == ("optimal", "converged")
     assert sol.objective == pytest.approx(1.0, abs=1e-6)
     assert sol.primal["t"] == pytest.approx(1.0, abs=1e-6)
 
@@ -376,6 +379,7 @@ def test_iteration_cap_yields_numerical_failure_not_exception():
     p = lmi_correlation_program()
     sol = solve_sdp(p, SolveOptions(max_iter=1))
     assert sol.status == "numerical-failure"
+    assert sol.exit_reason == "iteration-cap"
     assert np.isnan(sol.objective)
 
 
@@ -384,9 +388,12 @@ def test_blown_up_affine_step_is_a_numerical_failure(monkeypatch):
     # past what a float can cube; the solve must still end in a status
     solve = _NormalFactor.solve
     monkeypatch.setattr(_NormalFactor, "solve", lambda self, rhs: 1e60 * solve(self, rhs))
-    monkeypatch.setattr(_Cone, "max_step", lambda self, x, dx: math.inf)
+    steps = _step_lengths
+    monkeypatch.setattr(sdp, "_step_lengths",
+                        lambda *args: (math.inf, math.inf, steps(*args)[2]))
     sol = solve_sdp(lmi_correlation_program())
     assert sol.status == "numerical-failure"
+    assert sol.exit_reason in ("non-finite", "tiny-step")
 
 
 def test_iterations_log_key_value_lines(caplog):
@@ -394,9 +401,11 @@ def test_iterations_log_key_value_lines(caplog):
         sol = solve_sdp(lmi_correlation_program())
     pattern = re.compile(r"^iter=\d+( (mu|pres|dres|gap|tau|kappa)=[-+0-9.eEinfa]+){6}$")
     messages = [r.getMessage() for r in caplog.records if r.name == "drobox.sdp"]
-    assert len(messages) == sol.iterations
-    for msg in messages:
+    assert len(messages) == sol.iterations + 1
+    for msg in messages[:-1]:
         assert pattern.match(msg), msg
+    assert re.match(r"^exit=converged status=optimal iters=%d rows=3 cols=5 normal=(dense|sparse)$"
+                    % sol.iterations, messages[-1]), messages[-1]
 
 
 def normal_factor_case(m, n_sparse, n_dense, psd_dims, rng, dense_only_row=None):
@@ -450,20 +459,31 @@ def test_normal_factor_handles_rows_only_dense_columns_touch():
     assert np.linalg.matrix_rank(fact.S.toarray()) < 60
 
 
-def test_normal_factor_on_a_wide_short_program_splits_nothing():
+def test_normal_factor_takes_the_dense_form_on_a_wide_short_program():
     # the certify measure shape: 10 rows, thousands of columns touching
     # all of them, small PSD slack blocks
     rng = np.random.default_rng(5)
     A = sp.csr_matrix(rng.normal(size=(10, 3000 + 9)))
     fact = assert_solves_normal_equations(A, _Cone(3000, [3, 2]), rng)
-    assert not np.any(fact.dense)
-    assert fact.S.shape == (10, 10)
+    assert fact.form == "dense"
+    assert isinstance(fact.A, np.ndarray) and fact.At.base is fact.A
 
 
-def test_normal_factor_keeps_the_border_narrow_on_a_measure_program():
+def test_normal_factor_takes_the_dense_form_when_the_border_outgrows_m():
+    # 40 full columns on 30 rows: the sparse part alone is far from half
+    # full, but a border of 40 + 3 columns would outgrow M itself
+    rng = np.random.default_rng(8)
+    A, cone = normal_factor_case(30, 60, 40, (2,), rng)
+    sparse_part = A[:, :60].toarray() != 0
+    assert np.count_nonzero(sparse_part.astype(int) @ sparse_part.T) < 30 * 30 / 2
+    fact = assert_solves_normal_equations(A, cone, rng)
+    assert fact.form == "dense"
+
+
+def test_normal_factor_takes_the_dense_form_on_a_measure_program():
     # one confidence box adds an 11th row, so every in-box atom off the
-    # axes has more than max(10, 11 // 10) nonzeros; splitting them all
-    # off would border S with a block of about 1,600 x 1,600
+    # axes has more than max(10, 11 // 10) nonzeros; the sparse form would
+    # border S with a block of about 1,600 x 1,600
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.0, 0.0], sigma=[[2.0, 0.5], [0.5, 1.0]], eps_mu=0.1,
         eps_sigma=1.0, b=0.1,
@@ -476,8 +496,29 @@ def test_normal_factor_keeps_the_border_narrow_on_a_measure_program():
     assert np.sum(np.diff(comp.A[:, : cone.l].tocsc().indptr) > 10) >= 1000
     rng = np.random.default_rng(6)
     fact = assert_solves_normal_equations(comp.A, cone, rng)
-    assert not np.any(fact.dense)
-    assert fact.V.shape == (11, cone.n - cone.l)
+    assert fact.form == "dense"
+
+
+def test_normal_factor_shifts_a_short_program_with_a_repeated_row():
+    # rows 0 and 1 repeat; with integer data M is exact, its second
+    # Cholesky pivot is 4 - 2^2 = 0, and the shifted retry must succeed
+    # without a warning
+    rng = np.random.default_rng(7)
+    dense = rng.integers(-1, 2, size=(6, 40 + 3)).astype(float)
+    dense[:2] = 0.0
+    dense[:2, :4] = 1.0
+    A, cone = sp.csr_matrix(dense), _Cone(40, [2])
+    fact = _NormalFactor(A, cone)
+    assert fact.form == "dense"
+    d_l, roots = np.ones(cone.l), [2.0 * np.eye(3)]
+    M = dense[:, :40] @ dense[:, :40].T + 4.0 * dense[:, 40:] @ dense[:, 40:].T
+    assert scipy.linalg.lapack.dpotrf(M)[1] == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fact.factor(d_l, roots)
+        rhs = M @ rng.normal(size=6)
+        z = fact.solve(rhs)
+    assert np.linalg.norm(M @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
 def test_fixed_demo_at_fine_step_reaches_reference_objective():
@@ -502,6 +543,47 @@ def test_redundant_equality_rows_still_solve():
     assert sol.status == "optimal"
     assert sol.objective == pytest.approx(1.0, abs=1e-7)
     assert sol.primal["x"] == pytest.approx(1.0, abs=1e-6)
+
+
+def random_interior_point(cone, rng):
+    """A point well inside the cone and a direction, both svec-packed."""
+    point = np.empty(cone.n)
+    point[: cone.l] = rng.uniform(0.1, 2.0, size=cone.l)
+    for a, b, d in cone.spans:
+        raw = rng.normal(size=(d, d))
+        point[a:b] = svec(raw @ raw.T + 0.1 * np.eye(d))
+    return point, rng.normal(size=cone.n)
+
+
+def reference_step(cone, point, direction):
+    """min over blocks of -1 / lambda_min(X^-1/2 dX X^-1/2), by scipy."""
+    alpha = math.inf
+    neg = direction[: cone.l] < 0
+    if np.any(neg):
+        alpha = float(np.min(-point[: cone.l][neg] / direction[: cone.l][neg]))
+    for a, b, d in cone.spans:
+        w, v = scipy.linalg.eigh(smat(point[a:b], d))
+        root_inv = (v * w ** -0.5) @ v.T
+        low = scipy.linalg.eigh(root_inv @ smat(direction[a:b], d) @ root_inv,
+                                eigvals_only=True)[0]
+        if low < 0:
+            alpha = min(alpha, -1.0 / low)
+    return alpha
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_scaled_step_lengths_match_the_unscaled_reference(seed):
+    rng = np.random.default_rng(seed)
+    cone = _Cone(5, [1, 2, 3, 4])
+    x, dx = random_interior_point(cone, rng)
+    s, ds = random_interior_point(cone, rng)
+    _, blocks = _nt_scaling(cone, x, s)
+    alpha_x, alpha_s, _ = _step_lengths(cone, blocks, x, s, dx, ds)
+    assert alpha_x == pytest.approx(reference_step(cone, x, dx), rel=1e-10)
+    assert alpha_s == pytest.approx(reference_step(cone, s, ds), rel=1e-10)
+    # a direction that stays inside the cone on every block never stops
+    alpha_x, alpha_s, _ = _step_lengths(cone, blocks, x, s, x, np.abs(x))
+    assert (alpha_x, alpha_s) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
