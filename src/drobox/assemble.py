@@ -305,7 +305,7 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
     program.set_objective(mode.objective_sense, obj)
 
     for n, con in enumerate(mode.constraints):
-        cm, cp = np.asarray(con.coeffs, dtype=float)[: 2 * k * m].reshape(2, k, m)
+        cm, cp = con.coeffs.reshape(2, k, m)
         lin = {}
         for i in range(k):
             for j in range(m):

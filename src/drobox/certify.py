@@ -291,6 +291,13 @@ def sample_fc(decision: Decision, dual_solution: DualSolution, spec: AmbiguitySp
     return float(vals[j]), t[j].copy()
 
 
+def _duals_prove(duals: DualSolution, b: float) -> bool:
+    """Whether the duals meet the threshold row and their sign conditions."""
+    lowest = min(np.linalg.eigvalsh(Y).min() for Y in (duals.Y1, duals.Y2))
+    return (duals.dual_objective() >= b - 1e-6 and lowest >= -1e-9
+            and bool(np.all(duals.y[2:] >= -1e-9)))
+
+
 def certify_solution(decision: Decision, dual_solution: DualSolution,
                      spec: AmbiguitySpec, delta: float,
                      fine_lattice: Optional[Lattice] = None,
@@ -299,7 +306,10 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
 
     delta is the assembly step.  The fine lattice defaults to half that
     step; a coarser fine lattice than delta/2 cannot support the verdict
-    and yields inconclusive, as does an infeasible oracle.
+    and yields inconclusive, as does an infeasible oracle.  "certified"
+    also needs the duals to be a proof: dual_objective() >= b - 1e-6, Y1
+    and Y2 PSD and y >= 0 past the normalization pair, whose two rows
+    only enter as a difference, both to -1e-9.
     """
     if fine_lattice is None:
         fine_lattice = lattice_points(spec.edge, spec.m, delta / 2.0)
@@ -316,7 +326,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
         verdict = "inconclusive"
     elif value < spec.b - 1e-6:
         verdict = "falsified"
-    elif fc_min >= -1e-6:
+    elif fc_min >= -1e-6 and _duals_prove(dual_solution, spec.b):
         verdict = "certified"
     else:
         verdict = "inconclusive"

@@ -447,7 +447,9 @@ def cmd_validate(args) -> int:
     report = validate_spec(spec, fn, _lattice(spec, _single_delta(cfg, args)))
     print(report.summary())
     print("overall: %s" % ("pass" if report.passed else "FAIL"))
-    return 0 if report.passed else 1
+    if not report.passed:
+        raise ConfigError("config failed validation")
+    return 0
 
 
 def _validate_step(spec, fn, delta):

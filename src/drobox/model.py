@@ -500,6 +500,10 @@ def validate_spec(
         if not fn.mode.width_sum:
             shape_ok = fn.mode.c_minus.shape == (fn.k, m) and fn.mode.c_plus.shape == (fn.k, m)
             add("objective_shape", shape_ok, "need (k, m) coefficient matrices")
+    want = fn.k if isinstance(fn.mode, FixedBoxes) else 2 * fn.k * m
+    lengths = [c.coeffs.shape for c in fn.mode.constraints]
+    add("constraint_lengths", all(n == (want,) for n in lengths),
+        "coeffs shapes %s, need (%d,)" % (lengths, want))
 
     box_cs_aligned = True
     for c in cs:

@@ -4,11 +4,13 @@ They never build assemble_case2's mixed-binary program.  Two independent
 routes to the same answer, built from the same proof steps.  One pool of
 lattice measures screens sets of boxes: a set falls when some held
 measure gives it an expected value below b + margin (weak duality).  The
-pool starts with a point mass on every feasible lattice atom.  A set of
-boxes that passes gets its own adversary measure program solved: a value
-below b + margin rules it out, and its measure joins the pool; otherwise
-the final master's duals, checked against every lattice row and the
-threshold row, prove it feasible.
+pool starts with a point mass on every feasible lattice atom.  Callers
+hand it the lattice index corners (lo, hi) of each box, and only the
+pool knows how its measures are stored.  A set of boxes that passes gets
+its own adversary measure program solved: a value below b + margin rules
+it out, and its measure joins the pool; otherwise the final master's
+duals, checked against every lattice row and the threshold row, prove it
+feasible.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -23,7 +25,7 @@ solve_bnb is efficient subwindow search: a node holds, per height,
 either the empty box or an interval of lattice indices for each corner
 coordinate, and expands by halving its widest interval.  Heights are
 positive, so the node's outer box has its largest expectation under
-every measure, and one pool gather on it drops the whole node.
+every measure, and one pool screen of it drops the whole node.
 run_search dispatches on SearchOptions.mode.
 
 Progress goes to the drobox.search logger as machine-parseable key=value
@@ -160,11 +162,12 @@ class _MeasurePool:
     atom that is a feasible measure on its own, and grows by the
     adversary measures the search drivers solve for.
 
-    Each measure is held as one row: its zero-padded prefix-sum grid,
-    flattened.  The mass of a lattice box is then a signed sum over its
-    2^m padded corners (inclusion-exclusion), for all measures at once.
-    grids holds the point-mass seed, built once and never copied; added
-    measures go to their own rows, which grow geometrically.
+    The seed is atoms, the (n_atoms, m) lattice indices of its point
+    masses: atom a gives a set the sum of the heights h_i with
+    lo_i <= a <= hi_i.  Each added measure is one row of added, its
+    zero-padded prefix-sum grid flattened, so the mass of a box is a
+    signed sum over its 2^m padded corners (inclusion-exclusion); the
+    rows grow geometrically.
     """
 
     def __init__(self, inst: SearchInstance):
@@ -183,70 +186,56 @@ class _MeasurePool:
                 ok &= inside
             elif -cs.eps < 1.0:
                 ok &= ~inside
+        self.atoms = np.argwhere(ok.reshape(self.shape))
+        self.heights = np.asarray(inst.fn.heights, dtype=float)
         # corner u picks the lower end (sign -1) or one past the upper end
         # (sign +1) per axis; weights holds height times sign, per height
         # and then per corner
         self.picks = np.array(list(itertools.product((0, 1), repeat=lattice.dim)), dtype=bool)
         signs = np.prod(np.where(self.picks, 1.0, -1.0), axis=1)
-        self.weights = np.kron(np.asarray(inst.fn.heights, dtype=float), signs)
+        self.weights = np.kron(self.heights, signs)
         padded = [n + 1 for n in self.shape]
         self.strides = np.array([math.prod(padded[j + 1:]) for j in range(lattice.dim)])
-        # the padded prefix grid of a point mass is 1 exactly where every
-        # padded index lies past the atom's, so build it axis by axis
-        atoms = np.unravel_index(np.flatnonzero(ok), self.shape)
-        grids = np.ones((atoms[0].size,) + (1,) * lattice.dim)
-        for j, n in enumerate(self.shape):
-            past = np.arange(n + 1) > atoms[j][:, None]
-            grids = grids * past.reshape(
-                (-1,) + (1,) * j + (n + 1,) + (1,) * (lattice.dim - 1 - j))
-        self.grids = grids.reshape(grids.shape[0], math.prod(grids.shape[1:]))
-        self.added = np.empty((0, self.grids.shape[1]))
+        self.added = np.empty((0, math.prod(padded)))
         self.n_added = 0
-
-    def _prefix(self, weights) -> np.ndarray:
-        grid = np.asarray(weights, dtype=float).reshape((-1,) + self.shape)
-        for ax in range(1, grid.ndim):
-            grid = np.cumsum(grid, axis=ax)
-        grid = np.pad(grid, [(0, 0)] + [(1, 0)] * len(self.shape))
-        return grid.reshape(grid.shape[0], math.prod(grid.shape[1:]))
 
     def add(self, weights: np.ndarray):
         if self.n_added == len(self.added):
-            grown = np.empty((2 * len(self.added) + 1, self.grids.shape[1]))
+            grown = np.empty((2 * len(self.added) + 1, self.added.shape[1]))
             grown[:self.n_added] = self.added
             self.added = grown
-        self.added[self.n_added] = self._prefix(weights)[0]
+        grid = np.asarray(weights, dtype=float).reshape(self.shape)
+        for ax in range(grid.ndim):
+            grid = np.cumsum(grid, axis=ax)
+        self.added[self.n_added] = np.pad(grid, [(1, 0)] * grid.ndim).ravel()
         self.n_added += 1
 
     def block(self) -> int:
         """How many sets of boxes one screen takes: _SCREEN_BUDGET measure
         and set pairs, spread over every held measure."""
-        return max(1, _SCREEN_BUDGET // (len(self.grids) + self.n_added))
+        return max(1, _SCREEN_BUDGET // (len(self.atoms) + self.n_added))
 
-    def corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """Flat padded-grid indices of the corners of boxes, in picks order.
-
-        lo and hi are (n, m) axis indices of the lower and upper corners.
-        The empty box lo = 0, hi = -1 puts every corner on the zero pad.
-        """
-        return np.where(self.picks, hi[:, None] + 1, lo[:, None]) @ self.strides
-
-    def ruled_out(self, corners: np.ndarray) -> np.ndarray:
+    def ruled_out(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Whether some measure gives each set of boxes an expected value
         below the threshold.
 
-        corners is (k, n, 2^m): per height, the corners rows of n sets of
-        boxes.  Returns n verdicts, screened a block() of sets at a time
-        with one gather and one matmul per array of measures.
+        lo and hi are (k, n, m): per height, the lattice indices of the
+        lower and upper corners of n sets of boxes; the empty box is
+        lo = 0, hi = -1.  Returns n verdicts, screened a block() of sets
+        at a time.
         """
-        n = corners.shape[1]
-        flat = corners.transpose(1, 0, 2).reshape(n, -1)  # weights order
+        n = lo.shape[1]
         lowest = np.empty(n)
         step = self.block()
         for start in range(0, n, step):
-            c = flat[start:start + step]
+            los, his = lo[:, start:start + step, None], hi[:, start:start + step, None]
+            inside = np.all((los <= self.atoms) & (self.atoms <= his), axis=-1)
+            seed = np.tensordot(self.heights, inside, axes=1)  # (sets, atoms)
+            # padded corners of every box, in weights order
+            c = np.where(self.picks, his + 1, los) @ self.strides
+            c = c.transpose(1, 0, 2).reshape(c.shape[1], -1)
             lowest[start:start + step] = np.minimum(
-                (self.grids[:, c] @ self.weights).min(axis=0, initial=np.inf),
+                seed.min(axis=1, initial=np.inf),
                 (self.added[:self.n_added, c] @ self.weights).min(axis=0, initial=np.inf))
         return lowest < self.threshold
 
@@ -306,7 +295,7 @@ def _leaf_objective(inst: SearchInstance, boxes: list):
             lower[:, i] = upper[:, i] = box.lower, box.upper
     cons = mode.constraints
     rows = np.vstack([np.hstack([np.eye(k * m), -np.eye(k * m)])]  # lo <= hi
-                     + [np.asarray(con.coeffs, dtype=float)[: 2 * k * m] for con in cons])
+                     + [con.coeffs for con in cons])
     row_lo = [-np.inf] * (k * m) + [-np.inf if con.sense == "<=" else con.rhs for con in cons]
     row_hi = [0.0] * (k * m) + [np.inf if con.sense == ">=" else con.rhs for con in cons]
     res = milp(np.concatenate([np.ravel(c) for c in _corner_costs(inst)]),
@@ -507,13 +496,14 @@ def enumerate_boxes(inst: SearchInstance,
     bound = sum(s[0][p] for s, p in zip(streams, pos))
     order = np.lexsort(tuple(pos) + (bound,))
     pos, bound = pos[:, order], bound[order]
-    corners = np.stack([pool.corners(lo, hi)[p] for (_, lo, hi), p in zip(streams, pos)])
 
     def kept(start: int):
         """Positions from start on that the pool keeps, a block at a time."""
         while start < sets:
             stop = start + pool.block()
-            yield from (start + np.flatnonzero(~pool.ruled_out(corners[:, start:stop]))).tolist()
+            lo, hi = (np.stack([s[j][p[start:stop]] for s, p in zip(streams, pos)])
+                      for j in (1, 2))
+            yield from (start + np.flatnonzero(~pool.ruled_out(lo, hi))).tolist()
             start = stop
 
     def child(n) -> list:
@@ -567,7 +557,7 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
     def expand(parts: tuple) -> tuple:
         lo = np.array([np.zeros(m, dtype=int) if p is None else p[0] for p in parts])
         hi = np.array([np.full(m, -1) if p is None else p[3] for p in parts])
-        if pool.ruled_out(pool.corners(lo, hi)[:, None])[0]:
+        if pool.ruled_out(lo[:, None], hi[:, None])[0]:
             return (), None
         # widths of the lo (row 0) and hi (row 1) intervals of each box
         widths = [np.zeros((2, m), dtype=int) if p is None else p[[1, 3]] - p[[0, 2]]

@@ -289,6 +289,25 @@ def test_certify_stored_record_at_the_finest_bench_step(tmp_path):
     assert cert["fine_delta"] == 0.00625
 
 
+def test_certify_zero_duals_are_inconclusive(tmp_path, capsys):
+    # all-zero duals sample f^c at 0 and leave the oracle above b, but their
+    # threshold row reads 0 < b: they prove nothing
+    record = json.loads((Path(__file__).parents[1] / "perfbench" / "records"
+                         / "bin_creating_d0.05.json").read_text())
+    record["duals"] = {"Y1": np.zeros((3, 3)).tolist(), "Y2": np.zeros((2, 2)).tolist(),
+                       "y": [0.0] * len(record["duals"]["y"])}
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(record))
+    code = main(["certify", "--config", REFERENCE, "--solution", str(path),
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert "verdict=inconclusive" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    assert cert["verdict"] == "inconclusive"
+    assert cert["fc_min_sampled"] >= 0.0
+    assert cert["worst_case_expectation"] >= 0.1
+
+
 def test_sweep_rows_in_input_order_with_failures(tmp_path, capsys):
     code = main(["sweep", "--config", REFERENCE, "--delta", "0.1",
                  "--delta", "0.3", "--delta", "0.2", "--out-dir", str(tmp_path)])
@@ -535,3 +554,30 @@ def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("verb", ["validate", "solve"])
+@pytest.mark.parametrize("kind, length", [("variable", 3), ("variable", 5),
+                                          ("fixed", 1), ("fixed", 3)])
+def test_constraint_coefficient_length_is_checked(tmp_path, capsys, verb, kind, length):
+    # variable boxes need 2*k*m = 4 coefficients here, fixed boxes k = 2
+    if kind == "variable":
+        mode = {"kind": "variable", "c_minus": [[-1.0, -1.0]], "c_plus": [[1.0, 1.0]],
+                "constraints": [{"coeffs": [1.0] * length, "sense": "<=", "rhs": 2.0}]}
+        cfg = json.loads(Path(REFERENCE).read_text())
+        cfg["function"]["mode"] = mode
+    else:
+        cfg = json.loads(Path(FIXED_DEMO).read_text())
+        cfg["function"]["mode"]["constraints"][0]["coeffs"] = [1.0] * length
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    argv = [verb, "--config", str(path)]
+    if verb == "solve":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.search(r"FAIL +constraint_lengths", captured.out + captured.err)
+    err = captured.err.strip().splitlines()
+    assert [line for line in err if line.startswith("error: ")] == [
+        "error: config failed validation"]
+    assert not (tmp_path / "result.json").exists()

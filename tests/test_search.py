@@ -227,7 +227,7 @@ def _feasible_point_masses(model):
 
 
 @pytest.mark.parametrize("which", ["reference-quarter-step", "line-two-boxes",
-                                   "reference-half-step-two-boxes"])
+                                   "reference-half-step-two-boxes", "cube-quarter-step"])
 def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, which):
     # the pool rules a candidate out exactly when one of its measures
     # gives the candidate's simple function an expected value below
@@ -242,6 +242,10 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
     elif which == "line-two-boxes":
         model = line_model(k=2, heights=(0.6, 0.4), margin=0.35)
         adversary_boxes = [BoxRegion([0.05], [0.15]), BoxRegion([0.0], [0.1])]
+    elif which == "cube-quarter-step":
+        model = _cube_instance(0.25)
+        adversary_boxes = [BoxRegion([0.0, 0.0, 0.0], [0.25, 0.5, 0.25]),
+                           BoxRegion([0.25, 0.0, 0.0], [1.0, 0.25, 0.5])]
     else:
         fn = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
         model = search_instance(ref_spec, fn, 0.5, margin=0.2)
@@ -258,8 +262,8 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
 
     streams = [_candidate_stream(model, i) for i in range(model.fn.k)]
     sets = list(itertools.product(*[range(len(bound)) for bound, _, _ in streams]))
-    corners = np.stack([pool.corners(lo, hi)[[idx[i] for idx in sets]]
-                        for i, (_, lo, hi) in enumerate(streams)])
+    lo, hi = (np.stack([stream[j][[idx[i] for idx in sets]]
+                        for i, stream in enumerate(streams)]) for j in (1, 2))
     threshold = model.spec.b + model.margin - 1e-7
     want = []
     for idx in sets:
@@ -273,14 +277,14 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
         assert min(abs(e - threshold) for e in expected) > 1e-9  # no ties to split
         want.append(min(expected) < threshold)
     n_boxes = {"reference-quarter-step": 226, "line-two-boxes": 16,
-               "reference-half-step-two-boxes": 37}[which]
+               "reference-half-step-two-boxes": 37, "cube-quarter-step": 3376}[which]
     assert len(want) == n_boxes ** model.fn.k
     assert any(want) and not all(want)
-    assert pool.ruled_out(corners).tolist() == want
+    assert pool.ruled_out(lo, hi).tolist() == want
     # blocks of 7 sets: the same verdicts across many block boundaries
-    monkeypatch.setattr(search, "_SCREEN_BUDGET", 7 * (len(pool.grids) + pool.n_added))
+    monkeypatch.setattr(search, "_SCREEN_BUDGET", 7 * (len(pool.atoms) + pool.n_added))
     assert pool.block() == 7
-    assert pool.ruled_out(corners).tolist() == want
+    assert pool.ruled_out(lo, hi).tolist() == want
 
 
 def _confidence_instance():
@@ -307,6 +311,7 @@ def _cube_instance(delta):
 @pytest.mark.parametrize("which", ["reference-quarter-step", "line", "cube-quarter-step",
                                    "confidence-rows"])
 def test_measure_pool_point_masses_match_the_identity_build(ref_spec, ref_fn, which):
+    # the pool's atom indices are the atoms of the one-hot reference build
     if which == "reference-quarter-step":
         model = search_instance(ref_spec, ref_fn, 0.25, margin=0.1)
     elif which == "line":
@@ -316,17 +321,19 @@ def test_measure_pool_point_masses_match_the_identity_build(ref_spec, ref_fn, wh
     else:
         model = _confidence_instance()
     pool = _MeasurePool(model)
-    want = pool._prefix(np.array(_feasible_point_masses(model)))
+    flat = [int(np.argmax(w)) for w in _feasible_point_masses(model)]
+    want = np.transpose(np.unravel_index(flat, model.lattice.shape))
     assert len(want) >= 2
     if which == "confidence-rows":
         # the moments allow 7 atoms; the first row keeps 4, the second 3
         assert len(want) == 3
-    assert pool.grids.dtype == want.dtype
-    assert np.array_equal(pool.grids, want)
+    assert np.array_equal(pool.atoms, want)
 
 
 def test_measure_pool_memory_stays_below_the_identity():
-    # 15,625 atoms: an identity over them alone would take 1.95 GB
+    # the seed is atom indices: one padded prefix grid per atom would take
+    # 480 x 26^3 floats (67 MB) here, and an identity over all 15,625
+    # atoms 1.95 GB
     model = _cube_instance(1 / 24)
     tracemalloc.start()
     try:
@@ -334,25 +341,30 @@ def test_measure_pool_memory_stays_below_the_identity():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pool.grids.shape[1] == 26 ** 3
-    assert peak < 150e6
+    assert pool.atoms.shape == (480, 3)
+    assert peak < 0.05 * len(pool.atoms) * 26 ** 3 * 8
 
 
 def test_measure_pool_adds_never_copy_the_seed():
-    # added measures grow their own rows; ten adds to the 3-D pool at
-    # delta = 1/24 must not copy its point-mass seed
+    # added measures grow their own rows, apart from the atom-index seed:
+    # a hundred adds to the 3-D pool at delta = 1/24 reallocate them seven
+    # times, and the peak holds no more than the old and the new rows of
+    # the last growth
     model = _cube_instance(1 / 24)
     pool = _MeasurePool(model)
     weights = np.full(model.lattice.n_points, 1.0 / model.lattice.n_points)
+    grown = 0
     tracemalloc.start()
     try:
-        for _ in range(10):
+        for _ in range(100):
+            rows = pool.added
             pool.add(weights)
+            grown += pool.added is not rows
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert pool.n_added == 10
-    assert peak < 0.1 * pool.grids.nbytes
+    assert (pool.n_added, len(pool.added), grown) == (100, 127, 7)
+    assert peak < 1.6 * pool.added.nbytes
 
 
 @pytest.mark.parametrize("delta,objective,sets", [(0.05, 1.7, 53_362), (0.04, 1.56, 123_202)],
@@ -366,9 +378,9 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
     screens = []
     ruled_out = _MeasurePool.ruled_out
 
-    def spy(self, corners):
+    def spy(self, lo, hi):
         screens.append(self)
-        return ruled_out(self, corners)
+        return ruled_out(self, lo, hi)
 
     monkeypatch.setattr(_MeasurePool, "ruled_out", spy)
     model = search_instance(ref_spec, ref_fn, delta)
@@ -377,7 +389,7 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
     assert inc.objective == pytest.approx(objective, abs=1e-6)
     assert len(_candidate_stream(model, 0)[0]) == sets <= _ENUMERATE_CAP
     pool = screens[-1]  # largest last, so its blocks are the smallest
-    blocks = -(-sets // (_SCREEN_BUDGET // (len(pool.grids) + pool.n_added)))
+    blocks = -(-sets // (_SCREEN_BUDGET // (len(pool.atoms) + pool.n_added)))
     assert len(screens) <= 2 * inc.node_count + blocks
 
 
