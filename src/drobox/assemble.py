@@ -15,6 +15,9 @@ difference along the axis, at most two jumps per grid line, and bound
 rows pinning the box corners x-, x+ to the jump positions.  The width-sum
 objective is linearized through auxiliaries z >= +-(x+ - x-) and
 minimized.
+
+Fixed mode can also build the sampled rows of a few lattice points only:
+`drobox solve` adds the rows that bind as it goes (cli._solve_fixed).
 """
 
 from __future__ import annotations
@@ -121,13 +124,15 @@ def _margin_value(spec, lattice, L, margin_override):
 
 
 def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
-                   L: float) -> AssembledModel:
+                   L: float, atoms: Optional[np.ndarray] = None) -> AssembledModel:
     """Fixed boxes, heights as the decision: a plain SDP.
 
     Rows: the threshold row, one sampled row per lattice point with exact
     indicator values, the user's height constraints, and (when the mode is
     pinned) equality rows freezing the heights to fn.heights.  The
-    objective vector, when present, is minimized.
+    objective vector, when present, is minimized.  With atoms, the flat
+    indices of some lattice points, only their sampled rows are built: a
+    relaxation of the full program.
     """
     mode = fn.mode
     if not isinstance(mode, FixedBoxes):
@@ -150,7 +155,7 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
     _add_dual_variables(program, spec, var_index)
     _add_threshold_row(program, spec)
 
-    for f in range(lattice.n_points):
+    for f in range(lattice.n_points) if atoms is None else atoms:
         t = lattice.points[f]
         lin, mats = _lattice_row_base(spec, t)
         for i, box in enumerate(mode.boxes):

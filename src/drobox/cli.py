@@ -2,8 +2,8 @@
 
 Verbs, and the flags each reads besides --config and --delta
     validate  check a config's instance invariants, print the report
-    solve     solve at one lattice step (fixed boxes: the assembled SDP;
-              variable boxes: the box search), then self-certify;
+    solve     solve at one lattice step (fixed boxes: the SDP on the lattice
+              rows that bind; variable boxes: the box search), self-certify;
               --out-dir, --seed, --time-limit, --mode
     sweep     repeat solve over a list of steps (--delta repeats), emit a
               CSV table; the same flags as solve
@@ -64,6 +64,7 @@ import logging
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -71,7 +72,7 @@ import numpy as np
 
 # uncalled: perfbench/tracer.py wraps assemble_case2 until that hook moves (ROADMAP item 1)
 from .assemble import assemble_case1, assemble_case2, decode_duals
-from .certify import certify_solution
+from .certify import _MIN_ENTERING, _PRICE_TOL, _Pricer, _seeds, certify_solution
 from .lipschitz import lipschitz_certificate, max_safe_step, safety_margin
 from .model import (
     AmbiguitySpec,
@@ -83,6 +84,7 @@ from .model import (
     LinearConstraint,
     SimpleFunctionSpec,
     VariableBoxes,
+    WholeDomain,
     lattice_points,
     validate_spec,
 )
@@ -341,9 +343,43 @@ def _jsonable(obj):
     return obj
 
 
+def _solve_fixed(spec, fn, lattice, L: float) -> tuple:
+    """(model, sol) of the fixed-box SDP, solved on the lattice rows that bind.
+
+    Each master (assemble_case1 on the active atoms) relaxes the program:
+    an infeasible one ends the solve, an unbounded or stalled one restarts
+    from the next finer seed of certify._seeds.  _Pricer evaluates the
+    lattice row at every atom; the most violated join by adversary_problem's
+    rule, and once none is below -1e-9 the master's optimum is the full one.
+    """
+    pts = lattice.points
+    inside = np.stack([box.contains(pts) for box in fn.mode.boxes], axis=1).astype(float)
+    price = _Pricer(spec, pts, np.zeros(lattice.n_points))
+    whole = np.array([isinstance(cs.region, WholeDomain) for cs in spec.confidence_sets])
+    sgn = np.copysign(1.0, [cs.eps for cs in spec.confidence_sets])
+    for active in _seeds(lattice, spec):
+        while True:
+            model = assemble_case1(spec, fn, lattice, L, atoms=active)
+            sol = solve_sdp(model.program)
+            if sol.status == "infeasible":
+                return model, sol
+            if sol.status != "optimal":
+                break
+            d = decode_duals(sol, model)
+            row_duals = np.r_[sgn[whole] @ d.y[whole] + model.margin, d.y[~whole]]
+            row = inside @ [sol.value("x[%d]" % i) for i in range(fn.k)] + price(
+                replace(sol, row_duals=row_duals, lmi_duals=[d.Y1, d.Y2]))
+            row[active] = np.inf
+            if row.min() >= -_PRICE_TOL:
+                return model, sol
+            entering = np.argsort(row)[:max(_MIN_ENTERING, active.size)]
+            active = np.union1d(active, entering[row[entering] < -_PRICE_TOL])
+    return model, sol
+
+
 def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
                 samples: int) -> dict:
-    """Solve (fixed boxes: the assembled SDP; variable: the search), certify.
+    """Solve (fixed boxes: _solve_fixed; variable: the search), certify.
 
     Returns the result record.  It always carries delta, L, delta_max,
     margin, status and timings; solution fields (objective, heights,
@@ -366,9 +402,8 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     boxes = duals = None
     if isinstance(fn.mode, FixedBoxes):
         record["case"] = "fixed"
-        model = assemble_case1(spec, fn, lattice, L)
+        model, sol = _solve_fixed(spec, fn, lattice, L)
         record["margin"] = model.margin
-        sol = solve_sdp(model.program)
         record["proof"] = sol.status
         record["status"] = {"optimal": "solved", "infeasible": "infeasible-model"}.get(
             sol.status, "unknown")

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from drobox.model import AmbiguitySpec, FixedBoxes, SimpleFunctionSpec, VariableBoxes
+from drobox.model import AmbiguitySpec, SimpleFunctionSpec, VariableBoxes
+from drobox.sdp import ConicProgram, SolveOptions, solve_sdp
 
 SYMMETRY_RTOL = 1e-10
 
@@ -49,13 +50,16 @@ def sym_min_eig(a: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(a)))
 
 
-def _max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> float:
+def max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> float:
     """Largest value the simple function can take at the mean.
 
     Variable boxes: heights are fixed positive data and every box may cover
     the mean, so the sum of positive heights.  Fixed boxes: the indicators
     at the mean are constants; with pinned heights this is a plain
-    evaluation, otherwise one LP over the height polytope.
+    evaluation, otherwise one LP over the height polytope.  validate_spec
+    runs that LP too, so it goes through drobox.sdp: scipy.optimize is slow
+    to import.  Raises ValueError when the LP is unbounded, infeasible (an
+    empty polytope) or fails.
     """
     if isinstance(fn.mode, VariableBoxes):
         return float(np.sum(np.maximum(fn.heights, 0.0)))
@@ -65,34 +69,21 @@ def _max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> floa
     if mode.heights_pinned:
         return float(at_mean @ fn.heights)
 
-    # scipy.optimize is slow to import and only fixed boxes with free heights need it
-    from scipy.optimize import linprog
-
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    program = ConicProgram()
+    names = [program.add_scalar("h[%d]" % i) for i in range(fn.k)]
     for row in mode.constraints:
-        if row.sense == "<=":
-            a_ub.append(row.coeffs)
-            b_ub.append(row.rhs)
-        elif row.sense == ">=":
-            a_ub.append(-row.coeffs)
-            b_ub.append(-row.rhs)
-        else:
-            a_eq.append(row.coeffs)
-            b_eq.append(row.rhs)
-    res = linprog(
-        -at_mean,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=[(None, None)] * fn.k,
-        method="highs",
-    )
-    if res.status == 3:
+        program.add_row(dict(zip(names, row.coeffs)), row.sense, row.rhs)
+    program.set_objective("max", dict(zip(names, at_mean)))
+    # the trace bound wants the optimum itself, not one within 1e-8; a
+    # tolerance that tight can miss an unbounded ray, which the default finds
+    sol = solve_sdp(program, SolveOptions(tol=1e-12))
+    if sol.status == "numerical-failure":
+        sol = solve_sdp(program)
+    if sol.status == "unbounded":
         raise ValueError("height polytope leaves the value at the mean unbounded")
-    if res.status != 0:
-        raise ValueError("height polytope is empty or the LP failed: %s" % res.message)
-    return float(-res.fun)
+    if sol.status != "optimal":
+        raise ValueError("height polytope is empty or the LP failed: %s" % sol.status)
+    return float(sol.objective)
 
 
 def trace_bounds(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> tuple[float, float]:
@@ -115,7 +106,7 @@ def trace_bounds(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> tuple[float, fl
         raise ValueError("covariance must be strictly positive definite")
     if spec.eps_sigma <= 0.0:
         raise ValueError("eps_sigma must be positive")
-    s_max = _max_height_sum_at_mean(spec, fn)
+    s_max = max_height_sum_at_mean(spec, fn)
     numerator = max(s_max + abs(spec.b), 0.0)
     return numerator / lam_block, 1.0 / (spec.eps_sigma * lam_sigma)
 

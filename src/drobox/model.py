@@ -417,7 +417,9 @@ def validate_spec(
     """Check every instance invariant and report pass/fail per check.
 
     Nothing raises here (shape errors aside); the CLI turns a failing
-    report into exit code 1.
+    report into exit code 1.  Fixed boxes that pass every other check get
+    one more: the LP of lipschitz.max_height_sum_at_mean, which the trace
+    bounds need, must have a finite optimum over the height polytope.
     """
     checks: list[CheckResult] = []
 
@@ -518,6 +520,14 @@ def validate_spec(
         lattice.dim == m and abs(lattice.edge - M) <= ALIGNMENT_TOL * max(1.0, M),
         "lattice dim=%d edge=%g" % (lattice.dim, lattice.edge),
     )
+    if isinstance(fn.mode, FixedBoxes) and all(c.passed for c in checks):
+        from .lipschitz import max_height_sum_at_mean  # lipschitz imports this module
+
+        try:
+            add("height_value_at_mean_bounded", True,
+                "max=%g" % max_height_sum_at_mean(spec, fn))
+        except ValueError as exc:
+            add("height_value_at_mean_bounded", False, str(exc))
     return ValidationReport(tuple(checks))
 
 

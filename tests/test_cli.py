@@ -206,6 +206,140 @@ def test_solve_fixed_demo_is_certified(tmp_path):
     assert record["certificate"]["verdict"] == "certified"
 
 
+# ---------------------------------------------------------------------------
+# fixed boxes: masters on the lattice rows that bind, against the full program
+
+
+def fixed_config(tmp_path, heights=None, mode=(), **overrides):
+    """The fixed demo config with its heights, fields of its mode (a value
+    of None deletes the field) or top-level fields replaced, written to
+    tmp_path."""
+    cfg = json.loads(Path(FIXED_DEMO).read_text())
+    cfg.update(overrides)
+    if heights is not None:
+        cfg["function"]["heights"] = heights
+    for key, value in dict(mode).items():
+        if value is None:
+            del cfg["function"]["mode"][key]
+        else:
+            cfg["function"]["mode"][key] = value
+    path = tmp_path / "fixed.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def row_violation(program, primal) -> float:
+    """The largest violation of any scalar row of program at the point primal."""
+    worst = 0.0
+    for row in program.rows:
+        lhs = sum(c * primal[v] for v, c in row.lin.items())
+        lhs += sum(float(np.sum(mat * primal[v])) for v, mat in row.mats.items())
+        gap = {">=": row.rhs - lhs, "<=": lhs - row.rhs, "==": abs(lhs - row.rhs)}[row.sense]
+        worst = max(worst, gap)
+    return worst
+
+
+CONFIDENCE_PAIR = [{"lower": [0.0, 0.0], "upper": [0.5, 0.5], "eps": 0.3},
+                   {"lower": [0.6, 0.6], "upper": [1.0, 1.0], "eps": -0.2}]
+
+
+@pytest.mark.parametrize("delta, changes", [
+    (0.1, {}), (0.05, {}), (0.025, {}),
+    (0.05, {"heights": [0.9, 0.3], "mode": {"constraints": None, "objective": None}}),
+    (0.05, {"confidence_sets": CONFIDENCE_PAIR}),
+], ids=["d0.1", "d0.05", "d0.025", "pinned", "confidence-pair"])
+def test_fixed_masters_meet_every_row_of_the_full_program(tmp_path, delta, changes):
+    from drobox.assemble import assemble_case1
+    from drobox.lipschitz import lipschitz_certificate
+    from drobox.model import lattice_points
+    from drobox.sdp import solve_sdp
+
+    spec, fn = cli.build_instance(cli.load_config(fixed_config(tmp_path, **changes)))
+    lattice = lattice_points(spec.edge, spec.m, delta)
+    L = lipschitz_certificate(spec, fn).L
+    model, sol = cli._solve_fixed(spec, fn, lattice, L)
+    full = assemble_case1(spec, fn, lattice, L)
+    ref = solve_sdp(full.program)
+    assert sol.status == ref.status == "optimal"
+    assert model.program.n_rows < full.program.n_rows
+    # 1e-8 in the solver's own scale, 1 + the largest right-hand side
+    scale = 1.0 + max(abs(row.rhs) for row in full.program.rows)
+    assert row_violation(full.program, sol.primal) <= 1e-8 * scale
+    assert sol.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-12)
+
+
+def test_infeasible_fixed_master_ends_the_solve(tmp_path, monkeypatch, capsys):
+    # every master is a relaxation of the full program, so the first
+    # infeasible one proves the instance infeasible
+    statuses = []
+    real = cli.solve_sdp
+
+    def spy(program, *args):
+        sol = real(program, *args)
+        statuses.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(cli, "solve_sdp", spy)
+    path = fixed_config(tmp_path, b=5.0)
+    assert main(["solve", "--config", path, "--delta", "0.025",
+                 "--out-dir", str(tmp_path)]) == 4
+    assert statuses == ["infeasible"]
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert (record["status"], record["proof"]) == ("infeasible-model", "infeasible")
+
+
+def test_stalled_fixed_master_moves_to_the_next_seed(tmp_path, monkeypatch):
+    from dataclasses import replace
+
+    rows = []
+    real = cli.solve_sdp
+
+    def first_stalls(program, *args):
+        sol = real(program, *args)
+        rows.append(program.n_rows)
+        return replace(sol, status="numerical-failure") if len(rows) == 1 else sol
+
+    assert main(["solve", "--config", FIXED_DEMO, "--delta", "0.05",
+                 "--out-dir", str(tmp_path / "plain")]) == 0
+    plain = json.loads((tmp_path / "plain" / "result.json").read_text())
+    monkeypatch.setattr(cli, "solve_sdp", first_stalls)
+    assert main(["solve", "--config", FIXED_DEMO, "--delta", "0.05",
+                 "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    # 5 x 5 seed atoms, then the 9 x 9 seed, each with the threshold and 3 user rows
+    assert rows[:2] == [25 + 4, 81 + 4]
+    assert record["proof"] == "optimal"
+    assert record["objective"] == pytest.approx(plain["objective"], rel=1e-6)
+
+
+@pytest.mark.parametrize("verb", ["validate", "solve", "sweep"])
+@pytest.mark.parametrize("polytope, message", [
+    ("unbounded", "leaves the value at the mean unbounded"),
+    ("empty", "is empty or the LP failed"),
+])
+def test_height_polytope_without_an_optimum_is_invalid(tmp_path, capsys, verb, polytope,
+                                                       message):
+    # an objective with no constraints, or contradictory equalities
+    cons = json.loads(Path(FIXED_DEMO).read_text())["function"]["mode"]["constraints"]
+    cons = [] if polytope == "unbounded" else cons + [
+        {"coeffs": [1.0, 1.0], "sense": "==", "rhs": 2.0}]
+    argv = [verb, "--config", fixed_config(tmp_path, mode={"constraints": cons}), "--delta",
+            "0.05"]
+    if verb != "validate":
+        argv += ["--out-dir", str(tmp_path)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert re.search("FAIL +height_value_at_mean_bounded height polytope " + message,
+                     captured.out + captured.err)
+    if verb == "sweep":
+        row = (tmp_path / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert (row[1], row[4]) == ("", "error")
+    else:
+        assert [line for line in captured.err.splitlines() if line.startswith("error: ")] == [
+            "error: config failed validation"]
+        assert not (tmp_path / "result.json").exists()
+
+
 def test_certify_round_trip_matches_solve(solved_reference, tmp_path):
     _, record, out = solved_reference
     code = main(["certify", "--config", REFERENCE,

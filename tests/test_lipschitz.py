@@ -160,7 +160,7 @@ def test_poly_part_batch_matches_scalar(ref_spec):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out():
-    # only the height-polytope LP of fixed boxes with free heights needs it
+    # only the corner LP of a search under user constraints needs it
     env = dict(os.environ, PYTHONPATH=str(Path(drobox.__file__).resolve().parents[1]))
     out = subprocess.run(
         [sys.executable, "-c", "import sys, drobox.cli; print('scipy.optimize' in sys.modules)"],
