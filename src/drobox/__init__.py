@@ -78,7 +78,6 @@ from drobox.search import (
     SearchInstance,
     SearchOptions,
     enumerate_boxes,
-    root_relaxation,
     run_search,
     solve_bnb,
 )

@@ -17,7 +17,8 @@ objective is linearized through auxiliaries z >= +-(x+ - x-) and
 minimized.
 
 Fixed mode can also build the sampled rows of a few lattice points only:
-`drobox solve` adds the rows that bind as it goes (cli._solve_fixed).
+`drobox solve` adds the rows that bind as it goes, in the loop of
+certify.column_generation.
 """
 
 from __future__ import annotations

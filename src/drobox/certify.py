@@ -12,13 +12,8 @@ program (see _lattice_duals), and everything else here is defense in
 depth on top of them.
 
 The measure program has one column per lattice atom, so it is solved by
-column generation.  Each round solves the program restricted to a few
-active atoms and prices every atom against that master's row and LMI
-duals in one vectorized pass; the most negative atoms join the master.
-The rounds stop when no atom prices below -1e-9, which makes the
-master's duals feasible for the whole lattice and its optimum the
-lattice optimum.  Rounds go to the drobox.certify logger at DEBUG level
-as key=value lines: round=, atoms=, value=, min_reduced_cost=, status=.
+column generation (column_generation, which the fixed-box solve of
+`drobox solve` shares).
 """
 
 from __future__ import annotations
@@ -46,9 +41,8 @@ from .sdp import ConicProgram, solve_sdp
 
 LOG = logging.getLogger("drobox.certify")
 
-# Column generation for the adversary: points per axis of the first seed,
-# fewest atoms to add per round, and the reduced cost that counts as
-# negative.
+# Column generation: points per axis of the first seed, fewest atoms to
+# add per round, and the reduced cost that counts as negative.
 _SEED_POINTS = 5
 _MIN_ENTERING = 10
 _PRICE_TOL = 1e-9
@@ -94,7 +88,7 @@ def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
     return program
 
 
-class _Pricer:
+class Pricer:
     """Reduced costs of every lattice atom against a master's duals.
 
     The column of atom t_j in the measure program is its value v_j, a 1 in
@@ -128,7 +122,7 @@ class _Pricer:
         return self.vals - self.rows @ sol.row_duals - first + second
 
 
-def _lattice_duals(spec: AmbiguitySpec, price: _Pricer, sol, margin: float) -> DualSolution:
+def _lattice_duals(spec: AmbiguitySpec, price: Pricer, sol, margin: float) -> DualSolution:
     """A master's multipliers as duals whose lattice rows hold at margin.
 
     The LMI duals projected onto the PSD cone give Y1 and Y2, and the
@@ -166,6 +160,52 @@ def _seeds(lattice: Lattice, spec: AmbiguitySpec):
     yield np.arange(lattice.n_points)
 
 
+def column_generation(lattice: Lattice, spec: AmbiguitySpec, solve, price, *,
+                      stop_below: float = -math.inf, final: tuple = ()) -> tuple:
+    """Solve a program with one column (or row) per lattice atom, a few atoms at a time.
+
+    solve(active) solves the master, the program restricted to the atoms
+    active (sorted flat lattice indices), and price(sol) gives every
+    atom's reduced cost against an optimal master.  Each round solves the
+    master and prices the whole lattice; the most negative atoms, at
+    least 10 and up to as many as are active, join the master.  The rounds
+    stop when no atom prices below -1e-9: the master's duals are then
+    feasible for the whole lattice, so its optimum is the lattice optimum.
+    With stop_below they also stop once a master's value falls below it.
+
+    The rounds start from the coarsest of _seeds.  A master whose status
+    is in final ends them as it is; any other non-optimal one restarts them
+    from the next finer seed, and one on the whole lattice ends them.
+    Returns (active, sol) of the last master.  Rounds go to the
+    drobox.certify logger at DEBUG level as key=value lines: round=,
+    atoms=, value=, min_reduced_cost=, status=.
+    """
+    rounds = 0
+    for active in _seeds(lattice, spec):
+        while True:
+            rounds += 1
+            sol = solve(active)
+            if sol.status != "optimal":
+                LOG.debug("round=%d atoms=%d value=nan min_reduced_cost=nan status=%s",
+                          rounds, active.size, sol.status)
+                if sol.status in final:
+                    return active, sol
+                break
+            cost = price(sol)
+            cost[active] = np.inf
+            lowest = float(cost.min())
+            LOG.debug("round=%d atoms=%d value=%.9g min_reduced_cost=%.3g status=optimal",
+                      rounds, active.size, sol.objective, lowest)
+            if lowest >= -_PRICE_TOL or sol.objective < stop_below:
+                return active, sol
+            entering = np.flatnonzero(cost < -_PRICE_TOL)
+            count = max(_MIN_ENTERING, active.size)
+            if entering.size > count:
+                entering = entering[np.argpartition(cost[entering], count)[:count]]
+            active = np.union1d(active, entering)
+    return active, sol
+
+
 def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
                       *, stop_below: float = -math.inf, margin: Optional[float] = None):
     """Solve the discrete-measure adversary and keep the measure.
@@ -179,49 +219,27 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.
 
-    The program is solved by column generation.  Each round solves the
-    measure program restricted to the active atoms (the master) and
-    prices every atom of the lattice against its duals; the most negative
-    ones, at least 10 and up to as many as are active, join the master.
-    The rounds stop when no atom prices below -1e-9: the master's duals
-    are then feasible for the whole lattice, so its optimum is the lattice
-    optimum.  A master that ends infeasible or stalls restarts the rounds
-    from a finer seed (see _seeds); only an infeasible or stalled solve on
-    the whole lattice is reported as it ended, with no weights.
-
-    With stop_below, the rounds also stop once a master's value falls
-    below it.  That measure is feasible on the lattice, so its value is an
-    upper bound on the optimum, which suffices to rule a candidate out.
+    The program is solved by column_generation with no final status, so
+    only an infeasible or stalled master on the whole lattice is reported
+    as it ended, with no weights.  A master whose value falls below
+    stop_below ends the rounds: its measure is feasible on the lattice, so
+    its value is an upper bound on the optimum, which suffices to rule a
+    candidate out.
     """
     pts = fine_lattice.points
     vals = decision.evaluate(pts)
-    price = _Pricer(spec, pts, vals)
-    rounds = 0
-    for active in _seeds(fine_lattice, spec):
-        while True:
-            rounds += 1
-            sol = solve_sdp(_measure_program(spec, pts[active], vals[active]))
-            if sol.status != "optimal":
-                LOG.debug("round=%d atoms=%d value=nan min_reduced_cost=nan status=%s",
-                          rounds, active.size, sol.status)
-                break
-            cost = price(sol)
-            cost[active] = np.inf
-            lowest = float(cost.min())
-            LOG.debug("round=%d atoms=%d value=%.9g min_reduced_cost=%.3g status=optimal",
-                      rounds, active.size, sol.objective, lowest)
-            if lowest >= -_PRICE_TOL or sol.objective < stop_below:
-                weights = np.zeros(pts.shape[0])
-                weights[active] = [max(sol.primal["w[%d]" % j], 0.0)
-                                   for j in range(active.size)]
-                duals = None if margin is None else _lattice_duals(spec, price, sol, margin)
-                return sol.status, float(sol.objective), weights, duals
-            entering = np.flatnonzero(cost < -_PRICE_TOL)
-            count = max(_MIN_ENTERING, active.size)
-            if entering.size > count:
-                entering = entering[np.argpartition(cost[entering], count)[:count]]
-            active = np.union1d(active, entering)
-    return sol.status, float("nan"), None, None
+    price = Pricer(spec, pts, vals)
+
+    def solve(active):
+        return solve_sdp(_measure_program(spec, pts[active], vals[active]))
+
+    active, sol = column_generation(fine_lattice, spec, solve, price, stop_below=stop_below)
+    if sol.status != "optimal":
+        return sol.status, float("nan"), None, None
+    weights = np.zeros(pts.shape[0])
+    weights[active] = [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size)]
+    duals = None if margin is None else _lattice_duals(spec, price, sol, margin)
+    return sol.status, float(sol.objective), weights, duals
 
 
 def adversary_oracle(decision: Decision, spec: AmbiguitySpec,

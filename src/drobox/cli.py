@@ -72,7 +72,7 @@ import numpy as np
 
 # uncalled: perfbench/tracer.py wraps assemble_case2 until that hook moves (ROADMAP item 1)
 from .assemble import assemble_case1, assemble_case2, decode_duals
-from .certify import _MIN_ENTERING, _PRICE_TOL, _Pricer, _seeds, certify_solution
+from .certify import Pricer, certify_solution, column_generation
 from .lipschitz import lipschitz_certificate, max_safe_step, safety_margin
 from .model import (
     AmbiguitySpec,
@@ -346,34 +346,32 @@ def _jsonable(obj):
 def _solve_fixed(spec, fn, lattice, L: float) -> tuple:
     """(model, sol) of the fixed-box SDP, solved on the lattice rows that bind.
 
-    Each master (assemble_case1 on the active atoms) relaxes the program:
-    an infeasible one ends the solve, an unbounded or stalled one restarts
-    from the next finer seed of certify._seeds.  _Pricer evaluates the
-    lattice row at every atom; the most violated join by adversary_problem's
-    rule, and once none is below -1e-9 the master's optimum is the full one.
+    certify.column_generation adds the most violated lattice rows to a
+    master, assemble_case1 on the active atoms.  A master relaxes the
+    program, so an infeasible one ends the solve.  An atom's lattice row is
+    the box indicators times the heights plus a Pricer with zero atom
+    values, whose mass-row dual carries the margin and the whole-domain
+    confidence terms.
     """
     pts = lattice.points
     inside = np.stack([box.contains(pts) for box in fn.mode.boxes], axis=1).astype(float)
-    price = _Pricer(spec, pts, np.zeros(lattice.n_points))
+    pricer = Pricer(spec, pts, np.zeros(lattice.n_points))
     whole = np.array([isinstance(cs.region, WholeDomain) for cs in spec.confidence_sets])
     sgn = np.copysign(1.0, [cs.eps for cs in spec.confidence_sets])
-    for active in _seeds(lattice, spec):
-        while True:
-            model = assemble_case1(spec, fn, lattice, L, atoms=active)
-            sol = solve_sdp(model.program)
-            if sol.status == "infeasible":
-                return model, sol
-            if sol.status != "optimal":
-                break
-            d = decode_duals(sol, model)
-            row_duals = np.r_[sgn[whole] @ d.y[whole] + model.margin, d.y[~whole]]
-            row = inside @ [sol.value("x[%d]" % i) for i in range(fn.k)] + price(
-                replace(sol, row_duals=row_duals, lmi_duals=[d.Y1, d.Y2]))
-            row[active] = np.inf
-            if row.min() >= -_PRICE_TOL:
-                return model, sol
-            entering = np.argsort(row)[:max(_MIN_ENTERING, active.size)]
-            active = np.union1d(active, entering[row[entering] < -_PRICE_TOL])
+    model = None
+
+    def solve(active):
+        nonlocal model
+        model = assemble_case1(spec, fn, lattice, L, atoms=active)
+        return solve_sdp(model.program)
+
+    def price(sol):
+        d = decode_duals(sol, model)
+        row_duals = np.r_[sgn[whole] @ d.y[whole] + model.margin, d.y[~whole]]
+        return inside @ [sol.value("x[%d]" % i) for i in range(fn.k)] + pricer(
+            replace(sol, row_duals=row_duals, lmi_duals=[d.Y1, d.Y2]))
+
+    _, sol = column_generation(lattice, spec, solve, price, final=("infeasible",))
     return model, sol
 
 

@@ -14,15 +14,12 @@ predictor-corrector steps.  The embedding detects primal infeasibility
 and unboundedness; everything is deterministic for fixed input.
 
 Each step solves normal equations with the m x m matrix M = A D A^T
-(D the scaling), in a form chosen once per solve from the program (see
-_NormalFactor).  Short programs whose M has no useful sparsity, such as
-the measure programs of about 10 rows, form M densely and factor it with
-one LAPACK Cholesky call.  The tall lattice programs have thousands of
-rows but only a handful of columns that touch most of them; there the
-sparse part of M and a border of those dense columns are factored
-together with SuperLU.  Two rounds of iterative refinement against M
-follow each solve (Andersen, ACM TOMS 22(3), 1996; Vanderbei, Linear
-Algebra Appl. 152, 1991).
+(D the scaling).  The programs the drobox verbs solve are short, masters
+of about 10 (measure) to a few dozen (fixed boxes) rows, so M is formed
+densely as a Schur complement and factored with one LAPACK Cholesky call
+per iteration (Vandenberghe, "The CVXOPT linear and quadratic cone
+program solvers", 2010).  Two rounds of iterative refinement against M
+follow each solve (Andersen, ACM TOMS 22(3), 1996).
 
 Step lengths are taken in NT-scaled coordinates: with X = G lam G and
 S = G^-1 lam G^-1, one eigendecomposition of lam per block and iteration
@@ -32,7 +29,7 @@ gives both step lengths and serves every Jordan-product solve
 
 Progress goes to the drobox.sdp logger as one DEBUG line per iteration in
 key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=; and one
-summary line per solve: exit=, status=, iters=, rows=, cols=, normal=.
+summary line per solve: exit=, status=, iters=, rows=, cols=.
 exit= is SdpSolution.exit_reason.
 """
 
@@ -46,8 +43,6 @@ from typing import Optional
 
 import numpy as np
 import scipy.linalg.lapack
-import scipy.sparse as sp
-import scipy.sparse.linalg
 
 LOG = logging.getLogger("drobox.sdp")
 
@@ -290,7 +285,7 @@ class ConicProgram:
 
 @dataclass
 class _Compiled:
-    A: sp.csr_matrix
+    A: np.ndarray
     b: np.ndarray
     c: np.ndarray
     n_nonneg: int
@@ -328,46 +323,33 @@ def _compile(p: ConicProgram) -> _Compiled:
         psd_dims.append(lmi.const.shape[0])
         n += svec_len(lmi.const.shape[0])
 
-    rows_i, cols_j, vals = [], [], []
-    b = [row.rhs for row in p.rows]
-
-    def put(r, j, v):
-        if v != 0.0:
-            rows_i.append(r)
-            cols_j.append(j)
-            vals.append(v)
-
+    n_rows = len(p.rows) + sum(svec_len(lmi.const.shape[0]) for lmi in p.lmis)
+    A = np.zeros((n_rows, n))
+    b = np.zeros(n_rows)
     for r, row in enumerate(p.rows):
+        b[r] = row.rhs
         for name, coef in row.lin.items():
             for j, sign in zip(scalar_cols[name], _SPLIT):
-                put(r, j, sign * coef)
+                A[r, j] = sign * coef
         for name, mat in row.mats.items():
-            v = svec(mat)
-            k = v.nonzero()[0]
-            rows_i += [r] * k.size
-            cols_j += (psd_offsets[name][0] + k).tolist()
-            vals += v[k].tolist()
+            base, d = psd_offsets[name]
+            A[r, base : base + svec_len(d)] = svec(mat)
         if row.sense != "==":
-            put(r, slack, -1.0 if row.sense == ">=" else 1.0)
+            A[r, slack] = -1.0 if row.sense == ">=" else 1.0
             slack += 1
 
     # sum_j x_j svec(F_j) - svec(U) = -svec(G) for the LMI F(x) + G = U >= 0
-    lmi_row_spans = []
+    lmi_row_spans, start = [], len(p.rows)
     for lmi, off in zip(p.lmis, lmi_slacks):
         d = lmi.const.shape[0]
-        start, size = len(b), svec_len(d)
-        rows_i += range(start, start + size)
-        cols_j += range(off, off + size)
-        vals += [-1.0] * size
-        b += (-svec(lmi.const)).tolist()
+        span = slice(start, start + svec_len(d))
+        A[span, off : off + svec_len(d)] = -np.eye(svec_len(d))
+        b[span] = -svec(lmi.const)
         for name, mat in lmi.coeffs.items():
-            v = svec(mat)
-            k = v.nonzero()[0]
             for j, sign in zip(scalar_cols[name], _SPLIT):
-                rows_i += (start + k).tolist()
-                cols_j += [j] * k.size
-                vals += (sign * v[k]).tolist()
+                A[span, j] = sign * svec(mat)
         lmi_row_spans.append((start, d))
+        start = span.stop
 
     c = np.zeros(n)
     obj_sign = 1.0 if p.obj_sense == "min" else -1.0
@@ -378,11 +360,7 @@ def _compile(p: ConicProgram) -> _Compiled:
         base, d = psd_offsets[name]
         c[base : base + svec_len(d)] += obj_sign * svec(mat)
 
-    A = sp.csr_matrix(
-        (np.array(vals), (np.array(rows_i, dtype=np.int64), np.array(cols_j, dtype=np.int64))),
-        shape=(len(b), n),
-    )
-    return _Compiled(A=A, b=np.array(b), c=c, n_nonneg=n_nonneg, psd_dims=psd_dims,
+    return _Compiled(A=A, b=b, c=c, n_nonneg=n_nonneg, psd_dims=psd_dims,
                      scalar_cols=scalar_cols, psd_offsets=psd_offsets,
                      lmi_row_spans=lmi_row_spans, obj_sign=obj_sign,
                      obj_offset=p.obj_offset)
@@ -553,58 +531,18 @@ class SdpSolution:
 
 
 class _NormalFactor:
-    """Factor of the normal matrix M = A D A^T of the interior-point steps.
+    """Cholesky factor of the normal matrix M = A D A^T of the interior-point steps.
 
-    D is diag(d) on the nonnegative block and H_j = W_j W_j^T on the PSD
-    blocks.  A nonnegative column with more than max(10, m // 10) nonzeros
-    is dense, and so is every PSD svec column; A_s holds the rest.  The
-    form is fixed at construction, from the 0/1 pattern of A_s A_s^T:
-
-    * dense when that pattern covers at least half of the m^2 entries, or
-      when m or more columns are dense and a border would outgrow M.
-      factor() forms M with BLAS and Cholesky-factors it with LAPACK.
-    * sparse otherwise.  The rows get a minimum-degree order for that
-      pattern; factor() forms S = A_s diag(d_s) A_s^T with scipy.sparse
-      and V = [A_dense diag(sqrt(d_dense)), A_psd W], so that
-      M = S + V V^T, and LU-factors [[S, V], [V^T, -I]] with SuperLU,
-      border last; the first m entries of its solutions solve M z = rhs
-      even where S alone is singular.
-
-    solve() refines twice against M, which matters once the barrier
-    parameter gets small and M turns badly conditioned.  A and At are
-    what the iterations multiply by: in the dense form one array and its
-    transposed view.
+    D is diag(d_l) on the nonnegative block and H_j = W_j W_j^T on the PSD
+    blocks, so M = (A_l diag(d_l)) A_l^T + sum_j (A_j W_j)(A_j W_j)^T,
+    formed densely with BLAS and factored with LAPACK.  solve() refines
+    twice against M, which matters once the barrier parameter gets small
+    and M turns badly conditioned.
     """
 
-    def __init__(self, A: sp.csr_matrix, cone: _Cone):
-        self.m = A.shape[0]
-        self.l = cone.l
-        A_l = A[:, : cone.l].tocsc()
-        self.dense = np.diff(A_l.indptr) > max(10, self.m // 10)
-        A_s = A_l[:, ~self.dense].tocsr()
-        ones = sp.csr_matrix((np.ones(A_s.nnz), A_s.indices, A_s.indptr), shape=A_s.shape)
-        pattern = (ones @ ones.T + sp.identity(self.m)).tocsc()
-        if 2 * pattern.nnz >= self.m ** 2 or np.count_nonzero(self.dense) >= self.m:
-            self.form, self.order = "dense", None
-            self.A = A.toarray()
-            self.At = self.A.T
-            self.A_p = [self.A[:, a:b] for a, b, _ in cone.spans]
-            return
-        # S keeps its pattern across iterations, so its minimum-degree
-        # order is taken once, by factoring on the diagonal the positive
-        # definite matrix P P^T + I, P the 0/1 pattern of A_s; factor()
-        # keeps that order and puts the dense border last.  SuperLU's own
-        # per-call column order (COLAMD) gives several times the fill on
-        # the B&B relaxations.
-        self.form = "sparse"
-        self.order = np.argsort(scipy.sparse.linalg.splu(
-            pattern, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options=dict(SymmetricMode=True)).perm_c)
-        self.A, self.At = A, A.T.tocsr()
-        self.A_s = A_s[self.order]
-        self.A_sT = self.A_s.T.tocsr()
-        self.A_d = A_l[:, self.dense].toarray()[self.order]
-        self.A_p = [A[:, a:b].toarray()[self.order] for a, b, _ in cone.spans]
+    def __init__(self, A: np.ndarray, cone: _Cone):
+        self.A_l = A[:, : cone.l]
+        self.A_p = [A[:, a:b] for a, b, _ in cone.spans]
 
     def factor(self, d_l: np.ndarray, roots: list):
         """Factor for scaling d_l and PSD blocks H_j = roots[j] roots[j]^T.
@@ -614,55 +552,28 @@ class _NormalFactor:
         retry shifts its diagonal by 1e-12 times its mean diagonal.
         """
         V = [Ap @ W for Ap, W in zip(self.A_p, roots)]
-        if self.form == "dense":
-            A_l = self.A[:, : self.l]
-            M = (A_l * d_l) @ A_l.T + sum(AW @ AW.T for AW in V)
-            if not np.all(np.isfinite(M)):
-                raise RuntimeError("normal matrix is not finite")
-            chol, info = scipy.linalg.lapack.dpotrf(M)
-            if info > 0:
-                chol, info = scipy.linalg.lapack.dpotrf(M + _shift(M.diagonal()) * np.eye(self.m))
-                if info > 0:
-                    raise RuntimeError("normal matrix is singular")
-            self._inverse = lambda rhs: scipy.linalg.lapack.dpotrs(chol, rhs)[0]
-            self._times = lambda z: M @ z
-            return
-        A_s = self.A_s
-        scaled = sp.csr_matrix((A_s.data * d_l[~self.dense][A_s.indices],
-                                A_s.indices, A_s.indptr), shape=A_s.shape)
-        self.S = S = (scaled @ self.A_sT).tocsc()
-        self.V = V = np.hstack([self.A_d * np.sqrt(d_l[self.dense])] + V)
-        if not (np.all(np.isfinite(S.data)) and np.all(np.isfinite(V))):
+        M = (self.A_l * d_l) @ self.A_l.T + sum(AW @ AW.T for AW in V)
+        if not np.all(np.isfinite(M)):
             raise RuntimeError("normal matrix is not finite")
-        r = V.shape[1]
-        aug = sp.bmat([[S, sp.csc_matrix(V)], [sp.csc_matrix(V.T), -sp.identity(r, format="csc")]],
-                      format="csc")
-        try:
-            lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
-        except RuntimeError:
-            shift = _shift(S.diagonal() + np.einsum("ij,ij->i", V, V))
-            aug = aug + sp.diags(np.r_[np.full(self.m, shift), np.zeros(r)], format="csc")
-            lu = scipy.sparse.linalg.splu(aug, permc_spec="NATURAL")
-        self._inverse = lambda rhs: lu.solve(np.concatenate([rhs, np.zeros(r)]))[: self.m]
-        self._times = lambda z: S @ z + V @ (V.T @ z)
+        chol, info = scipy.linalg.lapack.dpotrf(M)
+        if info > 0:
+            chol, info = scipy.linalg.lapack.dpotrf(M + _shift(M.diagonal()) * np.eye(len(M)))
+            if info > 0:
+                raise RuntimeError("normal matrix is singular")
+        self.M, self.chol = M, chol
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs_o = rhs if self.order is None else rhs[self.order]
-        z = self._inverse(rhs_o)
+        z = scipy.linalg.lapack.dpotrs(self.chol, rhs)[0]
         for _ in range(2):
-            z = z + self._inverse(rhs_o - self._times(z))
-        if self.order is None:
-            return z
-        out = np.empty_like(z)
-        out[self.order] = z
-        return out
+            z = z + scipy.linalg.lapack.dpotrs(self.chol, rhs - self.M @ z)[0]
+        return z
 
 
 def _shift(diag_m: np.ndarray) -> float:
     return 1e-12 * (float(np.mean(np.abs(diag_m))) or 1.0)
 
 
-def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
+def _solve_hsd(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
                tol: float, max_iter: int) -> dict:
     # interior-point internals legitimately push floats to their limits;
     # non-finite iterates are caught explicitly, not via warnings
@@ -670,12 +581,12 @@ def _solve_hsd(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
         return _hsd_loop(A, b, c, cone, tol, max_iter)
 
 
-def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
+def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
               tol: float, max_iter: int) -> dict:
     m = A.shape[0]
-    amax = float(np.max(np.abs(A.data))) if A.nnz else 1.0
+    amax = float(np.max(np.abs(A), initial=0.0)) or 1.0
+    At = A.T
     fact = _NormalFactor(A, cone)
-    A, At = fact.A, fact.At
 
     x = cone.identity()
     s = cone.identity()
@@ -850,8 +761,8 @@ def _hsd_loop(A: sp.csr_matrix, b: np.ndarray, c: np.ndarray, cone: _Cone,
             x, y, s, tau, kappa = best
         elif exit_reason == "stall":
             exit_reason = "stall-failed"
-    LOG.debug("exit=%s status=%s iters=%d rows=%d cols=%d normal=%s",
-              exit_reason, status, it, m, cone.n, fact.form)
+    LOG.debug("exit=%s status=%s iters=%d rows=%d cols=%d",
+              exit_reason, status, it, m, cone.n)
 
     return {
         "status": status,

@@ -44,11 +44,11 @@ from typing import Optional
 
 import numpy as np
 
-from .assemble import AssembledModel
 from .certify import adversary_problem
 from .model import (AmbiguitySpec, BoxRegion, Decision, DualSolution, Lattice,
                     SimpleFunctionSpec, VariableBoxes, WholeDomain)
-from .sdp import SdpSolution, SolveOptions, solve_sdp
+# uncalled: perfbench/tracer.py wraps solve_sdp here until that hook moves (ROADMAP item 1)
+from .sdp import solve_sdp
 
 LOG = logging.getLogger("drobox.search")
 
@@ -130,12 +130,6 @@ class SearchInstance:
         object.__setattr__(self, "sgn", 1.0 if mode.objective_sense == "min" else -1.0)
         object.__setattr__(self, "quantum", self.lattice.delta
                            if mode.width_sum and not mode.constraints else None)
-
-
-def root_relaxation(model: AssembledModel,
-                    options: Optional[SolveOptions] = None) -> SdpSolution:
-    """Solve the model with every binary relaxed to [0, 1]."""
-    return solve_sdp(model.program.relax_binaries(), options)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from drobox.certify import (
+    Pricer,
     _measure_program,
-    _Pricer,
     adversary_oracle,
     adversary_problem,
     certify_solution,
+    column_generation,
     sample_fc,
     weak_duality_gap,
 )
@@ -199,7 +200,7 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
         y[start:start + svec_len(d)] = svec(Z + Z.T)
     n = fine.n_points
     compiled = comp.c[:n] - comp.A[:, :n].T @ y
-    priced = _Pricer(spec, fine.points, vals)(duals)
+    priced = Pricer(spec, fine.points, vals)(duals)
     assert np.max(np.abs(priced - compiled)) <= 1e-12 * (1.0 + np.max(np.abs(compiled)))
 
 
@@ -212,6 +213,29 @@ def test_column_generation_stops_below_the_threshold(ref_spec):
     assert status == "optimal"
     assert optimum + 1e-6 < value < 1.0
     assert_feasible_measure(weights, spec, fine, decision, value)
+
+
+@pytest.mark.parametrize("statuses, final, sizes", [
+    (["numerical-failure", "optimal"], (), [25, 81]),
+    (["infeasible"] * 4, ("infeasible",), [25]),
+    (["infeasible"] * 4, (), [25, 81, 289, 441]),
+], ids=["stall-restarts", "final-ends", "non-final-restarts"])
+def test_column_generation_restarts_a_non_optimal_master_unless_final(ref_spec, statuses,
+                                                                     final, sizes):
+    # a stub master on the 21 x 21 lattice, whose seeds hold 5 x 5, 9 x 9
+    # and 17 x 17 atoms (mu is the corner atom) and then all 441; an
+    # optimal master prices every atom at 0 and so ends the rounds
+    lattice = lattice_points(1.0, 2, 0.05)
+    seen, ends = [], iter(statuses)
+
+    def solve(active):
+        seen.append(active.size)
+        return SimpleNamespace(status=next(ends), objective=1.0)
+
+    active, sol = column_generation(lattice, ref_spec, solve,
+                                    lambda sol: np.zeros(lattice.n_points), final=final)
+    assert seen == sizes
+    assert (active.size, sol.status) == (sizes[-1], statuses[len(sizes) - 1])
 
 
 def test_oracle_nonincreasing_under_refinement(line_spec):

@@ -160,9 +160,11 @@ def test_poly_part_batch_matches_scalar(ref_spec):
 
 
 def test_importing_the_cli_leaves_scipy_optimize_out():
-    # only the corner LP of a search under user constraints needs it
+    # only the corner LP of a search under user constraints needs
+    # scipy.optimize, and nothing needs scipy.sparse
     env = dict(os.environ, PYTHONPATH=str(Path(drobox.__file__).resolve().parents[1]))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, drobox.cli; print('scipy.optimize' in sys.modules)"],
+        [sys.executable, "-c", "import sys, drobox.cli; "
+         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import scipy.linalg
-import scipy.sparse as sp
 
 from drobox import cli, sdp
 from drobox.assemble import assemble_case1
@@ -404,7 +403,7 @@ def test_iterations_log_key_value_lines(caplog):
     assert len(messages) == sol.iterations + 1
     for msg in messages[:-1]:
         assert pattern.match(msg), msg
-    assert re.match(r"^exit=converged status=optimal iters=%d rows=3 cols=5 normal=(dense|sparse)$"
+    assert re.match(r"^exit=converged status=optimal iters=%d rows=3 cols=5$"
                     % sol.iterations, messages[-1]), messages[-1]
 
 
@@ -423,7 +422,7 @@ def normal_factor_case(m, n_sparse, n_dense, psd_dims, rng, dense_only_row=None)
         cols.append(col)
     cols += [rng.normal(size=m) for _ in range(n_dense)]
     cols += [rng.normal(size=m) for d in psd_dims for _ in range(svec_len(d))]
-    return sp.csr_matrix(np.column_stack(cols)), _Cone(n_sparse + n_dense, list(psd_dims))
+    return np.column_stack(cols), _Cone(n_sparse + n_dense, list(psd_dims))
 
 
 def assert_solves_normal_equations(A, cone, rng):
@@ -432,58 +431,48 @@ def assert_solves_normal_equations(A, cone, rng):
     roots = [rng.normal(size=(n, n)) + 3.0 * np.eye(n)
              for n in map(svec_len, cone.dims)]
     D = scipy.linalg.block_diag(np.diag(d_l), *[W @ W.T for W in roots])
-    M = A.toarray() @ D @ A.toarray().T
+    M = A @ D @ A.T
     fact = _NormalFactor(A, cone)
     fact.factor(d_l, roots)
     for _ in range(3):
         rhs = rng.normal(size=M.shape[0])
         ref = np.linalg.solve(M, rhs)
         assert np.linalg.norm(fact.solve(rhs) - ref) <= 1e-10 * np.linalg.norm(ref)
-    return fact
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_normal_factor_matches_dense_solve(seed):
     rng = np.random.default_rng(seed)
-    fact = assert_solves_normal_equations(*normal_factor_case(120, 400, 3, (2, 3), rng), rng)
-    assert int(np.sum(fact.dense)) == 3
-    assert fact.V.shape == (120, 3 + 3 + 6)
+    assert_solves_normal_equations(*normal_factor_case(120, 400, 3, (2, 3), rng), rng)
 
 
 def test_normal_factor_handles_rows_only_dense_columns_touch():
-    # an == row touched only by dense columns leaves S singular
+    # an == row touched only by dense columns
     rng = np.random.default_rng(4)
     A, cone = normal_factor_case(60, 200, 2, (2, 2), rng, dense_only_row=7)
-    fact = assert_solves_normal_equations(A, cone, rng)
-    assert np.any(np.diff(fact.S.tocsr().indptr) == 0)
-    assert np.linalg.matrix_rank(fact.S.toarray()) < 60
+    assert_solves_normal_equations(A, cone, rng)
 
 
 def test_normal_factor_takes_the_dense_form_on_a_wide_short_program():
     # the certify measure shape: 10 rows, thousands of columns touching
     # all of them, small PSD slack blocks
     rng = np.random.default_rng(5)
-    A = sp.csr_matrix(rng.normal(size=(10, 3000 + 9)))
-    fact = assert_solves_normal_equations(A, _Cone(3000, [3, 2]), rng)
-    assert fact.form == "dense"
-    assert isinstance(fact.A, np.ndarray) and fact.At.base is fact.A
+    A = rng.normal(size=(10, 3000 + 9))
+    assert_solves_normal_equations(A, _Cone(3000, [3, 2]), rng)
 
 
 def test_normal_factor_takes_the_dense_form_when_the_border_outgrows_m():
-    # 40 full columns on 30 rows: the sparse part alone is far from half
-    # full, but a border of 40 + 3 columns would outgrow M itself
+    # 40 full columns on 30 rows beside a sparse part far from half full
     rng = np.random.default_rng(8)
     A, cone = normal_factor_case(30, 60, 40, (2,), rng)
-    sparse_part = A[:, :60].toarray() != 0
+    sparse_part = A[:, :60] != 0
     assert np.count_nonzero(sparse_part.astype(int) @ sparse_part.T) < 30 * 30 / 2
-    fact = assert_solves_normal_equations(A, cone, rng)
-    assert fact.form == "dense"
+    assert_solves_normal_equations(A, cone, rng)
 
 
 def test_normal_factor_takes_the_dense_form_on_a_measure_program():
-    # one confidence box adds an 11th row, so every in-box atom off the
-    # axes has more than max(10, 11 // 10) nonzeros; the sparse form would
-    # border S with a block of about 1,600 x 1,600
+    # one confidence box adds an 11th row, and every in-box atom off the
+    # axes has more than 10 nonzeros
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.0, 0.0], sigma=[[2.0, 0.5], [0.5, 1.0]], eps_mu=0.1,
         eps_sigma=1.0, b=0.1,
@@ -493,10 +482,9 @@ def test_normal_factor_takes_the_dense_form_on_a_measure_program():
     comp = _compile(_measure_program(spec, pts, vals))
     cone = _Cone(comp.n_nonneg, comp.psd_dims)
     assert comp.A.shape[0] == 11
-    assert np.sum(np.diff(comp.A[:, : cone.l].tocsc().indptr) > 10) >= 1000
+    assert np.sum(np.count_nonzero(comp.A[:, : cone.l], axis=0) > 10) >= 1000
     rng = np.random.default_rng(6)
-    fact = assert_solves_normal_equations(comp.A, cone, rng)
-    assert fact.form == "dense"
+    assert_solves_normal_equations(comp.A, cone, rng)
 
 
 def test_normal_factor_shifts_a_short_program_with_a_repeated_row():
@@ -507,9 +495,8 @@ def test_normal_factor_shifts_a_short_program_with_a_repeated_row():
     dense = rng.integers(-1, 2, size=(6, 40 + 3)).astype(float)
     dense[:2] = 0.0
     dense[:2, :4] = 1.0
-    A, cone = sp.csr_matrix(dense), _Cone(40, [2])
-    fact = _NormalFactor(A, cone)
-    assert fact.form == "dense"
+    cone = _Cone(40, [2])
+    fact = _NormalFactor(dense, cone)
     d_l, roots = np.ones(cone.l), [2.0 * np.eye(3)]
     M = dense[:, :40] @ dense[:, :40].T + 4.0 * dense[:, 40:] @ dense[:, 40:].T
     assert scipy.linalg.lapack.dpotrf(M)[1] == 2

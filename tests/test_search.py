@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from drobox.assemble import assemble_case1, assemble_case2
+from drobox.assemble import assemble_case2
 from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.certify import adversary_problem, certify_solution
 from drobox.model import (
@@ -36,7 +36,6 @@ from drobox.search import (
     _MeasurePool,
     _leaf_objective,
     enumerate_boxes,
-    root_relaxation,
     run_search,
     solve_bnb,
 )
@@ -491,39 +490,6 @@ def test_zero_threshold_zero_margin_empty_box():
         assert inc.status == "solved"
         assert inc.objective == pytest.approx(0.0, abs=1e-7)
         assert all(box is None or float(np.sum(box.widths)) == 0.0 for box in inc.boxes)
-
-
-# ---------------------------------------------------------------------------
-# root relaxation
-
-
-def test_root_relaxation_bounds_the_optimum(ref_spec, ref_fn, ref_lattice):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    rel = root_relaxation(assemble_case2(ref_spec, ref_fn, ref_lattice, L))
-    assert rel.status == "optimal"
-    assert rel.objective <= 2.0 + 1e-6
-
-
-def test_root_relaxation_without_binaries_is_plain_solve(
-    ref_spec, ref_lattice
-):
-    fn = SimpleFunctionSpec(
-        k=1,
-        heights=[1.0],
-        mode=FixedBoxes((BoxRegion([0.0, 0.0], [1.0, 1.0]),)),
-    )
-    L = lipschitz_certificate(ref_spec, fn).L
-    model = assemble_case1(ref_spec, fn, ref_lattice, L)
-    rel = root_relaxation(model)
-    plain = solve_sdp(model.program)
-    assert rel.status == plain.status == "optimal"
-    assert rel.objective == pytest.approx(plain.objective, abs=1e-9)
-
-
-def test_root_relaxation_detects_infeasible_margin(ref_spec, ref_fn):
-    L = lipschitz_certificate(ref_spec, ref_fn).L
-    model = assemble_case2(ref_spec, ref_fn, lattice_points(1.0, 2, 0.5), L)
-    assert root_relaxation(model).status == "infeasible"
 
 
 # ---------------------------------------------------------------------------
