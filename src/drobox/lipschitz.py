@@ -57,9 +57,11 @@ def max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> float
     the mean, so the sum of positive heights.  Fixed boxes: the indicators
     at the mean are constants; with pinned heights this is a plain
     evaluation, otherwise one LP over the height polytope.  validate_spec
-    runs that LP too, so it goes through drobox.sdp: scipy.optimize is slow
-    to import.  Raises ValueError when the LP is unbounded, infeasible (an
-    empty polytope) or fails.
+    runs that LP too, so it goes through drobox.sdp (scipy.optimize is slow
+    to import), and its outcome is kept in mode.height_lp: one command
+    builds one mode and solves the LP once, for every step.  Raises
+    ValueError when the LP is unbounded, infeasible (an empty polytope) or
+    fails.
     """
     if isinstance(fn.mode, VariableBoxes):
         return float(np.sum(np.maximum(fn.heights, 0.0)))
@@ -68,10 +70,20 @@ def max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> float
     at_mean = np.array([1.0 if box.contains(spec.mu) else 0.0 for box in mode.boxes])
     if mode.heights_pinned:
         return float(at_mean @ fn.heights)
+    key = at_mean.tobytes()
+    if key not in mode.height_lp:
+        mode.height_lp[key] = _height_lp(fn, at_mean)
+    outcome = mode.height_lp[key]
+    if isinstance(outcome, str):
+        raise ValueError(outcome)
+    return outcome
 
+
+def _height_lp(fn: SimpleFunctionSpec, at_mean: np.ndarray):
+    """max at_mean . h over the height polytope, or the error message."""
     program = ConicProgram()
     names = [program.add_scalar("h[%d]" % i) for i in range(fn.k)]
-    for row in mode.constraints:
+    for row in fn.mode.constraints:
         program.add_row(dict(zip(names, row.coeffs)), row.sense, row.rhs)
     program.set_objective("max", dict(zip(names, at_mean)))
     # the trace bound wants the optimum itself, not one within 1e-8; a
@@ -80,9 +92,9 @@ def max_height_sum_at_mean(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> float
     if sol.status == "numerical-failure":
         sol = solve_sdp(program)
     if sol.status == "unbounded":
-        raise ValueError("height polytope leaves the value at the mean unbounded")
+        return "height polytope leaves the value at the mean unbounded"
     if sol.status != "optimal":
-        raise ValueError("height polytope is empty or the LP failed: %s" % sol.status)
+        return "height polytope is empty or the LP failed: %s" % sol.status
     return float(sol.objective)
 
 

@@ -20,7 +20,7 @@ used by the discretization.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -179,6 +179,10 @@ class FixedBoxes:
     boxes: tuple[BoxRegion, ...]
     objective: np.ndarray | None = None
     constraints: tuple[LinearConstraint, ...] = ()
+    # outcome of lipschitz.max_height_sum_at_mean's LP per objective: the
+    # polytope is fixed, so validation and the trace bounds of every step
+    # share one solve per instance
+    height_lp: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "boxes", tuple(self.boxes))

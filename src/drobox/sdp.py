@@ -16,10 +16,12 @@ and unboundedness; everything is deterministic for fixed input.
 Each step solves normal equations with the m x m matrix M = A D A^T
 (D the scaling).  The programs the drobox verbs solve are short, masters
 of about 10 (measure) to a few dozen (fixed boxes) rows, so M is formed
-densely as a Schur complement and factored with one LAPACK Cholesky call
+densely as a Schur complement and factored with one numpy Cholesky call
 per iteration (Vandenberghe, "The CVXOPT linear and quadratic cone
-program solvers", 2010).  Two rounds of iterative refinement against M
-follow each solve (Andersen, ACM TOMS 22(3), 1996).
+program solvers", 2010).  The triangular factor is inverted once per
+factor, so each solve is two matrix-vector products; two rounds of
+iterative refinement against M follow it (Andersen, ACM TOMS 22(3),
+1996).  numpy alone does this, so importing drobox loads no scipy.
 
 Step lengths are taken in NT-scaled coordinates: with X = G lam G and
 S = G^-1 lam G^-1, one eigendecomposition of lam per block and iteration
@@ -29,8 +31,9 @@ gives both step lengths and serves every Jordan-product solve
 
 Progress goes to the drobox.sdp logger as one DEBUG line per iteration in
 key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=; and one
-summary line per solve: exit=, status=, iters=, rows=, cols=.
-exit= is SdpSolution.exit_reason.
+summary line per solve: exit=, status=, iters=, rows=, cols=, then pres=,
+dres= and gap= of the iterate the solve returns (computed only when the
+logger is at DEBUG).  exit= is SdpSolution.exit_reason.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.linalg.lapack
 
 LOG = logging.getLogger("drobox.sdp")
 
@@ -535,7 +537,9 @@ class _NormalFactor:
 
     D is diag(d_l) on the nonnegative block and H_j = W_j W_j^T on the PSD
     blocks, so M = (A_l diag(d_l)) A_l^T + sum_j (A_j W_j)(A_j W_j)^T,
-    formed densely with BLAS and factored with LAPACK.  solve() refines
+    formed densely with BLAS.  numpy factors M = U^T U with U upper
+    triangular (the factor LAPACK's dpotrf returns), and U is inverted by
+    blocks (_triu_inv), so a solve is U^-1 (U^-T rhs).  solve() refines
     twice against M, which matters once the barrier parameter gets small
     and M turns badly conditioned.
     """
@@ -555,22 +559,58 @@ class _NormalFactor:
         M = (self.A_l * d_l) @ self.A_l.T + sum(AW @ AW.T for AW in V)
         if not np.all(np.isfinite(M)):
             raise RuntimeError("normal matrix is not finite")
-        chol, info = scipy.linalg.lapack.dpotrf(M)
-        if info > 0:
-            chol, info = scipy.linalg.lapack.dpotrf(M + _shift(M.diagonal()) * np.eye(len(M)))
-            if info > 0:
-                raise RuntimeError("normal matrix is singular")
-        self.M, self.chol = M, chol
+        try:
+            U = np.linalg.cholesky(M, upper=True)
+        except np.linalg.LinAlgError:
+            try:
+                U = np.linalg.cholesky(M + _shift(M.diagonal()) * np.eye(len(M)), upper=True)
+            except np.linalg.LinAlgError:
+                raise RuntimeError("normal matrix is singular") from None
+        self.M, self.U_inv = M, _triu_inv(U)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        z = scipy.linalg.lapack.dpotrs(self.chol, rhs)[0]
+        U_inv = self.U_inv
+        z = U_inv @ (U_inv.T @ rhs)
         for _ in range(2):
-            z = z + scipy.linalg.lapack.dpotrs(self.chol, rhs - self.M @ z)[0]
+            z = z + U_inv @ (U_inv.T @ (rhs - self.M @ z))
         return z
+
+
+# the largest diagonal block _triu_inv inverts whole
+_INV_BLOCK = 64
+
+
+def _triu_inv(U: np.ndarray) -> np.ndarray:
+    """Inverse of an upper triangular U, by 2 x 2 blocks.
+
+    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]], with
+    np.linalg.inv on blocks of at most _INV_BLOCK rows; below the diagonal
+    the result is exactly zero.
+    """
+    n = len(U)
+    if n <= _INV_BLOCK:
+        return np.linalg.inv(U)
+    h = n // 2
+    out = np.zeros_like(U)
+    out[:h, :h] = _triu_inv(U[:h, :h])
+    out[h:, h:] = _triu_inv(U[h:, h:])
+    out[:h, h:] = -(out[:h, :h] @ U[:h, h:]) @ out[h:, h:]
+    return out
 
 
 def _shift(diag_m: np.ndarray) -> float:
     return 1e-12 * (float(np.mean(np.abs(diag_m))) or 1.0)
+
+
+def _residuals(A: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray,
+               s: np.ndarray, tau: float, norm_b: float, norm_c: float) -> tuple:
+    """(pres, dres, gap) of the iterate (x, y, s) / tau: the scaled primal
+    and dual residuals and the relative duality gap."""
+    pres = float(np.max(np.abs(A @ (x / tau) - b))) / norm_b
+    dres = float(np.max(np.abs(A.T @ (y / tau) + s / tau - c))) / norm_c
+    pobj = float(c @ x) / tau
+    dobj = float(b @ y) / tau
+    return pres, dres, abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
 
 
 def _solve_hsd(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
@@ -617,14 +657,7 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         mu = (float(x @ s) + tau * kappa) / nu
 
         # -- convergence -----------------------------------------------------
-        xs = x / tau
-        ys = y / tau
-        ss = s / tau
-        pres = float(np.max(np.abs(A @ xs - b))) / norm_b
-        dres = float(np.max(np.abs(At @ ys + ss - c))) / norm_c
-        pobj = cx / tau
-        dobj = by / tau
-        gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+        pres, dres, gap = _residuals(A, b, c, x, y, s, tau, norm_b, norm_c)
         phi = max(pres, dres, gap)
         LOG.debug("iter=%d mu=%.3g pres=%.3g dres=%.3g gap=%.3g tau=%.3g kappa=%.3g",
                   it, mu, pres, dres, gap, tau, kappa)
@@ -761,8 +794,10 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
             x, y, s, tau, kappa = best
         elif exit_reason == "stall":
             exit_reason = "stall-failed"
-    LOG.debug("exit=%s status=%s iters=%d rows=%d cols=%d",
-              exit_reason, status, it, m, cone.n)
+    if LOG.isEnabledFor(logging.DEBUG):
+        LOG.debug("exit=%s status=%s iters=%d rows=%d cols=%d pres=%.3g dres=%.3g gap=%.3g",
+                  exit_reason, status, it, m, cone.n,
+                  *_residuals(A, b, c, x, y, s, tau, norm_b, norm_c))
 
     return {
         "status": status,

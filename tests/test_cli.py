@@ -239,6 +239,27 @@ def row_violation(program, primal) -> float:
     return worst
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "--delta", "0.1"],
+    ["sweep", "--delta", "0.1", "--delta", "0.05"],
+    # a step that does not divide the edge fails alone, the others share it
+    ["sweep", "--delta", "0.1", "--delta", "0.07", "--delta", "0.05"],
+], ids=["solve", "sweep", "sweep-bad-step"])
+def test_one_height_polytope_lp_per_command(tmp_path, monkeypatch, argv):
+    # validation and the trace bounds of every step share one LP; the next
+    # command builds its own instance and solves it again
+    import drobox.lipschitz
+
+    calls = []
+    solve = drobox.lipschitz.solve_sdp
+    monkeypatch.setattr(drobox.lipschitz, "solve_sdp",
+                        lambda *a, **kw: calls.append(1) or solve(*a, **kw))
+    argv = argv + ["--config", FIXED_DEMO, "--out-dir", str(tmp_path)]
+    for runs in (1, 2):
+        assert main(argv) in (0, 1)
+        assert len(calls) == runs
+
+
 CONFIDENCE_PAIR = [{"lower": [0.0, 0.0], "upper": [0.5, 0.5], "eps": 0.3},
                    {"lower": [0.6, 0.6], "upper": [1.0, 1.0], "eps": -0.2}]
 

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -159,12 +160,37 @@ def test_poly_part_batch_matches_scalar(ref_spec):
     np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 
-def test_importing_the_cli_leaves_scipy_optimize_out():
-    # only the corner LP of a search under user constraints needs
-    # scipy.optimize, and nothing needs scipy.sparse
-    env = dict(os.environ, PYTHONPATH=str(Path(drobox.__file__).resolve().parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, drobox.cli; "
-         "print('scipy.optimize' in sys.modules, 'scipy.sparse' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split() == ["False", "False"]
+_NO_SCIPY_SCRIPT = """
+import json, sys
+from drobox import cli
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+report = [["import drobox.cli", 0, loaded()]]
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    report.append([" ".join(argv[:2]), code, loaded()])
+print(json.dumps(report))
+"""
+
+
+def test_the_cli_loads_no_scipy(tmp_path):
+    # numpy factors the normal matrix, so only the corner LP of a search
+    # under user constraints needs scipy (scipy.optimize.milp)
+    root = Path(drobox.__file__).resolve().parents[2]
+    configs = root / "src" / "drobox" / "configs"
+    ref, fixed = str(configs / "bin_creating.json"), str(configs / "fixed_two_boxes.json")
+    out = ["--out-dir", str(tmp_path)]
+    runs = [
+        ["solve", "--config", ref, "--delta", "0.1", *out],
+        ["solve", "--config", ref, "--delta", "0.1", "--mode", "bnb", *out],
+        ["solve", "--config", fixed, "--delta", "0.1", *out],
+        ["certify", "--config", ref, "--solution",
+         str(root / "perfbench" / "records" / "bin_creating_d0.05.json"), *out],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, json.dumps(runs)],
+                          env=env, capture_output=True, text=True, check=True)
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert len(report) == 1 + len(runs)
+    for what, code, modules in report:
+        assert (code, modules) == (0, []), what

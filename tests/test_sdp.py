@@ -403,8 +403,23 @@ def test_iterations_log_key_value_lines(caplog):
     assert len(messages) == sol.iterations + 1
     for msg in messages[:-1]:
         assert pattern.match(msg), msg
-    assert re.match(r"^exit=converged status=optimal iters=%d rows=3 cols=5$"
-                    % sol.iterations, messages[-1]), messages[-1]
+    summary = re.match(r"^exit=converged status=optimal iters=%d rows=3 cols=5"
+                       r" pres=(\S+) dres=(\S+) gap=(\S+)$" % sol.iterations, messages[-1])
+    assert summary, messages[-1]
+    # the residuals of the returned iterate, which converged at the default 1e-8
+    assert all(0.0 <= float(v) <= 1e-8 for v in summary.groups()), messages[-1]
+
+
+def test_summary_residuals_cost_nothing_with_logging_off(monkeypatch, caplog):
+    calls = []
+    original = sdp._residuals
+    monkeypatch.setattr(sdp, "_residuals", lambda *a: calls.append(1) or original(*a))
+    with caplog.at_level(logging.INFO, logger="drobox.sdp"):
+        quiet = solve_sdp(lmi_correlation_program())
+    assert len(calls) == quiet.iterations
+    with caplog.at_level(logging.DEBUG, logger="drobox.sdp"):
+        solve_sdp(lmi_correlation_program())
+    assert len(calls) == 2 * quiet.iterations + 1
 
 
 def normal_factor_case(m, n_sparse, n_dense, psd_dims, rng, dense_only_row=None):
@@ -506,6 +521,41 @@ def test_normal_factor_shifts_a_short_program_with_a_repeated_row():
         rhs = M @ rng.normal(size=6)
         z = fact.solve(rhs)
     assert np.linalg.norm(M @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
+
+
+def test_normal_factor_inverts_its_triangle_by_blocks():
+    # 150 rows: the inverse splits into 75-row halves, then 64-row leaves
+    rng = np.random.default_rng(9)
+    A = rng.normal(size=(150, 200 + 6))
+    cone = _Cone(200, [3])
+    fact = _NormalFactor(A, cone)
+    fact.factor(rng.uniform(0.5, 2.0, size=200), [rng.normal(size=(6, 6)) + 3.0 * np.eye(6)])
+    U = np.linalg.cholesky(fact.M, upper=True)
+    assert len(U) > 2 * sdp._INV_BLOCK
+    assert np.all(np.tril(fact.U_inv, -1) == 0.0)
+    assert np.max(np.abs(fact.U_inv @ U - np.eye(150))) <= 1e-12
+
+
+def test_normal_factor_shifts_once_then_gives_up(monkeypatch):
+    # a repeated row: the second pivot of M is exactly 4 - 2^2 = 0, so the
+    # plain factor fails and the shifted one succeeds
+    A = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, 0.0], [0.0, 1.0, 1.0]])
+    cone = _Cone(3, [])
+    calls = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda M, **kw: calls.append(M) or cholesky(M, **kw))
+    fact = _NormalFactor(A, cone)
+    fact.factor(np.ones(3), [])
+    assert len(calls) == 2
+    shift = calls[1] - calls[0]
+    assert shift[0, 0] > 0.0 and np.all(shift == shift[0, 0] * np.eye(3))
+    # an indefinite M stays indefinite after the tiny shift
+    calls.clear()
+    with pytest.raises(RuntimeError, match="singular"):
+        fact.factor(np.array([-1.0, 1.0, 1.0]), [])
+    assert len(calls) == 2
+    with pytest.raises(RuntimeError, match="not finite"):
+        fact.factor(np.array([1.0, np.nan, 1.0]), [])
 
 
 def test_fixed_demo_at_fine_step_reaches_reference_objective():

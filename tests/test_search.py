@@ -618,24 +618,28 @@ def test_duals_short_of_the_threshold_row_leave_the_leaf_unresolved(
 def test_user_corner_constraint_decides_leaves_without_a_solve(k, heights, objective,
                                                                status, monkeypatch):
     # max sum(lo - hi) subject to hi <= 0.15 on box 0: a leaf that breaks
-    # the constraint is infeasible without a solve, and with k = 1 the pool
-    # rules out every leaf that keeps it
+    # the constraint is infeasible without its measure program, and with
+    # k = 1 the pool rules out every leaf that keeps it
     con = LinearConstraint([0.0] * k + [1.0] + [0.0] * (k - 1), "<=", 0.15)
     model = line_model(k=k, heights=heights, mode=VariableBoxes(
         c_minus=[[1]] * k, c_plus=[[-1]] * k, sense="max", constraints=[con]))
-    statuses = []
+    his = []
 
-    def solve_spy(program, options=None):
-        sol = solve_sdp(program, options)
-        statuses.append(sol.status)
-        return sol
+    def adversary_spy(decision, *args, **kwargs):
+        # box 0 is the one with its (distinct) height, unless it is empty
+        his.extend(float(box.upper[0]) for h, box in zip(decision.heights, decision.boxes)
+                   if h == heights[0])
+        return adversary_problem(decision, *args, **kwargs)
 
-    monkeypatch.setattr("drobox.search.solve_sdp", solve_spy)
+    monkeypatch.setattr("drobox.search.adversary_problem", adversary_spy)
     for driver in (enumerate_boxes, solve_bnb):
+        his.clear()
         inc = driver(model, SearchOptions())
         assert (inc.proof, inc.status) == ("optimal", status)
         assert inc.objective == pytest.approx(objective, abs=1e-6)
-    assert statuses == []
+        assert all(hi <= 0.15 + 1e-12 for hi in his), his
+        # with k = 2 the optimal leaf is proved by its measure program
+        assert bool(his) == (k == 2)
 
 
 def test_user_corner_constraint_skips_the_floating_corners_of_empty_boxes():
