@@ -37,7 +37,6 @@ from .model import (
     Lattice,
     SimpleFunctionSpec,
     VariableBoxes,
-    WholeDomain,
     first_moment_block,
     second_moment_outer,
 )
@@ -65,12 +64,6 @@ class AssembledModel:
 
     def dump(self) -> str:
         return dump_program(self.program)
-
-
-def _confidence_indicator(region, t) -> float:
-    if isinstance(region, WholeDomain):
-        return 1.0
-    return 1.0 if bool(region.contains(t)) else 0.0
 
 
 def _add_dual_variables(program: ConicProgram, spec, var_index: dict):
@@ -108,9 +101,8 @@ def _lattice_row_base(spec, t):
     """Dual-side terms of a sampled row at lattice point t."""
     lin = {}
     for i, cs in enumerate(spec.confidence_sets):
-        ind = _confidence_indicator(cs.region, t)
-        if ind:
-            lin["y[%d]" % i] = -math.copysign(1.0, cs.eps) * ind
+        if cs.region.contains(t):
+            lin["y[%d]" % i] = -math.copysign(1.0, cs.eps)
     mats = {"Y1": -first_moment_block(t, spec), "Y2": second_moment_outer(t, spec)}
     return lin, mats
 

@@ -11,16 +11,18 @@ on the assembly lattice the search takes them from this same measure
 program (see _lattice_duals), and everything else here is defense in
 depth on top of them.
 
-The measure program has one column per lattice atom, so it is solved by
-column generation (column_generation, which the fixed-box solve of
-`drobox solve` shares).
+Pricer evaluates the lattice row under explicit duals, and a measure
+master's reduced cost is that row under its multipliers.  The measure
+program has one column per lattice atom, so it is solved by column
+generation (column_generation, which the fixed-box solve of `drobox
+solve` shares).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -89,56 +91,60 @@ def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
 
 
 class Pricer:
-    """Reduced costs of every lattice atom against a master's duals.
+    """The lattice row at every atom t_j under explicit duals (Y1, Y2, y):
 
-    The column of atom t_j in the measure program is its value v_j, a 1 in
-    the mass row, sgn_i on each confidence row whose region holds t_j, and
-    the two moment blocks F1(t_j) and -(t_j - mu)(t_j - mu)^T.  Its reduced
-    cost under row duals y and LMI duals (Z1, Z2) is
+        v_j - <F1(t_j), Y1> + <(t_j - mu)(t_j - mu)^T, Y2> - sum_i sgn_i y_i 1[t_j in C_i],
 
-        v_j - [1, sgn * 1[t_j in C_i]] . y - <F1(t_j), Z1>
-            + <(t_j - mu)(t_j - mu)^T, Z2>,
-
-    evaluated for all atoms at once.
+    with v_j the atom's value and one signed indicator column per
+    confidence set, the normalization pair included.  It is also the
+    reduced cost of atom t_j's column in the measure program, whose
+    multipliers reduced_costs reads as such duals.
     """
 
     def __init__(self, spec: AmbiguitySpec, pts: np.ndarray, vals: np.ndarray):
         self.spec = spec
         self.vals = vals
         self.d = pts - spec.mu
-        cols = [np.ones(pts.shape[0])]
-        for cs in spec.confidence_sets:
-            if not isinstance(cs.region, WholeDomain):
-                cols.append(math.copysign(1.0, cs.eps) * cs.region.contains(pts))
-        self.rows = np.stack(cols, axis=1)
+        sets = spec.confidence_sets
+        self.rows = (np.stack([cs.region.contains(pts) for cs in sets], axis=1)
+                     * np.copysign(1.0, [cs.eps for cs in sets]))
+        # the sets of the measure program's confidence rows, in row order
+        self.confidence = [i for i, cs in enumerate(sets)
+                           if i >= 2 and not isinstance(cs.region, WholeDomain)]
 
-    def __call__(self, sol) -> np.ndarray:
+    def __call__(self, Y1: np.ndarray, Y2: np.ndarray, y: np.ndarray) -> np.ndarray:
         spec = self.spec
         m = spec.m
-        Z1, Z2 = sol.lmi_duals
-        first = (float(np.sum(spec.sigma * Z1[:m, :m])) + spec.eps_mu * Z1[m, m]
-                 + self.d @ (Z1[:m, m] + Z1[m, :m]))
-        second = np.einsum("ni,ij,nj->n", self.d, Z2, self.d)
-        return self.vals - self.rows @ sol.row_duals - first + second
+        first = (float(np.sum(spec.sigma * Y1[:m, :m])) + spec.eps_mu * Y1[m, m]
+                 + self.d @ (Y1[:m, m] + Y1[m, :m]))
+        second = np.einsum("ni,ij,nj->n", self.d, Y2, self.d)
+        return self.vals - self.rows @ y - first + second
+
+    def master_y(self, row_duals: np.ndarray) -> np.ndarray:
+        """y of a measure master's row duals: the mass-row dual as y[1], each
+        confidence-row dual in its set's place, 0 everywhere else."""
+        y = np.zeros(self.rows.shape[1])
+        y[1], y[self.confidence] = row_duals[0], row_duals[1:]
+        return y
+
+    def reduced_costs(self, sol) -> np.ndarray:
+        """Every atom's reduced cost against a measure master's multipliers."""
+        return self(*sol.lmi_duals, self.master_y(sol.row_duals))
 
 
-def _lattice_duals(spec: AmbiguitySpec, price: Pricer, sol, margin: float) -> DualSolution:
-    """A master's multipliers as duals whose lattice rows hold at margin.
+def _lattice_duals(price: Pricer, sol, margin: float) -> DualSolution:
+    """A measure master's multipliers as duals whose lattice rows hold at margin.
 
-    The LMI duals projected onto the PSD cone give Y1 and Y2, and the
-    confidence-row duals clipped at 0 give y.  Without the mass dual an
-    atom's reduced cost is its lattice row plus y[1] - y[0], so the
-    normalization pair puts the lowest row over every atom at margin.
-    The caller checks the threshold row, dual_objective() >= b.
+    Y1 and Y2 are the LMI duals projected onto the PSD cone, and y past the
+    normalization pair is the confidence-row duals clipped at 0.  The pair
+    then moves the lowest row over every atom to margin.  The caller checks
+    the threshold row, dual_objective() >= b.
     """
     Y1, Y2 = ((V * np.maximum(w, 0.0)) @ V.T for w, V in map(np.linalg.eigh, sol.lmi_duals))
-    z = np.maximum(sol.row_duals[1:], 0.0)
-    shift = float(price(replace(sol, row_duals=np.r_[0.0, z], lmi_duals=[Y1, Y2])).min()) - margin
-    rows = iter(z)
-    y = [max(-shift, 0.0), max(shift, 0.0)] + [
-        0.0 if isinstance(cs.region, WholeDomain) else next(rows)
-        for cs in spec.confidence_sets[2:]]
-    return DualSolution(Y1, Y2, np.array(y), spec)
+    y = np.maximum(price.master_y(np.r_[0.0, sol.row_duals[1:]]), 0.0)
+    shift = float(price(Y1, Y2, y).min()) - margin
+    y[:2] = max(-shift, 0.0), max(shift, 0.0)
+    return DualSolution(Y1, Y2, y, price.spec)
 
 
 def _seeds(lattice: Lattice, spec: AmbiguitySpec):
@@ -233,12 +239,13 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     def solve(active):
         return solve_sdp(_measure_program(spec, pts[active], vals[active]))
 
-    active, sol = column_generation(fine_lattice, spec, solve, price, stop_below=stop_below)
+    active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
+                                    stop_below=stop_below)
     if sol.status != "optimal":
         return sol.status, float("nan"), None, None
     weights = np.zeros(pts.shape[0])
     weights[active] = [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size)]
-    duals = None if margin is None else _lattice_duals(spec, price, sol, margin)
+    duals = None if margin is None else _lattice_duals(price, sol, margin)
     return sol.status, float(sol.objective), weights, duals
 
 

@@ -64,7 +64,6 @@ import logging
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
@@ -84,11 +83,10 @@ from .model import (
     LinearConstraint,
     SimpleFunctionSpec,
     VariableBoxes,
-    WholeDomain,
     lattice_points,
     validate_spec,
 )
-from .search import SearchInstance, SearchOptions, run_search
+from .search import InstanceTooLarge, SearchInstance, SearchOptions, run_search
 from .sdp import solve_sdp
 
 logger = logging.getLogger(__name__)
@@ -347,17 +345,13 @@ def _solve_fixed(spec, fn, lattice, L: float) -> tuple:
     """(model, sol) of the fixed-box SDP, solved on the lattice rows that bind.
 
     certify.column_generation adds the most violated lattice rows to a
-    master, assemble_case1 on the active atoms.  A master relaxes the
-    program, so an infeasible one ends the solve.  An atom's lattice row is
-    the box indicators times the heights plus a Pricer with zero atom
-    values, whose mass-row dual carries the margin and the whole-domain
-    confidence terms.
+    master, assemble_case1 on the active atoms; an infeasible master, a
+    relaxation, ends the solve.  A row's slack is the box indicators times
+    the heights plus the Pricer row of zero atom values, less the margin.
     """
     pts = lattice.points
     inside = np.stack([box.contains(pts) for box in fn.mode.boxes], axis=1).astype(float)
     pricer = Pricer(spec, pts, np.zeros(lattice.n_points))
-    whole = np.array([isinstance(cs.region, WholeDomain) for cs in spec.confidence_sets])
-    sgn = np.copysign(1.0, [cs.eps for cs in spec.confidence_sets])
     model = None
 
     def solve(active):
@@ -367,9 +361,8 @@ def _solve_fixed(spec, fn, lattice, L: float) -> tuple:
 
     def price(sol):
         d = decode_duals(sol, model)
-        row_duals = np.r_[sgn[whole] @ d.y[whole] + model.margin, d.y[~whole]]
-        return inside @ [sol.value("x[%d]" % i) for i in range(fn.k)] + pricer(
-            replace(sol, row_duals=row_duals, lmi_duals=[d.Y1, d.Y2]))
+        heights = [sol.value("x[%d]" % i) for i in range(fn.k)]
+        return inside @ heights + pricer(d.Y1, d.Y2, d.y) - model.margin
 
     _, sol = column_generation(lattice, spec, solve, price, final=("infeasible",))
     return model, sol
@@ -387,10 +380,12 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     """
     delta = lattice.delta
     L = lipschitz_certificate(spec, fn).L
+    margin = safety_margin(L, delta, spec.m)
     record = {
         "delta": delta,
         "L": L,
         "delta_max": max_safe_step(spec, L),
+        "margin": margin,
         "objective": None,
         "node_count": 0,
         "certificate": None,
@@ -401,7 +396,6 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     if isinstance(fn.mode, FixedBoxes):
         record["case"] = "fixed"
         model, sol = _solve_fixed(spec, fn, lattice, L)
-        record["margin"] = model.margin
         record["proof"] = sol.status
         record["status"] = {"optimal": "solved", "infeasible": "infeasible-model"}.get(
             sol.status, "unknown")
@@ -412,15 +406,9 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
             duals = decode_duals(sol, model)
     else:
         record["case"] = "variable"
-        inst = SearchInstance(spec, fn, lattice, safety_margin(L, delta, spec.m))
-        record["margin"] = inst.margin
         try:
-            inc = run_search(inst, opts)
-        except ValueError as exc:
-            # enumerate_boxes rejects instances beyond its guard; any
-            # other ValueError is a bug
-            if not str(exc).startswith("instance-too-large"):
-                raise
+            inc = run_search(SearchInstance(spec, fn, lattice, margin), opts)
+        except InstanceTooLarge as exc:
             raise ConfigError(str(exc)) from exc
         record["status"] = inc.status
         record["proof"] = inc.proof

@@ -80,6 +80,10 @@ class WholeDomain:
             cls._instance = super().__new__(cls)
         return cls._instance
 
+    def contains(self, t) -> np.ndarray:
+        """Every point is in T; t has shape (m,) or (N, m)."""
+        return np.ones(np.shape(t)[:-1], dtype=bool)
+
     def __repr__(self):
         return "WholeDomain()"
 
@@ -469,10 +473,7 @@ def validate_spec(
     add("confidence_eps_range", eps_ok, "each eps_i in [-1,1] and nonzero")
     mean_ok, mean_detail = True, ""
     for i, c in enumerate(cs[2:], start=2):
-        if isinstance(c.region, WholeDomain):
-            inside = True
-        else:
-            inside = bool(c.region.contains(spec.mu))
+        inside = bool(c.region.contains(spec.mu))
         if inside != (c.eps > 0.0):
             mean_ok = False
             mean_detail = "row %d: mu inside=%s but eps=%g" % (i, inside, c.eps)

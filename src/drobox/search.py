@@ -419,6 +419,10 @@ def _best_first(inst: SearchInstance, pool: _MeasurePool, roots: list, expand,
 _ENUMERATE_CAP = 200_000  # candidate sets of boxes; the k = 2 reference at 0.1 has 19 million
 
 
+class InstanceTooLarge(ValueError):
+    """An instance beyond enumerate_boxes' guard: a user error, not a bug."""
+
+
 def _candidate_stream(inst: SearchInstance, i: int) -> tuple:
     """All candidate boxes for one index, sorted by optimistic bound.
 
@@ -470,14 +474,14 @@ def enumerate_boxes(inst: SearchInstance,
     candidates that reached a solve, and a BoxRegion is built only for
     those.  An instance with more than _ENUMERATE_CAP candidate sets of
     boxes (the product of the per-height candidate counts) raises
-    ValueError.
+    InstanceTooLarge.
     """
     opts = opts or SearchOptions()
     lattice = inst.lattice
     k = inst.fn.k
     sets = (1 + (lattice.n_axis * (lattice.n_axis + 1) // 2) ** lattice.dim) ** k
     if sets > _ENUMERATE_CAP:
-        raise ValueError(
+        raise InstanceTooLarge(
             "instance-too-large: enumerate_boxes takes at most %d candidate sets "
             "of boxes, this instance has %d; --mode bnb has no such limit"
             % (_ENUMERATE_CAP, sets))

@@ -30,6 +30,7 @@ from drobox.model import (
 )
 from drobox.sdp import _compile, solve_sdp, svec, svec_len
 from drobox.search import SearchInstance, SearchOptions, enumerate_boxes
+from oracles import dual_integrand
 
 
 def searched(spec, fn, delta):
@@ -200,7 +201,7 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
         y[start:start + svec_len(d)] = svec(Z + Z.T)
     n = fine.n_points
     compiled = comp.c[:n] - comp.A[:, :n].T @ y
-    priced = Pricer(spec, fine.points, vals)(duals)
+    priced = Pricer(spec, fine.points, vals).reduced_costs(duals)
     assert np.max(np.abs(priced - compiled)) <= 1e-12 * (1.0 + np.max(np.abs(compiled)))
 
 
@@ -403,6 +404,16 @@ def test_certify_maps_no_duals(ref_spec, ref_fn, ref_lattice, monkeypatch):
     # given a margin, as the search gives it, the duals are mapped
     assert adversary_problem(decision, ref_spec, ref_lattice, margin=0.1)[3] is not None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("which", ["reference", "tight-moments"])
+def test_mapped_duals_put_the_lowest_lattice_row_at_the_margin(ref_spec, which):
+    decision, spec, fine = _column_generation_case(which, ref_spec, None)
+    status, _, _, duals = adversary_problem(decision, spec, fine, margin=0.3)
+    assert status == "optimal"
+    rows = dual_integrand(fine.points, decision.heights, decision.boxes,
+                          duals.Y1, duals.Y2, duals.y, spec)
+    assert float(rows.min()) == pytest.approx(0.3, abs=1e-10)
 
 
 def test_certify_coarse_fine_lattice_is_inconclusive(ref_spec, ref_fn):

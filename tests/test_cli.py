@@ -228,12 +228,17 @@ def fixed_config(tmp_path, heights=None, mode=(), **overrides):
     return str(path)
 
 
+def row_lhs(row, primal) -> float:
+    """The left-hand side of one scalar row at the point primal."""
+    lhs = sum(c * primal[v] for v, c in row.lin.items())
+    return lhs + sum(float(np.sum(mat * primal[v])) for v, mat in row.mats.items())
+
+
 def row_violation(program, primal) -> float:
     """The largest violation of any scalar row of program at the point primal."""
     worst = 0.0
     for row in program.rows:
-        lhs = sum(c * primal[v] for v, c in row.lin.items())
-        lhs += sum(float(np.sum(mat * primal[v])) for v, mat in row.mats.items())
+        lhs = row_lhs(row, primal)
         gap = {">=": row.rhs - lhs, "<=": lhs - row.rhs, "==": abs(lhs - row.rhs)}[row.sense]
         worst = max(worst, gap)
     return worst
@@ -287,6 +292,35 @@ def test_fixed_masters_meet_every_row_of_the_full_program(tmp_path, delta, chang
     scale = 1.0 + max(abs(row.rhs) for row in full.program.rows)
     assert row_violation(full.program, sol.primal) <= 1e-8 * scale
     assert sol.objective == pytest.approx(ref.objective, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("changes", [{}, {"confidence_sets": CONFIDENCE_PAIR[:1]}],
+                         ids=["demo", "confidence-box"])
+def test_fixed_pricing_is_the_slack_of_every_full_lattice_row(tmp_path, monkeypatch, changes):
+    # the pricing of the last master, at its solution, is lhs - rhs of
+    # each lattice[f] row of the full program
+    from drobox.assemble import assemble_case1
+    from drobox.lipschitz import lipschitz_certificate
+    from drobox.model import lattice_points
+
+    priced = []
+    real = cli.column_generation
+
+    def spy(lattice, spec, solve, price, **kwargs):
+        active, sol = real(lattice, spec, solve, price, **kwargs)
+        priced.append(price(sol))
+        return active, sol
+
+    monkeypatch.setattr(cli, "column_generation", spy)
+    spec, fn = cli.build_instance(cli.load_config(fixed_config(tmp_path, **changes)))
+    lattice = lattice_points(spec.edge, spec.m, 0.05)
+    L = lipschitz_certificate(spec, fn).L
+    _, sol = cli._solve_fixed(spec, fn, lattice, L)
+    assert sol.status == "optimal"
+    slack = {row.name: row_lhs(row, sol.primal) - row.rhs
+             for row in assemble_case1(spec, fn, lattice, L).program.rows}
+    full = np.array([slack["lattice[%d]" % f] for f in range(lattice.n_points)])
+    assert np.max(np.abs(priced[0] - full)) <= 1e-10
 
 
 def test_infeasible_fixed_master_ends_the_solve(tmp_path, monkeypatch, capsys):

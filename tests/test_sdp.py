@@ -468,7 +468,7 @@ def test_normal_factor_handles_rows_only_dense_columns_touch():
     assert_solves_normal_equations(A, cone, rng)
 
 
-def test_normal_factor_takes_the_dense_form_on_a_wide_short_program():
+def test_normal_factor_solves_a_wide_short_program():
     # the certify measure shape: 10 rows, thousands of columns touching
     # all of them, small PSD slack blocks
     rng = np.random.default_rng(5)
@@ -476,8 +476,9 @@ def test_normal_factor_takes_the_dense_form_on_a_wide_short_program():
     assert_solves_normal_equations(A, _Cone(3000, [3, 2]), rng)
 
 
-def test_normal_factor_takes_the_dense_form_when_the_border_outgrows_m():
-    # 40 full columns on 30 rows beside a sparse part far from half full
+def test_normal_factor_solves_more_full_columns_than_rows():
+    # 40 full columns on 30 rows beside a sparse part whose own product
+    # is far from half full
     rng = np.random.default_rng(8)
     A, cone = normal_factor_case(30, 60, 40, (2,), rng)
     sparse_part = A[:, :60] != 0
@@ -485,9 +486,9 @@ def test_normal_factor_takes_the_dense_form_when_the_border_outgrows_m():
     assert_solves_normal_equations(A, cone, rng)
 
 
-def test_normal_factor_takes_the_dense_form_on_a_measure_program():
-    # one confidence box adds an 11th row, and every in-box atom off the
-    # axes has more than 10 nonzeros
+def test_normal_factor_solves_a_measure_program_with_a_confidence_box():
+    # the compiled measure program: one confidence box adds an 11th row,
+    # and at least 1,000 atom columns have more than 10 nonzeros
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.0, 0.0], sigma=[[2.0, 0.5], [0.5, 1.0]], eps_mu=0.1,
         eps_sigma=1.0, b=0.1,
