@@ -10,9 +10,10 @@ ambiguity set is a moment family (first-moment trust region, second-moment
 cap, confidence rows).  Submodules:
 
 * model      - instance types, indicators, moment matrices, lattices
-* lipschitz  - trace bounds, Lipschitz constant, safe step size
+* lipschitz  - trace bounds, Lipschitz constant, safe step, safety margin
 * sdp        - conic programs and the interior-point solver
-* assemble   - discretized dual models (fixed and variable boxes)
+* assemble   - discretized dual models (fixed and variable boxes) on a
+               margin the caller computes once per solve
 * search     - branch and bound plus exhaustive box enumeration
 * certify    - adversary oracle, duality gap, pointwise dual checks
 * cli        - validate / solve / sweep / certify command line
@@ -57,7 +58,6 @@ from drobox.model import (
     first_moment_block,
     indicator_box,
     lattice_points,
-    poly_part,
     second_moment_outer,
     smoothed_indicator,
     validate_spec,
@@ -66,8 +66,6 @@ from drobox.sdp import (
     ConicProgram,
     KktResiduals,
     SdpSolution,
-    SolveOptions,
-    dump_program,
     kkt_residuals,
     smat,
     solve_sdp,

@@ -2,8 +2,9 @@
 
 Both assembly paths share the dual variables (Y1, Y2, y) and two row
 families: the threshold row tying the dual objective to the required level
-b, and one sampled row per lattice point with the safety margin
-L * delta * sqrt(m) on the right-hand side.
+b, and one sampled row per lattice point with the safety margin on the
+right-hand side.  The caller computes that margin, L * delta * sqrt(m),
+once per solve and passes it in.
 
 Fixed mode (boxes are data, heights decide) samples exact indicator values
 and yields a plain SDP over the height polytope.  Variable mode (heights
@@ -29,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from .lipschitz import safety_margin
 from .model import (
     BoxRegion,
     DualSolution,
@@ -40,7 +40,7 @@ from .model import (
     first_moment_block,
     second_moment_outer,
 )
-from .sdp import ConicProgram, dump_program
+from .sdp import ConicProgram
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,14 +56,10 @@ class AssembledModel:
 
     program: ConicProgram
     var_index: dict
-    margin: float
     lattice: Lattice
     spec: object
     fn: SimpleFunctionSpec
     case: str  # "fixed" | "variable"
-
-    def dump(self) -> str:
-        return dump_program(self.program)
 
 
 def _add_dual_variables(program: ConicProgram, spec, var_index: dict):
@@ -107,25 +103,16 @@ def _lattice_row_base(spec, t):
     return lin, mats
 
 
-def _margin_value(spec, lattice, L, margin_override):
-    if margin_override is not None:
-        return float(margin_override)
-    margin = safety_margin(L, lattice.delta, spec.m)
-    if margin <= 0.0:
-        raise ValueError("safety margin must be positive, got %g" % margin)
-    return margin
-
-
 def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
-                   L: float, atoms: Optional[np.ndarray] = None) -> AssembledModel:
+                   margin: float, atoms: Optional[np.ndarray] = None) -> AssembledModel:
     """Fixed boxes, heights as the decision: a plain SDP.
 
     Rows: the threshold row, one sampled row per lattice point with exact
-    indicator values, the user's height constraints, and (when the mode is
-    pinned) equality rows freezing the heights to fn.heights.  The
-    objective vector, when present, is minimized.  With atoms, the flat
-    indices of some lattice points, only their sampled rows are built: a
-    relaxation of the full program.
+    indicator values and margin on the right, the user's height
+    constraints, and (when the mode is pinned) equality rows freezing the
+    heights to fn.heights.  The objective vector, when present, is
+    minimized.  With atoms, the flat indices of some lattice points, only
+    their sampled rows are built: a relaxation of the full program.
     """
     mode = fn.mode
     if not isinstance(mode, FixedBoxes):
@@ -136,7 +123,6 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
         for j in range(lattice.dim):
             lattice.index_of_value(box.lower[j])
             lattice.index_of_value(box.upper[j])
-    margin = _margin_value(spec, lattice, L, None)
 
     program = ConicProgram()
     var_index: dict = {}
@@ -172,18 +158,18 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
             )
         else:
             program.set_objective("min", {})
-    return AssembledModel(program, var_index, margin, lattice, spec, fn, "fixed")
+    return AssembledModel(program, var_index, lattice, spec, fn, "fixed")
 
 
-def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
-                   margin_override: Optional[float] = None) -> AssembledModel:
+def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice,
+                   margin: float) -> AssembledModel:
     """Variable boxes with fixed positive heights: the mixed-binary model.
 
     Binary variables: membership bt per (box, lattice point) and jump
     pairs (dm, dp) per (box, axis, lattice point).  Continuous variables:
     box corners xm, xp per (box, axis), the dual block, and (width-sum
-    mode) the linearization auxiliaries z.  margin_override is a testing
-    hook that replaces the safety margin on the sampled rows.
+    mode) the linearization auxiliaries z.  margin is the right-hand side
+    of the sampled rows.
     """
     mode = fn.mode
     if not isinstance(mode, VariableBoxes):
@@ -191,7 +177,6 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
     heights = np.asarray(fn.heights, dtype=float)
     if np.any(heights <= 0.0):
         raise ValueError("variable mode requires strictly positive heights")
-    margin = _margin_value(spec, lattice, L, margin_override)
     k = fn.k
     m = lattice.dim
     edge = lattice.edge
@@ -313,7 +298,7 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice, L: float,
                     lin["xp[%d,%d]" % (i, j)] = float(cp[i, j])
         program.add_row(lin, con.sense, con.rhs, name="user[%d]" % n)
 
-    return AssembledModel(program, var_index, margin, lattice, spec, fn, "variable")
+    return AssembledModel(program, var_index, lattice, spec, fn, "variable")
 
 
 def decode_box(values: dict, model: AssembledModel) -> list:

@@ -163,8 +163,11 @@ def _constraints_from(items, what: str) -> tuple:
 
 def build_instance(cfg: dict) -> tuple:
     """Turn a parsed config into (AmbiguitySpec, SimpleFunctionSpec)."""
+    sets = cfg.get("confidence_sets", [])
+    if not isinstance(sets, list):
+        raise ConfigError("confidence_sets must be a list")
     extra = []
-    for n, item in enumerate(cfg.get("confidence_sets", [])):
+    for n, item in enumerate(sets):
         box = _box_from(item, "confidence_sets[%d]" % n)
         if "eps" not in item:
             raise ConfigError("confidence_sets[%d] is missing eps" % n)
@@ -183,7 +186,7 @@ def build_instance(cfg: dict) -> tuple:
         raise ConfigError("invalid instance parameters: %s" % exc)
 
     fdef = _need(cfg, "function")
-    if not isinstance(fdef, dict) or "heights" not in fdef:
+    if not isinstance(fdef, dict) or not isinstance(fdef.get("heights"), list):
         raise ConfigError("function must be an object with a heights list")
     heights = list(fdef["heights"])
     mode_def = fdef.get("mode", "variable")
@@ -228,7 +231,10 @@ def build_instance(cfg: dict) -> tuple:
 
 
 def search_options(cfg: dict, args) -> SearchOptions:
-    knobs = dict(cfg.get("search", {}))
+    knobs = cfg.get("search", {})
+    if not isinstance(knobs, dict):
+        raise ConfigError("search must be an object")
+    knobs = dict(knobs)
     if args.mode is not None:
         knobs["mode"] = args.mode
     if args.time_limit is not None:
@@ -341,13 +347,13 @@ def _jsonable(obj):
     return obj
 
 
-def _solve_fixed(spec, fn, lattice, L: float) -> tuple:
+def _solve_fixed(spec, fn, lattice, margin: float) -> tuple:
     """(model, sol) of the fixed-box SDP, solved on the lattice rows that bind.
 
     certify.column_generation adds the most violated lattice rows to a
     master, assemble_case1 on the active atoms; an infeasible master, a
     relaxation, ends the solve.  A row's slack is the box indicators times
-    the heights plus the Pricer row of zero atom values, less the margin.
+    the heights plus the Pricer row of zero atom values, less margin.
     """
     pts = lattice.points
     inside = np.stack([box.contains(pts) for box in fn.mode.boxes], axis=1).astype(float)
@@ -356,13 +362,13 @@ def _solve_fixed(spec, fn, lattice, L: float) -> tuple:
 
     def solve(active):
         nonlocal model
-        model = assemble_case1(spec, fn, lattice, L, atoms=active)
+        model = assemble_case1(spec, fn, lattice, margin, atoms=active)
         return solve_sdp(model.program)
 
     def price(sol):
         d = decode_duals(sol, model)
         heights = [sol.value("x[%d]" % i) for i in range(fn.k)]
-        return inside @ heights + pricer(d.Y1, d.Y2, d.y) - model.margin
+        return inside @ heights + pricer(d.Y1, d.Y2, d.y) - margin
 
     _, sol = column_generation(lattice, spec, solve, price, final=("infeasible",))
     return model, sol
@@ -395,7 +401,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     boxes = duals = None
     if isinstance(fn.mode, FixedBoxes):
         record["case"] = "fixed"
-        model, sol = _solve_fixed(spec, fn, lattice, L)
+        model, sol = _solve_fixed(spec, fn, lattice, margin)
         record["proof"] = sol.status
         record["status"] = {"optimal": "solved", "infeasible": "infeasible-model"}.get(
             sol.status, "unknown")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from drobox.model import AmbiguitySpec, SimpleFunctionSpec, VariableBoxes
-from drobox.sdp import ConicProgram, SolveOptions, solve_sdp
+from drobox.sdp import ConicProgram, solve_sdp
 
 SYMMETRY_RTOL = 1e-10
 
@@ -88,7 +88,7 @@ def _height_lp(fn: SimpleFunctionSpec, at_mean: np.ndarray):
     program.set_objective("max", dict(zip(names, at_mean)))
     # the trace bound wants the optimum itself, not one within 1e-8; a
     # tolerance that tight can miss an unbounded ray, which the default finds
-    sol = solve_sdp(program, SolveOptions(tol=1e-12))
+    sol = solve_sdp(program, tol=1e-12)
     if sol.status == "numerical-failure":
         sol = solve_sdp(program)
     if sol.status == "unbounded":

@@ -559,19 +559,6 @@ def second_moment_outer(t, spec: AmbiguitySpec) -> np.ndarray:
     return np.outer(d, d)
 
 
-def poly_part(t, Y1: np.ndarray, Y2: np.ndarray, spec: AmbiguitySpec) -> float:
-    """Moment part of the dual integrand:
-
-        q(t) = -<first_moment_block(t), Y1> + <second_moment_outer(t), Y2>.
-
-    The signs match the dual constraint rows, where q(t) is added to the
-    simple-function and confidence terms.
-    """
-    b1 = first_moment_block(t, spec)
-    b2 = second_moment_outer(t, spec)
-    return float(-np.sum(b1 * Y1) + np.sum(b2 * Y2))
-
-
 def indicator_box(t, box: BoxRegion) -> np.ndarray:
     """Exact closed-box indicator; t has shape (m,) or (N, m)."""
     return box.contains(t).astype(float)

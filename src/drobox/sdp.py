@@ -494,12 +494,6 @@ def _step_lengths(cone: _Cone, blocks: list, x: np.ndarray, s: np.ndarray,
 
 
 @dataclass
-class SolveOptions:
-    tol: float = DEFAULT_TOL
-    max_iter: int = DEFAULT_MAX_ITER
-
-
-@dataclass
 class KktResiduals:
     primal_infeasibility: float
     dual_infeasibility: float
@@ -614,15 +608,15 @@ def _residuals(A: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np
 
 
 def _solve_hsd(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
-               tol: float, max_iter: int) -> dict:
+               tol: float) -> dict:
     # interior-point internals legitimately push floats to their limits;
     # non-finite iterates are caught explicitly, not via warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _hsd_loop(A, b, c, cone, tol, max_iter)
+        return _hsd_loop(A, b, c, cone, tol)
 
 
 def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
-              tol: float, max_iter: int) -> dict:
+              tol: float) -> dict:
     m = A.shape[0]
     amax = float(np.max(np.abs(A), initial=0.0)) or 1.0
     At = A.T
@@ -643,7 +637,7 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
     best_phi = math.inf
     best = None
     stall = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))
                 and np.all(np.isfinite(y)) and math.isfinite(tau)
                 and math.isfinite(kappa)):
@@ -815,16 +809,16 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
 # Public entry points
 
 
-def solve_sdp(program: ConicProgram, options: Optional[SolveOptions] = None) -> SdpSolution:
-    """Solve a conic program with no unresolved binary variables."""
-    opts = options or SolveOptions()
+def solve_sdp(program: ConicProgram, tol: float = DEFAULT_TOL) -> SdpSolution:
+    """Solve a conic program with no unresolved binary variables, to tol,
+    in at most DEFAULT_MAX_ITER iterations."""
     comp = _compile(program)
     cone = _Cone(comp.n_nonneg, comp.psd_dims)
 
     if comp.A.shape[0] == 0:
         return _solve_unconstrained(program, comp, cone)
 
-    raw = _solve_hsd(comp.A, comp.b, comp.c, cone, opts.tol, opts.max_iter)
+    raw = _solve_hsd(comp.A, comp.b, comp.c, cone, tol)
     status = raw["status"]
     if status == "optimal":
         tau = raw["tau"]
@@ -924,52 +918,3 @@ def kkt_residuals(program: ConicProgram, solution: SdpSolution) -> KktResiduals:
     dobj = float(bb @ ys)
     gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
     return KktResiduals(worst_p, dres, gap, eigs)
-
-
-def dump_program(p: ConicProgram) -> str:
-    """Serialize a program to a readable text block for debugging.
-
-    Format, one item per line:
-        var <name> free|nonneg        scalar variable
-        psdvar <name> <dim>           matrix variable
-        binvar <name>                 binary variable
-        objective min|max offset <v>  followed by indented terms
-        row <i> <sense> <rhs> [name]  followed by indented terms
-        lmi <i> <dim> [name]          followed by indented terms
-    Terms:  "  lin <var> <coef>" or "  mat <var> <i> <j> <value>"
-    (matrix entries are upper-triangle, symmetric completion implied).
-    """
-    out = []
-    for name, kind in p.scalar_vars.items():
-        out.append("var %s %s" % (name, kind))
-    for name, d in p.psd_vars.items():
-        out.append("psdvar %s %d" % (name, d))
-    for name in p.binary_vars:
-        out.append("binvar %s" % name)
-
-    def emit_terms(lin, mats):
-        for v, coef in lin.items():
-            out.append("  lin %s %.17g" % (v, coef))
-        for v, mat in mats.items():
-            d = mat.shape[0]
-            for i in range(d):
-                for j in range(i, d):
-                    if mat[i, j] != 0.0:
-                        out.append("  mat %s %d %d %.17g" % (v, i, j, mat[i, j]))
-
-    out.append("objective %s offset %.17g" % (p.obj_sense, p.obj_offset))
-    emit_terms(p.obj_lin, p.obj_mats)
-    for i, row in enumerate(p.rows):
-        out.append("row %d %s %.17g%s" % (i, row.sense, row.rhs,
-                                          (" " + row.name) if row.name else ""))
-        emit_terms(row.lin, row.mats)
-    for i, lmi in enumerate(p.lmis):
-        out.append("lmi %d %d%s" % (i, lmi.const.shape[0],
-                                    (" " + lmi.name) if lmi.name else ""))
-        emit_terms({}, lmi.coeffs)
-        d = lmi.const.shape[0]
-        for r in range(d):
-            for cc in range(r, d):
-                if lmi.const[r, cc] != 0.0:
-                    out.append("  const %d %d %.17g" % (r, cc, lmi.const[r, cc]))
-    return "\n".join(out) + "\n"

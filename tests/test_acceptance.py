@@ -125,8 +125,8 @@ def fixed_demo(spec2d):
             ),
         ),
     )
-    L = lipschitz_certificate(spec2d, fn).L
-    model = assemble_case1(spec2d, fn, lattice_points(1.0, 2, 0.1), L)
+    margin = safety_margin(lipschitz_certificate(spec2d, fn).L, 0.1, 2)
+    model = assemble_case1(spec2d, fn, lattice_points(1.0, 2, 0.1), margin)
     sol = solve_sdp(model.program)
     assert sol.status == "optimal"
     heights = np.array([sol.value("x[%d]" % i) for i in range(2)])
@@ -242,8 +242,7 @@ def test_criterion_2_safe_step_and_fallback(spec2d, fn_var, lip):
     # grid but demand the larger margin the dmax step would impose; the
     # canonical whole-domain fallback must still clear every lattice row.
     margin = lip.L * dmax * math.sqrt(2.0)
-    model = assemble_case2(spec2d, fn_var, lattice_points(1.0, 2, 0.1),
-                           lip.L, margin_override=margin)
+    model = assemble_case2(spec2d, fn_var, lattice_points(1.0, 2, 0.1), margin)
     slacks = evaluate_rows(model.program, fallback_values(model),
                            prefixes=("lattice",))
     residual = min(slacks.values())
@@ -329,8 +328,8 @@ def small_model(dim, n_axis):
             edge=edge, mu=[0.0, 0.0], sigma=[[2.0, 0.5], [0.5, 1.0]],
             eps_mu=0.1, eps_sigma=1.0, b=0.1)
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
-    L = lipschitz_certificate(spec, fn).L
-    return assemble_case2(spec, fn, lattice_points(edge, dim, 0.1), L)
+    margin = safety_margin(lipschitz_certificate(spec, fn).L, 0.1, dim)
+    return assemble_case2(spec, fn, lattice_points(edge, dim, 0.1), margin)
 
 
 def binary_order(model):

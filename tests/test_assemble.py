@@ -8,7 +8,7 @@ from drobox.assemble import (
     assemble_case2,
     decode_box,
 )
-from drobox.lipschitz import lipschitz_certificate
+from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
@@ -38,8 +38,13 @@ def ref_L(ref_spec, ref_fn):
 
 
 @pytest.fixture
-def ref_model2(ref_spec, ref_fn, ref_lattice, ref_L):
-    return assemble_case2(ref_spec, ref_fn, ref_lattice, ref_L)
+def ref_margin(ref_spec, ref_lattice, ref_L):
+    return safety_margin(ref_L, ref_lattice.delta, ref_spec.m)
+
+
+@pytest.fixture
+def ref_model2(ref_spec, ref_fn, ref_lattice, ref_margin):
+    return assemble_case2(ref_spec, ref_fn, ref_lattice, ref_margin)
 
 
 @pytest.fixture
@@ -64,62 +69,67 @@ def name_counts(program):
     return out
 
 
+def lattice_rhs(program):
+    """The set of right-hand sides of the sampled lattice rows."""
+    return {row.rhs for row in program.rows if row.name.startswith("lattice")}
+
+
 # ---------------------------------------------------------------------------
 # fixed mode
 
 
-def test_case1_row_counts(ref_spec, fixed_fn, ref_lattice, ref_L):
-    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_L)
+def test_case1_row_counts(ref_spec, fixed_fn, ref_lattice, ref_margin):
+    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_margin)
     counts = name_counts(model.program)
     assert counts == {"threshold": 1, "lattice": 121, "pin": 1}
     assert list(model.program.binary_vars) == []
     assert model.case == "fixed"
-    assert model.margin == pytest.approx(ref_L * 0.1 * np.sqrt(2.0))
+    assert lattice_rhs(model.program) == {ref_margin}
 
 
-def test_case1_row_structure_at_origin(ref_spec, fixed_fn, ref_lattice, ref_L):
+def test_case1_row_structure_at_origin(ref_spec, fixed_fn, ref_lattice, ref_margin):
     # with the box covering T the row at any point reads
     # x[0] + y[0] - y[1] - <block, Y1> + <outer, Y2> >= margin
-    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_L)
+    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_margin)
     row = next(r for r in model.program.rows if r.name == "lattice[0]")
     t = ref_lattice.points[0]
     assert row.sense == ">="
-    assert row.rhs == pytest.approx(model.margin)
+    assert row.rhs == pytest.approx(ref_margin)
     assert row.lin == {"x[0]": 1.0, "y[0]": 1.0, "y[1]": -1.0}
     np.testing.assert_allclose(row.mats["Y1"], -first_moment_block(t, ref_spec))
     np.testing.assert_allclose(row.mats["Y2"], second_moment_outer(t, ref_spec))
 
 
-def test_case1_partial_box_indicator(ref_spec, ref_lattice, ref_L):
+def test_case1_partial_box_indicator(ref_spec, ref_lattice, ref_margin):
     box = BoxRegion([0.3, 0.3], [0.5, 0.5])
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=FixedBoxes((box,)))
-    model = assemble_case1(ref_spec, fn, ref_lattice, ref_L)
+    model = assemble_case1(ref_spec, fn, ref_lattice, ref_margin)
     hits = sum(
         1 for r in model.program.rows if r.name.startswith("lattice") and "x[0]" in r.lin
     )
     assert hits == 9  # 3 x 3 lattice points inside [0.3, 0.5]^2
 
 
-def test_case1_misaligned_box_rejected(ref_spec, ref_lattice, ref_L):
+def test_case1_misaligned_box_rejected(ref_spec, ref_lattice, ref_margin):
     fn = SimpleFunctionSpec(
         k=1, heights=[1.0], mode=FixedBoxes((BoxRegion([0.05, 0.0], [1.0, 1.0]),))
     )
     with pytest.raises(ValueError):
-        assemble_case1(ref_spec, fn, ref_lattice, ref_L)
+        assemble_case1(ref_spec, fn, ref_lattice, ref_margin)
 
 
-def test_case1_empty_box_list_rejected(ref_spec, ref_lattice, ref_L):
+def test_case1_empty_box_list_rejected(ref_spec, ref_lattice, ref_margin):
     fn = SimpleFunctionSpec(k=0, heights=[], mode=FixedBoxes(()))
     with pytest.raises(ValueError):
-        assemble_case1(ref_spec, fn, ref_lattice, ref_L)
+        assemble_case1(ref_spec, fn, ref_lattice, ref_margin)
 
 
-def test_case1_requires_fixed_mode(ref_spec, ref_fn, ref_lattice, ref_L):
+def test_case1_requires_fixed_mode(ref_spec, ref_fn, ref_lattice, ref_margin):
     with pytest.raises(TypeError):
-        assemble_case1(ref_spec, ref_fn, ref_lattice, ref_L)
+        assemble_case1(ref_spec, ref_fn, ref_lattice, ref_margin)
 
 
-def test_case1_height_polytope(ref_spec, ref_lattice, ref_L):
+def test_case1_height_polytope(ref_spec, ref_lattice, ref_margin):
     """Non-pinned mode keeps heights free inside the user polytope."""
     box = BoxRegion([0.0, 0.0], [1.0, 1.0])
     mode = FixedBoxes(
@@ -128,24 +138,24 @@ def test_case1_height_polytope(ref_spec, ref_lattice, ref_L):
         constraints=(LinearConstraint(np.array([1.0]), ">=", 0.5),),
     )
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=mode)
-    model = assemble_case1(ref_spec, fn, ref_lattice, ref_L)
+    model = assemble_case1(ref_spec, fn, ref_lattice, ref_margin)
     counts = name_counts(model.program)
     assert counts == {"threshold": 1, "lattice": 121, "user": 1}
     assert model.program.obj_sense == "min"
     assert model.program.obj_lin == {"x[0]": 1.0}
 
 
-def test_case1_pinned_reference_is_feasible(ref_spec, fixed_fn, ref_lattice, ref_L):
-    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_L)
+def test_case1_pinned_reference_is_feasible(ref_spec, fixed_fn, ref_lattice, ref_margin):
+    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_margin)
     sol = solve_sdp(model.program)
     assert sol.status == "optimal"
 
 
 def test_case1_solution_yields_nonnegative_smoothed_function(
-    ref_spec, fixed_fn, ref_lattice, ref_L
+    ref_spec, fixed_fn, ref_lattice, ref_margin
 ):
     """Any feasible point of the assembled SDP certifies f^c >= 0 on T."""
-    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_L)
+    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_margin)
     sol = solve_sdp(model.program)
     assert sol.status == "optimal"
     y = np.array([sol.value("y[%d]" % i) for i in range(2)])
@@ -194,40 +204,39 @@ def test_case2_counts(ref_model2):
     assert program.n_rows == 482
 
 
-def test_case2_lattice_row_uses_heights(ref_spec, ref_lattice, ref_L):
+def test_case2_lattice_row_uses_heights(ref_spec, ref_lattice, ref_margin):
     fn = SimpleFunctionSpec(k=1, heights=[0.7], mode=VariableBoxes())
-    model = assemble_case2(ref_spec, fn, ref_lattice, ref_L)
+    model = assemble_case2(ref_spec, fn, ref_lattice, ref_margin)
     row = next(r for r in model.program.rows if r.name == "lattice[5]")
     assert row.lin["bt[0,5]"] == pytest.approx(0.7)
 
 
-def test_case2_requires_variable_mode(ref_spec, fixed_fn, ref_lattice, ref_L):
+def test_case2_requires_variable_mode(ref_spec, fixed_fn, ref_lattice, ref_margin):
     with pytest.raises(TypeError):
-        assemble_case2(ref_spec, fixed_fn, ref_lattice, ref_L)
+        assemble_case2(ref_spec, fixed_fn, ref_lattice, ref_margin)
 
 
-def test_case2_rejects_nonpositive_heights(ref_spec, ref_lattice, ref_L):
+def test_case2_rejects_nonpositive_heights(ref_spec, ref_lattice, ref_margin):
     fn = SimpleFunctionSpec(k=2, heights=[1.0, 0.0], mode=VariableBoxes())
     with pytest.raises(ValueError):
-        assemble_case2(ref_spec, fn, ref_lattice, ref_L)
+        assemble_case2(ref_spec, fn, ref_lattice, ref_margin)
 
 
-def test_case2_margin_positive_and_override(ref_spec, ref_fn, ref_lattice, ref_L):
-    model = assemble_case2(ref_spec, ref_fn, ref_lattice, ref_L)
-    assert model.margin == pytest.approx(ref_L * 0.1 * np.sqrt(2.0))
-    assert model.margin > 0.0
-    forced = assemble_case2(ref_spec, ref_fn, ref_lattice, ref_L, margin_override=0.0)
-    assert forced.margin == 0.0
-    row = next(r for r in forced.program.rows if r.name == "lattice[0]")
-    assert row.rhs == 0.0
+def test_case2_margin_positive_and_override(ref_spec, ref_fn, ref_lattice, ref_L,
+                                            ref_margin):
+    assert ref_margin == pytest.approx(ref_L * 0.1 * np.sqrt(2.0))
+    assert ref_margin > 0.0
+    for margin in (ref_margin, 0.0):
+        model = assemble_case2(ref_spec, ref_fn, ref_lattice, margin)
+        assert lattice_rhs(model.program) == {margin}
 
 
-def test_case2_explicit_corner_objective(ref_spec, ref_lattice, ref_L):
+def test_case2_explicit_corner_objective(ref_spec, ref_lattice, ref_margin):
     mode = VariableBoxes(
         c_minus=np.array([[1.0, 0.0]]), c_plus=np.array([[0.0, 1.0]]), sense="max"
     )
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=mode)
-    model = assemble_case2(ref_spec, fn, ref_lattice, ref_L)
+    model = assemble_case2(ref_spec, fn, ref_lattice, ref_margin)
     assert model.program.obj_sense == "max"
     assert ("z", 0, 0) not in model.var_index
     counts = name_counts(model.program)
@@ -235,13 +244,13 @@ def test_case2_explicit_corner_objective(ref_spec, ref_lattice, ref_L):
     assert model.program.n_rows == 478
 
 
-def test_case2_user_constraint_row(ref_spec, ref_lattice, ref_L):
+def test_case2_user_constraint_row(ref_spec, ref_lattice, ref_margin):
     # coefficient layout: x- entries row-major, then x+ entries row-major
     con = LinearConstraint(np.array([1.0, 0.0, 0.0, 2.0]), "<=", 0.8)
     fn = SimpleFunctionSpec(
         k=1, heights=[1.0], mode=VariableBoxes(constraints=(con,))
     )
-    model = assemble_case2(ref_spec, fn, ref_lattice, ref_L)
+    model = assemble_case2(ref_spec, fn, ref_lattice, ref_margin)
     row = next(r for r in model.program.rows if r.name == "user[0]")
     assert row.lin == {"xm[0,0]": 1.0, "xp[0,1]": 2.0}
     assert row.sense == "<=" and row.rhs == pytest.approx(0.8)
@@ -376,21 +385,21 @@ def test_decode_fractional_values_rejected(ref_model2):
         decode_box(vals, ref_model2)
 
 
-def test_decode_requires_variable_model(ref_spec, fixed_fn, ref_lattice, ref_L):
-    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_L)
+def test_decode_requires_variable_model(ref_spec, fixed_fn, ref_lattice, ref_margin):
+    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_margin)
     with pytest.raises(ValueError):
         decode_box({}, model)
     with pytest.raises(ValueError):
         canonical_assignment([None], model)
 
 
-def test_fallback_assignment_residual(ref_model2, ref_spec):
+def test_fallback_assignment_residual(ref_model2, ref_spec, ref_margin):
     """The whole-domain box with dual y = (0, b) clears every row by 1 - b - margin."""
     vals = fallback_values(ref_model2)
     slacks = evaluate_rows(ref_model2.program, vals)
     assert min(slacks.values()) >= -1e-12
     lattice_slacks = [v for n, v in slacks.items() if n.startswith("lattice")]
-    expected = 1.0 - ref_spec.b - ref_model2.margin
+    expected = 1.0 - ref_spec.b - ref_margin
     assert expected == pytest.approx(0.0031239, abs=2e-6)
     assert min(lattice_slacks) == pytest.approx(expected, abs=1e-9)
     assert max(lattice_slacks) == pytest.approx(expected, abs=1e-9)
@@ -410,7 +419,7 @@ def test_line_example_brute_force(line_spec):
     """
     lattice = lattice_points(0.2, 1, 0.1)
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
-    model = assemble_case2(line_spec, fn, lattice, L=1.0, margin_override=0.0)
+    model = assemble_case2(line_spec, fn, lattice, 0.0)
     names = (
         ["bt[0,%d]" % f for f in range(3)]
         + ["dm[0,0,%d]" % f for f in range(3)]
@@ -441,7 +450,7 @@ def test_line_example_brute_force(line_spec):
 def test_line_example_corner_rows_pin_bounds(line_spec):
     lattice = lattice_points(0.2, 1, 0.1)
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
-    model = assemble_case2(line_spec, fn, lattice, L=1.0, margin_override=0.0)
+    model = assemble_case2(line_spec, fn, lattice, 0.0)
     vals = canonical_assignment([BoxRegion([0.1], [0.2])], model)
     vals["xm[0,0]"] = 0.1
     vals["xp[0,0]"] = 0.2
@@ -470,7 +479,27 @@ def test_empty_box_allows_zero_width(ref_model2):
     assert min(slacks.values()) >= -1e-12
 
 
-def test_dump_round_trip_stability(ref_spec, ref_fn, ref_lattice, ref_L):
-    a = assemble_case2(ref_spec, ref_fn, ref_lattice, ref_L)
-    b = assemble_case2(ref_spec, ref_fn, ref_lattice, ref_L)
-    assert a.dump() == b.dump()
+def test_dump_round_trip_stability(ref_spec, ref_fn, ref_lattice, ref_margin):
+    # two builds of one instance agree field by field, in the same order
+    a, b = (assemble_case2(ref_spec, ref_fn, ref_lattice, ref_margin).program
+            for _ in range(2))
+
+    def same_terms(x, y):
+        assert list(x) == list(y)
+        for key in x:
+            np.testing.assert_array_equal(x[key], y[key])
+
+    for field in ("scalar_vars", "psd_vars", "binary_vars"):
+        assert list(getattr(a, field).items()) == list(getattr(b, field).items())
+    assert [(r.name, r.sense, r.rhs) for r in a.rows] == [(r.name, r.sense, r.rhs)
+                                                          for r in b.rows]
+    for ra, rb in zip(a.rows, b.rows):
+        same_terms(ra.lin, rb.lin)
+        same_terms(ra.mats, rb.mats)
+    assert [lmi.name for lmi in a.lmis] == [lmi.name for lmi in b.lmis]
+    for la, lb in zip(a.lmis, b.lmis):
+        same_terms(la.coeffs, lb.coeffs)
+        np.testing.assert_array_equal(la.const, lb.const)
+    assert (a.obj_sense, a.obj_offset) == (b.obj_sense, b.obj_offset)
+    same_terms(a.obj_lin, b.obj_lin)
+    same_terms(a.obj_mats, b.obj_mats)

@@ -276,15 +276,15 @@ CONFIDENCE_PAIR = [{"lower": [0.0, 0.0], "upper": [0.5, 0.5], "eps": 0.3},
 ], ids=["d0.1", "d0.05", "d0.025", "pinned", "confidence-pair"])
 def test_fixed_masters_meet_every_row_of_the_full_program(tmp_path, delta, changes):
     from drobox.assemble import assemble_case1
-    from drobox.lipschitz import lipschitz_certificate
+    from drobox.lipschitz import lipschitz_certificate, safety_margin
     from drobox.model import lattice_points
     from drobox.sdp import solve_sdp
 
     spec, fn = cli.build_instance(cli.load_config(fixed_config(tmp_path, **changes)))
     lattice = lattice_points(spec.edge, spec.m, delta)
-    L = lipschitz_certificate(spec, fn).L
-    model, sol = cli._solve_fixed(spec, fn, lattice, L)
-    full = assemble_case1(spec, fn, lattice, L)
+    margin = safety_margin(lipschitz_certificate(spec, fn).L, delta, spec.m)
+    model, sol = cli._solve_fixed(spec, fn, lattice, margin)
+    full = assemble_case1(spec, fn, lattice, margin)
     ref = solve_sdp(full.program)
     assert sol.status == ref.status == "optimal"
     assert model.program.n_rows < full.program.n_rows
@@ -300,7 +300,7 @@ def test_fixed_pricing_is_the_slack_of_every_full_lattice_row(tmp_path, monkeypa
     # the pricing of the last master, at its solution, is lhs - rhs of
     # each lattice[f] row of the full program
     from drobox.assemble import assemble_case1
-    from drobox.lipschitz import lipschitz_certificate
+    from drobox.lipschitz import lipschitz_certificate, safety_margin
     from drobox.model import lattice_points
 
     priced = []
@@ -314,13 +314,37 @@ def test_fixed_pricing_is_the_slack_of_every_full_lattice_row(tmp_path, monkeypa
     monkeypatch.setattr(cli, "column_generation", spy)
     spec, fn = cli.build_instance(cli.load_config(fixed_config(tmp_path, **changes)))
     lattice = lattice_points(spec.edge, spec.m, 0.05)
-    L = lipschitz_certificate(spec, fn).L
-    _, sol = cli._solve_fixed(spec, fn, lattice, L)
+    margin = safety_margin(lipschitz_certificate(spec, fn).L, 0.05, spec.m)
+    _, sol = cli._solve_fixed(spec, fn, lattice, margin)
     assert sol.status == "optimal"
     slack = {row.name: row_lhs(row, sol.primal) - row.rhs
-             for row in assemble_case1(spec, fn, lattice, L).program.rows}
+             for row in assemble_case1(spec, fn, lattice, margin).program.rows}
     full = np.array([slack["lattice[%d]" % f] for f in range(lattice.n_points)])
     assert np.max(np.abs(priced[0] - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("config", [FIXED_DEMO, REFERENCE], ids=["fixed", "variable"])
+def test_every_master_and_search_gets_the_record_margin(tmp_path, monkeypatch, config):
+    # the margin is computed once per solve: each fixed-box master and the
+    # search instance carry exactly the margin result.json reports
+    margins = []
+    real_assemble, real_search = cli.assemble_case1, cli.run_search
+
+    def assemble(spec, fn, lattice, margin, **kwargs):
+        margins.append(margin)
+        return real_assemble(spec, fn, lattice, margin, **kwargs)
+
+    def search(instance, opts):
+        margins.append(instance.margin)
+        return real_search(instance, opts)
+
+    monkeypatch.setattr(cli, "assemble_case1", assemble)
+    monkeypatch.setattr(cli, "run_search", search)
+    assert main(["solve", "--config", config, "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert record["margin"] > 0.0
+    assert len(margins) >= (2 if config == FIXED_DEMO else 1)
+    assert margins == [record["margin"]] * len(margins)
 
 
 def test_infeasible_fixed_master_ends_the_solve(tmp_path, monkeypatch, capsys):
@@ -735,10 +759,19 @@ def test_inverted_confidence_box_is_invalid(tmp_path, capsys):
                                        "eps": "a"}]}),
     ("sweep", {"deltas": 0.1}),
     ("sweep", {"deltas": [0.1, None]}),
+    ("validate", {"function": {"heights": 5}}),
+    ("validate", {"function": {"heights": None}}),
+    ("validate", {"confidence_sets": 5}),
+    ("solve", {"search": 5}),
+    ("solve", {"search": None}),
+    ("solve", {"search": ["mode"]}),
+    ("sweep", {"search": 5}),
+    ("sweep", {"search": None}),
+    ("sweep", {"search": ["mode"]}),
 ])
 def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
     argv = [verb, "--config", write_config(tmp_path, **overrides)]
-    if verb == "sweep":
+    if verb != "validate":
         argv += ["--out-dir", str(tmp_path)]
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()

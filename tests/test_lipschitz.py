@@ -146,8 +146,11 @@ def test_empirical_lipschitz_bound_10k_pairs(ref_spec, ref_fn):
     assert excess <= 1e-9
 
 
-def test_poly_part_batch_matches_scalar(ref_spec):
-    from drobox.model import poly_part
+def test_poly_part_batch_matches_pricer(ref_spec):
+    # the oracle's q(t) against the library's lattice row of zero-valued
+    # atoms with y = 0, and against the moment matrices point by point
+    from drobox.certify import Pricer
+    from drobox.model import first_moment_block, second_moment_outer
 
     rng = np.random.default_rng(3)
     a1 = rng.normal(size=(3, 3))
@@ -156,7 +159,11 @@ def test_poly_part_batch_matches_scalar(ref_spec):
     Y2 = a2 @ a2.T
     pts = rng.uniform(0, 1, size=(25, 2))
     batch = poly_part_batch(pts, Y1, Y2, ref_spec)
-    singles = [poly_part(p, Y1, Y2, ref_spec) for p in pts]
+    zeros = np.zeros(len(ref_spec.confidence_sets))
+    priced = Pricer(ref_spec, pts, np.zeros(len(pts)))(Y1, Y2, zeros)
+    singles = [-np.sum(first_moment_block(p, ref_spec) * Y1)
+               + np.sum(second_moment_outer(p, ref_spec) * Y2) for p in pts]
+    np.testing.assert_allclose(batch, priced, atol=1e-12)
     np.testing.assert_allclose(batch, singles, atol=1e-12)
 
 

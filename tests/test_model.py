@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drobox.certify import Pricer
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
@@ -17,7 +18,6 @@ from drobox.model import (
     indicator_box,
     lattice_points,
     normalization_pair,
-    poly_part,
     second_moment_outer,
     smoothed_indicator,
     smoothed_indicator_lower,
@@ -51,16 +51,22 @@ def test_second_moment_outer_reference_value(ref_spec):
     np.testing.assert_allclose(got, [[0.09, 0.12], [0.12, 0.16]], atol=1e-15)
 
 
-def test_poly_part_second_moment_identity(ref_spec):
+def moment_part(t, Y1, Y2, spec):
+    """q(t), the lattice row of a zero-valued atom at t with y = 0."""
+    zeros = np.zeros(len(spec.confidence_sets))
+    return float(Pricer(spec, np.array([t]), np.zeros(1))(Y1, Y2, zeros)[0])
+
+
+def test_pricer_moment_part_second_moment_identity(ref_spec):
     # Y1 = 0, Y2 = I: q(t) = |t - mu|^2 = 0.09 + 0.16
-    q = poly_part([0.3, 0.4], np.zeros((3, 3)), np.eye(2), ref_spec)
+    q = moment_part([0.3, 0.4], np.zeros((3, 3)), np.eye(2), ref_spec)
     assert q == pytest.approx(0.25, abs=1e-15)
 
 
-def test_poly_part_corner_reads_eps_mu(ref_spec):
+def test_pricer_moment_part_corner_reads_eps_mu(ref_spec):
     Y1 = np.zeros((3, 3))
     Y1[2, 2] = 1.0
-    q = poly_part([0.3, 0.4], Y1, np.zeros((2, 2)), ref_spec)
+    q = moment_part([0.3, 0.4], Y1, np.zeros((2, 2)), ref_spec)
     assert q == pytest.approx(-0.1, abs=1e-15)
 
 
