@@ -11,11 +11,11 @@ on the assembly lattice the search takes them from this same measure
 program (see _lattice_duals), and everything else here is defense in
 depth on top of them.
 
-Pricer evaluates the lattice row under explicit duals, and a measure
-master's reduced cost is that row under its multipliers.  The measure
-program has one column per lattice atom, so it is solved by column
-generation (column_generation, which the fixed-box solve of `drobox
-solve` shares).
+Pricer evaluates the lattice row under explicit duals, and a measure master's
+reduced cost is that row under its multipliers.  The measure program has one
+column per lattice atom, so it is solved by column generation (column_generation,
+which the fixed-box solve of `drobox solve` shares).  A command solves each
+measure master once: its memo, shared by the search and the oracle, holds them.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -63,6 +63,11 @@ class Certificate:
 
     def as_record(self) -> dict:
         return asdict(self)
+
+
+# what column generation and _lattice_duals read of a master's solve; weights >= 0 if optimal
+_Master = NamedTuple("_Master", [("status", str), ("objective", float), ("row_duals", np.ndarray),
+                                 ("lmi_duals", list), ("weights", np.ndarray)])
 
 
 def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
@@ -213,7 +218,8 @@ def column_generation(lattice: Lattice, spec: AmbiguitySpec, solve, price, *,
 
 
 def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
-                      *, stop_below: float = -math.inf, margin: Optional[float] = None):
+                      *, stop_below: float = -math.inf, margin: Optional[float] = None,
+                      memo: Optional[dict] = None):
     """Solve the discrete-measure adversary and keep the measure.
 
     Returns (status, value, weights, duals): the minimizing probability
@@ -230,21 +236,29 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     as it ended, with no weights.  A master whose value falls below
     stop_below ends the rounds: its measure is feasible on the lattice, so
     its value is an upper bound on the optimum, which suffices to rule a
-    candidate out.
+    candidate out.  memo maps a master's deflated atom and value bytes to its
+    _Master: the solver is deterministic, so a master met again is not solved.
     """
+    from zlib import compress  # loaded with numpy already
     pts = fine_lattice.points
     vals = decision.evaluate(pts)
     price = Pricer(spec, pts, vals)
+    memo = {} if memo is None else memo
 
     def solve(active):
-        return solve_sdp(_measure_program(spec, pts[active], vals[active]))
+        key = compress(pts[active].tobytes() + vals[active].tobytes(), 1)
+        if key not in memo:
+            sol = solve_sdp(_measure_program(spec, pts[active], vals[active]))
+            memo[key] = _Master(sol.status, sol.objective, sol.row_duals, sol.lmi_duals, np.array(
+                [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size) if sol.primal]))
+        return memo[key]
 
     active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
                                     stop_below=stop_below)
     if sol.status != "optimal":
         return sol.status, float("nan"), None, None
     weights = np.zeros(pts.shape[0])
-    weights[active] = [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size)]
+    weights[active] = sol.weights
     duals = None if margin is None else _lattice_duals(price, sol, margin)
     return sol.status, float(sol.objective), weights, duals
 
@@ -326,7 +340,8 @@ def _duals_prove(duals: DualSolution, b: float) -> bool:
 def certify_solution(decision: Decision, dual_solution: DualSolution,
                      spec: AmbiguitySpec, delta: float,
                      fine_lattice: Optional[Lattice] = None,
-                     n_samples: int = 10_000, seed: int = 0) -> Certificate:
+                     n_samples: int = 10_000, seed: int = 0,
+                     memo: Optional[dict] = None) -> Certificate:
     """Run all three checks and fold them into one Certificate.
 
     delta is the assembly step.  The fine lattice defaults to half that
@@ -334,7 +349,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     and yields inconclusive, as does an infeasible oracle.  "certified"
     also needs the duals to be a proof: dual_objective() >= b - 1e-6, Y1
     and Y2 PSD and y >= 0 past the normalization pair, whose two rows
-    only enter as a difference, both to -1e-9.
+    only enter as a difference, both to -1e-9.  memo is adversary_problem's.
     """
     if fine_lattice is None:
         fine_lattice = lattice_points(spec.edge, spec.m, delta / 2.0)
@@ -344,7 +359,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     gap = float("nan")
     value = float("nan")
     if fine_lattice.delta <= delta / 2.0 + 1e-12:
-        value = adversary_oracle(decision, spec, fine_lattice)
+        value = adversary_problem(decision, spec, fine_lattice, memo=memo)[1]
         if not math.isnan(value):
             gap = weak_duality_gap(dual_solution, value)
     if math.isnan(value):

@@ -275,9 +275,12 @@ def _lattice(spec: AmbiguitySpec, delta: float):
 
 
 def _out_dir(cfg: dict, args) -> Path:
-    out = Path(args.out_dir if args.out_dir is not None else cfg.get("out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    out = args.out_dir if args.out_dir is not None else cfg.get("out_dir", ".")
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except (OSError, TypeError) as exc:
+        raise ConfigError("cannot use out_dir %r: %s" % (out, exc))
+    return Path(out)
 
 
 def _sampling(cfg: dict, args) -> tuple:
@@ -385,6 +388,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     ConfigError.
     """
     delta = lattice.delta
+    memo = {}  # measure masters, shared by the search and the certificate
     L = lipschitz_certificate(spec, fn).L
     margin = safety_margin(L, delta, spec.m)
     record = {
@@ -413,7 +417,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     else:
         record["case"] = "variable"
         try:
-            inc = run_search(SearchInstance(spec, fn, lattice, margin), opts)
+            inc = run_search(SearchInstance(spec, fn, lattice, margin, memo), opts)
         except InstanceTooLarge as exc:
             raise ConfigError(str(exc)) from exc
         record["status"] = inc.status
@@ -431,7 +435,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
                            for key in ("Y1", "Y2", "y")}
         t1 = time.perf_counter()
         cert = certify_solution(Decision.nonempty(heights, boxes), duals, spec,
-                                delta=delta, n_samples=samples, seed=seed)
+                                delta=delta, n_samples=samples, seed=seed, memo=memo)
         record["certify_seconds"] = time.perf_counter() - t1
         record["certificate"] = cert.as_record()
     return record

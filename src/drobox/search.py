@@ -2,15 +2,15 @@
 
 They never build assemble_case2's mixed-binary program.  Two independent
 routes to the same answer, built from the same proof steps.  One pool of
-lattice measures screens sets of boxes: a set falls when some held
-measure gives it an expected value below b + margin (weak duality).  The
-pool starts with a point mass on every feasible lattice atom.  Callers
-hand it the lattice index corners (lo, hi) of each box, and only the
-pool knows how its measures are stored.  A set of boxes that passes gets
-its own adversary measure program solved: a value below b + margin rules
-it out, and its measure joins the pool; otherwise the final master's
-duals, checked against every lattice row and the threshold row, prove it
-feasible.
+lattice measures screens sets of boxes: a set falls when some held measure
+gives it an expected value below b + margin (weak duality).  The pool
+starts with a point mass on every feasible lattice atom, read off one count
+grid.  Callers hand it the lattice index corners (lo, hi) of each box, and
+only the pool knows how its measures are stored.  A set of boxes that
+passes gets its own adversary measure program solved, each distinct master
+once per command (the instance's memo): a value below b + margin rules it
+out, and its measure joins the pool; otherwise the final master's duals,
+checked against every lattice row and the threshold row, prove it feasible.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -107,17 +107,18 @@ class Incumbent:
 class SearchInstance:
     """A variable-box instance as the search drivers read it.
 
-    margin is the right-hand side of every lattice row.  sgn is +1 when
-    the mode's objective is minimized and -1 when maximized; the drivers
-    minimize sgn times the objective.  quantum is the lattice step when
-    every objective value is a multiple of it (the width sum without user
-    constraints), else None.
+    margin is the right-hand side of every lattice row, and memo the command's
+    memo of measure masters (certify.adversary_problem).  sgn is +1 when the
+    mode's objective is minimized and -1 when maximized; the drivers minimize
+    sgn times the objective.  quantum is the lattice step when every objective
+    value is a multiple of it (the width sum without user constraints), else None.
     """
 
     spec: AmbiguitySpec
     fn: SimpleFunctionSpec
     lattice: Lattice
     margin: float
+    memo: Optional[dict] = field(default=None, repr=False)
     sgn: float = field(init=False)
     quantum: Optional[float] = field(init=False)
 
@@ -145,6 +146,14 @@ def _quantum_ceil(value: float, quantum) -> float:
     return math.ceil(value / quantum - 1e-9) * quantum
 
 
+def _padded_prefix(values: np.ndarray, shape: tuple) -> np.ndarray:
+    """The zero-padded prefix-sum grid of values on a lattice, flattened."""
+    grid = np.reshape(values, shape)
+    for ax in range(grid.ndim):
+        grid = np.cumsum(grid, axis=ax)
+    return np.pad(grid, [(1, 0)] * grid.ndim).ravel()
+
+
 class _MeasurePool:
     """Lattice measures that rule sets of boxes out without a solve.
 
@@ -156,12 +165,12 @@ class _MeasurePool:
     atom that is a feasible measure on its own, and grows by the
     adversary measures the search drivers solve for.
 
-    The seed is atoms, the (n_atoms, m) lattice indices of its point
-    masses: atom a gives a set the sum of the heights h_i with
-    lo_i <= a <= hi_i.  Each added measure is one row of added, its
-    zero-padded prefix-sum grid flattened, so the mass of a box is a
-    signed sum over its 2^m padded corners (inclusion-exclusion); the
-    rows grow geometrically.
+    The seed is atoms, the (n_atoms, m) lattice indices of its point masses,
+    and counts, their padded prefix-count grid.  A set's seed value is
+    the least height sum over the membership patterns some atom realizes; a
+    pattern's atoms count by inclusion-exclusion over the 2^k box
+    intersections, each read at its 2^m padded corners.  Each added measure
+    is a row of added, its padded prefix-sum grid; the rows grow geometrically.
     """
 
     def __init__(self, inst: SearchInstance):
@@ -181,13 +190,17 @@ class _MeasurePool:
             elif -cs.eps < 1.0:
                 ok &= ~inside
         self.atoms = np.argwhere(ok.reshape(self.shape))
+        self.counts = _padded_prefix(ok.astype(np.int64), self.shape)
         self.heights = np.asarray(inst.fn.heights, dtype=float)
-        # corner u picks the lower end (sign -1) or one past the upper end
-        # (sign +1) per axis; weights holds height times sign, per height
-        # and then per corner
-        self.picks = np.array(list(itertools.product((0, 1), repeat=lattice.dim)), dtype=bool)
-        signs = np.prod(np.where(self.picks, 1.0, -1.0), axis=1)
-        self.weights = np.kron(self.heights, signs)
+        # corner u picks per axis the lower end (sign -1) or one past the upper end (sign +1);
+        # weights holds height times sign, per height and then per corner
+        self.picks = np.array(list(itertools.product((0, 1), repeat=lattice.dim)))
+        self.signs = np.prod(np.where(self.picks, 1, -1), axis=1)
+        self.weights = np.kron(self.heights, self.signs)
+        # atoms in exactly pattern P = sum over Q of exclusion[P, Q] * atoms in every box of Q
+        self.patterns = np.array(list(itertools.product((0, 1), repeat=len(self.heights))))
+        pairs = np.array([[1, -1], [0, 1]])[self.patterns[:, None], self.patterns[None]]
+        self.exclusion = np.prod(pairs, axis=-1)
         padded = [n + 1 for n in self.shape]
         self.strides = np.array([math.prod(padded[j + 1:]) for j in range(lattice.dim)])
         self.added = np.empty((0, math.prod(padded)))
@@ -198,16 +211,26 @@ class _MeasurePool:
             grown = np.empty((2 * len(self.added) + 1, self.added.shape[1]))
             grown[:self.n_added] = self.added
             self.added = grown
-        grid = np.asarray(weights, dtype=float).reshape(self.shape)
-        for ax in range(grid.ndim):
-            grid = np.cumsum(grid, axis=ax)
-        self.added[self.n_added] = np.pad(grid, [(1, 0)] * grid.ndim).ravel()
+        self.added[self.n_added] = _padded_prefix(np.asarray(weights, dtype=float), self.shape)
         self.n_added += 1
 
     def block(self) -> int:
         """How many sets of boxes one screen takes: _SCREEN_BUDGET measure
         and set pairs, spread over every held measure."""
-        return max(1, _SCREEN_BUDGET // (len(self.atoms) + self.n_added))
+        return max(1, _SCREEN_BUDGET // max(1, len(self.atoms) + self.n_added))
+
+    def _corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Flat padded corners (..., 2^m) of boxes with index corners lo, hi."""
+        return (lo @ self.strides)[..., None] + ((hi + 1 - lo) * self.strides) @ self.picks.T
+
+    def _seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The seed's least value for each set, lo and hi as in ruled_out."""
+        # lo_q, hi_q: the corners of the intersection of the boxes of each pattern Q
+        lo_q = np.where(self.patterns[:, :, None, None], lo, 0).max(axis=1)
+        hi_q = np.where(self.patterns[:, :, None, None], hi, np.array(self.shape) - 1).min(axis=1)
+        hi_q = np.maximum(hi_q, lo_q - 1)  # an empty intersection holds none
+        exact = self.exclusion @ (self.counts[self._corners(lo_q, hi_q)] @ self.signs)
+        return np.where(exact > 0, (self.patterns @ self.heights)[:, None], np.inf).min(axis=0)
 
     def ruled_out(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Whether some measure gives each set of boxes an expected value
@@ -222,14 +245,12 @@ class _MeasurePool:
         lowest = np.empty(n)
         step = self.block()
         for start in range(0, n, step):
-            los, his = lo[:, start:start + step, None], hi[:, start:start + step, None]
-            inside = np.all((los <= self.atoms) & (self.atoms <= his), axis=-1)
-            seed = np.tensordot(self.heights, inside, axes=1)  # (sets, atoms)
+            los, his = lo[:, start:start + step], hi[:, start:start + step]
             # padded corners of every box, in weights order
-            c = np.where(self.picks, his + 1, los) @ self.strides
+            c = self._corners(los, his)
             c = c.transpose(1, 0, 2).reshape(c.shape[1], -1)
             lowest[start:start + step] = np.minimum(
-                seed.min(axis=1, initial=np.inf),
+                self._seed(los, his),
                 (self.added[:self.n_added, c] @ self.weights).min(axis=0, initial=np.inf))
         return lowest < self.threshold
 
@@ -315,7 +336,7 @@ def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> t
         return "infeasible", None
     status, value, weights, duals = adversary_problem(
         Decision.nonempty(inst.fn.heights, boxes), inst.spec, inst.lattice,
-        stop_below=pool.threshold, margin=inst.margin)
+        stop_below=pool.threshold, margin=inst.margin, memo=inst.memo)
     if status != "optimal":
         return "unresolved", None
     if value < pool.threshold:

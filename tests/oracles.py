@@ -223,3 +223,21 @@ def dual_pair_sdp_batch(n_trials, seed):
             mats={"X": c},
         )
         yield lmi, mat
+
+
+def seed_screen_values(atoms, heights, lo, hi):
+    """Least expected value of each set of boxes over point masses on atoms.
+
+    atoms is (n_atoms, m) lattice indices; lo and hi are (k, n, m) lattice
+    index corners of n sets of boxes, the empty box lo = 0, hi = -1.  An
+    atom gives a set the sum of the heights of its boxes that contain it,
+    tested atom by atom; a set is inf when there is no atom.
+    """
+    k, n, _ = lo.shape
+    out = np.full(n, np.inf)
+    for s in range(n):
+        for a in atoms:
+            value = sum(float(heights[i]) for i in range(k)
+                        if np.all(lo[i, s] <= a) and np.all(a <= hi[i, s]))
+            out[s] = min(out[s], value)
+    return out

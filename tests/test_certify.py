@@ -205,6 +205,29 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
     assert np.max(np.abs(priced - compiled)) <= 1e-12 * (1.0 + np.max(np.abs(compiled)))
 
 
+@pytest.mark.parametrize("which", ["reference", "tight-moments", "confidence-off-seed"])
+def test_memo_answers_a_repeated_master_bitwise(ref_spec, line_spec, monkeypatch, which):
+    # a memo changes no bit of the answer: a fresh memo solves what a call
+    # without one solves, and a second call on the filled memo solves nothing
+    import drobox.certify as certify
+
+    decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
+    solves = []
+    solve = certify.solve_sdp
+    monkeypatch.setattr(certify, "solve_sdp", lambda program: solves.append(1) or solve(program))
+    memo = {}
+    runs = [adversary_problem(decision, spec, fine, margin=0.1, memo=m) for m in (None, memo)]
+    assert len(memo) == len(solves) // 2 >= 2
+    solves.clear()
+    runs.append(adversary_problem(decision, spec, fine, margin=0.1, memo=memo))
+    assert solves == []
+    for status, value, weights, duals in runs[1:]:
+        assert (status, value) == runs[0][:2] and status == "optimal"
+        assert np.array_equal(weights, runs[0][2])
+        for key in ("Y1", "Y2", "y"):
+            assert np.array_equal(getattr(duals, key), getattr(runs[0][3], key))
+
+
 def test_column_generation_stops_below_the_threshold(ref_spec):
     decision, spec, fine = _column_generation_case("reference", ref_spec, None)
     _, optimum, _, _ = adversary_problem(decision, spec, fine)

@@ -115,6 +115,63 @@ def test_variable_solve_makes_no_assembled_solve(tmp_path, monkeypatch, mode):
     assert calls == []
 
 
+def _spy_master_solves(monkeypatch) -> list:
+    """Record the (atoms, values) bytes of every measure master that is solved."""
+    import drobox.certify as certify
+
+    masters = []
+    build, solve = certify._measure_program, certify.solve_sdp
+    monkeypatch.setattr(certify, "_measure_program", lambda spec, pts, vals: masters.append(
+        pts.tobytes() + vals.tobytes()) or build(spec, pts, vals))
+    monkeypatch.setattr(certify, "solve_sdp", lambda program: masters.append(None)
+                        or solve(program))
+    return masters
+
+
+def test_enumerate_solve_solves_each_distinct_master_once(tmp_path, monkeypatch):
+    # at delta = 1/20 the search and the certificate meet 15 measure masters,
+    # 10 of them distinct: the command's memo solves each distinct one once
+    masters = _spy_master_solves(monkeypatch)
+    assert main(["solve", "--config", REFERENCE, "--delta", "0.05", "--mode", "enumerate",
+                 "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert (record["proof"], record["objective"]) == ("optimal", pytest.approx(1.7))
+    built = [key for key in masters if key is not None]
+    assert len(built) == len(masters) // 2 == len(set(built)) == 10
+
+
+def test_no_master_carries_over_between_commands(tmp_path, monkeypatch):
+    # each command owns its memo, so a second solve in the same process
+    # solves exactly the masters the first one did
+    masters = _spy_master_solves(monkeypatch)
+    argv = ["solve", "--config", REFERENCE, "--delta", "0.05", "--mode", "enumerate",
+            "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    first = masters[:]
+    masters.clear()
+    assert main(argv) == 0
+    assert masters == first
+
+
+@pytest.mark.parametrize("mode", ["bnb", "enumerate"])
+def test_no_feasible_point_mass_still_solves(tmp_path, mode):
+    # with mu = (0.05, 0.05) and eps_mu = 0.001 no lattice atom at delta
+    # = 0.1 is a feasible point mass, so the pool starts empty; both
+    # drivers still prove the whole domain
+    from drobox.search import SearchInstance, _MeasurePool
+
+    path = write_config(tmp_path, mu=[0.05, 0.05], eps_mu=0.001)
+    spec, fn = cli.build_instance(json.loads(Path(path).read_text()))
+    pool = _MeasurePool(SearchInstance(spec, fn, cli._lattice(spec, 0.1), 0.5))
+    assert len(pool.atoms) == 0 and pool.block() >= 1
+    assert main(["solve", "--config", path, "--mode", mode, "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    assert (record["status"], record["proof"]) == ("solved", "optimal")
+    assert record["objective"] == pytest.approx(2.0, abs=1e-9)
+    assert record["boxes"] == [{"lower": [0.0, 0.0], "upper": [1.0, 1.0]}]
+    assert record["certificate"]["verdict"] == "certified"
+
+
 def test_solve_record_is_strict_json(solved_reference):
     _, record, out = solved_reference
     # strict parsers reject bare NaN; the writer must never emit it
@@ -663,6 +720,23 @@ def test_malformed_input_is_one_error_line(tmp_path, solved_reference, capsys,
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), (name, err)
     assert not (tmp_path / "out" / "result.json").exists()
+
+
+@pytest.mark.parametrize("where", ["config-number", "under-a-file"])
+def test_unusable_out_dir_is_one_error_line(tmp_path, capsys, monkeypatch, where):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an unusable out_dir reached a solve")
+
+    monkeypatch.setattr(cli, "run_search", must_not_run)
+    if where == "config-number":
+        argv = ["solve", "--config", write_config(tmp_path, out_dir=5)]
+    else:
+        (tmp_path / "file").write_text("")
+        argv = ["solve", "--config", REFERENCE, "--out-dir", str(tmp_path / "file" / "sub")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "out" in err[0]
 
 
 @pytest.mark.parametrize("changes, field", [

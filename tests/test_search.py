@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drobox.assemble import assemble_case2
 from drobox.lipschitz import lipschitz_certificate, safety_margin
@@ -39,7 +41,7 @@ from drobox.search import (
     run_search,
     solve_bnb,
 )
-from oracles import dual_integrand
+from oracles import dual_integrand, seed_screen_values
 
 
 def search_instance(spec, fn, delta, margin=None):
@@ -284,6 +286,56 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
     monkeypatch.setattr(search, "_SCREEN_BUDGET", 7 * (len(pool.atoms) + pool.n_added))
     assert pool.block() == 7
     assert pool.ruled_out(lo, hi).tolist() == want
+
+
+@st.composite
+def _seed_screens(draw):
+    """(m, n_axis, atom mask, heights, lo, hi): a random point-mass seed and
+    random sets of boxes, each box empty or spanning lo <= hi per axis."""
+    m, k, n_axis = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_axis ** m, max_size=n_axis ** m)))
+    heights = [0.25 * draw(st.integers(1, 8)) for _ in range(k)]
+    sets = draw(st.integers(1, 6))
+    lo, hi = np.zeros((k, sets, m), dtype=int), np.full((k, sets, m), -1)
+    for i, s in itertools.product(range(k), range(sets)):
+        if not draw(st.booleans()):
+            continue  # the empty box
+        ends = [sorted(draw(st.lists(st.integers(0, n_axis - 1), min_size=2, max_size=2)))
+                for _ in range(m)]
+        lo[i, s], hi[i, s] = np.array(ends).T
+    return m, n_axis, mask, heights, lo, hi
+
+
+_NO_ATOMS = (2, 3, np.zeros(9, dtype=bool), [1.0, 0.5],
+             np.array([[[0, 0]], [[1, 1]]]), np.array([[[2, 2]], [[2, 2]]]))
+_OVERLAPS = (2, 3, np.array([0, 1, 0, 1, 1, 0, 0, 0, 1], dtype=bool), [0.5, 0.75, 1.0],
+             np.array([[[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 1], [0, 0]]]),
+             np.array([[[1, 1], [-1, -1]], [[2, 2], [2, 2]], [[2, 1], [-1, -1]]]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_seed_screens())
+@example(_NO_ATOMS)
+@example(_OVERLAPS)
+def test_seed_count_grid_matches_the_atom_by_atom_screen(case):
+    # the pool's seed value for a set, read from its count grid by
+    # inclusion-exclusion over the box intersections, is the least
+    # value any one atom gives the set; every lattice point meets the
+    # moments, and a confidence row of eps < 0 on each atom outside the
+    # mask takes it out of the seed
+    m, n_axis, mask, heights, lo, hi = case
+    lattice = lattice_points(n_axis - 1.0, m, 1.0)
+    spec = AmbiguitySpec.with_normalization(
+        edge=lattice.edge, mu=[0.0] * m, sigma=100.0 * np.eye(m), eps_mu=1.0, eps_sigma=1.0,
+        b=0.1, extra_sets=tuple(ConfidenceSet(BoxRegion(t, t), -0.5)
+                                for t in lattice.points[~mask]))
+    fn = SimpleFunctionSpec(k=len(heights), heights=heights, mode=VariableBoxes())
+    pool = _MeasurePool(SearchInstance(spec, fn, lattice, 0.0))
+    atoms = np.argwhere(mask.reshape(lattice.shape))
+    assert np.array_equal(pool.atoms, atoms)
+    want = seed_screen_values(atoms, heights, lo, hi)
+    assert np.array_equal(pool._seed(lo, hi), want)
+    assert pool.ruled_out(lo, hi).tolist() == (want < pool.threshold).tolist()
 
 
 def _confidence_instance():
