@@ -264,14 +264,14 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
 
 
 def adversary_oracle(decision: Decision, spec: AmbiguitySpec,
-                     fine_lattice: Lattice) -> float:
+                     fine_lattice: Lattice, *, memo: Optional[dict] = None) -> float:
     """Minimum expectation of the decision over fine-lattice measures.
 
     Returns nan when the discrete subfamily is empty (oracle infeasible);
     the caller should treat that as inconclusive.  A finite value below b
-    falsifies the decision outright.
+    falsifies the decision outright.  memo is adversary_problem's.
     """
-    return adversary_problem(decision, spec, fine_lattice)[1]
+    return adversary_problem(decision, spec, fine_lattice, memo=memo)[1]
 
 
 def weak_duality_gap(dual_solution: DualSolution, oracle_value: float) -> float:
@@ -359,7 +359,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     gap = float("nan")
     value = float("nan")
     if fine_lattice.delta <= delta / 2.0 + 1e-12:
-        value = adversary_problem(decision, spec, fine_lattice, memo=memo)[1]
+        value = adversary_oracle(decision, spec, fine_lattice, memo=memo)
         if not math.isnan(value):
             gap = weak_duality_gap(dual_solution, value)
     if math.isnan(value):

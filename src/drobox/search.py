@@ -118,7 +118,7 @@ class SearchInstance:
     fn: SimpleFunctionSpec
     lattice: Lattice
     margin: float
-    memo: Optional[dict] = field(default=None, repr=False)
+    memo: dict = field(default_factory=dict, repr=False)
     sgn: float = field(init=False)
     quantum: Optional[float] = field(init=False)
 
@@ -137,7 +137,8 @@ class SearchInstance:
 # Shared helpers
 
 
-_SCREEN_BUDGET = 1 << 16  # measure and set pairs per screen: 2 MB of corner masses for m = 2
+_SCREEN_BUDGET = 1 << 18  # array elements per screen: 2 MB of corner masses
+_GRID_SETUP = 1 << 12  # a count-grid seed screen's fixed cost per box, in atom comparisons
 
 
 def _quantum_ceil(value: float, quantum) -> float:
@@ -166,11 +167,12 @@ class _MeasurePool:
     adversary measures the search drivers solve for.
 
     The seed is atoms, the (n_atoms, m) lattice indices of its point masses,
-    and counts, their padded prefix-count grid.  A set's seed value is
-    the least height sum over the membership patterns some atom realizes; a
-    pattern's atoms count by inclusion-exclusion over the 2^k box
-    intersections, each read at its 2^m padded corners.  Each added measure
-    is a row of added, its padded prefix-sum grid; the rows grow geometrically.
+    and counts, their padded prefix-count grid.  A set's seed value is the
+    least height sum over the membership patterns some atom realizes, tested
+    atom by atom or counted by inclusion-exclusion over the 2^k box
+    intersections at their 2^m padded corners, whichever costs a screen less
+    (atom_cost and grid_cost a set, in atom comparisons, and _GRID_SETUP).
+    Each added measure is a row of added, its padded prefix-sum grid.
     """
 
     def __init__(self, inst: SearchInstance):
@@ -192,17 +194,16 @@ class _MeasurePool:
         self.atoms = np.argwhere(ok.reshape(self.shape))
         self.counts = _padded_prefix(ok.astype(np.int64), self.shape)
         self.heights = np.asarray(inst.fn.heights, dtype=float)
+        k, m = len(self.heights), lattice.dim
+        # n_atoms k m comparisons, or 2^k (2^m + k m) grid operations at two comparisons each
+        self.atom_cost, self.grid_cost = len(self.atoms) * k * m, 2 * 2 ** k * (2 ** m + k * m)
         # corner u picks per axis the lower end (sign -1) or one past the upper end (sign +1);
         # weights holds height times sign, per height and then per corner
-        self.picks = np.array(list(itertools.product((0, 1), repeat=lattice.dim)))
+        self.picks = np.array(list(itertools.product((0, 1), repeat=m)))
         self.signs = np.prod(np.where(self.picks, 1, -1), axis=1)
         self.weights = np.kron(self.heights, self.signs)
-        # atoms in exactly pattern P = sum over Q of exclusion[P, Q] * atoms in every box of Q
-        self.patterns = np.array(list(itertools.product((0, 1), repeat=len(self.heights))))
-        pairs = np.array([[1, -1], [0, 1]])[self.patterns[:, None], self.patterns[None]]
-        self.exclusion = np.prod(pairs, axis=-1)
         padded = [n + 1 for n in self.shape]
-        self.strides = np.array([math.prod(padded[j + 1:]) for j in range(lattice.dim)])
+        self.strides = np.array([math.prod(padded[j + 1:]) for j in range(m)])
         self.added = np.empty((0, math.prod(padded)))
         self.n_added = 0
 
@@ -215,22 +216,34 @@ class _MeasurePool:
         self.n_added += 1
 
     def block(self) -> int:
-        """How many sets of boxes one screen takes: _SCREEN_BUDGET measure
-        and set pairs, spread over every held measure."""
-        return max(1, _SCREEN_BUDGET // max(1, len(self.atoms) + self.n_added))
+        """How many sets of boxes one screen takes: _SCREEN_BUDGET array elements, each set
+        taking the cheaper seed cost, k 2^m corners and their masses under each added measure."""
+        per_set = min(self.atom_cost, self.grid_cost) + self.weights.size * (self.n_added + 1)
+        return max(1, _SCREEN_BUDGET // per_set)
 
     def _corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Flat padded corners (..., 2^m) of boxes with index corners lo, hi."""
         return (lo @ self.strides)[..., None] + ((hi + 1 - lo) * self.strides) @ self.picks.T
 
-    def _seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The seed's least value for each set, lo and hi as in ruled_out."""
-        # lo_q, hi_q: the corners of the intersection of the boxes of each pattern Q
-        lo_q = np.where(self.patterns[:, :, None, None], lo, 0).max(axis=1)
-        hi_q = np.where(self.patterns[:, :, None, None], hi, np.array(self.shape) - 1).min(axis=1)
-        hi_q = np.maximum(hi_q, lo_q - 1)  # an empty intersection holds none
-        exact = self.exclusion @ (self.counts[self._corners(lo_q, hi_q)] @ self.signs)
-        return np.where(exact > 0, (self.patterns @ self.heights)[:, None], np.inf).min(axis=0)
+    def _atom_seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The seed's least value for each set, atom by atom."""
+        inside = np.all((lo[:, :, None] <= self.atoms) & (self.atoms <= hi[:, :, None]), axis=-1)
+        return np.tensordot(self.heights, inside, axes=1).min(axis=1, initial=np.inf)
+
+    def _grid_seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """The seed's least value for each set, from the count grid."""
+        # pattern q holds box i in bit i: its height sum and the corners of its boxes' intersection
+        h_q, lo_q = np.zeros(1), np.zeros_like(lo[:1])
+        hi_q = np.zeros_like(hi[:1]) + self.shape - 1
+        for i, h in enumerate(self.heights):
+            h_q, lo_q = np.append(h_q, h_q + h), np.concatenate([lo_q, np.maximum(lo_q, lo[i])])
+            hi_q = np.concatenate([hi_q, np.minimum(hi_q, hi[i])])
+        # atoms in every box of q (an empty intersection holds none), then in exactly those boxes
+        exact = self.counts[self._corners(lo_q, np.maximum(hi_q, lo_q - 1))] @ self.signs
+        for i in range(len(self.heights)):
+            pair = exact.reshape(2 ** i, 2, -1)
+            pair[:, 0] -= pair[:, 1]
+        return np.where(exact > 0, h_q[:, None], np.inf).min(axis=0)
 
     def ruled_out(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Whether some measure gives each set of boxes an expected value
@@ -244,13 +257,15 @@ class _MeasurePool:
         n = lo.shape[1]
         lowest = np.empty(n)
         step = self.block()
+        by_grid = n * (self.atom_cost - self.grid_cost) >= _GRID_SETUP * len(self.heights)
+        seed = self._grid_seed if by_grid else self._atom_seed
         for start in range(0, n, step):
             los, his = lo[:, start:start + step], hi[:, start:start + step]
             # padded corners of every box, in weights order
             c = self._corners(los, his)
             c = c.transpose(1, 0, 2).reshape(c.shape[1], -1)
             lowest[start:start + step] = np.minimum(
-                self._seed(los, his),
+                seed(los, his),
                 (self.added[:self.n_added, c] @ self.weights).min(axis=0, initial=np.inf))
         return lowest < self.threshold
 

@@ -283,7 +283,8 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
     assert any(want) and not all(want)
     assert pool.ruled_out(lo, hi).tolist() == want
     # blocks of 7 sets: the same verdicts across many block boundaries
-    monkeypatch.setattr(search, "_SCREEN_BUDGET", 7 * (len(pool.atoms) + pool.n_added))
+    per_set = min(pool.atom_cost, pool.grid_cost) + pool.weights.size * (pool.n_added + 1)
+    monkeypatch.setattr(search, "_SCREEN_BUDGET", 7 * per_set)
     assert pool.block() == 7
     assert pool.ruled_out(lo, hi).tolist() == want
 
@@ -317,10 +318,10 @@ _OVERLAPS = (2, 3, np.array([0, 1, 0, 1, 1, 0, 0, 0, 1], dtype=bool), [0.5, 0.75
 @given(_seed_screens())
 @example(_NO_ATOMS)
 @example(_OVERLAPS)
-def test_seed_count_grid_matches_the_atom_by_atom_screen(case):
-    # the pool's seed value for a set, read from its count grid by
-    # inclusion-exclusion over the box intersections, is the least
-    # value any one atom gives the set; every lattice point meets the
+def test_seed_screens_match_the_atom_by_atom_definition(case):
+    # the pool's seed value for a set, tested atom by atom or read from its
+    # count grid by inclusion-exclusion over the box intersections, is the
+    # least value any one atom gives the set; every lattice point meets the
     # moments, and a confidence row of eps < 0 on each atom outside the
     # mask takes it out of the seed
     m, n_axis, mask, heights, lo, hi = case
@@ -334,7 +335,8 @@ def test_seed_count_grid_matches_the_atom_by_atom_screen(case):
     atoms = np.argwhere(mask.reshape(lattice.shape))
     assert np.array_equal(pool.atoms, atoms)
     want = seed_screen_values(atoms, heights, lo, hi)
-    assert np.array_equal(pool._seed(lo, hi), want)
+    assert np.array_equal(pool._atom_seed(lo, hi), want)
+    assert np.array_equal(pool._grid_seed(lo, hi), want)
     assert pool.ruled_out(lo, hi).tolist() == (want < pool.threshold).tolist()
 
 
@@ -396,6 +398,40 @@ def test_measure_pool_memory_stays_below_the_identity():
     assert peak < 0.05 * len(pool.atoms) * 26 ** 3 * 8
 
 
+@pytest.mark.parametrize("sigma, eps_mu, delta, atoms, by_grid",
+                         [([[2.0, 0.5], [0.5, 1.0]], 0.1, 0.05, 58, False),
+                          ([[1.0]], 1.0, 1 / 20000, 20001, True)],
+                         ids=["few-atoms", "many-atoms"])
+def test_measure_pool_screens_twelve_boxes_in_bounded_memory(monkeypatch, sigma, eps_mu, delta,
+                                                             atoms, by_grid):
+    # with k = 12 the count grid reads 4,096 box intersections a set, so the
+    # pool tests 58 atoms one by one and counts only 20,001; either way a
+    # screen's arrays stay near _SCREEN_BUDGET elements, never 4^k
+    m = len(sigma)
+    spec = AmbiguitySpec.with_normalization(edge=1.0, mu=[0.0] * m, sigma=sigma,
+                                            eps_mu=eps_mu, eps_sigma=1.0, b=0.1)
+    fn = SimpleFunctionSpec(k=12, heights=[1.0 / 12] * 12, mode=VariableBoxes())
+    lattice = lattice_points(1.0, m, delta)
+    ends = np.random.default_rng(12).integers(0, lattice.shape[0], size=(2, 12, 200, m))
+    lo, hi = ends.min(axis=0), ends.max(axis=0)
+    grid_screens = []
+    grid_seed = _MeasurePool._grid_seed
+    monkeypatch.setattr(_MeasurePool, "_grid_seed",
+                        lambda self, lo, hi: grid_screens.append(1) or grid_seed(self, lo, hi))
+    tracemalloc.start()
+    try:
+        pool = _MeasurePool(SearchInstance(spec, fn, lattice, 0.1))
+        verdicts = pool.ruled_out(lo, hi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(pool.atoms), bool(grid_screens)) == (atoms, by_grid)
+    assert peak < 4 * _SCREEN_BUDGET * 8
+    seed = pool._atom_seed(lo[:, :20], hi[:, :20])
+    assert verdicts[:20].tolist() == (seed < pool.threshold).tolist()
+    assert np.array_equal(pool._grid_seed(lo[:, :20], hi[:, :20]), seed)
+
+
 def test_measure_pool_adds_never_copy_the_seed():
     # added measures grow their own rows, apart from the atom-index seed:
     # a hundred adds to the 3-D pool at delta = 1/24 reallocate them seven
@@ -440,7 +476,7 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
     assert inc.objective == pytest.approx(objective, abs=1e-6)
     assert len(_candidate_stream(model, 0)[0]) == sets <= _ENUMERATE_CAP
     pool = screens[-1]  # largest last, so its blocks are the smallest
-    blocks = -(-sets // (_SCREEN_BUDGET // (len(pool.atoms) + pool.n_added)))
+    blocks = -(-sets // pool.block())
     assert len(screens) <= 2 * inc.node_count + blocks
 
 
