@@ -23,7 +23,6 @@ from drobox.assemble import (
     AssembledModel,
     assemble_case1,
     assemble_case2,
-    decode_box,
 )
 from drobox.certify import (
     Certificate,
@@ -56,7 +55,6 @@ from drobox.model import (
     VariableBoxes,
     WholeDomain,
     first_moment_block,
-    indicator_box,
     lattice_points,
     second_moment_outer,
     smoothed_indicator,

@@ -31,7 +31,6 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    BoxRegion,
     DualSolution,
     FixedBoxes,
     Lattice,
@@ -74,9 +73,8 @@ def _add_dual_variables(program: ConicProgram, spec, var_index: dict):
         var_index[("y", i)] = name
 
 
-def decode_duals(sol, model: AssembledModel) -> DualSolution:
-    """The (Y1, Y2, y) values of an optimal solve of model.program."""
-    spec = model.spec
+def decode_duals(sol, spec) -> DualSolution:
+    """The (Y1, Y2, y) values of an optimal solve of an assembled program."""
     return DualSolution(
         Y1=sol.value("Y1"),
         Y2=sol.value("Y2"),
@@ -299,38 +297,3 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice,
         program.add_row(lin, con.sense, con.rhs, name="user[%d]" % n)
 
     return AssembledModel(program, var_index, lattice, spec, fn, "variable")
-
-
-def decode_box(values: dict, model: AssembledModel) -> list:
-    """Read lattice-aligned boxes off a binary assignment.
-
-    values maps program variable names to numbers (e.g. SdpSolution.primal
-    after fixing binaries, or a canonical assignment).  Per box the b~
-    support must form a full lattice rectangle; an all-zero pattern decodes
-    to None, the empty box.
-    """
-    if model.case != "variable":
-        raise ValueError("decode_box applies to variable-mode models")
-    lattice = model.lattice
-    out = []
-    for i in range(model.fn.k):
-        vals = np.array([values["bt[%d,%d]" % (i, f)] for f in range(lattice.n_points)],
-                        dtype=float)
-        if np.any(np.minimum(np.abs(vals), np.abs(vals - 1.0)) > 1e-6):
-            raise ValueError("fractional membership values for box %d" % i)
-        support = np.nonzero(vals > 0.5)[0]
-        if support.size == 0:
-            out.append(None)
-            continue
-        pts = lattice.points[support]
-        lo = pts.min(axis=0)
-        hi = pts.max(axis=0)
-        expected = 1
-        for j in range(lattice.dim):
-            expected *= int(round((hi[j] - lo[j]) / lattice.delta)) + 1
-        if expected != support.size:
-            raise ValueError(
-                "inconsistent assignment for box %d: support is not a lattice rectangle" % i
-            )
-        out.append(BoxRegion(lo, hi))
-    return out

@@ -8,14 +8,16 @@ minimum: a value below b falsifies the decision, while a value at or
 above b is a necessary check only, never a full proof.  The proof of
 feasibility is duals that meet every lattice row and the threshold row;
 on the assembly lattice the search takes them from this same measure
-program (see _lattice_duals), and everything else here is defense in
-depth on top of them.
+program (see Pricer.lattice_duals), and everything else here is defense
+in depth on top of them.
 
-Pricer evaluates the lattice row under explicit duals, and a measure master's
-reduced cost is that row under its multipliers.  The measure program has one
-column per lattice atom, so it is solved by column generation (column_generation,
-which the fixed-box solve of `drobox solve` shares).  A command solves each
-measure master once: its memo, shared by the search and the oracle, holds them.
+Pricer is the one owner of the lattice measure program: it builds each master,
+prices every atom (the lattice row under explicit duals, which is a master's
+reduced cost under its multipliers), maps a master's multipliers to duals and
+names the atoms whose point mass is feasible.  The program has one column per
+lattice atom, so it is solved by column generation (column_generation, which
+the fixed-box solve of `drobox solve` shares).  A command solves each measure
+master once: its memo, shared by the search and the oracle, holds them.
 """
 
 from __future__ import annotations
@@ -33,9 +35,7 @@ from .model import (
     DualSolution,
     Lattice,
     WholeDomain,
-    first_moment_block,
     lattice_points,
-    second_moment_outer,
     smoothed_indicator,
     smoothed_indicator_lower,
 )
@@ -65,55 +65,37 @@ class Certificate:
         return asdict(self)
 
 
-# what column generation and _lattice_duals read of a master's solve; weights >= 0 if optimal
+# what column generation and Pricer.lattice_duals read of a master's solve; weights >= 0 if optimal
 _Master = NamedTuple("_Master", [("status", str), ("objective", float), ("row_duals", np.ndarray),
                                  ("lmi_duals", list), ("weights", np.ndarray)])
 
 
-def _measure_program(spec: AmbiguitySpec, pts: np.ndarray,
-                     vals: np.ndarray) -> ConicProgram:
-    """Discrete-measure program over the atoms pts with values vals."""
-    m = spec.m
-    names = ["w[%d]" % j for j in range(pts.shape[0])]
-    program = ConicProgram()
-    for name in names:
-        program.add_scalar(name, nonneg=True)
-    program.add_row(dict.fromkeys(names, 1.0), "==", 1.0, name="mass")
-    for i, cs in enumerate(spec.confidence_sets):
-        if isinstance(cs.region, WholeDomain):
-            continue  # the mass equality already covers the normalization pair
-        sgn = math.copysign(1.0, cs.eps)
-        inside = np.asarray(cs.region.contains(pts), dtype=bool)
-        lin = {names[j]: sgn for j in np.flatnonzero(inside)}
-        program.add_row(lin, ">=", cs.eps, name="confidence[%d]" % i)
-
-    block_coeffs = {name: first_moment_block(t, spec) for name, t in zip(names, pts)}
-    outer_coeffs = {name: -second_moment_outer(t, spec) for name, t in zip(names, pts)}
-    program.add_lmi(block_coeffs, np.zeros((m + 1, m + 1)), name="first-moment")
-    program.add_lmi(outer_coeffs, spec.eps_sigma * spec.sigma, name="second-moment")
-    program.set_objective("min", {name: float(v) for name, v in zip(names, vals)})
-    return program
-
-
 class Pricer:
-    """The lattice row at every atom t_j under explicit duals (Y1, Y2, y):
+    """The lattice measure program on atoms pts with values vals, and its lattice row.
 
-        v_j - <F1(t_j), Y1> + <(t_j - mu)(t_j - mu)^T, Y2> - sum_i sgn_i y_i 1[t_j in C_i],
+    Under explicit duals (Y1, Y2, y) the lattice row at atom t_j is
 
-    with v_j the atom's value and one signed indicator column per
-    confidence set, the normalization pair included.  It is also the
-    reduced cost of atom t_j's column in the measure program, whose
-    multipliers reduced_costs reads as such duals.
+        v_j - <F1(t_j), Y1> + <(t_j - mu)(t_j - mu)^T, Y2> - sum_i y_i rows[j, i],
+
+    with rows[j, i] = sgn(eps_i) 1[t_j in C_i], one signed indicator column
+    per confidence set, the normalization pair included.  It is also the
+    reduced cost of atom t_j's column in the measure program (master), whose
+    multipliers reduced_costs reads as such duals.  Only this class knows
+    the master's rows: the mass row, then one row per set in confidence.
+    vals may be one number for every atom, except for master.
     """
 
-    def __init__(self, spec: AmbiguitySpec, pts: np.ndarray, vals: np.ndarray):
+    def __init__(self, spec: AmbiguitySpec, pts: np.ndarray, vals):
         self.spec = spec
+        self.pts = pts
         self.vals = vals
         self.d = pts - spec.mu
         sets = spec.confidence_sets
+        self.eps = np.array([cs.eps for cs in sets])
         self.rows = (np.stack([cs.region.contains(pts) for cs in sets], axis=1)
-                     * np.copysign(1.0, [cs.eps for cs in sets]))
-        # the sets of the measure program's confidence rows, in row order
+                     * np.copysign(1.0, self.eps))
+        # the sets of the master's confidence rows, in row order: the mass
+        # equality already covers the normalization pair and any whole domain
         self.confidence = [i for i, cs in enumerate(sets)
                            if i >= 2 and not isinstance(cs.region, WholeDomain)]
 
@@ -125,31 +107,62 @@ class Pricer:
         second = np.einsum("ni,ij,nj->n", self.d, Y2, self.d)
         return self.vals - self.rows @ y - first + second
 
+    def master(self, active: np.ndarray) -> ConicProgram:
+        """The discrete-measure program over the atoms active (flat indices)."""
+        spec, m = self.spec, self.spec.m
+        names = ["w[%d]" % j for j in range(active.size)]
+        program = ConicProgram()
+        for name in names:
+            program.add_scalar(name, nonneg=True)
+        program.add_row(dict.fromkeys(names, 1.0), "==", 1.0, name="mass")
+        rows = self.rows[active]
+        for i in self.confidence:
+            lin = {names[j]: rows[j, i] for j in np.flatnonzero(rows[:, i])}
+            program.add_row(lin, ">=", self.eps[i], name="confidence[%d]" % i)
+        d = self.d[active]
+        block = np.empty((active.size, m + 1, m + 1))
+        block[:, :m, :m] = spec.sigma
+        block[:, :m, m] = block[:, m, :m] = d
+        block[:, m, m] = spec.eps_mu
+        program.add_lmi(dict(zip(names, block)), np.zeros((m + 1, m + 1)), name="first-moment")
+        program.add_lmi(dict(zip(names, -(d[:, :, None] * d[:, None, :]))),
+                        spec.eps_sigma * spec.sigma, name="second-moment")
+        program.set_objective("min", {name: float(v) for name, v in zip(names, self.vals[active])})
+        return program
+
     def master_y(self, row_duals: np.ndarray) -> np.ndarray:
-        """y of a measure master's row duals: the mass-row dual as y[1], each
+        """y of a master's row duals: the mass-row dual as y[1], each
         confidence-row dual in its set's place, 0 everywhere else."""
         y = np.zeros(self.rows.shape[1])
         y[1], y[self.confidence] = row_duals[0], row_duals[1:]
         return y
 
     def reduced_costs(self, sol) -> np.ndarray:
-        """Every atom's reduced cost against a measure master's multipliers."""
+        """Every atom's reduced cost against a master's multipliers."""
         return self(*sol.lmi_duals, self.master_y(sol.row_duals))
 
+    def lattice_duals(self, sol, margin: float) -> DualSolution:
+        """A master's multipliers as duals whose lattice rows hold at margin.
 
-def _lattice_duals(price: Pricer, sol, margin: float) -> DualSolution:
-    """A measure master's multipliers as duals whose lattice rows hold at margin.
+        Y1 and Y2 are the LMI duals projected onto the PSD cone, and y past the
+        normalization pair is the confidence-row duals clipped at 0.  The pair
+        then moves the lowest row over every atom to margin.  The caller checks
+        the threshold row, dual_objective() >= b.
+        """
+        Y1, Y2 = ((V * np.maximum(w, 0.0)) @ V.T for w, V in map(np.linalg.eigh, sol.lmi_duals))
+        y = np.maximum(self.master_y(np.r_[0.0, sol.row_duals[1:]]), 0.0)
+        shift = float(self(Y1, Y2, y).min()) - margin
+        y[:2] = max(-shift, 0.0), max(shift, 0.0)
+        return DualSolution(Y1, Y2, y, self.spec)
 
-    Y1 and Y2 are the LMI duals projected onto the PSD cone, and y past the
-    normalization pair is the confidence-row duals clipped at 0.  The pair
-    then moves the lowest row over every atom to margin.  The caller checks
-    the threshold row, dual_objective() >= b.
-    """
-    Y1, Y2 = ((V * np.maximum(w, 0.0)) @ V.T for w, V in map(np.linalg.eigh, sol.lmi_duals))
-    y = np.maximum(price.master_y(np.r_[0.0, sol.row_duals[1:]]), 0.0)
-    shift = float(price(Y1, Y2, y).min()) - margin
-    y[:2] = max(-shift, 0.0), max(shift, 0.0)
-    return DualSolution(Y1, Y2, y, price.spec)
+    def point_masses(self) -> np.ndarray:
+        """Whether the point mass at each atom is a measure of the ambiguity set:
+        (t - mu)^T Sigma^-1 (t - mu) <= min(eps_mu, eps_sigma), and every
+        confidence row sgn(eps_i) 1[t in C_i] >= eps_i."""
+        spec = self.spec
+        dist = np.einsum("ni,ij,nj->n", self.d, np.linalg.inv(spec.sigma), self.d)
+        moments = dist <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
+        return moments & np.all(self.rows >= self.eps, axis=1)
 
 
 def _seeds(lattice: Lattice, spec: AmbiguitySpec):
@@ -225,7 +238,7 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     Returns (status, value, weights, duals): the minimizing probability
     vector over fine_lattice.points and, given a margin, the final
     master's multipliers, whose lattice rows hold at margin (see
-    _lattice_duals).  weights is None unless optimal, and duals is None
+    Pricer.lattice_duals).  weights is None unless optimal, and duals is None
     unless optimal with a margin.
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
@@ -248,7 +261,7 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     def solve(active):
         key = compress(pts[active].tobytes() + vals[active].tobytes(), 1)
         if key not in memo:
-            sol = solve_sdp(_measure_program(spec, pts[active], vals[active]))
+            sol = solve_sdp(price.master(active))
             memo[key] = _Master(sol.status, sol.objective, sol.row_duals, sol.lmi_duals, np.array(
                 [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size) if sol.primal]))
         return memo[key]
@@ -259,7 +272,7 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
         return sol.status, float("nan"), None, None
     weights = np.zeros(pts.shape[0])
     weights[active] = sol.weights
-    duals = None if margin is None else _lattice_duals(price, sol, margin)
+    duals = None if margin is None else price.lattice_duals(sol, margin)
     return sol.status, float(sol.objective), weights, duals
 
 
@@ -288,25 +301,20 @@ def fc_values(decision: Decision, dual_solution: DualSolution, spec: AmbiguitySp
     confidence rows) and the lower tent where it must not grow.
     """
     t = np.atleast_2d(np.asarray(t, dtype=float))
-    n = t.shape[0]
-    m = spec.m
-    out = np.zeros(n)
+    out = np.zeros(t.shape[0])
     for h, box in zip(decision.heights, decision.boxes):
         if h >= 0:
             ind = smoothed_indicator(t, box, delta)
         else:
             ind = smoothed_indicator_lower(t, box, delta)
         out += h * ind
-    Y1 = dual_solution.Y1
-    Y2 = dual_solution.Y2
-    d = t - spec.mu
-    const = float(np.sum(spec.sigma * Y1[:m, :m])) + spec.eps_mu * Y1[m, m]
-    out -= const + 2.0 * d @ Y1[:m, m]
-    out += np.einsum("ni,ij,nj->n", d, Y2, d)
+    # q(t), the moment terms: the lattice row of zero values and zero y
+    out += Pricer(spec, t, 0.0)(dual_solution.Y1, dual_solution.Y2,
+                                np.zeros(len(spec.confidence_sets)))
     for cs, yi in zip(spec.confidence_sets, dual_solution.y):
         sgn = math.copysign(1.0, cs.eps)
         if isinstance(cs.region, WholeDomain):
-            ind = np.ones(n)
+            ind = 1.0
         elif sgn > 0:
             ind = smoothed_indicator_lower(t, cs.region, delta)
         else:

@@ -350,8 +350,8 @@ def _jsonable(obj):
     return obj
 
 
-def _solve_fixed(spec, fn, lattice, margin: float) -> tuple:
-    """(model, sol) of the fixed-box SDP, solved on the lattice rows that bind.
+def _solve_fixed(spec, fn, lattice, margin: float):
+    """The solve of the fixed-box SDP on the lattice rows that bind.
 
     certify.column_generation adds the most violated lattice rows to a
     master, assemble_case1 on the active atoms; an infeasible master, a
@@ -361,20 +361,17 @@ def _solve_fixed(spec, fn, lattice, margin: float) -> tuple:
     pts = lattice.points
     inside = np.stack([box.contains(pts) for box in fn.mode.boxes], axis=1).astype(float)
     pricer = Pricer(spec, pts, np.zeros(lattice.n_points))
-    model = None
 
     def solve(active):
-        nonlocal model
-        model = assemble_case1(spec, fn, lattice, margin, atoms=active)
-        return solve_sdp(model.program)
+        return solve_sdp(assemble_case1(spec, fn, lattice, margin, atoms=active).program)
 
     def price(sol):
-        d = decode_duals(sol, model)
+        d = decode_duals(sol, spec)
         heights = [sol.value("x[%d]" % i) for i in range(fn.k)]
         return inside @ heights + pricer(d.Y1, d.Y2, d.y) - margin
 
     _, sol = column_generation(lattice, spec, solve, price, final=("infeasible",))
-    return model, sol
+    return sol
 
 
 def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
@@ -405,7 +402,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     boxes = duals = None
     if isinstance(fn.mode, FixedBoxes):
         record["case"] = "fixed"
-        model, sol = _solve_fixed(spec, fn, lattice, margin)
+        sol = _solve_fixed(spec, fn, lattice, margin)
         record["proof"] = sol.status
         record["status"] = {"optimal": "solved", "infeasible": "infeasible-model"}.get(
             sol.status, "unknown")
@@ -413,7 +410,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
             record["objective"] = float(sol.objective)
             heights = [sol.value("x[%d]" % i) for i in range(len(fn.mode.boxes))]
             boxes = fn.mode.boxes
-            duals = decode_duals(sol, model)
+            duals = decode_duals(sol, spec)
     else:
         record["case"] = "variable"
         try:
@@ -528,8 +525,8 @@ def cmd_sweep(args) -> int:
         deltas = args.delta
     elif "deltas" in cfg or "delta" in cfg:
         steps = cfg["deltas"] if "deltas" in cfg else [cfg["delta"]]
-        if not isinstance(steps, list):
-            raise ConfigError("deltas must be a list of steps")
+        if not isinstance(steps, list) or not steps:
+            raise ConfigError("deltas must be a non-empty list of steps")
         deltas = [_float(d, "each delta") for d in steps]
     else:
         raise ConfigError('config is missing "deltas" and no --delta was given')
@@ -574,6 +571,7 @@ def cmd_certify(args) -> int:
     delta, decision, duals = _solution_from(load_config(args.solution, "solution"), spec)
     _validate_step(spec, fn, delta)
     seed, samples = _sampling(cfg, args)
+    out = _out_dir(cfg, args)
     fine_step = _one_delta(args)
     fine = None
     if fine_step is not None:
@@ -587,7 +585,7 @@ def cmd_certify(args) -> int:
     cert = certify_solution(
         decision, duals, spec, delta=delta, fine_lattice=fine, n_samples=samples, seed=seed
     )
-    path = _write_json(_out_dir(cfg, args) / "certificate.json", cert.as_record())
+    path = _write_json(out / "certificate.json", cert.as_record())
     print("verdict=%s worst_case=%s -> %s" % (
         cert.verdict, cert.worst_case_expectation, path))
     return _EXIT.get(cert.verdict, 1)

@@ -362,8 +362,8 @@ def lattice_points(edge: float, dim: int, delta: float) -> Lattice:
     delta must divide edge to within a 1e-9 relative tolerance; both
     boundaries are included, so each axis carries edge/delta + 1 values.
     """
-    if delta <= 0 or edge <= 0:
-        raise ValueError("edge and delta must be positive")
+    if not (0 < delta < math.inf and 0 < edge < math.inf):
+        raise ValueError("edge and delta must be positive and finite")
     ratio = edge / delta
     steps = round(ratio)
     if steps < 1 or abs(ratio - steps) > ALIGNMENT_TOL * max(1.0, ratio):
@@ -416,7 +416,7 @@ class ValidationReport:
 
 def _is_aligned(value: float, delta: float) -> bool:
     r = value / delta
-    return abs(r - round(r)) <= ALIGNMENT_TOL * max(1.0, abs(r))
+    return math.isfinite(r) and abs(r - round(r)) <= ALIGNMENT_TOL * max(1.0, abs(r))
 
 
 def validate_spec(
@@ -435,6 +435,14 @@ def validate_spec(
         checks.append(CheckResult(name, bool(ok), detail))
 
     m, M = spec.m, spec.edge
+    mode = fn.mode
+    regions = [c.region for c in spec.confidence_sets] + list(getattr(mode, "boxes", ()))
+    numbers = [M, spec.mu, spec.sigma, spec.eps_mu, spec.eps_sigma, spec.b, fn.heights]
+    numbers += [getattr(mode, key, None) for key in ("objective", "c_minus", "c_plus")]
+    numbers += [v for c in mode.constraints for v in (c.coeffs, c.rhs)]
+    numbers += [v for r in regions if isinstance(r, BoxRegion) for v in (r.lower, r.upper)]
+    add("numbers_finite", all(np.all(np.isfinite(v)) for v in numbers if v is not None),
+        "edge, mu, sigma, eps_mu, eps_sigma, b, heights, boxes, objective and constraints")
     sym = bool(np.allclose(spec.sigma, spec.sigma.T, rtol=0, atol=0))
     lam = float(np.min(np.linalg.eigvalsh((spec.sigma + spec.sigma.T) / 2.0)))
     add(
@@ -486,7 +494,8 @@ def validate_spec(
                 region_ok = False
     add("confidence_regions_in_domain", region_ok, "")
 
-    add("heights_length", fn.heights.shape[0] == fn.k, "k=%d" % fn.k)
+    add("heights_length", fn.k >= 1 and fn.heights.shape == (fn.k,),
+        "heights shape %s, need a non-empty (k,) vector" % (fn.heights.shape,))
     if isinstance(fn.mode, FixedBoxes):
         boxes = fn.mode.boxes
         add("box_count", len(boxes) == fn.k, "%d boxes for k=%d" % (len(boxes), fn.k))
@@ -498,6 +507,8 @@ def validate_spec(
             _is_aligned(v, lattice.delta) for b in boxes for v in np.r_[b.lower, b.upper]
         )
         add("fixed_boxes_lattice_aligned", aligned, "delta=%g" % lattice.delta)
+        if fn.mode.objective is not None:
+            add("objective_shape", fn.mode.objective.shape == (fn.k,), "need a (k,) objective")
     else:
         add(
             "variable_heights_positive",
@@ -557,11 +568,6 @@ def second_moment_outer(t, spec: AmbiguitySpec) -> np.ndarray:
     """(t - mu)(t - mu)^T, the integrand of the second-moment cap."""
     d = np.asarray(t, dtype=float) - spec.mu
     return np.outer(d, d)
-
-
-def indicator_box(t, box: BoxRegion) -> np.ndarray:
-    """Exact closed-box indicator; t has shape (m,) or (N, m)."""
-    return box.contains(t).astype(float)
 
 
 def smoothed_indicator(t, box: BoxRegion, delta: float) -> np.ndarray:

@@ -1,16 +1,19 @@
 """Search drivers for a SearchInstance: spec, function, lattice, margin.
 
-They never build assemble_case2's mixed-binary program.  Two independent
+The instance is the one owner of the search objective: its sense, quantum,
+scaled corner costs and each height's empty-box bound, computed once.  The
+drivers never build assemble_case2's mixed-binary program.  Two independent
 routes to the same answer, built from the same proof steps.  One pool of
 lattice measures screens sets of boxes: a set falls when some held measure
-gives it an expected value below b + margin (weak duality).  The pool
-starts with a point mass on every feasible lattice atom, read off one count
-grid.  Callers hand it the lattice index corners (lo, hi) of each box, and
-only the pool knows how its measures are stored.  A set of boxes that
-passes gets its own adversary measure program solved, each distinct master
-once per command (the instance's memo): a value below b + margin rules it
-out, and its measure joins the pool; otherwise the final master's duals,
-checked against every lattice row and the threshold row, prove it feasible.
+gives it an expected value below b + margin (weak duality).  The pool starts
+with a point mass on every feasible lattice atom (Pricer.point_masses), read
+off one count grid.  Callers hand it the lattice index corners (lo, hi) of
+each box, and only the pool knows how its measures are stored.  A set of
+boxes that passes gets its own adversary measure program solved, each
+distinct master once per command (the instance's memo): a value below
+b + margin rules it out, and its measure joins the pool; otherwise the final
+master's duals, checked against every lattice row and the threshold row,
+prove it feasible.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -44,9 +47,9 @@ from typing import Optional
 
 import numpy as np
 
-from .certify import adversary_problem
+from .certify import Pricer, adversary_problem
 from .model import (AmbiguitySpec, BoxRegion, Decision, DualSolution, Lattice,
-                    SimpleFunctionSpec, VariableBoxes, WholeDomain)
+                    SimpleFunctionSpec, VariableBoxes)
 # uncalled: perfbench/tracer.py wraps solve_sdp here until that hook moves (ROADMAP item 1)
 from .sdp import solve_sdp
 
@@ -112,6 +115,11 @@ class SearchInstance:
     mode's objective is minimized and -1 when maximized; the drivers minimize
     sgn times the objective.  quantum is the lattice step when every objective
     value is a multiple of it (the width sum without user constraints), else None.
+    corner_costs holds the scaled (k, m) objective coefficients of the lower and
+    upper corners (the width sum is -1 on lower and +1 on upper corners), and
+    empty_bounds each height's scaled objective of an empty box: its corners
+    float in 0 <= lo <= hi <= edge, so each axis takes the best of (0, 0),
+    (0, edge) and (edge, edge).
     """
 
     spec: AmbiguitySpec
@@ -121,6 +129,8 @@ class SearchInstance:
     memo: dict = field(default_factory=dict, repr=False)
     sgn: float = field(init=False)
     quantum: Optional[float] = field(init=False)
+    corner_costs: tuple = field(init=False, repr=False)
+    empty_bounds: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         mode = self.fn.mode
@@ -131,6 +141,12 @@ class SearchInstance:
         object.__setattr__(self, "sgn", 1.0 if mode.objective_sense == "min" else -1.0)
         object.__setattr__(self, "quantum", self.lattice.delta
                            if mode.width_sum and not mode.constraints else None)
+        ones = np.ones((self.fn.k, self.lattice.dim))
+        costs = (-ones, ones) if mode.width_sum else (self.sgn * mode.c_minus, self.sgn * mode.c_plus)
+        object.__setattr__(self, "corner_costs", costs)
+        object.__setattr__(self, "empty_bounds", tuple(
+            float(np.sum(np.minimum(0.0, np.minimum(cp, cm + cp) * self.lattice.edge)))
+            for cm, cp in zip(*costs)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,17 +196,7 @@ class _MeasurePool:
         lattice = inst.lattice
         self.shape = lattice.shape
         self.threshold = spec.b + inst.margin - 1e-7  # less a slack for rounding
-        d = lattice.points - spec.mu
-        dist = np.einsum("ni,ij,nj->n", d, np.linalg.inv(spec.sigma), d)
-        ok = dist <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
-        for cs in spec.confidence_sets:
-            if isinstance(cs.region, WholeDomain):
-                continue
-            inside = np.asarray(cs.region.contains(lattice.points), dtype=bool)
-            if cs.eps > 0:
-                ok &= inside
-            elif -cs.eps < 1.0:
-                ok &= ~inside
+        ok = Pricer(spec, lattice.points, 0.0).point_masses()
         self.atoms = np.argwhere(ok.reshape(self.shape))
         self.counts = _padded_prefix(ok.astype(np.int64), self.shape)
         self.heights = np.asarray(inst.fn.heights, dtype=float)
@@ -270,24 +276,6 @@ class _MeasurePool:
         return lowest < self.threshold
 
 
-def _corner_costs(inst: SearchInstance) -> tuple:
-    """Scaled (k, m) objective coefficients of the lower and upper corners;
-    the width-sum objective is -1 on lower and +1 on upper corners."""
-    mode = inst.fn.mode
-    if mode.width_sum:
-        ones = np.ones((inst.fn.k, inst.lattice.dim))
-        return -ones, ones
-    return inst.sgn * mode.c_minus, inst.sgn * mode.c_plus
-
-
-def _empty_bound(inst: SearchInstance, i: int) -> float:
-    """Scaled objective of an empty box for height i: its corners float in
-    0 <= lo <= hi <= edge, so each axis takes the best of (0, 0), (0, edge)
-    and (edge, edge)."""
-    cm, cp = _corner_costs(inst)
-    return float(np.sum(np.minimum(0.0, np.minimum(cp[i], cm[i] + cp[i]) * inst.lattice.edge)))
-
-
 def _box_bounds(inst: SearchInstance, i: int, a, b, c, d):
     """Scaled objective bound of height i's box over lo in [a, b], hi in [c, d].
 
@@ -295,7 +283,7 @@ def _box_bounds(inst: SearchInstance, i: int, a, b, c, d):
     corner term takes the better end of its interval, and a width is at
     least 0.  With a = b and c = d this is the box's exact objective.
     """
-    cm, cp = _corner_costs(inst)
+    cm, cp = inst.corner_costs
     term = np.minimum(cm[i] * a, cm[i] * b) + np.minimum(cp[i] * c, cp[i] * d)
     if inst.fn.mode.width_sum:
         term = np.maximum(term, 0.0)
@@ -307,13 +295,13 @@ def _leaf_objective(inst: SearchInstance, boxes: list):
     meets the user constraints.
 
     A nonempty box has its lattice corners, and an empty one (None) takes
-    its best corners (_empty_bound).  Under user constraints one LP over
+    its best corners (inst.empty_bounds).  Under user constraints one LP over
     all corners, those of nonempty boxes pinned, decides both.
     """
     mode = inst.fn.mode
     k, m = inst.fn.k, inst.lattice.dim
     if not mode.constraints:
-        return sum(_empty_bound(inst, i) if box is None
+        return sum(inst.empty_bounds[i] if box is None
                    else float(_box_bounds(inst, i, box.lower, box.lower, box.upper, box.upper))
                    for i, box in enumerate(boxes))
     from scipy.optimize import milp
@@ -328,7 +316,7 @@ def _leaf_objective(inst: SearchInstance, boxes: list):
                      + [con.coeffs for con in cons])
     row_lo = [-np.inf] * (k * m) + [-np.inf if con.sense == "<=" else con.rhs for con in cons]
     row_hi = [0.0] * (k * m) + [np.inf if con.sense == ">=" else con.rhs for con in cons]
-    res = milp(np.concatenate([np.ravel(c) for c in _corner_costs(inst)]),
+    res = milp(np.concatenate([np.ravel(c) for c in inst.corner_costs]),
                bounds=(lower.ravel(), upper.ravel()), constraints=(rows, row_lo, row_hi))
     return float(res.fun) if res.status == 0 else None
 
@@ -464,7 +452,7 @@ def _candidate_stream(inst: SearchInstance, i: int) -> tuple:
 
     Returns (bound, lo, hi): the scaled bound of each candidate and the
     (n, m) axis indices of its lower and upper corners.  The empty box is
-    lo = 0, hi = -1 with the _empty_bound; it sorts first among equal
+    lo = 0, hi = -1 with its empty_bounds entry; it sorts first among equal
     bounds, and other ties break on (lo, hi) in lexicographic order.
     Every other bound is the box's exact objective.
     """
@@ -474,7 +462,7 @@ def _candidate_stream(inst: SearchInstance, i: int) -> tuple:
     lo = np.vstack([np.zeros((1, m), dtype=int), first[combo]])
     hi = np.vstack([np.full((1, m), -1), last[combo]])
     lo_at, hi_at = lattice.axis[lo[1:]], lattice.axis[hi[1:]]
-    bound = np.concatenate([[_empty_bound(inst, i)],
+    bound = np.concatenate([[inst.empty_bounds[i]],
                             _box_bounds(inst, i, lo_at, lo_at, hi_at, hi_at)])
     is_box = np.arange(bound.size) > 0
     keys = [hi[:, j] for j in reversed(range(m))] + [lo[:, j] for j in reversed(range(m))]
@@ -579,13 +567,12 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
     t0 = time.perf_counter()
     lattice = inst.lattice
     k, m, top = inst.fn.k, lattice.dim, lattice.n_axis - 1
-    empty_bound = [_empty_bound(inst, i) for i in range(k)]
     pool = _MeasurePool(inst)
 
     def bounded(parts: tuple) -> tuple:
         """(bound, parts) of a node; parts[i] is None or rows a, b, c, d."""
         return _quantum_ceil(sum(
-            empty_bound[i] if p is None else float(_box_bounds(inst, i, *lattice.axis[p]))
+            inst.empty_bounds[i] if p is None else float(_box_bounds(inst, i, *lattice.axis[p]))
             for i, p in enumerate(parts)), inst.quantum), parts
 
     def expand(parts: tuple) -> tuple:

@@ -1,9 +1,11 @@
 """Shared helpers for checking assembled programs row by row in tests,
-and for putting given boxes into the binary encoding of assemble_case2."""
+and for putting given boxes into the binary encoding of assemble_case2
+and reading them back off it."""
 
 import numpy as np
 
 from drobox.assemble import AssembledModel
+from drobox.model import BoxRegion
 
 
 def evaluate_rows(program, values, prefixes=None):
@@ -173,3 +175,38 @@ def canonical_assignment(boxes, model: AssembledModel) -> dict:
             values["bt[%d,%d]" % (i, f)] = 1.0 if member[f] else 0.0
     values.update(implied_jumps(values, model))
     return values
+
+
+def decode_box(values: dict, model: AssembledModel) -> list:
+    """Read lattice-aligned boxes off a binary assignment.
+
+    values maps program variable names to numbers (e.g. SdpSolution.primal
+    after fixing binaries, or a canonical assignment).  Per box the b~
+    support must form a full lattice rectangle; an all-zero pattern decodes
+    to None, the empty box.
+    """
+    if model.case != "variable":
+        raise ValueError("decode_box applies to variable-mode models")
+    lattice = model.lattice
+    out = []
+    for i in range(model.fn.k):
+        vals = np.array([values["bt[%d,%d]" % (i, f)] for f in range(lattice.n_points)],
+                        dtype=float)
+        if np.any(np.minimum(np.abs(vals), np.abs(vals - 1.0)) > 1e-6):
+            raise ValueError("fractional membership values for box %d" % i)
+        support = np.nonzero(vals > 0.5)[0]
+        if support.size == 0:
+            out.append(None)
+            continue
+        pts = lattice.points[support]
+        lo = pts.min(axis=0)
+        hi = pts.max(axis=0)
+        expected = 1
+        for j in range(lattice.dim):
+            expected *= int(round((hi[j] - lo[j]) / lattice.delta)) + 1
+        if expected != support.size:
+            raise ValueError(
+                "inconsistent assignment for box %d: support is not a lattice rectangle" % i
+            )
+        out.append(BoxRegion(lo, hi))
+    return out

@@ -8,6 +8,11 @@ paths, so test expectations do not inherit implementation bugs.
 import numpy as np
 
 
+def indicator_box(t, box) -> np.ndarray:
+    """Exact closed-box indicator; t has shape (m,) or (N, m)."""
+    return box.contains(t).astype(float)
+
+
 def random_spd(rng, m, scale=1.0):
     a = rng.normal(size=(m, m))
     return scale * (a @ a.T + (0.05 + rng.uniform()) * np.eye(m))
@@ -92,7 +97,6 @@ def dual_integrand(t, heights, boxes, Y1, Y2, y, spec, smoothed=False, delta=Non
     from drobox.model import (
         WholeDomain,
         first_moment_block,
-        indicator_box,
         second_moment_outer,
         smoothed_indicator,
         smoothed_indicator_lower,

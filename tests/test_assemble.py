@@ -6,7 +6,6 @@ import pytest
 from drobox.assemble import (
     assemble_case1,
     assemble_case2,
-    decode_box,
 )
 from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.model import (
@@ -25,6 +24,7 @@ from encoding_tools import (
     binary_rows_ok,
     canonical_assignment,
     corner_feasible,
+    decode_box,
     evaluate_rows,
     fallback_values,
     zero_duals,

@@ -8,7 +8,6 @@ import pytest
 
 from drobox.certify import (
     Pricer,
-    _measure_program,
     adversary_oracle,
     adversary_problem,
     certify_solution,
@@ -165,7 +164,8 @@ _ROUND_LINE = re.compile(
                                    "tight-moments"])
 def test_column_generation_matches_the_whole_lattice(ref_spec, line_spec, which, caplog):
     decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
-    direct = solve_sdp(_measure_program(spec, fine.points, decision.evaluate(fine.points)))
+    direct = solve_sdp(Pricer(spec, fine.points, decision.evaluate(fine.points)).master(
+        np.arange(fine.n_points)))
     assert direct.status == "optimal"
     with caplog.at_level(logging.DEBUG, logger="drobox.certify"):
         status, value, weights, _ = adversary_problem(decision, spec, fine)
@@ -182,6 +182,30 @@ def test_column_generation_matches_the_whole_lattice(ref_spec, line_spec, which,
         assert atoms[1] == 9  # the seed grew to 9 points
 
 
+def test_point_masses_are_the_atoms_whose_point_mass_is_in_the_ambiguity_set():
+    # the definition, atom by atom: both moment constraints as eigenvalue
+    # tests, and every confidence row sgn(eps) P(C) >= eps with P(C) = 1[t in C]
+    sigma = np.array([[0.05, 0.01], [0.01, 0.03]])
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.2, 0.3], sigma=sigma, eps_mu=0.4, eps_sigma=1.5, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.6, 0.35]), 0.5),
+                    ConfidenceSet(BoxRegion([0.3, 0.0], [0.4, 1.0]), -0.2),
+                    ConfidenceSet(BoxRegion([0.0, 0.5], [1.0, 1.0]), -1.0)))
+    pts = lattice_points(1.0, 2, 0.05).points
+    want = []
+    for t in pts:
+        d = t - spec.mu
+        block = np.block([[sigma, d[:, None]], [d[None, :], np.array([[spec.eps_mu]])]])
+        moments = min(np.linalg.eigvalsh(block).min(),
+                      np.linalg.eigvalsh(spec.eps_sigma * sigma - np.outer(d, d)).min()) >= 0
+        rows = all(math.copysign(1.0, cs.eps) * float(cs.region.contains(t)) >= cs.eps
+                   for cs in spec.confidence_sets)
+        want.append(moments and rows)
+    got = Pricer(spec, pts, 0.0).point_masses()
+    assert got.tolist() == want
+    assert 0 < got.sum() < len(pts)
+
+
 @pytest.mark.parametrize("which", ["reference", "tight-moments"])
 def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
     # under any duals y, the reduced cost of weight column j in the
@@ -189,7 +213,8 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
     # term of the batched pricing count
     decision, spec, fine = _column_generation_case(which, ref_spec, None)
     vals = decision.evaluate(fine.points)
-    program = _measure_program(spec, fine.points, vals)
+    price = Pricer(spec, fine.points, vals)
+    program = price.master(np.arange(fine.n_points))
     comp = _compile(program)
     rng = np.random.default_rng(3)
     duals = SimpleNamespace(row_duals=rng.normal(size=program.n_rows), lmi_duals=[])
@@ -201,7 +226,7 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
         y[start:start + svec_len(d)] = svec(Z + Z.T)
     n = fine.n_points
     compiled = comp.c[:n] - comp.A[:, :n].T @ y
-    priced = Pricer(spec, fine.points, vals).reduced_costs(duals)
+    priced = price.reduced_costs(duals)
     assert np.max(np.abs(priced - compiled)) <= 1e-12 * (1.0 + np.max(np.abs(compiled)))
 
 
@@ -418,9 +443,9 @@ def test_certify_maps_no_duals(ref_spec, ref_fn, ref_lattice, monkeypatch):
 
     inc = searched(ref_spec, ref_fn, 0.1)
     calls = []
-    mapping = certify._lattice_duals
-    monkeypatch.setattr(certify, "_lattice_duals",
-                        lambda *args: calls.append(args) or mapping(*args))
+    mapping = certify.Pricer.lattice_duals
+    monkeypatch.setattr(certify.Pricer, "lattice_duals",
+                        lambda self, *args: calls.append(args) or mapping(self, *args))
     decision = Decision(ref_fn.heights, inc.boxes)
     assert certify_solution(decision, inc.dual_vars, ref_spec, delta=0.1).verdict == "certified"
     assert calls == []

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line front end."""
 
 import json
+import math
 import os
 import re
 import subprocess
@@ -120,9 +121,9 @@ def _spy_master_solves(monkeypatch) -> list:
     import drobox.certify as certify
 
     masters = []
-    build, solve = certify._measure_program, certify.solve_sdp
-    monkeypatch.setattr(certify, "_measure_program", lambda spec, pts, vals: masters.append(
-        pts.tobytes() + vals.tobytes()) or build(spec, pts, vals))
+    build, solve = certify.Pricer.master, certify.solve_sdp
+    monkeypatch.setattr(certify.Pricer, "master", lambda self, active: masters.append(
+        self.pts[active].tobytes() + self.vals[active].tobytes()) or build(self, active))
     monkeypatch.setattr(certify, "solve_sdp", lambda program: masters.append(None)
                         or solve(program))
     return masters
@@ -331,20 +332,24 @@ CONFIDENCE_PAIR = [{"lower": [0.0, 0.0], "upper": [0.5, 0.5], "eps": 0.3},
     (0.05, {"heights": [0.9, 0.3], "mode": {"constraints": None, "objective": None}}),
     (0.05, {"confidence_sets": CONFIDENCE_PAIR}),
 ], ids=["d0.1", "d0.05", "d0.025", "pinned", "confidence-pair"])
-def test_fixed_masters_meet_every_row_of_the_full_program(tmp_path, delta, changes):
+def test_fixed_masters_meet_every_row_of_the_full_program(tmp_path, monkeypatch, delta,
+                                                          changes):
     from drobox.assemble import assemble_case1
     from drobox.lipschitz import lipschitz_certificate, safety_margin
     from drobox.model import lattice_points
     from drobox.sdp import solve_sdp
 
+    masters = []
+    monkeypatch.setattr(cli, "assemble_case1", lambda *a, **kw: masters.append(
+        assemble_case1(*a, **kw)) or masters[-1])
     spec, fn = cli.build_instance(cli.load_config(fixed_config(tmp_path, **changes)))
     lattice = lattice_points(spec.edge, spec.m, delta)
     margin = safety_margin(lipschitz_certificate(spec, fn).L, delta, spec.m)
-    model, sol = cli._solve_fixed(spec, fn, lattice, margin)
+    sol = cli._solve_fixed(spec, fn, lattice, margin)
     full = assemble_case1(spec, fn, lattice, margin)
     ref = solve_sdp(full.program)
     assert sol.status == ref.status == "optimal"
-    assert model.program.n_rows < full.program.n_rows
+    assert masters[-1].program.n_rows < full.program.n_rows
     # 1e-8 in the solver's own scale, 1 + the largest right-hand side
     scale = 1.0 + max(abs(row.rhs) for row in full.program.rows)
     assert row_violation(full.program, sol.primal) <= 1e-8 * scale
@@ -372,7 +377,7 @@ def test_fixed_pricing_is_the_slack_of_every_full_lattice_row(tmp_path, monkeypa
     spec, fn = cli.build_instance(cli.load_config(fixed_config(tmp_path, **changes)))
     lattice = lattice_points(spec.edge, spec.m, 0.05)
     margin = safety_margin(lipschitz_certificate(spec, fn).L, 0.05, spec.m)
-    _, sol = cli._solve_fixed(spec, fn, lattice, margin)
+    sol = cli._solve_fixed(spec, fn, lattice, margin)
     assert sol.status == "optimal"
     slack = {row.name: row_lhs(row, sol.primal) - row.rhs
              for row in assemble_case1(spec, fn, lattice, margin).program.rows}
@@ -722,17 +727,23 @@ def test_malformed_input_is_one_error_line(tmp_path, solved_reference, capsys,
     assert not (tmp_path / "out" / "result.json").exists()
 
 
-@pytest.mark.parametrize("where", ["config-number", "under-a-file"])
-def test_unusable_out_dir_is_one_error_line(tmp_path, capsys, monkeypatch, where):
+@pytest.mark.parametrize("where", ["config-number", "under-a-file", "certify"])
+def test_unusable_out_dir_is_one_error_line(tmp_path, capsys, monkeypatch, solved_reference,
+                                            where):
     def must_not_run(*args, **kwargs):
         raise AssertionError("an unusable out_dir reached a solve")
 
     monkeypatch.setattr(cli, "run_search", must_not_run)
+    monkeypatch.setattr(cli, "certify_solution", must_not_run)
+    (tmp_path / "file").write_text("")
+    under_a_file = ["--out-dir", str(tmp_path / "file" / "sub")]
     if where == "config-number":
         argv = ["solve", "--config", write_config(tmp_path, out_dir=5)]
+    elif where == "under-a-file":
+        argv = ["solve", "--config", REFERENCE] + under_a_file
     else:
-        (tmp_path / "file").write_text("")
-        argv = ["solve", "--config", REFERENCE, "--out-dir", str(tmp_path / "file" / "sub")]
+        argv = ["certify", "--config", REFERENCE, "--solution",
+                stored_record(tmp_path, solved_reference)] + under_a_file
     assert main(argv) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err
@@ -842,6 +853,25 @@ def test_inverted_confidence_box_is_invalid(tmp_path, capsys):
     ("sweep", {"search": 5}),
     ("sweep", {"search": None}),
     ("sweep", {"search": ["mode"]}),
+    # numbers validation must see as finite, and shapes it must see whole
+    ("validate", {"edge": math.inf}),
+    ("validate", {"b": math.nan}),
+    ("validate", {"eps_mu": math.inf}),
+    ("validate", {"eps_sigma": math.inf}),
+    ("validate", {"function": {"heights": [math.inf]}}),
+    ("validate", {"function": {"heights": []}}),
+    ("validate", {"function": {"heights": [[1.0]]}}),
+    ("validate", {"confidence_sets": [{"lower": [0.0, 0.0], "upper": [math.nan, 0.5],
+                                       "eps": 0.2}]}),
+    ("validate", {"function": {"heights": [1.0], "mode": {
+        "kind": "variable", "c_minus": [[math.inf, -1.0]], "c_plus": [[1.0, 1.0]]}}}),
+    ("validate", {"function": {"heights": [1.0], "mode": {
+        "kind": "variable", "c_minus": [[-1.0, -1.0]], "c_plus": [[1.0, 1.0]],
+        "constraints": [{"coeffs": [1.0, math.nan, 0.0, 0.0], "sense": "<=", "rhs": 2.0}]}}}),
+    ("validate", {"function": {"heights": [1.0], "mode": {
+        "kind": "variable", "c_minus": [[-1.0, -1.0]], "c_plus": [[1.0, 1.0]],
+        "constraints": [{"coeffs": [1.0, 0.0, 0.0, 0.0], "sense": "<=", "rhs": math.inf}]}}}),
+    ("sweep", {"deltas": []}),
 ])
 def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
     argv = [verb, "--config", write_config(tmp_path, **overrides)]
@@ -854,9 +884,12 @@ def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
 
 @pytest.mark.parametrize("verb", ["validate", "solve"])
 @pytest.mark.parametrize("kind, length", [("variable", 3), ("variable", 5),
-                                          ("fixed", 1), ("fixed", 3)])
+                                          ("fixed", 1), ("fixed", 3),
+                                          ("objective", 1), ("objective", 3)])
 def test_constraint_coefficient_length_is_checked(tmp_path, capsys, verb, kind, length):
-    # variable boxes need 2*k*m = 4 coefficients here, fixed boxes k = 2
+    # variable boxes need 2*k*m = 4 coefficients here, fixed boxes k = 2,
+    # and so does the objective of fixed boxes
+    check = "objective_shape" if kind == "objective" else "constraint_lengths"
     if kind == "variable":
         mode = {"kind": "variable", "c_minus": [[-1.0, -1.0]], "c_plus": [[1.0, 1.0]],
                 "constraints": [{"coeffs": [1.0] * length, "sense": "<=", "rhs": 2.0}]}
@@ -864,7 +897,10 @@ def test_constraint_coefficient_length_is_checked(tmp_path, capsys, verb, kind, 
         cfg["function"]["mode"] = mode
     else:
         cfg = json.loads(Path(FIXED_DEMO).read_text())
-        cfg["function"]["mode"]["constraints"][0]["coeffs"] = [1.0] * length
+        if kind == "objective":
+            cfg["function"]["mode"]["objective"] = [1.0] * length
+        else:
+            cfg["function"]["mode"]["constraints"][0]["coeffs"] = [1.0] * length
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     argv = [verb, "--config", str(path)]
@@ -872,7 +908,7 @@ def test_constraint_coefficient_length_is_checked(tmp_path, capsys, verb, kind, 
         argv += ["--out-dir", str(tmp_path)]
     assert main(argv) == 1
     captured = capsys.readouterr()
-    assert re.search(r"FAIL +constraint_lengths", captured.out + captured.err)
+    assert re.search(r"FAIL +%s" % check, captured.out + captured.err)
     err = captured.err.strip().splitlines()
     assert [line for line in err if line.startswith("error: ")] == [
         "error: config failed validation"]

@@ -15,7 +15,6 @@ from drobox.model import (
     VariableBoxes,
     WholeDomain,
     first_moment_block,
-    indicator_box,
     lattice_points,
     normalization_pair,
     second_moment_outer,
@@ -23,7 +22,7 @@ from drobox.model import (
     smoothed_indicator_lower,
     validate_spec,
 )
-from oracles import schur_equivalence_violations
+from oracles import indicator_box, schur_equivalence_violations
 
 
 def test_box_region_rejects_inverted_bounds():

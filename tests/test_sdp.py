@@ -12,7 +12,7 @@ import scipy.linalg
 
 from drobox import cli, sdp
 from drobox.assemble import assemble_case1
-from drobox.certify import _measure_program
+from drobox.certify import Pricer
 from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.model import AmbiguitySpec, BoxRegion, ConfidenceSet, lattice_points
 from drobox.sdp import (
@@ -485,7 +485,7 @@ def test_normal_factor_solves_a_measure_program_with_a_confidence_box():
         extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.2),))
     pts = lattice_points(1.0, 2, 0.0125).points
     vals = BoxRegion([0.1, 0.1], [0.6, 0.6]).contains(pts).astype(float)
-    comp = _compile(_measure_program(spec, pts, vals))
+    comp = _compile(Pricer(spec, pts, vals).master(np.arange(len(pts))))
     cone = _Cone(comp.n_nonneg, comp.psd_dims)
     assert comp.A.shape[0] == 11
     assert np.sum(np.count_nonzero(comp.A[:, : cone.l], axis=0) > 10) >= 1000

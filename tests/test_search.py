@@ -34,7 +34,6 @@ from drobox.search import (
     _SCREEN_BUDGET,
     _box_at,
     _candidate_stream,
-    _empty_bound,
     _MeasurePool,
     _leaf_objective,
     enumerate_boxes,
@@ -543,7 +542,7 @@ def test_empty_box_bound_takes_the_best_corner(c_minus, c_plus, sense):
     grid = np.linspace(0.0, 0.2, 21)
     want = min(sgn * (c_minus * lo + c_plus * hi)
                for lo in grid for hi in grid if lo <= hi)
-    assert _empty_bound(model, 0) == pytest.approx(want, abs=1e-12)
+    assert model.empty_bounds[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_run_search_modes_agree(ref_model):
