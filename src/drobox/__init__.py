@@ -9,7 +9,7 @@ where the B_i are axis-aligned boxes inside the hypercube [0, M]^m and the
 ambiguity set is a moment family (first-moment trust region, second-moment
 cap, confidence rows).  Submodules:
 
-* model      - instance types, indicators, moment matrices, lattices
+* model      - instance types, indicators, lattices
 * lipschitz  - trace bounds, Lipschitz constant, safe step, safety margin
 * sdp        - conic programs and the interior-point solver
 * assemble   - discretized dual models (fixed and variable boxes) on a
@@ -54,9 +54,7 @@ from drobox.model import (
     ValidationReport,
     VariableBoxes,
     WholeDomain,
-    first_moment_block,
     lattice_points,
-    second_moment_outer,
     smoothed_indicator,
     validate_spec,
 )

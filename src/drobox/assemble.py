@@ -24,21 +24,13 @@ certify.column_generation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .model import (
-    DualSolution,
-    FixedBoxes,
-    Lattice,
-    SimpleFunctionSpec,
-    VariableBoxes,
-    first_moment_block,
-    second_moment_outer,
-)
+from .certify import Pricer
+from .model import DualSolution, FixedBoxes, Lattice, SimpleFunctionSpec, VariableBoxes
 from .sdp import ConicProgram
 
 
@@ -46,11 +38,11 @@ from .sdp import ConicProgram
 class AssembledModel:
     """A compiled instance: conic program plus decoding metadata.
 
-    var_index maps structured keys to program variable names:
-    ("Y1",), ("Y2",), ("y", i), ("x", i) in fixed mode, and in variable
-    mode ("bt", i, flat), ("dm", i, axis, flat), ("dp", i, axis, flat),
-    ("xm", i, axis), ("xp", i, axis) plus ("z", i, axis) when the
-    width-sum objective is active.
+    var_index maps the structured keys of the mixed-binary variables to
+    their program names: ("bt", i, flat), ("dm", i, axis, flat),
+    ("dp", i, axis, flat), ("xm", i, axis), ("xp", i, axis) plus
+    ("z", i, axis) when the width-sum objective is active.  It is empty in
+    fixed mode, where decode_fixed reads the solve.
     """
 
     program: ConicProgram
@@ -61,26 +53,20 @@ class AssembledModel:
     case: str  # "fixed" | "variable"
 
 
-def _add_dual_variables(program: ConicProgram, spec, var_index: dict):
+def _add_dual_variables(program: ConicProgram, spec):
     m = spec.m
     program.add_psd("Y1", m + 1)
     program.add_psd("Y2", m)
-    var_index[("Y1",)] = "Y1"
-    var_index[("Y2",)] = "Y2"
     for i in range(len(spec.confidence_sets)):
-        name = "y[%d]" % i
-        program.add_scalar(name, nonneg=True)
-        var_index[("y", i)] = name
+        program.add_scalar("y[%d]" % i, nonneg=True)
 
 
-def decode_duals(sol, spec) -> DualSolution:
-    """The (Y1, Y2, y) values of an optimal solve of an assembled program."""
-    return DualSolution(
-        Y1=sol.value("Y1"),
-        Y2=sol.value("Y2"),
-        y=np.array([sol.value("y[%d]" % i) for i in range(len(spec.confidence_sets))]),
-        spec=spec,
-    )
+def decode_fixed(sol, spec, k: int) -> tuple:
+    """(heights, DualSolution) of an optimal solve of an assemble_case1 program
+    with k boxes."""
+    heights = [sol.value("x[%d]" % i) for i in range(k)]
+    y = np.array([sol.value("y[%d]" % i) for i in range(len(spec.confidence_sets))])
+    return heights, DualSolution(Y1=sol.value("Y1"), Y2=sol.value("Y2"), y=y, spec=spec)
 
 
 def _add_threshold_row(program: ConicProgram, spec):
@@ -91,14 +77,14 @@ def _add_threshold_row(program: ConicProgram, spec):
                     mats={"Y2": -spec.eps_sigma * spec.sigma}, name="threshold")
 
 
-def _lattice_row_base(spec, t):
-    """Dual-side terms of a sampled row at lattice point t."""
-    lin = {}
-    for i, cs in enumerate(spec.confidence_sets):
-        if cs.region.contains(t):
-            lin["y[%d]" % i] = -math.copysign(1.0, cs.eps)
-    mats = {"Y1": -first_moment_block(t, spec), "Y2": second_moment_outer(t, spec)}
-    return lin, mats
+def _lattice_rows(spec, lattice: Lattice, atoms: np.ndarray):
+    """The dual-side terms (lin, mats) of the sampled row of each atom, read
+    from the Pricer of the atoms: -sgn(eps_i) 1[t in C_i] on y[i], -F1(t) on
+    Y1 and (t - mu)(t - mu)^T on Y2."""
+    price = Pricer(spec, lattice.points[atoms], 0.0)
+    first, outer = price.moments(slice(None))
+    for signs, Y1, Y2 in zip(price.rows, -first, outer):
+        yield {"y[%d]" % i: -float(signs[i]) for i in np.flatnonzero(signs)}, {"Y1": Y1, "Y2": Y2}
 
 
 def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
@@ -123,21 +109,19 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
             lattice.index_of_value(box.upper[j])
 
     program = ConicProgram()
-    var_index: dict = {}
     k = len(mode.boxes)
     for i in range(k):
-        name = "x[%d]" % i
-        program.add_scalar(name)
-        var_index[("x", i)] = name
-    _add_dual_variables(program, spec, var_index)
+        program.add_scalar("x[%d]" % i)
+    _add_dual_variables(program, spec)
     _add_threshold_row(program, spec)
 
-    for f in range(lattice.n_points) if atoms is None else atoms:
-        t = lattice.points[f]
-        lin, mats = _lattice_row_base(spec, t)
-        for i, box in enumerate(mode.boxes):
-            if bool(box.contains(t)):
-                lin["x[%d]" % i] = 1.0
+    if atoms is None:
+        atoms = np.arange(lattice.n_points)
+    pts = lattice.points[atoms]
+    inside = np.stack([box.contains(pts) for box in mode.boxes], axis=1)
+    for f, hits, (lin, mats) in zip(atoms, inside, _lattice_rows(spec, lattice, atoms)):
+        for i in np.flatnonzero(hits):
+            lin["x[%d]" % i] = 1.0
         program.add_row(lin, ">=", margin, mats=mats, name="lattice[%d]" % f)
 
     if mode.heights_pinned:
@@ -156,7 +140,7 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
             )
         else:
             program.set_objective("min", {})
-    return AssembledModel(program, var_index, lattice, spec, fn, "fixed")
+    return AssembledModel(program, {}, lattice, spec, fn, "fixed")
 
 
 def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice,
@@ -211,36 +195,41 @@ def assemble_case2(spec, fn: SimpleFunctionSpec, lattice: Lattice,
                 z = "z[%d,%d]" % (i, j)
                 program.add_scalar(z, nonneg=True)
                 var_index[("z", i, j)] = z
-    _add_dual_variables(program, spec, var_index)
+    _add_dual_variables(program, spec)
     _add_threshold_row(program, spec)
 
-    for f in range(n_points):
-        t = lattice.points[f]
-        lin, mats = _lattice_row_base(spec, t)
+    all_atoms = np.arange(n_points)
+    for f, (lin, mats) in enumerate(_lattice_rows(spec, lattice, all_atoms)):
         for i in range(k):
             lin["bt[%d,%d]" % (i, f)] = float(heights[i])
         program.add_row(lin, ">=", margin, mats=mats, name="lattice[%d]" % f)
 
     # jump balance: bt(next along axis) - bt(here) = dm - dp, with bt = 0
-    # past the upper edge of the domain
+    # past the upper edge of the domain; the next atom along axis j is
+    # a stride of j further, and none past the upper face (-1)
+    index = all_atoms.reshape(lattice.shape)
+    after = []
+    for j in range(m):
+        nxt = index + index.strides[j] // index.itemsize
+        np.moveaxis(nxt, j, 0)[-1] = -1
+        after.append(nxt.ravel())
     for i in range(k):
         for j in range(m):
             for f in range(n_points):
-                multi = lattice.multi_of_flat(f)
                 lin = {"bt[%d,%d]" % (i, f): -1.0,
                        "dm[%d,%d,%d]" % (i, j, f): -1.0,
                        "dp[%d,%d,%d]" % (i, j, f): 1.0}
-                if multi[j] + 1 < lattice.n_axis:
-                    nxt = list(multi)
-                    nxt[j] += 1
-                    lin["bt[%d,%d]" % (i, lattice.flat_of_multi(nxt))] = 1.0
+                if after[j][f] >= 0:
+                    lin["bt[%d,%d]" % (i, after[j][f])] = 1.0
                 program.add_row(lin, "==", 0.0, name="jump[%d,%d,%d]" % (i, j, f))
 
+    # the grid lines along axis j, each by increasing coordinate j, in
+    # row-major order of the other coordinates
     for i in range(k):
         for j in range(m):
             xm = "xm[%d,%d]" % (i, j)
             xp = "xp[%d,%d]" % (i, j)
-            for nline, line in enumerate(lattice.lines(j)):
+            for nline, line in enumerate(np.moveaxis(index, j, -1).reshape(-1, lattice.n_axis)):
                 pos = lattice.points[line, j]
                 dms = ["dm[%d,%d,%d]" % (i, j, f) for f in line]
                 dps = ["dp[%d,%d,%d]" % (i, j, f) for f in line]

@@ -14,10 +14,12 @@ in depth on top of them.
 Pricer is the one owner of the lattice measure program: it builds each master,
 prices every atom (the lattice row under explicit duals, which is a master's
 reduced cost under its multipliers), maps a master's multipliers to duals and
-names the atoms whose point mass is feasible.  The program has one column per
-lattice atom, so it is solved by column generation (column_generation, which
-the fixed-box solve of `drobox solve` shares).  A command solves each measure
-master once: its memo, shared by the search and the oracle, holds them.
+names the atoms whose point mass is feasible.  Its coefficient arrays (rows,
+moments) are also the sampled rows of the assembled programs.  The program has
+one column per lattice atom, so it is solved by column generation
+(column_generation, which the fixed-box solve of `drobox solve` shares).  A
+command solves each measure master once: its memo, shared by the search and
+the oracle, holds them.
 """
 
 from __future__ import annotations
@@ -107,6 +109,17 @@ class Pricer:
         second = np.einsum("ni,ij,nj->n", self.d, Y2, self.d)
         return self.vals - self.rows @ y - first + second
 
+    def moments(self, active) -> tuple:
+        """F1(t) = [[Sigma, t - mu], [(t - mu)^T, eps_mu]] and (t - mu)(t - mu)^T
+        of the atoms active, as (n, m+1, m+1) and (n, m, m) arrays."""
+        spec, m = self.spec, self.spec.m
+        d = self.d[active]
+        block = np.empty((d.shape[0], m + 1, m + 1))
+        block[:, :m, :m] = spec.sigma
+        block[:, :m, m] = block[:, m, :m] = d
+        block[:, m, m] = spec.eps_mu
+        return block, d[:, :, None] * d[:, None, :]
+
     def master(self, active: np.ndarray) -> ConicProgram:
         """The discrete-measure program over the atoms active (flat indices)."""
         spec, m = self.spec, self.spec.m
@@ -119,14 +132,10 @@ class Pricer:
         for i in self.confidence:
             lin = {names[j]: rows[j, i] for j in np.flatnonzero(rows[:, i])}
             program.add_row(lin, ">=", self.eps[i], name="confidence[%d]" % i)
-        d = self.d[active]
-        block = np.empty((active.size, m + 1, m + 1))
-        block[:, :m, :m] = spec.sigma
-        block[:, :m, m] = block[:, m, :m] = d
-        block[:, m, m] = spec.eps_mu
+        block, outer = self.moments(active)
         program.add_lmi(dict(zip(names, block)), np.zeros((m + 1, m + 1)), name="first-moment")
-        program.add_lmi(dict(zip(names, -(d[:, :, None] * d[:, None, :]))),
-                        spec.eps_sigma * spec.sigma, name="second-moment")
+        program.add_lmi(dict(zip(names, -outer)), spec.eps_sigma * spec.sigma,
+                        name="second-moment")
         program.set_objective("min", {name: float(v) for name, v in zip(names, self.vals[active])})
         return program
 

@@ -70,7 +70,7 @@ from typing import Optional
 import numpy as np
 
 # uncalled: perfbench/tracer.py wraps assemble_case2 until that hook moves (ROADMAP item 1)
-from .assemble import assemble_case1, assemble_case2, decode_duals
+from .assemble import assemble_case1, assemble_case2, decode_fixed
 from .certify import Pricer, certify_solution, column_generation
 from .lipschitz import lipschitz_certificate, max_safe_step, safety_margin
 from .model import (
@@ -319,6 +319,13 @@ def _solution_from(record: dict, spec: AmbiguitySpec) -> tuple:
     for name, got, want in shapes:
         if got != want:
             raise ConfigError("solution record: %s has shape %s, expected %s" % (name, got, want))
+    numbers = [("delta", delta), ("heights", heights), ("duals.Y1", Y1), ("duals.Y2", Y2),
+               ("duals.y", y)]
+    numbers += [("boxes[%d]" % n, np.r_[box.lower, box.upper])
+                for n, box in enumerate(boxes) if box is not None]
+    for name, value in numbers:
+        if not np.all(np.isfinite(value)):
+            raise ConfigError("solution record: %s holds a non-finite number" % name)
     return delta, Decision.nonempty(heights, boxes), DualSolution(Y1, Y2, y, spec)
 
 
@@ -366,8 +373,7 @@ def _solve_fixed(spec, fn, lattice, margin: float):
         return solve_sdp(assemble_case1(spec, fn, lattice, margin, atoms=active).program)
 
     def price(sol):
-        d = decode_duals(sol, spec)
-        heights = [sol.value("x[%d]" % i) for i in range(fn.k)]
+        heights, d = decode_fixed(sol, spec, fn.k)
         return inside @ heights + pricer(d.Y1, d.Y2, d.y) - margin
 
     _, sol = column_generation(lattice, spec, solve, price, final=("infeasible",))
@@ -408,9 +414,8 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
             sol.status, "unknown")
         if sol.status == "optimal":
             record["objective"] = float(sol.objective)
-            heights = [sol.value("x[%d]" % i) for i in range(len(fn.mode.boxes))]
+            heights, duals = decode_fixed(sol, spec, fn.k)
             boxes = fn.mode.boxes
-            duals = decode_duals(sol, spec)
     else:
         record["case"] = "variable"
         try:

@@ -12,16 +12,15 @@ The ambiguity set over probability measures P on T combines
   regions T_i.  The first two rows are always the normalization pair
   (T, -1), (T, +1), which together force P(T) = 1.
 
-This module holds the instance types, the exact and smoothed indicators, the
-moment matrices entering the dual constraint rows, and the regular lattice
-used by the discretization.
+This module holds the instance types, the exact and smoothed indicators and
+the regular lattice used by the discretization.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -327,12 +326,6 @@ class Lattice:
     def n_axis(self) -> int:
         return self.axis.shape[0]
 
-    def flat_of_multi(self, multi) -> int:
-        return int(np.ravel_multi_index(tuple(multi), self.shape))
-
-    def multi_of_flat(self, flat: int) -> tuple[int, ...]:
-        return tuple(int(v) for v in np.unravel_index(flat, self.shape))
-
     def index_of_value(self, value: float) -> int:
         """Axis index of a coordinate value; raises if off-lattice."""
         r = value / self.delta
@@ -340,20 +333,6 @@ class Lattice:
         if abs(r - idx) > ALIGNMENT_TOL * max(1.0, abs(r)) or not 0 <= idx < self.n_axis:
             raise ValueError("value %r is not on the lattice axis" % (value,))
         return idx
-
-    def lines(self, axis: int) -> Iterator[np.ndarray]:
-        """Flat indices of each grid line running along the given axis.
-
-        Yields one array of n_axis flat indices per line, ordered by
-        increasing coordinate; lines come in row-major order of the fixed
-        coordinates.
-        """
-        other = [n for j, n in enumerate(self.shape) if j != axis]
-        for base in np.ndindex(*other):
-            multi = list(base[:axis]) + [0] + list(base[axis:])
-            start = self.flat_of_multi(multi)
-            stride = int(np.prod(self.shape[axis + 1 :], dtype=int))
-            yield start + stride * np.arange(self.n_axis)
 
 
 def lattice_points(edge: float, dim: int, delta: float) -> Lattice:
@@ -548,26 +527,7 @@ def validate_spec(
 
 
 # ---------------------------------------------------------------------------
-# Moment matrices and indicators
-
-
-def first_moment_block(t, spec: AmbiguitySpec) -> np.ndarray:
-    """The (m+1) x (m+1) matrix [[Sigma, t - mu], [(t - mu)^T, eps_mu]]."""
-    t = np.asarray(t, dtype=float)
-    m = spec.m
-    d = t - spec.mu
-    out = np.empty((m + 1, m + 1))
-    out[:m, :m] = spec.sigma
-    out[:m, m] = d
-    out[m, :m] = d
-    out[m, m] = spec.eps_mu
-    return out
-
-
-def second_moment_outer(t, spec: AmbiguitySpec) -> np.ndarray:
-    """(t - mu)(t - mu)^T, the integrand of the second-moment cap."""
-    d = np.asarray(t, dtype=float) - spec.mu
-    return np.outer(d, d)
+# Indicators
 
 
 def smoothed_indicator(t, box: BoxRegion, delta: float) -> np.ndarray:

@@ -74,11 +74,12 @@ class SearchOptions:
     def __post_init__(self):
         if self.mode not in ("bnb", "enumerate"):
             raise ValueError("mode must be bnb or enumerate")
-        if self.gap_tol < 0:
+        # written so that NaN fails each test and +inf passes
+        if not self.gap_tol >= 0:
             raise ValueError("gap_tol must be >= 0")
-        if self.node_limit < 1:
+        if not self.node_limit >= 1:
             raise ValueError("node_limit must be >= 1")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
 
 
@@ -101,7 +102,6 @@ class Incumbent:
     boxes: tuple
     dual_vars: Optional[DualSolution]
     node_count: int
-    wall_time: float
     proof: str
     status: str
 
@@ -432,9 +432,9 @@ def _best_first(inst: SearchInstance, pool: _MeasurePool, roots: list, expand,
     else:
         proof = "optimal"
     if best is not None:
-        return Incumbent(*best, nodes, time.perf_counter() - t0, proof, "solved")
+        return Incumbent(*best, nodes, proof, "solved")
     status = "infeasible-model" if proof == "optimal" else "unknown"
-    return Incumbent(inst.sgn * math.inf, (), None, nodes, time.perf_counter() - t0, proof, status)
+    return Incumbent(inst.sgn * math.inf, (), None, nodes, proof, status)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,18 @@ def indicator_box(t, box) -> np.ndarray:
     return box.contains(t).astype(float)
 
 
+def first_moment_block(t, spec) -> np.ndarray:
+    """The (m+1) x (m+1) matrix F1(t) = [[Sigma, t - mu], [(t - mu)^T, eps_mu]]."""
+    d = np.asarray(t, dtype=float) - spec.mu
+    return np.block([[spec.sigma, d[:, None]], [d[None, :], np.array([[spec.eps_mu]])]])
+
+
+def second_moment_outer(t, spec) -> np.ndarray:
+    """(t - mu)(t - mu)^T, the integrand of the second-moment cap."""
+    d = np.asarray(t, dtype=float) - spec.mu
+    return np.outer(d, d)
+
+
 def random_spd(rng, m, scale=1.0):
     a = rng.normal(size=(m, m))
     return scale * (a @ a.T + (0.05 + rng.uniform()) * np.eye(m))
@@ -94,13 +106,7 @@ def dual_integrand(t, heights, boxes, Y1, Y2, y, spec, smoothed=False, delta=Non
     tent for the corresponding sign (upper tent where the term must not
     shrink, lower tent where it must not grow).
     """
-    from drobox.model import (
-        WholeDomain,
-        first_moment_block,
-        second_moment_outer,
-        smoothed_indicator,
-        smoothed_indicator_lower,
-    )
+    from drobox.model import WholeDomain, smoothed_indicator, smoothed_indicator_lower
 
     t = np.atleast_2d(np.asarray(t, dtype=float))
     n = t.shape[0]

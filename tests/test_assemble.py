@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -11,13 +12,12 @@ from drobox.lipschitz import lipschitz_certificate, safety_margin
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
+    ConfidenceSet,
     FixedBoxes,
     LinearConstraint,
     SimpleFunctionSpec,
     VariableBoxes,
-    first_moment_block,
     lattice_points,
-    second_moment_outer,
 )
 from drobox.sdp import solve_sdp
 from encoding_tools import (
@@ -29,7 +29,7 @@ from encoding_tools import (
     fallback_values,
     zero_duals,
 )
-from oracles import dual_integrand
+from oracles import dual_integrand, first_moment_block, second_moment_outer
 
 
 @pytest.fixture
@@ -87,17 +87,93 @@ def test_case1_row_counts(ref_spec, fixed_fn, ref_lattice, ref_margin):
     assert lattice_rhs(model.program) == {ref_margin}
 
 
-def test_case1_row_structure_at_origin(ref_spec, fixed_fn, ref_lattice, ref_margin):
-    # with the box covering T the row at any point reads
-    # x[0] + y[0] - y[1] - <block, Y1> + <outer, Y2> >= margin
-    model = assemble_case1(ref_spec, fixed_fn, ref_lattice, ref_margin)
-    row = next(r for r in model.program.rows if r.name == "lattice[0]")
-    t = ref_lattice.points[0]
-    assert row.sense == ">="
-    assert row.rhs == pytest.approx(ref_margin)
-    assert row.lin == {"x[0]": 1.0, "y[0]": 1.0, "y[1]": -1.0}
-    np.testing.assert_allclose(row.mats["Y1"], -first_moment_block(t, ref_spec))
-    np.testing.assert_allclose(row.mats["Y2"], second_moment_outer(t, ref_spec))
+def _row_specs():
+    """The specs of the lattice-row checks: the reference (normalization pair
+    only), confidence boxes at eps > 0, eps < 0 and eps = -1, and 3-D."""
+    sigma2 = [[2.0, 0.5], [0.5, 1.0]]
+    return {
+        "reference": AmbiguitySpec.with_normalization(1.0, [0.0, 0.0], sigma2, 0.1, 1.0, 0.1),
+        "confidence": AmbiguitySpec.with_normalization(1.0, [0.2, 0.3], sigma2, 0.1, 1.2, 0.1, [
+            ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.3),
+            ConfidenceSet(BoxRegion([0.5, 0.5], [1.0, 1.0]), -0.2),
+            ConfidenceSet(BoxRegion([0.5, 0.0], [1.0, 0.5]), -1.0),
+        ]),
+        "3-D": AmbiguitySpec.with_normalization(
+            1.0, [0.1, 0.2, 0.3], np.eye(3) + 0.2 * np.ones((3, 3)), 0.1, 1.0, 0.1, [
+                ConfidenceSet(BoxRegion([0.0] * 3, [0.5] * 3), 0.3),
+                ConfidenceSet(BoxRegion([0.5] * 3, [1.0] * 3), -0.2),
+            ]),
+    }
+
+
+@pytest.mark.parametrize("program", ["case1-all", "case1-atoms", "case2"])
+@pytest.mark.parametrize("name", ["reference", "confidence", "3-D"])
+def test_every_lattice_row_matches_the_oracles(name, program):
+    # each sampled row reads
+    # sum_i c_i x_i - sum_i sgn(eps_i) 1[t in C_i] y_i - <F1(t), Y1>
+    #   + <(t - mu)(t - mu)^T, Y2> >= margin
+    # with c_i = 1[t in B_i] for fixed boxes and c_i = heights[i] on bt[i, f]
+    spec = _row_specs()[name]
+    m = spec.m
+    lattice = lattice_points(1.0, m, 0.1 if m == 2 else 0.25)
+    boxes = (BoxRegion([0.0] * m, [0.5] * m), BoxRegion([0.5] + [0.0] * (m - 1), [1.0] * m))
+    heights = [1.0, 0.5]
+    atoms = np.arange(lattice.n_points)
+    if program == "case2":
+        fn = SimpleFunctionSpec(k=2, heights=heights, mode=VariableBoxes())
+        model = assemble_case2(spec, fn, lattice, 0.05)
+    else:
+        fn = SimpleFunctionSpec(k=2, heights=heights, mode=FixedBoxes(boxes))
+        if program == "case1-atoms":
+            atoms = np.array([0, 3, 7, lattice.n_points - 1])
+        model = assemble_case1(spec, fn, lattice, 0.05,
+                               atoms=atoms if program == "case1-atoms" else None)
+    rows = [r for r in model.program.rows if r.name.startswith("lattice")]
+    assert [r.name for r in rows] == ["lattice[%d]" % f for f in atoms]
+    for f, row in zip(atoms, rows):
+        t = lattice.points[f]
+        want = {}
+        for i, cs in enumerate(spec.confidence_sets):
+            signed = math.copysign(1.0, cs.eps) * float(cs.region.contains(t))
+            if signed:
+                want["y[%d]" % i] = -signed
+        for i, (h, box) in enumerate(zip(heights, boxes)):
+            if program == "case2":
+                want["bt[%d,%d]" % (i, f)] = h
+            elif box.contains(t):
+                want["x[%d]" % i] = 1.0
+        assert row.sense == ">=" and row.rhs == 0.05
+        assert row.lin == want, (f, row.lin, want)
+        assert list(row.mats) == ["Y1", "Y2"]
+        np.testing.assert_array_equal(row.mats["Y1"], -first_moment_block(t, spec))
+        np.testing.assert_array_equal(row.mats["Y2"], second_moment_outer(t, spec))
+
+
+def test_jump_and_line_rows_step_along_each_axis():
+    # on a 3 x 3 x 3 lattice: jump[i, j, f] ties bt at f to bt one step up
+    # axis j (none on the upper face), and the lines along axis j come in
+    # row-major order of the other coordinates, each by increasing t_j
+    spec = _row_specs()["3-D"]
+    lattice = lattice_points(1.0, 3, 0.5)
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
+    rows = {r.name: r for r in assemble_case2(spec, fn, lattice, 0.05).program.rows}
+    for j in range(3):
+        for f, multi in enumerate(itertools.product(range(3), repeat=3)):
+            want = {"bt[0,%d]" % f: -1.0, "dm[0,%d,%d]" % (j, f): -1.0,
+                    "dp[0,%d,%d]" % (j, f): 1.0}
+            if multi[j] < 2:
+                up = list(multi)
+                up[j] += 1
+                want["bt[0,%d]" % np.ravel_multi_index(up, lattice.shape)] = 1.0
+            assert rows["jump[0,%d,%d]" % (j, f)].lin == want
+        for nline, base in enumerate(itertools.product(range(3), repeat=2)):
+            line = [np.ravel_multi_index(base[:j] + (a,) + base[j:], lattice.shape)
+                    for a in range(3)]
+            budget = ["dm[0,%d,%d]" % (j, f) for f in line] + ["dp[0,%d,%d]" % (j, f) for f in line]
+            assert list(rows["budget[0,%d,%d]" % (j, nline)].lin) == budget
+            lo = rows["xlo[0,%d,%d]" % (j, nline)].lin
+            assert lo == {"xm[0,%d]" % j: 1.0,
+                          **{"dm[0,%d,%d]" % (j, f): -(0.5 * a + 0.5) for a, f in enumerate(line)}}
 
 
 def test_case1_partial_box_indicator(ref_spec, ref_lattice, ref_margin):
@@ -372,7 +448,7 @@ def test_decode_empty_support_is_none(ref_model2):
 def test_decode_non_rectangle_support_rejected(ref_model2):
     box = BoxRegion([0.3, 0.3], [0.5, 0.5])
     vals = canonical_assignment([box], ref_model2)
-    middle = ref_model2.lattice.flat_of_multi((4, 4))  # the point (0.4, 0.4)
+    middle = np.ravel_multi_index((4, 4), ref_model2.lattice.shape)  # the point (0.4, 0.4)
     vals["bt[0,%d]" % middle] = 0.0
     with pytest.raises(ValueError, match="rectangle"):
         decode_box(vals, ref_model2)

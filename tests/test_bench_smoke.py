@@ -10,7 +10,7 @@ import pytest
 RUN = Path(__file__).parents[1] / "perfbench" / "run.py"
 
 
-@pytest.mark.parametrize("workload", ["bnb_small", "fixed_fine"])
+@pytest.mark.parametrize("workload", ["bnb_small", "fixed_fine", "ref_sweep", "recertify_fine"])
 def test_traced_bench_pass_checks_every_output(workload):
     # the run exits 1 when an output check misses and 2 when the tracer's
     # per-layer self times fail to add up to the traced wall time
@@ -22,8 +22,10 @@ def test_traced_bench_pass_checks_every_output(workload):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["failed"] == 0
     metrics = result["metrics"]
-    if workload == "bnb_small":
+    if workload in ("bnb_small", "ref_sweep"):
         assert metrics["search.adversary_calls"]["value"] > 0
+    elif workload == "recertify_fine":
+        assert metrics["certify.atoms"]["value"] > 0
     else:
         # the fixed-box masters hold the lattice rows that bind (at most 54
         # rows); one program of every lattice row has 2,605 at delta = 0.02

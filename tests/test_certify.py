@@ -24,12 +24,11 @@ from drobox.model import (
     DualSolution,
     SimpleFunctionSpec,
     VariableBoxes,
-    first_moment_block,
     lattice_points,
 )
 from drobox.sdp import _compile, solve_sdp, svec, svec_len
 from drobox.search import SearchInstance, SearchOptions, enumerate_boxes
-from oracles import dual_integrand
+from oracles import dual_integrand, first_moment_block
 
 
 def searched(spec, fn, delta):

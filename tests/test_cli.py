@@ -709,10 +709,12 @@ def bad_inputs(tmp_path, solved_reference):
         ("no Y2", ["certify", "--config", REFERENCE, "--solution",
                    stored_record(tmp_path, solved_reference, "b.json", Y2=None),
                    "--out-dir", out]),
+        ("nan time limit", ["solve", "--config", REFERENCE, "--time-limit", "nan",
+                            "--out-dir", out]),
     ]
 
 
-@pytest.mark.parametrize("case", range(4))
+@pytest.mark.parametrize("case", range(5))
 def test_malformed_input_is_one_error_line(tmp_path, solved_reference, capsys,
                                            monkeypatch, case):
     def must_not_run(*args, **kwargs):
@@ -755,9 +757,20 @@ def test_unusable_out_dir_is_one_error_line(tmp_path, capsys, monkeypatch, solve
     ({"Y1": [[1.0, 0.0], [0.0, 1.0]]}, "duals.Y1"),
     ({"Y2": [[1.0]]}, "duals.Y2"),
     ({"y": [0.0, 0.0, 0.0]}, "duals.y"),
+    # every number finite, as the config's are
+    ({"delta": math.inf}, "delta"),
+    ({"heights": [math.inf]}, "heights"),
+    ({"boxes": [{"lower": [0.0, math.nan], "upper": [1.0, 1.0]}]}, "boxes[0]"),
+    ({"Y1": [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "duals.Y1"),
+    ({"Y2": [[1.0, 0.0], [0.0, -math.inf]]}, "duals.Y2"),
+    ({"y": [0.0, math.nan]}, "duals.y"),
 ])
-def test_certify_checks_record_shapes(solved_reference, tmp_path, capsys, changes,
-                                      field):
+def test_certify_checks_record_shapes(solved_reference, tmp_path, capsys, monkeypatch,
+                                      changes, field):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a malformed record reached the certificate")
+
+    monkeypatch.setattr(cli, "certify_solution", must_not_run)
     path = stored_record(tmp_path, solved_reference, **changes)
     assert main(["certify", "--config", REFERENCE, "--solution", path,
                  "--out-dir", str(tmp_path)]) == 1
@@ -872,6 +885,11 @@ def test_inverted_confidence_box_is_invalid(tmp_path, capsys):
         "kind": "variable", "c_minus": [[-1.0, -1.0]], "c_plus": [[1.0, 1.0]],
         "constraints": [{"coeffs": [1.0, 0.0, 0.0, 0.0], "sense": "<=", "rhs": math.inf}]}}}),
     ("sweep", {"deltas": []}),
+    # a NaN search knob would switch its limit off: every test with NaN is false
+    ("solve", {"search": {"time_limit": math.nan}}),
+    ("solve", {"search": {"node_limit": math.nan}}),
+    ("solve", {"search": {"gap_tol": math.nan}}),
+    ("sweep", {"search": {"time_limit": math.nan}}),
 ])
 def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
     argv = [verb, "--config", write_config(tmp_path, **overrides)]

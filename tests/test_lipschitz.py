@@ -150,7 +150,7 @@ def test_poly_part_batch_matches_pricer(ref_spec):
     # the oracle's q(t) against the library's lattice row of zero-valued
     # atoms with y = 0, and against the moment matrices point by point
     from drobox.certify import Pricer
-    from drobox.model import first_moment_block, second_moment_outer
+    from oracles import first_moment_block, second_moment_outer
 
     rng = np.random.default_rng(3)
     a1 = rng.normal(size=(3, 3))

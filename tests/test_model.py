@@ -14,15 +14,18 @@ from drobox.model import (
     SimpleFunctionSpec,
     VariableBoxes,
     WholeDomain,
-    first_moment_block,
     lattice_points,
     normalization_pair,
-    second_moment_outer,
     smoothed_indicator,
     smoothed_indicator_lower,
     validate_spec,
 )
-from oracles import indicator_box, schur_equivalence_violations
+from oracles import (
+    first_moment_block,
+    indicator_box,
+    schur_equivalence_violations,
+    second_moment_outer,
+)
 
 
 def test_box_region_rejects_inverted_bounds():
@@ -40,14 +43,18 @@ def test_box_region_membership_is_closed():
 
 
 def test_first_moment_block_reference_value(ref_spec):
-    got = first_moment_block([1.0, 1.0], ref_spec)
+    # the Pricer's F1(t) and the oracle's, against the value by hand
     want = np.array([[2.0, 0.5, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 0.1]])
-    np.testing.assert_allclose(got, want, rtol=0, atol=0)
+    first, _ = Pricer(ref_spec, np.array([[0.3, 0.4], [1.0, 1.0]]), 0.0).moments([1])
+    np.testing.assert_allclose(first, [want], rtol=0, atol=0)
+    np.testing.assert_allclose(first_moment_block([1.0, 1.0], ref_spec), want, rtol=0, atol=0)
 
 
 def test_second_moment_outer_reference_value(ref_spec):
-    got = second_moment_outer([0.3, 0.4], ref_spec)
-    np.testing.assert_allclose(got, [[0.09, 0.12], [0.12, 0.16]], atol=1e-15)
+    want = [[0.09, 0.12], [0.12, 0.16]]
+    _, outer = Pricer(ref_spec, np.array([[0.3, 0.4], [1.0, 1.0]]), 0.0).moments([0])
+    np.testing.assert_allclose(outer, [want], atol=1e-15)
+    np.testing.assert_allclose(second_moment_outer([0.3, 0.4], ref_spec), want, atol=1e-15)
 
 
 def moment_part(t, Y1, Y2, spec):
@@ -97,24 +104,8 @@ def test_lattice_accepts_inexact_divisor_within_tolerance():
     assert lat.n_axis == 4
 
 
-def test_lattice_lines_enumerate_each_axis():
-    lat = lattice_points(1.0, 2, 0.5)  # 3 x 3
-    lines0 = list(lat.lines(0))
-    lines1 = list(lat.lines(1))
-    assert len(lines0) == 3 and len(lines1) == 3
-    for idx in lines0:
-        pts = lat.points[idx]
-        # coordinate 0 sweeps the axis, coordinate 1 stays fixed
-        np.testing.assert_allclose(pts[:, 0], lat.axis)
-        assert np.ptp(pts[:, 1]) == 0.0
-    all_idx = np.sort(np.concatenate(lines1))
-    np.testing.assert_array_equal(all_idx, np.arange(9))
-
-
 def test_lattice_index_helpers():
     lat = lattice_points(1.0, 2, 0.5)
-    assert lat.flat_of_multi((1, 2)) == 5
-    assert lat.multi_of_flat(5) == (1, 2)
     assert lat.index_of_value(0.5) == 1
     with pytest.raises(ValueError):
         lat.index_of_value(0.3)

@@ -22,9 +22,7 @@ from drobox.model import (
     SimpleFunctionSpec,
     VariableBoxes,
     WholeDomain,
-    first_moment_block,
     lattice_points,
-    second_moment_outer,
 )
 from drobox.sdp import ConicProgram, SdpSolution, solve_sdp
 from drobox.search import (
@@ -40,7 +38,7 @@ from drobox.search import (
     run_search,
     solve_bnb,
 )
-from oracles import dual_integrand, seed_screen_values
+from oracles import dual_integrand, first_moment_block, second_moment_outer, seed_screen_values
 
 
 def search_instance(spec, fn, delta, margin=None):
@@ -80,6 +78,11 @@ def test_options_reject_bad_values():
         SearchOptions(node_limit=0)
     with pytest.raises(ValueError):
         SearchOptions(time_limit=0.0)
+    # NaN would switch a limit off; +inf is a limit never reached
+    for knob in ("gap_tol", "node_limit", "time_limit"):
+        with pytest.raises(ValueError):
+            SearchOptions(**{knob: float("nan")})
+        SearchOptions(**{knob: float("inf")})
 
 
 # ---------------------------------------------------------------------------
