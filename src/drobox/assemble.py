@@ -103,10 +103,7 @@ def assemble_case1(spec, fn: SimpleFunctionSpec, lattice: Lattice,
         raise TypeError("assemble_case1 expects a FixedBoxes decision mode")
     if len(mode.boxes) == 0:
         raise ValueError("at least one box is required")
-    for box in mode.boxes:
-        for j in range(lattice.dim):
-            lattice.index_of_value(box.lower[j])
-            lattice.index_of_value(box.upper[j])
+    lattice.indices([np.r_[box.lower, box.upper] for box in mode.boxes])
 
     program = ConicProgram()
     k = len(mode.boxes)

@@ -59,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import logging
 import math
@@ -122,10 +123,25 @@ def load_config(path: str, what: str = "config") -> dict:
 
 
 def _float(value, what: str) -> float:
+    """A JSON number as a float; a boolean or a string is not a number."""
     try:
-        return float(value)
+        if not isinstance(value, (bool, str)):
+            return float(value)
     except (ValueError, TypeError):
-        raise ConfigError("%s must be a number, got %r" % (what, value))
+        pass
+    raise ConfigError("%s must be a number, got %r" % (what, value))
+
+
+def _floats(value, what: str) -> np.ndarray:
+    """A JSON number or nested list of numbers as a float array, for
+    validation to judge its shape; a boolean or a string is not a number.
+    A ragged list raises ValueError."""
+    def numeric(v):
+        return all(map(numeric, v)) if isinstance(v, list) else not isinstance(v, (bool, str))
+
+    if not numeric(value):
+        raise ConfigError("%s must hold numbers only, got %r" % (what, value))
+    return np.asarray(value, dtype=float)
 
 
 def _need(cfg: dict, key: str):
@@ -138,7 +154,7 @@ def _box_from(obj, what: str) -> BoxRegion:
     if not isinstance(obj, dict) or "lower" not in obj or "upper" not in obj:
         raise ConfigError("%s must be an object with lower and upper" % what)
     try:
-        return BoxRegion(obj["lower"], obj["upper"])
+        return BoxRegion(_floats(obj["lower"], what), _floats(obj["upper"], what))
     except (ValueError, TypeError) as exc:
         raise ConfigError("%s: %s" % (what, exc))
 
@@ -151,9 +167,9 @@ def _constraints_from(items, what: str) -> tuple:
         try:
             out.append(
                 LinearConstraint(
-                    np.asarray(item["coeffs"], dtype=float),
+                    _floats(item["coeffs"], "%s[%d].coeffs" % (what, n)),
                     item["sense"],
-                    float(item["rhs"]),
+                    _float(item["rhs"], "%s[%d].rhs" % (what, n)),
                 )
             )
         except (KeyError, ValueError, TypeError) as exc:
@@ -174,12 +190,12 @@ def build_instance(cfg: dict) -> tuple:
         extra.append(ConfidenceSet(box, _float(item["eps"], "confidence_sets[%d].eps" % n)))
     try:
         spec = AmbiguitySpec.with_normalization(
-            edge=float(_need(cfg, "edge")),
-            mu=_need(cfg, "mu"),
-            sigma=_need(cfg, "sigma"),
-            eps_mu=float(_need(cfg, "eps_mu")),
-            eps_sigma=float(_need(cfg, "eps_sigma")),
-            b=float(_need(cfg, "b")),
+            edge=_float(_need(cfg, "edge"), "edge"),
+            mu=_floats(_need(cfg, "mu"), "mu"),
+            sigma=_floats(_need(cfg, "sigma"), "sigma"),
+            eps_mu=_float(_need(cfg, "eps_mu"), "eps_mu"),
+            eps_sigma=_float(_need(cfg, "eps_sigma"), "eps_sigma"),
+            b=_float(_need(cfg, "b"), "b"),
             extra_sets=tuple(extra),
         )
     except (ValueError, TypeError) as exc:
@@ -188,15 +204,15 @@ def build_instance(cfg: dict) -> tuple:
     fdef = _need(cfg, "function")
     if not isinstance(fdef, dict) or not isinstance(fdef.get("heights"), list):
         raise ConfigError("function must be an object with a heights list")
-    heights = list(fdef["heights"])
     mode_def = fdef.get("mode", "variable")
     try:
+        heights = _floats(fdef["heights"], "function.heights")
         if mode_def == "variable":
             mode = VariableBoxes()
         elif isinstance(mode_def, dict) and mode_def.get("kind") == "variable":
             mode = VariableBoxes(
-                c_minus=np.asarray(mode_def["c_minus"], dtype=float),
-                c_plus=np.asarray(mode_def["c_plus"], dtype=float),
+                c_minus=_floats(mode_def["c_minus"], "function.mode.c_minus"),
+                c_plus=_floats(mode_def["c_plus"], "function.mode.c_plus"),
                 sense=mode_def.get("sense", "min"),
                 constraints=_constraints_from(
                     mode_def.get("constraints", []), "function.mode.constraints"
@@ -212,7 +228,7 @@ def build_instance(cfg: dict) -> tuple:
                 boxes,
                 objective=None
                 if objective is None
-                else np.asarray(objective, dtype=float),
+                else _floats(objective, "function.mode.objective"),
                 constraints=_constraints_from(
                     mode_def.get("constraints", []), "function.mode.constraints"
                 ),
@@ -243,6 +259,10 @@ def search_options(cfg: dict, args) -> SearchOptions:
     unknown = set(knobs) - allowed
     if unknown:
         raise ConfigError("unknown search knobs: %s" % sorted(unknown))
+    for key in [key for key in ("node_limit", "time_limit", "gap_tol") if key in knobs]:
+        value = _float(knobs[key], "search." + key)
+        if key == "node_limit" and not (value == math.inf or value.is_integer()):
+            raise ConfigError("search.node_limit must be an integer or inf, got %r" % knobs[key])
     try:
         return SearchOptions(**knobs)
     except (ValueError, TypeError) as exc:
@@ -304,10 +324,11 @@ def _solution_from(record: dict, spec: AmbiguitySpec) -> tuple:
         if not isinstance(duals, dict) or duals.get(key) is None:
             raise ConfigError("solution record has no 'duals.%s' field" % key)
     try:
-        delta = float(record["delta"])
-        heights = np.asarray(record["heights"], dtype=float)
-        Y1, Y2, y = (np.asarray(duals[key], dtype=float) for key in ("Y1", "Y2", "y"))
-        boxes = [None if box is None else _box_from(box, "solution record boxes[%d]" % n)
+        delta = _float(record["delta"], "solution record: delta")
+        heights = _floats(record["heights"], "solution record: heights")
+        Y1, Y2, y = (_floats(duals[key], "solution record: duals." + key)
+                     for key in ("Y1", "Y2", "y"))
+        boxes = [None if box is None else _box_from(box, "solution record: boxes[%d]" % n)
                  for n, box in enumerate(record["boxes"])]
     except (ValueError, TypeError) as exc:
         raise ConfigError("invalid solution record: %s" % exc)
@@ -474,10 +495,35 @@ def _search_log(path: Path):
 # commands
 
 
+def _lattice_boxes(spec, fn, lattice) -> tuple:
+    """(spec, fn) with each box whose bounds lie on the lattice replaced by
+    the lattice's own box; validation reports any other box.  An object is
+    rebuilt only when a bound moves."""
+    def snap(region):
+        if isinstance(region, BoxRegion):
+            try:
+                box = lattice.box(*lattice.indices([region.lower, region.upper]))
+            except ValueError:
+                return region
+            if np.any(box.lower != region.lower) or np.any(box.upper != region.upper):
+                return box
+        return region
+
+    sets = [ConfidenceSet(snap(c.region), c.eps) for c in spec.confidence_sets]
+    if any(new.region is not c.region for new, c in zip(sets, spec.confidence_sets)):
+        spec = dataclasses.replace(spec, confidence_sets=sets)
+    if isinstance(fn.mode, FixedBoxes):
+        boxes = [snap(box) for box in fn.mode.boxes]
+        if any(new is not box for new, box in zip(boxes, fn.mode.boxes)):
+            fn = dataclasses.replace(fn, mode=dataclasses.replace(fn.mode, boxes=boxes))
+    return spec, fn
+
+
 def cmd_validate(args) -> int:
     cfg = load_config(args.config)
     spec, fn = build_instance(cfg)
-    report = validate_spec(spec, fn, _lattice(spec, _single_delta(cfg, args)))
+    lattice = _lattice(spec, _single_delta(cfg, args))
+    report = validate_spec(*_lattice_boxes(spec, fn, lattice), lattice)
     print(report.summary())
     print("overall: %s" % ("pass" if report.passed else "FAIL"))
     if not report.passed:
@@ -485,23 +531,24 @@ def cmd_validate(args) -> int:
     return 0
 
 
-def _validate_step(spec, fn, delta):
-    """The lattice at step delta; raises ConfigError, after printing each
-    failed check, unless the instance passes validation on it."""
+def _validate_step(spec, fn, delta) -> tuple:
+    """(spec, fn, lattice) of step delta, each box on the lattice replaced
+    by the lattice's own box; raises ConfigError, after printing each
+    failed check, unless that instance passes validation."""
     lattice = _lattice(spec, delta)
+    spec, fn = _lattice_boxes(spec, fn, lattice)
     report = validate_spec(spec, fn, lattice)
     if not report.passed:
         for check in report.failures():
             print("FAIL %s %s" % (check.name, check.detail), file=sys.stderr)
         raise ConfigError("config failed validation")
-    return lattice
+    return spec, fn, lattice
 
 
 def cmd_solve(args) -> int:
     cfg = load_config(args.config)
     delta = _single_delta(cfg, args)
-    spec, fn = build_instance(cfg)
-    lattice = _validate_step(spec, fn, delta)
+    spec, fn, lattice = _validate_step(*build_instance(cfg), delta)
     opts = search_options(cfg, args)
     seed, samples = _sampling(cfg, args)
     out = _out_dir(cfg, args)
@@ -546,8 +593,7 @@ def cmd_sweep(args) -> int:
             t0 = time.perf_counter()
             record = {"objective": None, "node_count": 0, "proof": ""}
             try:
-                lattice = _validate_step(spec, fn, delta)
-                record = _solve_once(spec, fn, lattice, opts, seed, samples)
+                record = _solve_once(*_validate_step(spec, fn, delta), opts, seed, samples)
                 outcome = _outcome(record)
             except ConfigError as exc:
                 logger.warning("sweep row delta=%.9g failed: %s", delta, exc)
@@ -574,7 +620,8 @@ def cmd_certify(args) -> int:
     cfg = load_config(args.config)
     spec, fn = build_instance(cfg)
     delta, decision, duals = _solution_from(load_config(args.solution, "solution"), spec)
-    _validate_step(spec, fn, delta)
+    spec = _validate_step(spec, fn, delta)[0]
+    duals = dataclasses.replace(duals, spec=spec)
     seed, samples = _sampling(cfg, args)
     out = _out_dir(cfg, args)
     fine_step = _one_delta(args)

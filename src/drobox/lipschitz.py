@@ -109,6 +109,12 @@ def trace_bounds(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> tuple[float, fl
     with S the largest value of the simple function at the mean.  Raises
     ValueError when either eigenvalue is nonpositive.
     """
+    return _trace_bounds(spec, fn)[:2]
+
+
+def _trace_bounds(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> tuple:
+    """trace_bounds' (tr_y1_max, tr_y2_max), then lambda_min(blockdiag(Sigma,
+    1)) and lambda_min(Sigma), its denominators."""
     lam_sigma = sym_min_eig(spec.sigma)
     block = np.zeros((spec.m + 1, spec.m + 1))
     block[: spec.m, : spec.m] = spec.sigma
@@ -120,7 +126,7 @@ def trace_bounds(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> tuple[float, fl
         raise ValueError("eps_sigma must be positive")
     s_max = max_height_sum_at_mean(spec, fn)
     numerator = max(s_max + abs(spec.b), 0.0)
-    return numerator / lam_block, 1.0 / (spec.eps_sigma * lam_sigma)
+    return numerator / lam_block, 1.0 / (spec.eps_sigma * lam_sigma), lam_block, lam_sigma
 
 
 def lipschitz_constant(spec: AmbiguitySpec, tr_y1_max: float, tr_y2_max: float) -> float:
@@ -160,18 +166,15 @@ def safety_margin(L: float, delta: float, m: int) -> float:
 
 def lipschitz_certificate(spec: AmbiguitySpec, fn: SimpleFunctionSpec) -> LipschitzCertificate:
     """Compute the full certificate for one instance."""
-    tr1, tr2 = trace_bounds(spec, fn)
+    tr1, tr2, lam_block, lam_sigma = _trace_bounds(spec, fn)
     L = lipschitz_constant(spec, tr1, tr2)
     delta_max = max_safe_step(spec, L)
-    block = np.zeros((spec.m + 1, spec.m + 1))
-    block[: spec.m, : spec.m] = spec.sigma
-    block[spec.m, spec.m] = 1.0
     return LipschitzCertificate(
         tr_y1_max=tr1,
         tr_y2_max=tr2,
         L=L,
         delta_max=delta_max,
-        lambda_min_block=sym_min_eig(block),
-        lambda_min_sigma=sym_min_eig(spec.sigma),
+        lambda_min_block=lam_block,
+        lambda_min_sigma=lam_sigma,
         feasible_step_exists=spec.b < 1.0,
     )

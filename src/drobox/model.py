@@ -63,7 +63,7 @@ class BoxRegion:
     def contains(self, t) -> np.ndarray:
         """Closed membership test; t has shape (m,) or (N, m)."""
         t = np.asarray(t, dtype=float)
-        return np.all((t >= self.lower - 0.0) & (t <= self.upper + 0.0), axis=-1)
+        return np.all((t >= self.lower) & (t <= self.upper), axis=-1)
 
     def __repr__(self):
         return "BoxRegion(%s, %s)" % (self.lower.tolist(), self.upper.tolist())
@@ -303,6 +303,15 @@ class DualSolution:
 # Lattice
 
 
+def _on_lattice(values, delta: float) -> np.ndarray:
+    """Whether each value is within ALIGNMENT_TOL of a multiple of delta,
+    relative to the multiple's size; False for NaN and inf."""
+    r = np.asarray(values, dtype=float) / delta
+    with np.errstate(invalid="ignore"):
+        off = np.abs(r - np.round(r))
+    return np.isfinite(r) & (off <= ALIGNMENT_TOL * np.maximum(1.0, np.abs(r)))
+
+
 @dataclass(frozen=True, eq=False)
 class Lattice:
     """Regular grid with step delta on [0, edge]^m, boundary included.
@@ -326,13 +335,19 @@ class Lattice:
     def n_axis(self) -> int:
         return self.axis.shape[0]
 
-    def index_of_value(self, value: float) -> int:
-        """Axis index of a coordinate value; raises if off-lattice."""
-        r = value / self.delta
-        idx = int(round(r))
-        if abs(r - idx) > ALIGNMENT_TOL * max(1.0, abs(r)) or not 0 <= idx < self.n_axis:
-            raise ValueError("value %r is not on the lattice axis" % (value,))
-        return idx
+    def indices(self, values) -> np.ndarray:
+        """Axis indices of coordinate values, an int array of their shape;
+        raises ValueError for a value off the lattice or outside [0, edge]."""
+        idx = np.round(np.asarray(values, dtype=float) / self.delta)
+        if not np.all(_on_lattice(values, self.delta) & (idx >= 0) & (idx < self.n_axis)):
+            raise ValueError("values %r are not all on the lattice axis" % (values,))
+        return idx.astype(int)
+
+    def box(self, lo, hi) -> BoxRegion | None:
+        """The box of axis-index corners lo and hi; None (empty) when hi < lo."""
+        if np.any(np.asarray(hi) < np.asarray(lo)):
+            return None
+        return BoxRegion(self.axis[lo], self.axis[hi])
 
 
 def lattice_points(edge: float, dim: int, delta: float) -> Lattice:
@@ -343,9 +358,8 @@ def lattice_points(edge: float, dim: int, delta: float) -> Lattice:
     """
     if not (0 < delta < math.inf and 0 < edge < math.inf):
         raise ValueError("edge and delta must be positive and finite")
-    ratio = edge / delta
-    steps = round(ratio)
-    if steps < 1 or abs(ratio - steps) > ALIGNMENT_TOL * max(1.0, ratio):
+    steps = round(edge / delta)
+    if steps < 1 or not _on_lattice(edge, delta):
         raise ValueError("delta=%r does not divide edge=%r" % (delta, edge))
     axis = np.linspace(0.0, edge, steps + 1)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
@@ -393,11 +407,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _is_aligned(value: float, delta: float) -> bool:
-    r = value / delta
-    return math.isfinite(r) and abs(r - round(r)) <= ALIGNMENT_TOL * max(1.0, abs(r))
-
-
 def validate_spec(
     spec: AmbiguitySpec, fn: SimpleFunctionSpec, lattice: Lattice
 ) -> ValidationReport:
@@ -408,18 +417,24 @@ def validate_spec(
     one more: the LP of lipschitz.max_height_sum_at_mean, which the trace
     bounds need, must have a finite optimum over the height polytope.
     """
+    m, M = spec.m, spec.edge
+    mode = fn.mode
     checks: list[CheckResult] = []
 
     def add(name, ok, detail=""):
         checks.append(CheckResult(name, bool(ok), detail))
 
-    m, M = spec.m, spec.edge
-    mode = fn.mode
-    regions = [c.region for c in spec.confidence_sets] + list(getattr(mode, "boxes", ()))
+    def in_domain(boxes) -> bool:
+        return all(b.dim == m and np.all(b.lower >= 0) and np.all(b.upper <= M) for b in boxes)
+
+    def aligned(boxes) -> bool:
+        return all(np.all(_on_lattice(np.r_[b.lower, b.upper], lattice.delta)) for b in boxes)
+
+    cs_boxes = [c.region for c in spec.confidence_sets if isinstance(c.region, BoxRegion)]
     numbers = [M, spec.mu, spec.sigma, spec.eps_mu, spec.eps_sigma, spec.b, fn.heights]
     numbers += [getattr(mode, key, None) for key in ("objective", "c_minus", "c_plus")]
     numbers += [v for c in mode.constraints for v in (c.coeffs, c.rhs)]
-    numbers += [v for r in regions if isinstance(r, BoxRegion) for v in (r.lower, r.upper)]
+    numbers += [v for b in cs_boxes + list(getattr(mode, "boxes", ())) for v in (b.lower, b.upper)]
     add("numbers_finite", all(np.all(np.isfinite(v)) for v in numbers if v is not None),
         "edge, mu, sigma, eps_mu, eps_sigma, b, heights, boxes, objective and constraints")
     sym = bool(np.allclose(spec.sigma, spec.sigma.T, rtol=0, atol=0))
@@ -466,26 +481,15 @@ def validate_spec(
             mean_detail = "row %d: mu inside=%s but eps=%g" % (i, inside, c.eps)
             break
     add("mean_membership_matches_sign", mean_ok, mean_detail)
-    region_ok = True
-    for c in cs:
-        if isinstance(c.region, BoxRegion):
-            if c.region.dim != m or np.any(c.region.lower < 0) or np.any(c.region.upper > M):
-                region_ok = False
-    add("confidence_regions_in_domain", region_ok, "")
+    add("confidence_regions_in_domain", in_domain(cs_boxes), "")
 
     add("heights_length", fn.k >= 1 and fn.heights.shape == (fn.k,),
         "heights shape %s, need a non-empty (k,) vector" % (fn.heights.shape,))
     if isinstance(fn.mode, FixedBoxes):
         boxes = fn.mode.boxes
         add("box_count", len(boxes) == fn.k, "%d boxes for k=%d" % (len(boxes), fn.k))
-        in_dom = all(
-            b.dim == m and np.all(b.lower >= 0) and np.all(b.upper <= M) for b in boxes
-        )
-        add("boxes_in_domain", in_dom, "")
-        aligned = all(
-            _is_aligned(v, lattice.delta) for b in boxes for v in np.r_[b.lower, b.upper]
-        )
-        add("fixed_boxes_lattice_aligned", aligned, "delta=%g" % lattice.delta)
+        add("boxes_in_domain", in_domain(boxes), "")
+        add("fixed_boxes_lattice_aligned", aligned(boxes), "delta=%g" % lattice.delta)
         if fn.mode.objective is not None:
             add("objective_shape", fn.mode.objective.shape == (fn.k,), "need a (k,) objective")
     else:
@@ -502,13 +506,7 @@ def validate_spec(
     add("constraint_lengths", all(n == (want,) for n in lengths),
         "coeffs shapes %s, need (%d,)" % (lengths, want))
 
-    box_cs_aligned = True
-    for c in cs:
-        if isinstance(c.region, BoxRegion):
-            for v in np.r_[c.region.lower, c.region.upper]:
-                if not _is_aligned(v, lattice.delta):
-                    box_cs_aligned = False
-    add("confidence_boxes_lattice_aligned", box_cs_aligned, "delta=%g" % lattice.delta)
+    add("confidence_boxes_lattice_aligned", aligned(cs_boxes), "delta=%g" % lattice.delta)
 
     add(
         "lattice_matches_instance",

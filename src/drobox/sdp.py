@@ -824,7 +824,7 @@ def solve_sdp(program: ConicProgram, tol: float = DEFAULT_TOL) -> SdpSolution:
         tau = raw["tau"]
         xs = raw["x"] / tau
         ys = raw["y"] / tau
-        primal = _extract_primal(program, comp, xs)
+        primal = _extract_primal(comp, xs)
         row_duals = ys[: program.n_rows] * comp.obj_sign
         lmi_duals = []
         for start, d in comp.lmi_row_spans:
@@ -864,14 +864,14 @@ def _solve_unconstrained(program, comp, cone) -> SdpSolution:
             ok = False
     if ok:
         xs = np.zeros(cone.n)
-        primal = _extract_primal(program, comp, xs)
+        primal = _extract_primal(comp, xs)
         return SdpSolution("optimal", comp.obj_sign * 0.0 + comp.obj_offset, primal,
                            np.zeros(0), [], 0)
     worst = -math.inf if program.obj_sense == "min" else math.inf
     return SdpSolution("unbounded", worst, {}, np.zeros(0), [], 0, "unbounded")
 
 
-def _extract_primal(program: ConicProgram, comp: _Compiled, xs: np.ndarray) -> dict:
+def _extract_primal(comp: _Compiled, xs: np.ndarray) -> dict:
     primal = {}
     for name, cols in comp.scalar_cols.items():
         primal[name] = float(xs[cols[0]] - xs[cols[1]] if len(cols) == 2 else xs[cols[0]])

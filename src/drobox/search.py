@@ -48,8 +48,7 @@ from typing import Optional
 import numpy as np
 
 from .certify import Pricer, adversary_problem
-from .model import (AmbiguitySpec, BoxRegion, Decision, DualSolution, Lattice,
-                    SimpleFunctionSpec, VariableBoxes)
+from .model import AmbiguitySpec, Decision, DualSolution, Lattice, SimpleFunctionSpec, VariableBoxes
 # uncalled: perfbench/tracer.py wraps solve_sdp here until that hook moves (ROADMAP item 1)
 from .sdp import solve_sdp
 
@@ -470,13 +469,6 @@ def _candidate_stream(inst: SearchInstance, i: int) -> tuple:
     return bound[order], lo[order], hi[order]
 
 
-def _box_at(lattice, stream, n: int):
-    _, lo, hi = stream
-    if hi[n, 0] < lo[n, 0]:
-        return None
-    return BoxRegion(lattice.axis[lo[n]], lattice.axis[hi[n]])
-
-
 def enumerate_boxes(inst: SearchInstance,
                     opts: Optional[SearchOptions] = None) -> Incumbent:
     """Exact search over lattice-aligned boxes for tiny instances.
@@ -537,8 +529,8 @@ def enumerate_boxes(inst: SearchInstance,
         first = next(survivors, None)
         if first != n:
             return child(first), None
-        return child(next(survivors, None)), [_box_at(lattice, streams[i], pos[i, n])
-                                               for i in range(k)]
+        return child(next(survivors, None)), [lattice.box(lo[p], hi[p])
+                                               for (_, lo, hi), p in zip(streams, pos[:, n])]
 
     return _best_first(inst, pool, child(next(kept(0), None)), expand, opts, t0)
 
@@ -585,8 +577,7 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
                   for p in parts]
         i, half, j = np.unravel_index(np.argmax(widths), (k, 2, m))
         if widths[i][half, j] == 0:
-            return (), [None if p is None else BoxRegion(lattice.axis[p[0]], lattice.axis[p[3]])
-                        for p in parts]
+            return (), [None if p is None else lattice.box(p[0], p[3]) for p in parts]
         row = 2 * half
         mid = (parts[i][row, j] + parts[i][row + 1, j]) // 2
         children = []
@@ -597,8 +588,7 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
                 children.append(bounded(parts[:i] + (child,) + parts[i + 1:]))
         return children, None
 
-    whole = BoxRegion(lattice.axis[[0] * m], lattice.axis[[top] * m])
-    _, seed = _solve_candidate(inst, [whole] * k, pool)
+    _, seed = _solve_candidate(inst, [lattice.box([0] * m, [top] * m)] * k, pool)
     full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
     roots = [bounded(tuple(None if e else full for e in empty))
              for empty in itertools.product((True, False), repeat=k)]

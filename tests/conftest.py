@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from drobox.model import (
     AmbiguitySpec,
@@ -7,6 +8,11 @@ from drobox.model import (
     VariableBoxes,
     lattice_points,
 )
+
+# every property test draws the same examples on every run and writes no
+# example database
+settings.register_profile("drobox", derandomize=True, deadline=None, database=None)
+settings.load_profile("drobox")
 
 
 @pytest.fixture

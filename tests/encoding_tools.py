@@ -167,9 +167,7 @@ def canonical_assignment(boxes, model: AssembledModel) -> dict:
         if box is None:
             member = np.zeros(lattice.n_points, dtype=bool)
         else:
-            for j in range(lattice.dim):
-                lattice.index_of_value(box.lower[j])
-                lattice.index_of_value(box.upper[j])
+            lattice.indices(np.r_[box.lower, box.upper])
             member = np.asarray(box.contains(lattice.points), dtype=bool)
         for f in range(lattice.n_points):
             values["bt[%d,%d]" % (i, f)] = 1.0 if member[f] else 0.0

@@ -764,6 +764,11 @@ def test_unusable_out_dir_is_one_error_line(tmp_path, capsys, monkeypatch, solve
     ({"Y1": [[math.nan, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]}, "duals.Y1"),
     ({"Y2": [[1.0, 0.0], [0.0, -math.inf]]}, "duals.Y2"),
     ({"y": [0.0, math.nan]}, "duals.y"),
+    # a boolean or a string is not a number
+    ({"delta": True}, "delta"),
+    ({"heights": ["1.0"]}, "heights"),
+    ({"boxes": [{"lower": [0.0, True], "upper": [1.0, 1.0]}]}, "boxes[0]"),
+    ({"Y2": [[1.0, 0.0], [0.0, "1"]]}, "duals.Y2"),
 ])
 def test_certify_checks_record_shapes(solved_reference, tmp_path, capsys, monkeypatch,
                                       changes, field):
@@ -843,6 +848,33 @@ def test_console_script_prints_no_traceback(tmp_path, solved_reference):
         assert "Traceback" not in proc.stderr
 
 
+def test_box_bound_is_read_as_the_lattice_coordinate(tmp_path):
+    # 0.7 is within the alignment tolerance of the lattice coordinate
+    # 0.7000000000000001 at delta 0.1: both typings solve the lattice's box
+    records = []
+    for upper in (0.7, 0.7000000000000001):
+        cfg = json.loads(Path(FIXED_DEMO).read_text())
+        cfg["function"]["mode"]["boxes"][1] = {"lower": [0.0, 0.0], "upper": [upper, upper]}
+        out = tmp_path / repr(upper)
+        out.mkdir()
+        (out / "config.json").write_text(json.dumps(cfg))
+        assert main(["solve", "--config", str(out / "config.json"), "--out-dir", str(out)]) == 0
+        records.append(json.loads((out / "result.json").read_text()))
+    axis = np.linspace(0.0, 1.0, 11)
+    assert records[0]["boxes"][1] == {"lower": [0.0, 0.0], "upper": [axis[7], axis[7]]}
+    for key in ("objective", "heights", "boxes"):
+        assert records[0][key] == records[1][key]
+    assert (records[0]["certificate"]["worst_case_expectation"]
+            == records[1]["certificate"]["worst_case_expectation"])
+
+
+def test_validated_confidence_box_holds_its_lattice_atoms():
+    cfg = json.loads(Path(REFERENCE).read_text())
+    cfg["confidence_sets"] = [{"lower": [0.0, 0.0], "upper": [0.3, 0.3], "eps": 0.2}]
+    spec, fn, lattice = cli._validate_step(*cli.build_instance(cfg), 0.1)
+    assert int(np.sum(spec.confidence_sets[2].region.contains(lattice.points))) == 16
+
+
 def test_inverted_confidence_box_is_invalid(tmp_path, capsys):
     path = write_config(tmp_path, confidence_sets=[
         {"lower": [0.5, 0.5], "upper": [0.0, 0.0], "eps": 0.1}])
@@ -890,8 +922,29 @@ def test_inverted_confidence_box_is_invalid(tmp_path, capsys):
     ("solve", {"search": {"node_limit": math.nan}}),
     ("solve", {"search": {"gap_tol": math.nan}}),
     ("sweep", {"search": {"time_limit": math.nan}}),
+    # a boolean or a string is not a number, nor a fraction a node count
+    ("solve", {"delta": True}),
+    ("sweep", {"deltas": [0.1, True]}),
+    ("validate", {"b": True}),
+    ("solve", {"confidence_sets": [{"lower": [0.0, 0.0], "upper": [0.5, 0.5], "eps": True}]}),
+    ("validate", {"confidence_sets": [{"lower": [False, 0.0], "upper": [0.5, 0.5],
+                                       "eps": 0.2}]}),
+    ("validate", {"edge": "1.0"}),
+    ("validate", {"mu": ["0.0", 0.0]}),
+    ("validate", {"sigma": [[2.0, 0.5], [0.5, True]]}),
+    ("validate", {"function": {"heights": [True]}}),
+    ("validate", {"function": {"heights": [1.0], "mode": {
+        "kind": "variable", "c_minus": [[-1.0, -1.0]], "c_plus": [[1.0, 1.0]],
+        "constraints": [{"coeffs": [1.0, 0.0, 0.0, 0.0], "sense": "<=", "rhs": "2"}]}}}),
+    ("solve", {"search": {"node_limit": True}}),
+    ("solve", {"search": {"node_limit": 2.5}}),
+    ("solve", {"search": {"time_limit": True}}),
 ])
-def test_non_numeric_config_field_is_invalid(tmp_path, capsys, verb, overrides):
+def test_non_numeric_config_field_is_invalid(tmp_path, capsys, monkeypatch, verb, overrides):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an invalid config reached a solve")
+
+    monkeypatch.setattr(cli, "_solve_once", must_not_run)
     argv = [verb, "--config", write_config(tmp_path, **overrides)]
     if verb != "validate":
         argv += ["--out-dir", str(tmp_path)]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from drobox.model import (
     SimpleFunctionSpec,
     VariableBoxes,
     WholeDomain,
+    _on_lattice,
     lattice_points,
     normalization_pair,
     smoothed_indicator,
@@ -106,9 +109,33 @@ def test_lattice_accepts_inexact_divisor_within_tolerance():
 
 def test_lattice_index_helpers():
     lat = lattice_points(1.0, 2, 0.5)
-    assert lat.index_of_value(0.5) == 1
-    with pytest.raises(ValueError):
-        lat.index_of_value(0.3)
+    idx = lat.indices([[0.0, 0.5], [1.0, 0.5]])
+    assert idx.dtype.kind == "i" and idx.tolist() == [[0, 1], [2, 1]]
+    assert lat.indices(0.5) == 1
+    for bad in (0.3, 1.5, -0.5, math.nan, math.inf):  # off the lattice or out of range
+        with pytest.raises(ValueError):
+            lat.indices([0.0, bad])
+    assert lat.box([1, 0], [0, 2]) is None
+    assert lat.box([0, 0], [-1, -1]) is None
+    box = lattice_points(1.0, 2, 0.1).box([0, 3], [7, 3])
+    assert box.lower.tolist() == [0.0, np.linspace(0, 1, 11)[3]]
+    assert box.upper.tolist() == [np.linspace(0, 1, 11)[7], np.linspace(0, 1, 11)[3]]
+
+
+def _aligned_reference(value: float, delta: float) -> bool:
+    """The scalar alignment rule, one value at a time."""
+    r = value / delta
+    return math.isfinite(r) and abs(r - round(r)) <= 1e-9 * max(1.0, abs(r))
+
+
+def test_on_lattice_matches_the_scalar_rule():
+    values = [v * s for v in np.linspace(0.0, 3.0, 301) for s in (1.0, -1.0, 1.0 + 5e-10,
+                                                                   1.0 + 5e-9)]
+    values += [0.7, 0.7000000000000001, 1e300, math.nan, math.inf, -math.inf]
+    for delta in (0.1, 1.0 / 12.0, 0.025, 1.0 / 3.0):
+        want = [_aligned_reference(v, delta) for v in values]
+        assert _on_lattice(values, delta).tolist() == want
+        assert sum(want) > 10 and not all(want)
 
 
 def test_smoothed_indicator_reference_value():
@@ -130,7 +157,7 @@ def test_smoothed_indicator_lower_reference_values():
 coord = st.integers(min_value=-2, max_value=12).map(lambda v: v / 10.0)
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(
     data=st.data(),
     dim=st.integers(min_value=1, max_value=3),
@@ -208,6 +235,36 @@ def test_validate_flags_misaligned_confidence_box(ref_fn, ref_lattice):
     )
     report = validate_spec(spec, ref_fn, ref_lattice)
     assert "confidence_boxes_lattice_aligned" in [c.name for c in report.failures()]
+
+
+BOX_CHECKS = ("confidence_regions_in_domain", "boxes_in_domain", "fixed_boxes_lattice_aligned",
+              "confidence_boxes_lattice_aligned")
+
+
+@pytest.mark.parametrize("fixed_upper, cs_upper, failing", [
+    ([0.5, 1.0], [0.3, 0.3], set()),
+    ([0.55, 1.0], [0.3, 0.3], {"fixed_boxes_lattice_aligned"}),
+    ([0.5, 1.0], [0.25, 0.3], {"confidence_boxes_lattice_aligned"}),
+    ([0.5, 1.1], [0.3, 0.3], {"boxes_in_domain"}),
+    ([0.5, 1.0], [1.2, 0.3], {"confidence_regions_in_domain"}),
+    ([0.5], [0.3, 0.3], {"boxes_in_domain"}),
+    ([0.5, 1.0], [0.3], {"confidence_regions_in_domain"}),
+    ([0.55, 1.1], [1.25, 0.3], set(BOX_CHECKS)),
+])
+def test_validate_box_checks(ref_lattice, fixed_upper, cs_upper, failing):
+    extra = ConfidenceSet(BoxRegion([0.0] * len(cs_upper), cs_upper), 0.3)
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.0, 0.0], sigma=[[2.0, 0.5], [0.5, 1.0]],
+        eps_mu=0.1, eps_sigma=1.0, b=0.1, extra_sets=[extra],
+    )
+    box = BoxRegion([0.0] * len(fixed_upper), fixed_upper)
+    fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=FixedBoxes(boxes=(box,)))
+    report = validate_spec(spec, fn, ref_lattice)
+    got = [(c.name, c.passed, c.detail) for c in report.checks if c.name in BOX_CHECKS]
+    details = {"fixed_boxes_lattice_aligned": "delta=0.1",
+               "confidence_boxes_lattice_aligned": "delta=0.1"}
+    assert got == [(name, name not in failing, details.get(name, "")) for name in BOX_CHECKS]
+    assert {c.name for c in report.failures()} == failing
 
 
 def test_validate_flags_variable_heights_not_positive(ref_spec, ref_lattice):

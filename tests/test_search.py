@@ -30,7 +30,6 @@ from drobox.search import (
     SearchOptions,
     _ENUMERATE_CAP,
     _SCREEN_BUDGET,
-    _box_at,
     _candidate_stream,
     _MeasurePool,
     _leaf_objective,
@@ -270,7 +269,7 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
     threshold = model.spec.b + model.margin - 1e-7
     want = []
     for idx in sets:
-        boxes = [_box_at(lattice, streams[i], n) for i, n in enumerate(idx)]
+        boxes = [lattice.box(streams[i][1][n], streams[i][2][n]) for i, n in enumerate(idx)]
         kept = [(h, box) for h, box in zip(heights, boxes) if box is not None]
         values = np.zeros(lattice.n_points)
         if kept:
@@ -316,7 +315,7 @@ _OVERLAPS = (2, 3, np.array([0, 1, 0, 1, 1, 0, 0, 0, 1], dtype=bool), [0.5, 0.75
              np.array([[[1, 1], [-1, -1]], [[2, 2], [2, 2]], [[2, 1], [-1, -1]]]))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(_seed_screens())
 @example(_NO_ATOMS)
 @example(_OVERLAPS)
