@@ -16,7 +16,8 @@ and unboundedness; everything is deterministic for fixed input.
 Each step solves normal equations with the m x m matrix M = A D A^T
 (D the scaling).  The programs the drobox verbs solve are short, masters
 of about 10 (measure) to a few dozen (fixed boxes) rows, so M is formed
-densely as a Schur complement and factored with one numpy Cholesky call
+densely as a Schur complement, the slack column of each inequality row
+adding to its diagonal only, and factored with one numpy Cholesky call
 per iteration (Vandenberghe, "The CVXOPT linear and quadratic cone
 program solvers", 2010).  The triangular factor is inverted once per
 factor, so each solve is two matrix-vector products; two rounds of
@@ -24,10 +25,13 @@ iterative refinement against M follow it (Andersen, ACM TOMS 22(3),
 1996).  numpy alone does this, so importing drobox loads no scipy.
 
 Step lengths are taken in NT-scaled coordinates: with X = G lam G and
-S = G^-1 lam G^-1, one eigendecomposition of lam per block and iteration
-gives both step lengths and serves every Jordan-product solve
-(Vandenberghe, "The CVXOPT linear and quadratic cone program solvers",
-2010; Todd, Toh & Tutuncu, SIAM J. Optim. 8(3), 1998).
+S = G^-1 lam G^-1, one eigendecomposition of lam gives both step lengths
+and serves every Jordan-product solve (Vandenberghe, "The CVXOPT linear
+and quadratic cone program solvers", 2010; Todd, Toh & Tutuncu, SIAM J.
+Optim. 8(3), 1998).  The PSD blocks are handled as one padded
+(blocks, D, D) stack, D the largest order (_Cone), so each step of an
+iteration makes the same numpy calls whatever the number of blocks: four
+stacked eigh for the scaling and one eigvalsh per step length.
 
 Progress goes to the drobox.sdp logger as one DEBUG line per iteration in
 key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=; and one
@@ -84,9 +88,10 @@ def _svec_basis(d: int) -> np.ndarray:
 
 
 def _sym_kron(G: np.ndarray) -> np.ndarray:
-    """Matrix of S -> G S G in svec coordinates; symmetric when G is."""
-    r, c, w = _svec_weights(G.shape[0])
-    return ((G @ _svec_basis(G.shape[0]) @ G)[:, r, c] * w).T
+    """Matrix of S -> G S G in svec coordinates, for G (..., d, d); symmetric when G is."""
+    r, c, w = _svec_weights(G.shape[-1])
+    G = G[..., None, :, :]
+    return ((G @ _svec_basis(G.shape[-1]) @ G)[..., r, c] * w).swapaxes(-1, -2)
 
 
 def svec(s: np.ndarray) -> np.ndarray:
@@ -373,6 +378,17 @@ def _compile(p: ConicProgram) -> _Compiled:
 
 
 class _Cone:
+    """R+^l x PSD(d1) x PSD(d2) ..., its PSD blocks handled as one stack.
+
+    The stack is an (nb, D, D) array, D the largest block order.  A block
+    of smaller order sits in the top-left corner of its slice and is padded
+    on the trailing diagonal, an exactly decoupled invariant subspace that
+    every stacked product, eigendecomposition and Lyapunov solve keeps
+    apart from the block.  to_stack gathers a vector's PSD columns into the
+    stack and from_stack scatters a stack back to svec columns; root()
+    gathers the block-diagonal sym-kron matrix on the PSD columns.
+    """
+
     def __init__(self, n_nonneg: int, psd_dims: list):
         self.l = n_nonneg
         self.dims = list(psd_dims)
@@ -383,6 +399,32 @@ class _Cone:
             off += svec_len(d)
         self.n = off
         self.degree = n_nonneg + sum(self.dims)
+        D = max(self.dims, default=0)
+        self.eye = np.eye(D)
+        # entries outside the blocks gather index 0 with scale 0 (the
+        # loop gathers only finite vectors)
+        gather = np.zeros((len(self.dims), D, D), int)
+        scale = np.zeros(gather.shape)
+        self.pad = np.zeros(gather.shape)
+        scatter, weights = [], []
+        root = np.zeros((off - n_nonneg,) * 2, int)
+        self._in_root = np.zeros(root.shape)
+        r_D, c_D, _ = _svec_weights(D)
+        for j, (a, b, d) in enumerate(self.spans):
+            r, c, w = _svec_weights(d)
+            gather[j, r, c] = gather[j, c, r] = np.arange(a, b)
+            scale[j, r, c] = scale[j, c, r] = 1.0 / w
+            self.pad[j, range(d, D), range(d, D)] = 1.0
+            scatter.append((j * D + r) * D + c)
+            weights.append(w)
+            # the order-D svec index of each of the block's svec entries
+            at = np.flatnonzero((r_D < d) & (c_D < d))
+            span = slice(a - n_nonneg, b - n_nonneg)
+            root[span, span] = (j * svec_len(D) + at[:, None]) * svec_len(D) + at
+            self._in_root[span, span] = 1.0
+        self._gather, self._scale, self._root = gather, scale, root
+        self._scatter = np.concatenate(scatter or [np.zeros(0, int)])
+        self._weights = np.concatenate(weights or [np.zeros(0)])
 
     def identity(self) -> np.ndarray:
         e = np.zeros(self.n)
@@ -391,101 +433,105 @@ class _Cone:
             e[a:b] = svec(np.eye(d))
         return e
 
+    def to_stack(self, v: np.ndarray) -> np.ndarray:
+        """The PSD blocks of v as symmetric matrices, padded with 1."""
+        return v[self._gather] * self._scale + self.pad
+
+    def from_stack(self, S: np.ndarray) -> np.ndarray:
+        """svec columns of the stack's blocks, read from upper triangles."""
+        return S.reshape(-1)[self._scatter] * self._weights
+
+    def root(self, G: np.ndarray) -> np.ndarray:
+        """blockdiag(sym-kron(G_j)) on the PSD columns, G the stack."""
+        return _sym_kron(G).reshape(-1)[self._root] * self._in_root
+
 
 @dataclass
-class _NtBlock:
-    """Nesterov-Todd scaling of one PSD block at a point (X, S).
+class _Scaling:
+    """Nesterov-Todd scaling at a point (x, s).
 
-    T is the NT matrix, G = T^(1/2), and lam = G S G = G^-1 X G^-1 is the
-    scaled point, with eigenvalues w and eigenvectors v.  W = sym-kron(G),
-    the svec matrix of S -> G S G, is symmetric and squares to
-    H = sym-kron(T): H svec(S) = W W svec(S) = svec(T S T).
+    d_l = x_l / s_l on the nonnegative block.  On the PSD stack, T is the
+    NT matrix, G = T^(1/2), and lam = G S G = G^-1 X G^-1 is the scaled
+    point, with eigenvalues w and eigenvectors v.  W = blockdiag of
+    sym-kron(G_j), the svec matrix of S -> G S G, is the root of
+    H = W W^T on the PSD columns: H svec(S) = svec(T S T) blockwise.
     """
 
-    W: np.ndarray
+    d_l: np.ndarray
     G: np.ndarray
     G_inv: np.ndarray
     lam: np.ndarray
     w: np.ndarray
     v: np.ndarray
+    W: np.ndarray
 
 
-def _nt_scaling(cone: _Cone, x: np.ndarray, s: np.ndarray):
-    """Nesterov-Todd scaling: d_l = x_l / s_l and one _NtBlock per PSD block."""
-    d_l = x[: cone.l] / s[: cone.l] if cone.l else np.zeros(0)
-    blocks = []
-    for a, b, d in cone.spans:
-        X = smat(x[a:b], d)
-        S = smat(s[a:b], d)
-        wx, vx = np.linalg.eigh(X)
-        wx = np.maximum(wx, 1e-300)
-        Xh = (vx * np.sqrt(wx)) @ vx.T
-        P = Xh @ S @ Xh
-        wp, vp = np.linalg.eigh((P + P.T) / 2.0)
-        wp = np.maximum(wp, 1e-300)
-        Pmh = (vp * (wp ** -0.5)) @ vp.T
-        T = Xh @ Pmh @ Xh
-        T = (T + T.T) / 2.0
-        wt, vt = np.linalg.eigh(T)
-        wt = np.maximum(wt, 1e-300)
-        G = (vt * np.sqrt(wt)) @ vt.T
-        G_inv = (vt * (wt ** -0.5)) @ vt.T
-        lam = G @ S @ G
-        lam = (lam + lam.T) / 2.0
-        blocks.append(_NtBlock(_sym_kron(G), G, G_inv, lam, *np.linalg.eigh(lam)))
-    return d_l, blocks
+def _mul_vt(v: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """v diag(scale) v^T for a stack of eigenvectors v."""
+    return (v * scale[:, None, :]) @ v.transpose(0, 2, 1)
 
 
-def _apply_H(cone: _Cone, d_l, blocks, v: np.ndarray) -> np.ndarray:
-    out = np.empty_like(v)
-    out[: cone.l] = d_l * v[: cone.l]
-    for (a, b, d), blk in zip(cone.spans, blocks):
-        out[a:b] = blk.W @ (blk.W @ v[a:b])
-    return out
+def _sym(M: np.ndarray) -> np.ndarray:
+    return (M + M.transpose(0, 2, 1)) / 2.0
 
 
-def _lyap_inv(blk: _NtBlock, M: np.ndarray) -> np.ndarray:
+def _nt_scaling(cone: _Cone, x: np.ndarray, s: np.ndarray) -> _Scaling:
+    """Nesterov-Todd scaling of every block at once: four stacked eigh."""
+    d_l = x[: cone.l] / s[: cone.l]
+    if not cone.dims:  # a linear program: nothing to decompose
+        stack, flat = np.zeros((0, 0, 0)), np.zeros((0, 0))
+        return _Scaling(d_l, stack, stack, stack, flat, stack, flat)
+    X = cone.to_stack(x)
+    S = cone.to_stack(s)
+    wx, vx = np.linalg.eigh(X)
+    Xh = _mul_vt(vx, np.sqrt(np.maximum(wx, 1e-300)))
+    wp, vp = np.linalg.eigh(_sym(Xh @ S @ Xh))
+    wt, vt = np.linalg.eigh(_sym(Xh @ _mul_vt(vp, np.maximum(wp, 1e-300) ** -0.5) @ Xh))
+    wt = np.maximum(wt, 1e-300)
+    G = _mul_vt(vt, np.sqrt(wt))
+    lam = _sym(G @ S @ G)
+    return _Scaling(d_l, G, _mul_vt(vt, wt ** -0.5), lam, *np.linalg.eigh(lam), cone.root(G))
+
+
+def _apply_H(cone: _Cone, nt: _Scaling, v: np.ndarray) -> np.ndarray:
+    return np.concatenate((nt.d_l * v[: cone.l], nt.W @ (nt.W.T @ v[cone.l :])))
+
+
+def _lyap_inv(nt: _Scaling, M: np.ndarray) -> np.ndarray:
     """Solve lam o N = M for N, with o the symmetric Jordan product."""
-    Mt = blk.v.T @ M @ blk.v
-    denom = (blk.w[:, None] + blk.w[None, :]) / 2.0
-    return blk.v @ (Mt / denom) @ blk.v.T
+    vT = nt.v.transpose(0, 2, 1)
+    denom = (nt.w[:, :, None] + nt.w[:, None, :]) / 2.0
+    return nt.v @ ((vT @ M @ nt.v) / denom) @ vT
 
 
-def _ratio_step(v: np.ndarray, dv: np.ndarray) -> float:
-    neg = dv < 0
-    return float(np.min(-v[neg] / dv[neg])) if np.any(neg) else math.inf
-
-
-def _scaled_step(Q: np.ndarray, D: np.ndarray) -> float:
-    """Largest alpha with I + alpha Q^T D Q PSD; 0 for a non-finite D."""
-    if not np.all(np.isfinite(D)):
-        return 0.0
-    try:
-        low = float(np.linalg.eigvalsh(Q.T @ D @ Q)[0])
-    except np.linalg.LinAlgError:
-        return 0.0
-    return -1.0 / low if low < 0 else math.inf
-
-
-def _step_lengths(cone: _Cone, blocks: list, x: np.ndarray, s: np.ndarray,
+def _step_lengths(cone: _Cone, nt: _Scaling, x: np.ndarray, s: np.ndarray,
                   dx: np.ndarray, ds: np.ndarray):
     """Largest steps keeping x + alpha_x dx and s + alpha_s ds in the cone.
 
-    blocks is the NT scaling at (x, s).  In scaled coordinates X = G lam G
+    nt is the NT scaling at (x, s).  In scaled coordinates X = G lam G
     and S = G^-1 lam G^-1, so X + a dX stays PSD while lam + a G^-1 dX G^-1
     does, that is while I + a lam^-1/2 (G^-1 dX G^-1) lam^-1/2 does, and
-    likewise S + a dS with G dS G: the eigenpairs of lam serve both.
-    Returns (alpha_x, alpha_s, scaled), scaled holding (G^-1 dX G^-1,
-    G dS G) per block.  A non-finite direction gives step 0.
+    likewise S + a dS with G dS G: the eigenpairs of lam serve both, and
+    one eigvalsh call takes both sides of every block.  The padding of the
+    scaled directions is 1, never their least eigenvalue.  Returns
+    (alpha_x, alpha_s, (G^-1 dX G^-1, G dS G)).  A non-finite direction
+    gives step 0.
     """
-    alpha = [_ratio_step(x[: cone.l], dx[: cone.l]), _ratio_step(s[: cone.l], ds[: cone.l])]
-    scaled = []
-    for (a, b, d), blk in zip(cone.spans, blocks):
-        pair = (blk.G_inv @ smat(dx[a:b], d) @ blk.G_inv, blk.G @ smat(ds[a:b], d) @ blk.G)
-        Q = blk.v * np.maximum(blk.w, 1e-300) ** -0.5  # Q Q^T = lam^-1
-        for k, D in enumerate(pair):
-            alpha[k] = min(alpha[k], _scaled_step(Q, D))
-        scaled.append(pair)
+    scaled = (nt.G_inv @ cone.to_stack(dx) @ nt.G_inv, nt.G @ cone.to_stack(ds) @ nt.G)
+    low = (math.inf, math.inf)
+    if cone.dims:
+        Q = nt.v * np.maximum(nt.w, 1e-300)[:, None, :] ** -0.5  # Q Q^T = lam^-1
+        QT = Q.transpose(0, 2, 1)
+        try:
+            low = np.linalg.eigvalsh(np.concatenate([QT @ D @ Q for D in scaled]))
+        except np.linalg.LinAlgError:
+            return 0.0, 0.0, scaled
+        low = low.reshape(2, -1).min(axis=1)
+    alpha = []
+    for low_k, v, dv in zip(low, (x[: cone.l], s[: cone.l]), (dx[: cone.l], ds[: cone.l])):
+        ratio = np.divide(-v, dv, out=np.full(cone.l, math.inf), where=dv < 0)
+        alpha.append(min(float(ratio.min(initial=math.inf)), 0.0 if math.isnan(low_k)
+                         else -1.0 / low_k if low_k < 0 else math.inf))
     return alpha[0], alpha[1], scaled
 
 
@@ -529,28 +575,38 @@ class SdpSolution:
 class _NormalFactor:
     """Cholesky factor of the normal matrix M = A D A^T of the interior-point steps.
 
-    D is diag(d_l) on the nonnegative block and H_j = W_j W_j^T on the PSD
-    blocks, so M = (A_l diag(d_l)) A_l^T + sum_j (A_j W_j)(A_j W_j)^T,
-    formed densely with BLAS.  numpy factors M = U^T U with U upper
-    triangular (the factor LAPACK's dpotrf returns), and U is inverted by
-    blocks (_triu_inv), so a solve is U^-1 (U^-T rhs).  solve() refines
-    twice against M, which matters once the barrier parameter gets small
-    and M turns badly conditioned.
+    D is diag(d_l) on the nonnegative columns and H = W W^T on the PSD
+    columns, W block diagonal, so M = (A_l diag(d_l)) A_l^T + (A_p W)(A_p W)^T,
+    formed densely with BLAS.  A nonnegative column with at most one
+    nonzero (the slack of an inequality row) adds d a^2 to one diagonal
+    entry; those columns are split off once and added as a diagonal.
+    numpy factors M = U^T U with U upper triangular (the factor LAPACK's
+    dpotrf returns), and U is inverted by blocks (_triu_inv), so a solve is
+    U^-1 (U^-T rhs).  solve() refines twice against M, which matters once
+    the barrier parameter gets small and M turns badly conditioned.
     """
 
     def __init__(self, A: np.ndarray, cone: _Cone):
-        self.A_l = A[:, : cone.l]
-        self.A_p = [A[:, a:b] for a, b, _ in cone.spans]
+        A_l = A[:, : cone.l]
+        unit = np.count_nonzero(A_l, axis=0) <= 1
+        self.full = np.flatnonzero(~unit)
+        self.unit = np.flatnonzero(unit)
+        self.A_full = A_l[:, self.full]
+        self.unit_row = np.argmax(A_l[:, self.unit] != 0, axis=0)
+        self.unit_sq = A_l[self.unit_row, self.unit] ** 2
+        self.A_p = A[:, cone.l :]
 
-    def factor(self, d_l: np.ndarray, roots: list):
-        """Factor for scaling d_l and PSD blocks H_j = roots[j] roots[j]^T.
+    def factor(self, d_l: np.ndarray, W: np.ndarray):
+        """Factor for scaling d_l and H = W W^T on the PSD columns.
 
         Raises RuntimeError when M is not finite, or singular even after
         one diagonal shift.  Redundant == rows make M exactly singular; the
         retry shifts its diagonal by 1e-12 times its mean diagonal.
         """
-        V = [Ap @ W for Ap, W in zip(self.A_p, roots)]
-        M = (self.A_l * d_l) @ self.A_l.T + sum(AW @ AW.T for AW in V)
+        AW = self.A_p @ W
+        M = (self.A_full * d_l[self.full]) @ self.A_full.T + AW @ AW.T
+        M.flat[:: len(M) + 1] += np.bincount(self.unit_row, d_l[self.unit] * self.unit_sq,
+                                             minlength=len(M))
         if not np.all(np.isfinite(M)):
             raise RuntimeError("normal matrix is not finite")
         try:
@@ -596,15 +652,14 @@ def _shift(diag_m: np.ndarray) -> float:
     return 1e-12 * (float(np.mean(np.abs(diag_m))) or 1.0)
 
 
-def _residuals(A: np.ndarray, b: np.ndarray, c: np.ndarray, x: np.ndarray, y: np.ndarray,
-               s: np.ndarray, tau: float, norm_b: float, norm_c: float) -> tuple:
-    """(pres, dres, gap) of the iterate (x, y, s) / tau: the scaled primal
-    and dual residuals and the relative duality gap."""
-    pres = float(np.max(np.abs(A @ (x / tau) - b))) / norm_b
-    dres = float(np.max(np.abs(A.T @ (y / tau) + s / tau - c))) / norm_c
-    pobj = float(c @ x) / tau
-    dobj = float(b @ y) / tau
-    return pres, dres, abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+def _residuals(r_p: np.ndarray, r_d: np.ndarray, cx: float, by: float, tau: float,
+               norm_b: float, norm_c: float) -> tuple:
+    """(pres, dres, gap) of the iterate (x, y, s) / tau from r_p = A x - b tau,
+    r_d = c tau - A^T y - s, c.x and b.y: the scaled primal and dual
+    residuals and the relative duality gap."""
+    pres = float(np.abs(r_p).max()) / tau / norm_b
+    dres = float(np.abs(r_d).max()) / tau / norm_c
+    return pres, dres, abs(cx - by) / tau / (1.0 + max(abs(cx), abs(by)) / tau)
 
 
 def _solve_hsd(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
@@ -638,9 +693,8 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
     best = None
     stall = 0
     for it in range(1, DEFAULT_MAX_ITER + 1):
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(s))
-                and np.all(np.isfinite(y)) and math.isfinite(tau)
-                and math.isfinite(kappa)):
+        # one sum per vector: a non-finite entry makes it non-finite
+        if not math.isfinite(float(x.sum() + s.sum() + y.sum()) + tau + kappa):
             exit_reason = "non-finite"
             break
         r_p = A @ x - b * tau
@@ -651,7 +705,7 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         mu = (float(x @ s) + tau * kappa) / nu
 
         # -- convergence -----------------------------------------------------
-        pres, dres, gap = _residuals(A, b, c, x, y, s, tau, norm_b, norm_c)
+        pres, dres, gap = _residuals(r_p, r_d, cx, by, tau, norm_b, norm_c)
         phi = max(pres, dres, gap)
         LOG.debug("iter=%d mu=%.3g pres=%.3g dres=%.3g gap=%.3g tau=%.3g kappa=%.3g",
                   it, mu, pres, dres, gap, tau, kappa)
@@ -691,46 +745,41 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         # every break from here to the step is a numerical breakdown
         exit_reason = "non-finite"
         try:
-            d_l, blocks = _nt_scaling(cone, x, s)
-            fact.factor(d_l, [blk.W for blk in blocks])
+            nt = _nt_scaling(cone, x, s)
+            fact.factor(nt.d_l, nt.W)
         except (np.linalg.LinAlgError, RuntimeError):
             break
 
-        Hc = _apply_H(cone, d_l, blocks, c)
+        Hc = _apply_H(cone, nt, c)
         k1 = fact.solve(A @ Hc + b)
         if not np.all(np.isfinite(k1)):
             break
-        den = (float(c @ _apply_H(cone, d_l, blocks, At @ k1)) - float(b @ k1)
-               - float(c @ Hc) - kappa / tau)
+        den = (float(c @ _apply_H(cone, nt, At @ k1)) - float(b @ k1) - float(c @ Hc)
+               - kappa / tau)
         if abs(den) < 1e-300:
             break
 
-        def direction(target_l, target_blocks, target_tk, eta):
+        def direction(target_l, target_psd, target_tk, eta):
             """Solve one Newton system; targets live in scaled space."""
-            rc = np.empty(cone.n)
-            if cone.l:
-                rc[: cone.l] = target_l / x[: cone.l]
-            for (a, bnd, d), blk, tmat in zip(cone.spans, blocks, target_blocks):
-                rc[a:bnd] = svec(blk.G_inv @ _lyap_inv(blk, tmat) @ blk.G_inv)
+            rc = np.concatenate((target_l / x[: cone.l],
+                                 cone.from_stack(nt.G_inv @ _lyap_inv(nt, target_psd) @ nt.G_inv)))
             g = rc - eta * r_d
-            k2 = fact.solve(-eta * r_p - A @ _apply_H(cone, d_l, blocks, g))
-            num = (-eta * r_g - float(c @ _apply_H(cone, d_l, blocks, At @ k2))
-                   + float(b @ k2) - float(c @ _apply_H(cone, d_l, blocks, g))
-                   - target_tk / tau)
+            Hg = _apply_H(cone, nt, g)
+            k2 = fact.solve(-eta * r_p - A @ Hg)
+            num = (-eta * r_g - float(c @ _apply_H(cone, nt, At @ k2)) + float(b @ k2)
+                   - float(c @ Hg) - target_tk / tau)
             dtau = num / den
             dy = k1 * dtau + k2
             At_dy = At @ dy
-            dx = _apply_H(cone, d_l, blocks, At_dy - c * dtau + g)
+            dx = _apply_H(cone, nt, At_dy - c * dtau + g)
             ds = -At_dy + c * dtau + eta * r_d
             dkappa = (target_tk - kappa * dtau) / tau
-            if not (np.all(np.isfinite(dx)) and np.all(np.isfinite(dy))
-                    and np.all(np.isfinite(ds)) and math.isfinite(dtau)
-                    and math.isfinite(dkappa)):
+            if not math.isfinite(float(dx.sum() + dy.sum() + ds.sum()) + dtau + dkappa):
                 return None
             return dx, dy, ds, dtau, dkappa
 
         def step(dx, ds, dtau, dkappa):
-            alpha_x, alpha_s, scaled = _step_lengths(cone, blocks, x, s, dx, ds)
+            alpha_x, alpha_s, scaled = _step_lengths(cone, nt, x, s, dx, ds)
             return min(alpha_x, alpha_s,
                        (-tau / dtau) if dtau < 0 else math.inf,
                        (-kappa / dkappa) if dkappa < 0 else math.inf), scaled
@@ -738,12 +787,12 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         # nonneg target in scaled coordinates: lam_l * (dxh + dsh) = target_l
         # with our parametrization rc = target_l / x (see module notes)
         # affine pass
-        tgt_l = -(x[: cone.l] * s[: cone.l]) if cone.l else np.zeros(0)
-        res = direction(tgt_l, [-(blk.lam @ blk.lam) for blk in blocks], -tau * kappa, 1.0)
+        lam2 = nt.lam @ nt.lam
+        res = direction(-(x[: cone.l] * s[: cone.l]), -lam2, -tau * kappa, 1.0)
         if res is None:
             break
         dxa, dya, dsa, dtaua, dkappaa = res
-        alpha_a, scaled = step(dxa, dsa, dtaua, dkappaa)
+        alpha_a, (dXh, dSh) = step(dxa, dsa, dtaua, dkappaa)
         alpha_a = min(1.0, 0.99995 * alpha_a)
         mu_aff = (float((x + alpha_a * dxa) @ (s + alpha_a * dsa))
                   + (tau + alpha_a * dtaua) * (kappa + alpha_a * dkappaa)) / nu
@@ -751,14 +800,10 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         sigma = max(min(max(mu_aff / mu, 0.0), 1.0) ** 3, 1e-10)
 
         # corrector pass
-        if cone.l:
-            tgt_l = sigma * mu - x[: cone.l] * s[: cone.l] - dxa[: cone.l] * dsa[: cone.l]
-        tgt_blocks = []
-        for (a, bnd, d), blk, (dXh, dSh) in zip(cone.spans, blocks, scaled):
-            corr = (dXh @ dSh + dSh @ dXh) / 2.0
-            tgt_blocks.append(sigma * mu * np.eye(d) - blk.lam @ blk.lam - corr)
+        tgt_l = sigma * mu - x[: cone.l] * s[: cone.l] - dxa[: cone.l] * dsa[: cone.l]
+        tgt_psd = sigma * mu * cone.eye - lam2 - (dXh @ dSh + dSh @ dXh) / 2.0
         tgt_tk = sigma * mu - tau * kappa - dtaua * dkappaa
-        res = direction(tgt_l, tgt_blocks, tgt_tk, 1.0)
+        res = direction(tgt_l, tgt_psd, tgt_tk, 1.0)
         if res is None:
             break
         dx, dy, ds, dtau, dkappa = res
@@ -791,7 +836,8 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
     if LOG.isEnabledFor(logging.DEBUG):
         LOG.debug("exit=%s status=%s iters=%d rows=%d cols=%d pres=%.3g dres=%.3g gap=%.3g",
                   exit_reason, status, it, m, cone.n,
-                  *_residuals(A, b, c, x, y, s, tau, norm_b, norm_c))
+                  *_residuals(A @ x - b * tau, c * tau - At @ y - s, float(c @ x),
+                              float(b @ y), tau, norm_b, norm_c))
 
     return {
         "status": status,

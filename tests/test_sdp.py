@@ -23,7 +23,6 @@ from drobox.sdp import (
     _extract_primal,
     _nt_scaling,
     _step_lengths,
-    _sym_kron,
     kkt_residuals,
     smat,
     solve_sdp,
@@ -433,12 +432,12 @@ def normal_factor_case(m, n_sparse, n_dense, psd_dims, rng, dense_only_row=None)
 def assert_solves_normal_equations(A, cone, rng):
     """Factor A D A^T for a random scaling D and check it against numpy."""
     d_l = rng.uniform(0.5, 2.0, size=cone.l)
-    roots = [rng.normal(size=(n, n)) + 3.0 * np.eye(n)
-             for n in map(svec_len, cone.dims)]
-    D = scipy.linalg.block_diag(np.diag(d_l), *[W @ W.T for W in roots])
+    W = scipy.linalg.block_diag(*[rng.normal(size=(n, n)) + 3.0 * np.eye(n)
+                                  for n in map(svec_len, cone.dims)])
+    D = scipy.linalg.block_diag(np.diag(d_l), W @ W.T)
     M = A @ D @ A.T
     fact = _NormalFactor(A, cone)
-    fact.factor(d_l, roots)
+    fact.factor(d_l, W)
     for _ in range(3):
         rhs = rng.normal(size=M.shape[0])
         ref = np.linalg.solve(M, rhs)
@@ -503,12 +502,12 @@ def test_normal_factor_shifts_a_short_program_with_a_repeated_row():
     dense[:2, :4] = 1.0
     cone = _Cone(40, [2])
     fact = _NormalFactor(dense, cone)
-    d_l, roots = np.ones(cone.l), [2.0 * np.eye(3)]
+    d_l, W = np.ones(cone.l), 2.0 * np.eye(3)
     M = dense[:, :40] @ dense[:, :40].T + 4.0 * dense[:, 40:] @ dense[:, 40:].T
     assert scipy.linalg.lapack.dpotrf(M)[1] == 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        fact.factor(d_l, roots)
+        fact.factor(d_l, W)
         rhs = M @ rng.normal(size=6)
         z = fact.solve(rhs)
     assert np.linalg.norm(M @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
@@ -520,7 +519,7 @@ def test_normal_factor_inverts_its_triangle_by_blocks():
     A = rng.normal(size=(150, 200 + 6))
     cone = _Cone(200, [3])
     fact = _NormalFactor(A, cone)
-    fact.factor(rng.uniform(0.5, 2.0, size=200), [rng.normal(size=(6, 6)) + 3.0 * np.eye(6)])
+    fact.factor(rng.uniform(0.5, 2.0, size=200), rng.normal(size=(6, 6)) + 3.0 * np.eye(6))
     U = np.linalg.cholesky(fact.M, upper=True)
     assert len(U) > 2 * sdp._INV_BLOCK
     assert np.all(np.tril(fact.U_inv, -1) == 0.0)
@@ -536,17 +535,17 @@ def test_normal_factor_shifts_once_then_gives_up(monkeypatch):
     cholesky = np.linalg.cholesky
     monkeypatch.setattr(np.linalg, "cholesky", lambda M, **kw: calls.append(M) or cholesky(M, **kw))
     fact = _NormalFactor(A, cone)
-    fact.factor(np.ones(3), [])
+    fact.factor(np.ones(3), np.zeros((0, 0)))
     assert len(calls) == 2
     shift = calls[1] - calls[0]
     assert shift[0, 0] > 0.0 and np.all(shift == shift[0, 0] * np.eye(3))
     # an indefinite M stays indefinite after the tiny shift
     calls.clear()
     with pytest.raises(RuntimeError, match="singular"):
-        fact.factor(np.array([-1.0, 1.0, 1.0]), [])
+        fact.factor(np.array([-1.0, 1.0, 1.0]), np.zeros((0, 0)))
     assert len(calls) == 2
     with pytest.raises(RuntimeError, match="not finite"):
-        fact.factor(np.array([1.0, np.nan, 1.0]), [])
+        fact.factor(np.array([1.0, np.nan, 1.0]), np.zeros((0, 0)))
 
 
 def test_fixed_demo_at_fine_step_reaches_reference_objective():
@@ -606,23 +605,95 @@ def test_scaled_step_lengths_match_the_unscaled_reference(seed):
     cone = _Cone(5, [1, 2, 3, 4])
     x, dx = random_interior_point(cone, rng)
     s, ds = random_interior_point(cone, rng)
-    _, blocks = _nt_scaling(cone, x, s)
-    alpha_x, alpha_s, _ = _step_lengths(cone, blocks, x, s, dx, ds)
+    nt = _nt_scaling(cone, x, s)
+    alpha_x, alpha_s, _ = _step_lengths(cone, nt, x, s, dx, ds)
     assert alpha_x == pytest.approx(reference_step(cone, x, dx), rel=1e-10)
     assert alpha_s == pytest.approx(reference_step(cone, s, ds), rel=1e-10)
     # a direction that stays inside the cone on every block never stops
-    alpha_x, alpha_s, _ = _step_lengths(cone, blocks, x, s, x, np.abs(x))
+    alpha_x, alpha_s, _ = _step_lengths(cone, nt, x, s, x, np.abs(x))
     assert (alpha_x, alpha_s) == (math.inf, math.inf)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])
 def test_sym_kron_of_the_root_squares_to_the_nt_map(dim):
+    # the PSD blocks of orders 1 to 4 share one padded stack; the block of
+    # order dim of the block-diagonal root W satisfies
+    # W W^T svec(S) = svec(T S T) for the NT matrix T = G^2, which maps the
+    # point's S to its X
     rng = np.random.default_rng(dim)
-    raw = rng.normal(size=(dim, dim))
-    T = raw @ raw.T + np.eye(dim)
-    w, v = np.linalg.eigh(T)
-    W = _sym_kron((v * np.sqrt(w)) @ v.T)
-    raw = rng.normal(size=(dim, dim))
+    block = dim - 1
+    cone = _Cone(2, [1, 2, 3, 4])
+    x, _ = random_interior_point(cone, rng)
+    s, _ = random_interior_point(cone, rng)
+    nt = _nt_scaling(cone, x, s)
+    a, b, d = cone.spans[block]
+    G = nt.G[block, :d, :d]
+    T = G @ G
+    X, S = smat(x[a:b], d), smat(s[a:b], d)
+    np.testing.assert_allclose(T @ S @ T, X, atol=1e-9 * np.max(np.abs(X)))
+    # the padding is decoupled exactly, and W is zero off its blocks
+    assert np.all(nt.G[block, :d, d:] == 0.0)
+    np.testing.assert_array_equal(nt.G[block, d:, d:], np.eye(4 - d))
+    W = nt.W[a - cone.l : b - cone.l]
+    assert np.all(np.delete(W, np.s_[a - cone.l : b - cone.l], axis=1) == 0.0)
+    W = W[:, a - cone.l : b - cone.l]
+    raw = rng.normal(size=(d, d))
     S = raw + raw.T
     np.testing.assert_allclose(W, W.T, atol=1e-14)
-    np.testing.assert_allclose(W @ (W @ svec(S)), svec(T @ S @ T), atol=1e-11)
+    np.testing.assert_allclose(W @ (W.T @ svec(S)), svec(T @ S @ T), atol=1e-11)
+
+
+def eigenvalue_program(dims, scales, order):
+    """min sum_j <C_j, X_j> s.t. tr X_j = 1 per block and one inactive row
+    coupling all blocks: the optimum is sum_j lambda_min(C_j), with row
+    duals lambda_min(C_j) and 0.  C_j has entries of size scales[j]; the
+    blocks are declared in the given order."""
+    rng = np.random.default_rng(0)
+    Cs = [scale * (raw + raw.T) for raw, scale in
+          zip((rng.normal(size=(d, d)) for d in dims), scales)]
+    p = ConicProgram()
+    for j in order:
+        p.add_psd("X%d" % j, dims[j])
+    for j, d in enumerate(dims):
+        p.add_row({}, "==", 1.0, mats={"X%d" % j: np.eye(d)})
+    p.add_row({}, "<=", 10.0, mats={"X%d" % j: (1.0 + j) * np.eye(d) for j, d in enumerate(dims)})
+    p.set_objective("min", mats={"X%d" % j: C for j, C in enumerate(Cs)})
+    return p, np.array([np.linalg.eigvalsh(C)[0] for C in Cs] + [0.0])
+
+
+def test_block_order_does_not_change_the_solution():
+    # orders 1, 2 and 4 pad the first two blocks; entries of 1e-4 to 1e2
+    dims, scales = (1, 2, 4), (1e-4, 1.0, 1e2)
+    first, duals = eigenvalue_program(dims, scales, (0, 1, 2))
+    second, _ = eigenvalue_program(dims, scales, (2, 0, 1))
+    a, b = solve_sdp(first), solve_sdp(second)
+    assert a.status == b.status == "optimal"
+    assert a.objective == pytest.approx(b.objective, rel=1e-7)
+    np.testing.assert_allclose(a.row_duals, b.row_duals, rtol=0.0, atol=1e-7)
+    assert a.objective == pytest.approx(float(np.sum(duals)), rel=1e-7)
+    np.testing.assert_allclose(a.row_duals, duals, rtol=0.0, atol=1e-6)
+    for name in first.psd_vars:
+        np.testing.assert_allclose(a.primal[name], b.primal[name], rtol=0.0, atol=1e-6)
+
+
+def test_iterations_make_the_same_eigen_calls_for_any_number_of_blocks(monkeypatch):
+    # the PSD blocks share one stack, so a scaled iteration makes a fixed
+    # number of eigh and eigvalsh calls, however many blocks the cone has
+    calls = {"eigh": 0, "eigvalsh": 0, "scaled": 0}
+
+    def counting(name, fn):
+        return lambda *args, **kw: calls.__setitem__(name, calls[name] + 1) or fn(*args, **kw)
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(sdp, "_nt_scaling", counting("scaled", sdp._nt_scaling))
+    per_iteration = []
+    for dims in ((2, 3), (1, 2, 3, 4)):
+        program, _ = eigenvalue_program(dims, (1.0,) * len(dims), range(len(dims)))
+        for key in calls:
+            calls[key] = 0
+        assert solve_sdp(program).status == "optimal"
+        assert calls["scaled"] > 0
+        scaled = calls["scaled"]
+        per_iteration.append((calls["eigh"] / scaled, calls["eigvalsh"] / scaled))
+    assert per_iteration[0] == per_iteration[1]
