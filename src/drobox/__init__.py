@@ -60,9 +60,7 @@ from drobox.model import (
 )
 from drobox.sdp import (
     ConicProgram,
-    KktResiduals,
     SdpSolution,
-    kkt_residuals,
     smat,
     solve_sdp,
     svec,

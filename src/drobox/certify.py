@@ -17,13 +17,15 @@ reduced cost under its multipliers), maps a master's multipliers to duals and
 names the atoms whose point mass is feasible.  Its coefficient arrays (rows,
 moments) are also the sampled rows of the assembled programs.  The program has
 one column per lattice atom, so it is solved by column generation
-(column_generation, which the fixed-box solve of `drobox solve` shares).  A
-command solves each measure master once: its memo, shared by the search and
-the oracle, holds them.
+(column_generation, which the fixed-box solve of `drobox solve` shares).  The
+certificate's first master adds to the coarsest seed the atoms where the
+answer's own duals price lowest.  A command solves each measure master once:
+its memo, shared by the search and the oracle, holds them.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass
@@ -194,7 +196,8 @@ def _seeds(lattice: Lattice, spec: AmbiguitySpec):
 
 
 def column_generation(lattice: Lattice, spec: AmbiguitySpec, solve, price, *,
-                      stop_below: float = -math.inf, final: tuple = ()) -> tuple:
+                      stop_below: float = -math.inf, final: tuple = (),
+                      first: Optional[np.ndarray] = None) -> tuple:
     """Solve a program with one column (or row) per lattice atom, a few atoms at a time.
 
     solve(active) solves the master, the program restricted to the atoms
@@ -206,15 +209,19 @@ def column_generation(lattice: Lattice, spec: AmbiguitySpec, solve, price, *,
     feasible for the whole lattice, so its optimum is the lattice optimum.
     With stop_below they also stop once a master's value falls below it.
 
-    The rounds start from the coarsest of _seeds.  A master whose status
-    is in final ends them as it is; any other non-optimal one restarts them
-    from the next finer seed, and one on the whole lattice ends them.
-    Returns (active, sol) of the last master.  Rounds go to the
-    drobox.certify logger at DEBUG level as key=value lines: round=,
-    atoms=, value=, min_reduced_cost=, status=.
+    The rounds start from first, if given, and else from the coarsest of
+    _seeds.  A master whose status is in final ends them as it is; any
+    other non-optimal one restarts them from the next start (the coarsest
+    seed after first, then the next finer seed), and one on the whole
+    lattice ends them.  Returns (active, sol) of the last master.  Rounds
+    go to the drobox.certify logger at DEBUG level as key=value lines:
+    round=, atoms=, value=, min_reduced_cost=, status=.
     """
     rounds = 0
-    for active in _seeds(lattice, spec):
+    starts = _seeds(lattice, spec)
+    if first is not None:
+        starts = itertools.chain([first], starts)
+    for active in starts:
         while True:
             rounds += 1
             sol = solve(active)
@@ -239,9 +246,29 @@ def column_generation(lattice: Lattice, spec: AmbiguitySpec, solve, price, *,
     return active, sol
 
 
+def _hinted_start(lattice: Lattice, spec: AmbiguitySpec, price: Pricer,
+                  duals: DualSolution) -> Optional[np.ndarray]:
+    """The coarsest seed plus the atoms where the duals' lattice row is lowest.
+
+    By complementary slackness the worst-case measure sits where the lattice
+    row of the answer's duals is lowest.  The atoms whose row lies below the
+    seed's lowest by more than _PRICE_TOL, at most _MIN_ENTERING of them,
+    join the seed; None when there are none, so the rounds start from the
+    seed alone.
+    """
+    seed = next(_seeds(lattice, spec))
+    rows = price(duals.Y1, duals.Y2, duals.y)
+    entering = np.flatnonzero(rows < rows[seed].min() - _PRICE_TOL)
+    if entering.size == 0:
+        return None
+    if entering.size > _MIN_ENTERING:
+        entering = entering[np.argpartition(rows[entering], _MIN_ENTERING)[:_MIN_ENTERING]]
+    return np.union1d(seed, entering)
+
+
 def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
                       *, stop_below: float = -math.inf, margin: Optional[float] = None,
-                      memo: Optional[dict] = None):
+                      duals: Optional[DualSolution] = None, memo: Optional[dict] = None):
     """Solve the discrete-measure adversary and keep the measure.
 
     Returns (status, value, weights, duals): the minimizing probability
@@ -255,11 +282,16 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
 
     The program is solved by column_generation with no final status, so
     only an infeasible or stalled master on the whole lattice is reported
-    as it ended, with no weights.  A master whose value falls below
-    stop_below ends the rounds: its measure is feasible on the lattice, so
-    its value is an upper bound on the optimum, which suffices to rule a
-    candidate out.  memo maps a master's deflated atom and value bytes to its
-    _Master: the solver is deterministic, so a master met again is not solved.
+    as it ended, with no weights.  Given the duals of an answer for this
+    decision, the first master is the coarsest seed plus the atoms where
+    their lattice row is lowest (_hinted_start); if its rounds meet a
+    non-optimal master they restart from the plain seed.  The start depends
+    only on the decision, the duals and the lattice.  A master whose value
+    falls below stop_below ends the rounds: its measure is feasible on the
+    lattice, so its value is an upper bound on the optimum, which suffices
+    to rule a candidate out.  memo maps a master's deflated atom and value
+    bytes to its _Master: the solver is deterministic, so a master met again
+    is not solved.
     """
     from zlib import compress  # loaded with numpy already
     pts = fine_lattice.points
@@ -275,25 +307,27 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
                 [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size) if sol.primal]))
         return memo[key]
 
+    first = None if duals is None else _hinted_start(fine_lattice, spec, price, duals)
     active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
-                                    stop_below=stop_below)
+                                    stop_below=stop_below, first=first)
     if sol.status != "optimal":
         return sol.status, float("nan"), None, None
     weights = np.zeros(pts.shape[0])
     weights[active] = sol.weights
-    duals = None if margin is None else price.lattice_duals(sol, margin)
-    return sol.status, float(sol.objective), weights, duals
+    mapped = None if margin is None else price.lattice_duals(sol, margin)
+    return sol.status, float(sol.objective), weights, mapped
 
 
-def adversary_oracle(decision: Decision, spec: AmbiguitySpec,
-                     fine_lattice: Lattice, *, memo: Optional[dict] = None) -> float:
+def adversary_oracle(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice, *,
+                     duals: Optional[DualSolution] = None, memo: Optional[dict] = None) -> float:
     """Minimum expectation of the decision over fine-lattice measures.
 
     Returns nan when the discrete subfamily is empty (oracle infeasible);
     the caller should treat that as inconclusive.  A finite value below b
-    falsifies the decision outright.  memo is adversary_problem's.
+    falsifies the decision outright.  duals, an answer's duals for this
+    decision, and memo are adversary_problem's.
     """
-    return adversary_problem(decision, spec, fine_lattice, memo=memo)[1]
+    return adversary_problem(decision, spec, fine_lattice, duals=duals, memo=memo)[1]
 
 
 def weak_duality_gap(dual_solution: DualSolution, oracle_value: float) -> float:
@@ -366,7 +400,10 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     and yields inconclusive, as does an infeasible oracle.  "certified"
     also needs the duals to be a proof: dual_objective() >= b - 1e-6, Y1
     and Y2 PSD and y >= 0 past the normalization pair, whose two rows
-    only enter as a difference, both to -1e-9.  memo is adversary_problem's.
+    only enter as a difference, both to -1e-9.  The oracle's first master
+    holds the fine-lattice atoms where the lattice row of dual_solution is
+    lowest (adversary_problem), so re-certifying a stored answer repeats the
+    certificate its solve wrote.  memo is adversary_problem's.
     """
     if fine_lattice is None:
         fine_lattice = lattice_points(spec.edge, spec.m, delta / 2.0)
@@ -376,7 +413,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     gap = float("nan")
     value = float("nan")
     if fine_lattice.delta <= delta / 2.0 + 1e-12:
-        value = adversary_oracle(decision, spec, fine_lattice, memo=memo)
+        value = adversary_oracle(decision, spec, fine_lattice, duals=dual_solution, memo=memo)
         if not math.isnan(value):
             gap = weak_duality_gap(dual_solution, value)
     if math.isnan(value):

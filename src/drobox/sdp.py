@@ -45,7 +45,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -540,20 +540,6 @@ def _step_lengths(cone: _Cone, nt: _Scaling, x: np.ndarray, s: np.ndarray,
 
 
 @dataclass
-class KktResiduals:
-    primal_infeasibility: float
-    dual_infeasibility: float
-    relative_gap: float
-    psd_min_eig: dict
-
-    @property
-    def max_violation(self) -> float:
-        worst_eig = min(self.psd_min_eig.values()) if self.psd_min_eig else 0.0
-        return max(self.primal_infeasibility, self.dual_infeasibility,
-                   self.relative_gap, max(0.0, -worst_eig))
-
-
-@dataclass
 class SdpSolution:
     status: str  # optimal | infeasible | unbounded | numerical-failure
     objective: float
@@ -566,7 +552,6 @@ class SdpSolution:
     # best iterate or a looser infeasibility ray, gave the status) |
     # stall-failed | tau-collapse | non-finite | tiny-step | iteration-cap
     exit_reason: str = "converged"
-    _internal: Optional[dict] = field(default=None, repr=False)
 
     def value(self, name: str):
         return self.primal[name]
@@ -844,7 +829,6 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         "exit_reason": exit_reason,
         "x": x,
         "y": y,
-        "s": s,
         "tau": tau,
         "kappa": kappa,
         "iterations": it,
@@ -885,15 +869,6 @@ def solve_sdp(program: ConicProgram, tol: float = DEFAULT_TOL) -> SdpSolution:
             lmi_duals=lmi_duals,
             iterations=raw["iterations"],
             exit_reason=raw["exit_reason"],
-            _internal={
-                "x": xs,
-                "y": ys,
-                "s": raw["s"] / tau,
-                "A": comp.A,
-                "b": comp.b,
-                "c": comp.c,
-                "obj_sign": comp.obj_sign,
-            },
         )
 
     worst = {"infeasible": math.inf, "unbounded": -math.inf}.get(status, math.nan)
@@ -924,43 +899,3 @@ def _extract_primal(comp: _Compiled, xs: np.ndarray) -> dict:
     for name, (base, d) in comp.psd_offsets.items():
         primal[name] = smat(xs[base : base + svec_len(d)], d)
     return primal
-
-
-def kkt_residuals(program: ConicProgram, solution: SdpSolution) -> KktResiduals:
-    """Recompute KKT residuals of a solution against its program.
-
-    Primal infeasibility is the worst scalar-row violation and LMI/PSD
-    eigenvalue deficit; dual infeasibility and the complementarity gap are
-    measured on the compiled standard form stored with the solution.
-    """
-    if solution.status != "optimal" or solution._internal is None:
-        raise ValueError("KKT residuals are defined for optimal solutions only")
-    primal = solution.primal
-    worst_p = 0.0
-    for row in program.rows:
-        lhs = sum(coef * primal[v] for v, coef in row.lin.items())
-        lhs += sum(float(np.sum(mat * primal[v])) for v, mat in row.mats.items())
-        if row.sense == ">=":
-            worst_p = max(worst_p, (row.rhs - lhs) / max(1.0, abs(row.rhs)))
-        elif row.sense == "<=":
-            worst_p = max(worst_p, (lhs - row.rhs) / max(1.0, abs(row.rhs)))
-        else:
-            worst_p = max(worst_p, abs(lhs - row.rhs) / max(1.0, abs(row.rhs)))
-    eigs = {}
-    for name in program.psd_vars:
-        eigs[name] = float(np.min(np.linalg.eigvalsh(primal[name])))
-    for i, lmi in enumerate(program.lmis):
-        mat = lmi.const.copy()
-        for v, f in lmi.coeffs.items():
-            mat = mat + primal[v] * f
-        eigs["lmi[%d]%s" % (i, ":" + lmi.name if lmi.name else "")] = float(
-            np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0))
-        )
-    intr = solution._internal
-    xs, ys, ss = intr["x"], intr["y"], intr["s"]
-    A, bb, cc = intr["A"], intr["b"], intr["c"]
-    dres = float(np.max(np.abs(A.T @ ys + ss - cc))) / (1.0 + float(np.max(np.abs(cc))))
-    pobj = float(cc @ xs)
-    dobj = float(bb @ ys)
-    gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
-    return KktResiduals(worst_p, dres, gap, eigs)

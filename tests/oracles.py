@@ -2,10 +2,16 @@
 
 Everything here is deliberately implemented from first principles (dense
 linear algebra, brute force) rather than through the package's own code
-paths, so test expectations do not inherit implementation bugs.
+paths, so test expectations do not inherit implementation bugs.  The one
+exception is kkt_residuals, which reads the solver's standard form through
+drobox.sdp._compile to place the duals of a solution.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
+
+from drobox.sdp import _compile, smat, svec, svec_len
 
 
 def indicator_box(t, box) -> np.ndarray:
@@ -251,3 +257,68 @@ def seed_screen_values(atoms, heights, lo, hi):
                         if np.all(lo[i, s] <= a) and np.all(a <= hi[i, s]))
             out[s] = min(out[s], value)
     return out
+
+
+@dataclass
+class KktResiduals:
+    primal_infeasibility: float
+    dual_infeasibility: float
+    relative_gap: float
+    psd_min_eig: dict
+
+    @property
+    def max_violation(self) -> float:
+        worst_eig = min(self.psd_min_eig.values()) if self.psd_min_eig else 0.0
+        return max(self.primal_infeasibility, self.dual_infeasibility,
+                   self.relative_gap, max(0.0, -worst_eig))
+
+
+def kkt_residuals(program, solution) -> KktResiduals:
+    """Recompute the KKT residuals of a solution against its program.
+
+    Primal infeasibility is the worst scalar-row violation and LMI/PSD
+    eigenvalue deficit, read from the primal values.  The duals y are the
+    solution's row and LMI duals in the compiled standard form
+    min c.x, A x = b, x in K; dual infeasibility is how far c - A^T y lies
+    outside K (least nonnegative entry, least eigenvalue of each PSD
+    block), relative to 1 + max |c|, and the gap compares c.x, read from
+    the objective, with b.y.
+    """
+    if solution.status != "optimal":
+        raise ValueError("KKT residuals are defined for optimal solutions only")
+    primal = solution.primal
+    worst_p = 0.0
+    for row in program.rows:
+        lhs = sum(coef * primal[v] for v, coef in row.lin.items())
+        lhs += sum(float(np.sum(mat * primal[v])) for v, mat in row.mats.items())
+        if row.sense == ">=":
+            worst_p = max(worst_p, (row.rhs - lhs) / max(1.0, abs(row.rhs)))
+        elif row.sense == "<=":
+            worst_p = max(worst_p, (lhs - row.rhs) / max(1.0, abs(row.rhs)))
+        else:
+            worst_p = max(worst_p, abs(lhs - row.rhs) / max(1.0, abs(row.rhs)))
+    eigs = {}
+    for name in program.psd_vars:
+        eigs[name] = float(np.min(np.linalg.eigvalsh(primal[name])))
+    for i, lmi in enumerate(program.lmis):
+        mat = lmi.const.copy()
+        for v, f in lmi.coeffs.items():
+            mat = mat + primal[v] * f
+        eigs["lmi[%d]%s" % (i, ":" + lmi.name if lmi.name else "")] = float(
+            np.min(np.linalg.eigvalsh((mat + mat.T) / 2.0))
+        )
+    comp = _compile(program)
+    y = comp.obj_sign * np.concatenate(
+        [solution.row_duals] + [svec(Y) for Y in solution.lmi_duals])
+    s = comp.c - comp.A.T @ y
+    deficit = -float(np.min(s[: comp.n_nonneg], initial=0.0))
+    start = comp.n_nonneg
+    for d in comp.psd_dims:
+        block = smat(s[start : start + svec_len(d)], d)
+        deficit = max(deficit, -float(np.linalg.eigvalsh(block).min()))
+        start += svec_len(d)
+    dres = deficit / (1.0 + float(np.max(np.abs(comp.c), initial=0.0)))
+    pobj = comp.obj_sign * (solution.objective - comp.obj_offset)
+    dobj = float(comp.b @ y)
+    gap = abs(pobj - dobj) / (1.0 + max(abs(pobj), abs(dobj)))
+    return KktResiduals(worst_p, dres, gap, eigs)

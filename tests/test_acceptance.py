@@ -39,7 +39,7 @@ from drobox.model import (
     VariableBoxes,
     lattice_points,
 )
-from drobox.sdp import ConicProgram, kkt_residuals, solve_sdp
+from drobox.sdp import ConicProgram, solve_sdp
 from drobox.search import SearchInstance, SearchOptions, enumerate_boxes, solve_bnb
 
 from encoding_tools import (
@@ -51,7 +51,7 @@ from encoding_tools import (
     evaluate_rows,
     fallback_values,
 )
-from oracles import lipschitz_excess, random_spd, schur_equivalence_violations
+from oracles import kkt_residuals, lipschitz_excess, random_spd, schur_equivalence_violations
 
 REFERENCE_DELTAS = (0.1, 1.0 / 12.0, 1.0 / 15.0, 0.05)
 REFERENCE_OBJECTIVES = (2.0, 2.0, 1.8, 1.7)

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import re
@@ -8,6 +9,7 @@ import pytest
 
 from drobox.certify import (
     Pricer,
+    _seeds,
     adversary_oracle,
     adversary_problem,
     certify_solution,
@@ -181,6 +183,90 @@ def test_column_generation_matches_the_whole_lattice(ref_spec, line_spec, which,
         assert atoms[1] == 9  # the seed grew to 9 points
 
 
+def _random_psd_duals(spec, seed):
+    rng = np.random.default_rng(seed)
+    Z1, Z2 = rng.normal(size=(spec.m + 1, spec.m + 1)), rng.normal(size=(spec.m, spec.m))
+    y = np.abs(rng.normal(size=len(spec.confidence_sets)))
+    return DualSolution(Z1 @ Z1.T, Z2 @ Z2.T, y, spec)
+
+
+def _round_lines(caplog, run):
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="drobox.certify"):
+        out = run()
+    return out, [r.getMessage() for r in caplog.records if r.name == "drobox.certify"]
+
+
+@pytest.mark.parametrize("which", ["reference", "line", "confidence-off-seed",
+                                   "tight-moments"])
+def test_hinted_start_matches_the_whole_lattice(ref_spec, line_spec, which, caplog):
+    # the duals only choose the first master, so with the duals of its own
+    # margin solve, or with any PSD duals, the answer is the lattice optimum
+    decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
+    direct = solve_sdp(Pricer(spec, fine.points, decision.evaluate(fine.points)).master(
+        np.arange(fine.n_points)))
+    own = adversary_problem(decision, spec, fine, margin=0.1)[3]
+    seed, entered = next(_seeds(fine, spec)), []
+    for duals in (own, _random_psd_duals(spec, 5), _random_psd_duals(spec, 6)):
+        (status, value, weights, _), lines = _round_lines(
+            caplog, lambda: adversary_problem(decision, spec, fine, duals=duals))
+        assert status == "optimal"
+        assert value == pytest.approx(direct.objective, abs=1e-7)
+        assert_feasible_measure(weights, spec, fine, decision, value)
+        # the first master: the seed plus the atoms whose row lies below the
+        # seed's lowest, at most 10 of them
+        rows = dual_integrand(fine.points, decision.heights, decision.boxes,
+                              duals.Y1, duals.Y2, duals.y, spec)
+        below = int(np.sum(rows < rows[seed].min() - 1e-9))
+        assert lines[0].startswith("round=1 atoms=%d " % (seed.size + min(below, 10)))
+        entered.append(below)
+    assert which == "line" or max(entered) > 0
+
+
+@pytest.mark.parametrize("which", ["reference", "line", "confidence-off-seed",
+                                   "tight-moments"])
+def test_duals_that_price_no_atom_below_the_seed_leave_the_plain_seed(ref_spec, line_spec,
+                                                                     which, caplog):
+    # zero duals price each atom at the decision's value, 0 on the seed's
+    # atoms outside the box; with zero heights they price every atom alike.
+    # Either way no atom enters, so the rounds are those without duals.
+    decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
+    for heights in (decision.heights, np.zeros(len(decision.heights))):
+        dec = Decision(heights, decision.boxes)
+        plain, want = _round_lines(caplog, lambda: adversary_problem(dec, spec, fine))
+        hinted, lines = _round_lines(
+            caplog, lambda: adversary_problem(dec, spec, fine, duals=zero_dual(spec)))
+        assert lines == want
+        assert lines[0].startswith("round=1 atoms=%d " % next(_seeds(fine, spec)).size)
+        assert hinted[:2] == plain[:2] and np.array_equal(hinted[2], plain[2])
+
+
+def test_hinted_master_that_fails_falls_back_to_the_plain_seed(ref_spec, monkeypatch, caplog):
+    # a failed first master restarts the rounds from the seed, and from
+    # there they are the rounds without duals
+    import drobox.certify as certify
+
+    decision, spec, fine = _column_generation_case("reference", ref_spec, None)
+    plain, want = _round_lines(caplog, lambda: adversary_problem(decision, spec, fine))
+    solve, calls = certify.solve_sdp, []
+
+    def fail_first(program):
+        calls.append(len(program.scalar_vars))
+        sol = solve(program)
+        return dataclasses.replace(sol, status="numerical-failure") if len(calls) == 1 else sol
+
+    monkeypatch.setattr(certify, "solve_sdp", fail_first)
+    duals = _random_psd_duals(spec, 5)
+    hinted, lines = _round_lines(caplog, lambda: adversary_problem(decision, spec, fine,
+                                                                   duals=duals))
+    assert calls[0] > calls[1] == next(_seeds(fine, spec)).size
+    assert lines[0] == ("round=1 atoms=%d value=nan min_reduced_cost=nan "
+                        "status=numerical-failure" % calls[0])
+    assert [line.split(" ", 1)[1] for line in lines[1:]] == [
+        line.split(" ", 1)[1] for line in want]
+    assert hinted[:2] == plain[:2] and np.array_equal(hinted[2], plain[2])
+
+
 def test_point_masses_are_the_atoms_whose_point_mass_is_in_the_ambiguity_set():
     # the definition, atom by atom: both moment constraints as eigenvalue
     # tests, and every confidence row sgn(eps) P(C) >= eps with P(C) = 1[t in C]
@@ -263,16 +349,21 @@ def test_column_generation_stops_below_the_threshold(ref_spec):
     assert_feasible_measure(weights, spec, fine, decision, value)
 
 
-@pytest.mark.parametrize("statuses, final, sizes", [
-    (["numerical-failure", "optimal"], (), [25, 81]),
-    (["infeasible"] * 4, ("infeasible",), [25]),
-    (["infeasible"] * 4, (), [25, 81, 289, 441]),
-], ids=["stall-restarts", "final-ends", "non-final-restarts"])
+@pytest.mark.parametrize("statuses, final, first, sizes", [
+    (["numerical-failure", "optimal"], (), None, [25, 81]),
+    (["infeasible"] * 4, ("infeasible",), None, [25]),
+    (["infeasible"] * 4, (), None, [25, 81, 289, 441]),
+    (["numerical-failure", "optimal"], (), 30, [30, 25]),
+    (["infeasible"] * 5, ("infeasible",), 30, [30]),
+    (["infeasible"] * 5, (), 30, [30, 25, 81, 289, 441]),
+], ids=["stall-restarts", "final-ends", "non-final-restarts", "first-falls-back",
+        "first-final-ends", "first-non-final-restarts"])
 def test_column_generation_restarts_a_non_optimal_master_unless_final(ref_spec, statuses,
-                                                                     final, sizes):
+                                                                     final, first, sizes):
     # a stub master on the 21 x 21 lattice, whose seeds hold 5 x 5, 9 x 9
     # and 17 x 17 atoms (mu is the corner atom) and then all 441; an
-    # optimal master prices every atom at 0 and so ends the rounds
+    # optimal master prices every atom at 0 and so ends the rounds.  A
+    # non-optimal master on a given first set falls back to the 5 x 5 seed.
     lattice = lattice_points(1.0, 2, 0.05)
     seen, ends = [], iter(statuses)
 
@@ -281,7 +372,8 @@ def test_column_generation_restarts_a_non_optimal_master_unless_final(ref_spec, 
         return SimpleNamespace(status=next(ends), objective=1.0)
 
     active, sol = column_generation(lattice, ref_spec, solve,
-                                    lambda sol: np.zeros(lattice.n_points), final=final)
+                                    lambda sol: np.zeros(lattice.n_points), final=final,
+                                    first=None if first is None else np.arange(first) * 7)
     assert seen == sizes
     assert (active.size, sol.status) == (sizes[-1], statuses[len(sizes) - 1])
 

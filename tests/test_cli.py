@@ -482,16 +482,43 @@ def test_height_polytope_without_an_optimum_is_invalid(tmp_path, capsys, verb, p
 
 
 def test_certify_round_trip_matches_solve(solved_reference, tmp_path):
-    _, record, out = solved_reference
-    code = main(["certify", "--config", REFERENCE,
-                 "--solution", str(out / "result.json"),
-                 "--out-dir", str(tmp_path)])
+    # the oracle's first master depends only on the decision, the duals and
+    # the lattice, so certify repeats the certificate solve wrote, bit for bit
+    for delta in json.loads(Path(REFERENCE).read_text())["deltas"]:
+        out = tmp_path / repr(delta)
+        if delta == solved_reference[1]["delta"]:
+            _, record, solved = solved_reference
+        else:
+            solved = out / "solved"
+            main(["solve", "--config", REFERENCE, "--delta", repr(delta),
+                  "--out-dir", str(solved)])
+            record = json.loads((solved / "result.json").read_text())
+        code = main(["certify", "--config", REFERENCE,
+                     "--solution", str(solved / "result.json"), "--out-dir", str(out)])
+        assert code == 0
+        cert = json.loads((out / "certificate.json").read_text())
+        assert cert["verdict"] == record["certificate"]["verdict"] == "certified"
+        assert cert["worst_case_expectation"] == record["certificate"]["worst_case_expectation"]
+
+
+# worst cases of the stored delta = 0.05 records at three fine steps, as the
+# certificate found them from the plain seed
+_RECORD_WORST = {
+    "bin_creating": {0.025: 0.5638237715, 0.0125: 0.5561715570, 0.00625: 0.5522438756},
+    "fixed_two_boxes": {0.025: 0.5484380785, 0.0125: 0.5484380762, 0.00625: 0.5484380762},
+}
+
+
+@pytest.mark.parametrize("name, fine", [(name, fine) for name, worst in _RECORD_WORST.items()
+                                        for fine in worst])
+def test_stored_records_stay_certified_at_fine_steps(tmp_path, name, fine):
+    record = Path(__file__).parents[1] / "perfbench" / "records" / ("%s_d0.05.json" % name)
+    code = main(["certify", "--config", str(CONFIG_DIR / ("%s.json" % name)),
+                 "--solution", str(record), "--delta", repr(fine), "--out-dir", str(tmp_path)])
     assert code == 0
     cert = json.loads((tmp_path / "certificate.json").read_text())
-    assert cert["verdict"] == record["certificate"]["verdict"] == "certified"
-    assert cert["worst_case_expectation"] == pytest.approx(
-        record["certificate"]["worst_case_expectation"], abs=1e-9
-    )
+    assert cert["verdict"] == "certified"
+    assert cert["worst_case_expectation"] == pytest.approx(_RECORD_WORST[name][fine], abs=1e-7)
 
 
 def test_certify_coarse_fine_step_is_inconclusive(solved_reference, tmp_path, capsys):

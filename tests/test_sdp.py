@@ -23,13 +23,12 @@ from drobox.sdp import (
     _extract_primal,
     _nt_scaling,
     _step_lengths,
-    kkt_residuals,
     smat,
     solve_sdp,
     svec,
     svec_len,
 )
-from oracles import diagonal_sdp_batch, dual_pair_sdp_batch, eigmin_sdp_batch
+from oracles import diagonal_sdp_batch, dual_pair_sdp_batch, eigmin_sdp_batch, kkt_residuals
 
 
 def lmi_correlation_program():
