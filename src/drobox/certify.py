@@ -19,8 +19,9 @@ moments) are also the sampled rows of the assembled programs.  The program has
 one column per lattice atom, so it is solved by column generation
 (column_generation, which the fixed-box solve of `drobox solve` shares).  The
 certificate's first master adds to the coarsest seed the atoms where the
-answer's own duals price lowest.  A command solves each measure master once:
-its memo, shared by the search and the oracle, holds them.
+answer's own duals price lowest.  A decision constant on the lattice takes no
+master: its worst case is the constant.  A command solves each measure master
+once: its memo, shared by the search and the oracle, holds them.
 """
 
 from __future__ import annotations
@@ -166,6 +167,27 @@ class Pricer:
         y[:2] = max(-shift, 0.0), max(shift, 0.0)
         return DualSolution(Y1, Y2, y, self.spec)
 
+    def constant_master(self) -> Optional[tuple]:
+        """(active, master) of the optimum when vals is one constant c, without a solve.
+
+        Every measure of the ambiguity set has expectation c, so the point mass
+        on the first atom point_masses names is optimal, and so are the
+        multipliers c on the mass row and 0 on every other row and LMI: each
+        atom's reduced cost is 0.  None when vals varies or no point mass is
+        feasible.  vals must be an array, as for master.
+        """
+        vals = self.vals
+        if np.any(vals != vals[0]):
+            return None
+        atoms = np.flatnonzero(self.point_masses())
+        if atoms.size == 0:
+            return None
+        m = self.spec.m
+        duals = np.zeros(1 + len(self.confidence))
+        duals[0] = vals[0]
+        return atoms[:1], _Master("optimal", float(vals[0]), duals,
+                                  [np.zeros((m + 1, m + 1)), np.zeros((m, m))], np.ones(1))
+
     def point_masses(self) -> np.ndarray:
         """Whether the point mass at each atom is a measure of the ambiguity set:
         (t - mu)^T Sigma^-1 (t - mu) <= min(eps_mu, eps_sigma), and every
@@ -280,18 +302,21 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.
 
-    The program is solved by column_generation with no final status, so
-    only an infeasible or stalled master on the whole lattice is reported
-    as it ended, with no weights.  Given the duals of an answer for this
-    decision, the first master is the coarsest seed plus the atoms where
-    their lattice row is lowest (_hinted_start); if its rounds meet a
-    non-optimal master they restart from the plain seed.  The start depends
-    only on the decision, the duals and the lattice.  A master whose value
-    falls below stop_below ends the rounds: its measure is feasible on the
-    lattice, so its value is an upper bound on the optimum, which suffices
-    to rule a candidate out.  memo maps a master's deflated atom and value
-    bytes to its _Master: the solver is deterministic, so a master met again
-    is not solved.
+    A decision that takes one value on every atom (the whole-domain boxes,
+    say) needs no master when some point mass is feasible: its worst case
+    is that constant, the measure that point mass (Pricer.constant_master).
+    Any other program is solved by column_generation with no final status,
+    so only an infeasible or stalled master on the whole lattice is
+    reported as it ended, with no weights.  Given the duals of an answer
+    for this decision, the first master is the coarsest seed plus the
+    atoms where their lattice row is lowest (_hinted_start); if its rounds
+    meet a non-optimal master they restart from the plain seed.  The start
+    depends only on the decision, the duals and the lattice.  A master
+    whose value falls below stop_below ends the rounds: its measure is
+    feasible on the lattice, so its value is an upper bound on the optimum,
+    which suffices to rule a candidate out.  memo maps a master's deflated
+    atom and value bytes to its _Master: the solver is deterministic, so a
+    master met again is not solved.
     """
     from zlib import compress  # loaded with numpy already
     pts = fine_lattice.points
@@ -307,9 +332,13 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
                 [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size) if sol.primal]))
         return memo[key]
 
-    first = None if duals is None else _hinted_start(fine_lattice, spec, price, duals)
-    active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
-                                    stop_below=stop_below, first=first)
+    constant = price.constant_master()
+    if constant is not None:
+        active, sol = constant
+    else:
+        first = None if duals is None else _hinted_start(fine_lattice, spec, price, duals)
+        active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
+                                        stop_below=stop_below, first=first)
     if sol.status != "optimal":
         return sol.status, float("nan"), None, None
     weights = np.zeros(pts.shape[0])

@@ -17,19 +17,22 @@ prove it feasible.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
-differ only in how a node expands.  enumerate_boxes, an exact oracle for
+differ only in how a batch of nodes, those tied at the best bound up to
+the first leaf, expands.  enumerate_boxes, an exact oracle for
 tiny instances, sorts every candidate set of lattice-aligned boxes
 (lattice index pairs) by bound, equal bounds in lexicographic order of
 their stream positions read from the last height, and screens the list
 against the pool in blocks: only a candidate the pool keeps is popped,
 and its one child is the next kept candidate.  The pool only grows, so
-a candidate it rules out never pops and never bounds the proof.
-solve_bnb is efficient subwindow search: a node holds, per height,
-either the empty box or an interval of lattice indices for each corner
-coordinate, and expands by halving its widest interval.  Heights are
-positive, so the node's outer box has its largest expectation under
-every measure, and one pool screen of it drops the whole node.
-run_search dispatches on SearchOptions.mode.
+a candidate it rules out never pops and never bounds the proof; each of
+its batches is one candidate.  solve_bnb is efficient subwindow search: a
+node holds, per height, either the empty box or an interval of lattice
+indices for each corner coordinate, and expands by halving its widest
+interval.  Heights are positive, so the node's outer box has its largest
+expectation under every measure, and one pool screen of it drops the
+whole node.  A batch is one integer array: one screen, one halving and
+one bound pass serve all its nodes, and the open nodes wait in the heap
+as arrays of equal bound.  run_search dispatches on SearchOptions.mode.
 
 Progress goes to the drobox.search logger as machine-parseable key=value
 lines: node=, bound=, incumbent=, gap= (all in minimization scale).
@@ -156,10 +159,11 @@ _SCREEN_BUDGET = 1 << 18  # array elements per screen: 2 MB of corner masses
 _GRID_SETUP = 1 << 12  # a count-grid seed screen's fixed cost per box, in atom comparisons
 
 
-def _quantum_ceil(value: float, quantum) -> float:
-    if quantum is None or not math.isfinite(value):
+def _quantum_ceil(value: np.ndarray, quantum) -> np.ndarray:
+    """value rounded up, elementwise, to a multiple of quantum (None: unchanged)."""
+    if quantum is None:
         return value
-    return math.ceil(value / quantum - 1e-9) * quantum
+    return np.ceil(value / quantum - 1e-9) * quantum
 
 
 def _padded_prefix(values: np.ndarray, shape: tuple) -> np.ndarray:
@@ -233,7 +237,8 @@ class _MeasurePool:
     def _atom_seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The seed's least value for each set, atom by atom."""
         inside = np.all((lo[:, :, None] <= self.atoms) & (self.atoms <= hi[:, :, None]), axis=-1)
-        return np.tensordot(self.heights, inside, axes=1).min(axis=1, initial=np.inf)
+        return (self.heights @ inside.reshape(len(self.heights), -1)).reshape(
+            inside.shape[1:]).min(axis=1, initial=np.inf)
 
     def _grid_seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The seed's least value for each set, from the count grid."""
@@ -275,12 +280,13 @@ class _MeasurePool:
         return lowest < self.threshold
 
 
-def _box_bounds(inst: SearchInstance, i: int, a, b, c, d):
+def _box_bounds(inst: SearchInstance, i, a, b, c, d):
     """Scaled objective bound of height i's box over lo in [a, b], hi in [c, d].
 
-    a, b, c and d are corner coordinates, arrays of shape (..., m).  Each
-    corner term takes the better end of its interval, and a width is at
-    least 0.  With a = b and c = d this is the box's exact objective.
+    a, b, c and d are corner coordinates, arrays of shape (..., m), or
+    (..., k, m) when i is slice(None), for every height's box at once.
+    Each corner term takes the better end of its interval, and a width is
+    at least 0.  With a = b and c = d this is the box's exact objective.
     """
     cm, cp = inst.corner_costs
     term = np.minimum(cm[i] * a, cm[i] * b) + np.minimum(cp[i] * c, cp[i] * d)
@@ -358,22 +364,29 @@ def _best_first(inst: SearchInstance, pool: _MeasurePool, roots: list, expand,
                 opts: SearchOptions, t0: float, seed: Optional[tuple] = None) -> Incumbent:
     """The best-first loop both search drivers run.
 
-    roots and the children expand(node) returns are (bound, node) pairs,
-    bounds in minimization scale; expand returns (children, boxes), boxes
-    being the set of boxes a leaf holds (None for an inner node, or one
-    the pool rules out).  Nodes pop best bound first, ties in push order.
-    A node whose bound cannot beat the incumbent by a full objective
-    quantum is dropped, as is one within gap_tol of it (the proof then
-    stops at "gap-limit"), so popping one ends the run.  Each leaf counts
-    as a node and is decided by _solve_candidate; one whose solve ends
-    neither optimal nor infeasible keeps its bound, and leaves the proof
-    at "gap-limit" when that bound is below the incumbent.  seed is a
-    starting incumbent (objective, boxes, duals).  The time limit is
-    checked on every pop that survives the prune test, inner nodes
-    included; the node limit only when a leaf is about to be counted, so
-    a run whose next pop ends the proof needs no node budget for it.
-    Limits never raise: the incumbent is returned with proof
-    "resource-limit".
+    roots and the children expand(batch) returns are (bound, group, leaf)
+    triples, bounds in minimization scale: group holds nodes that share the
+    bound, in push order, and leaf says that its last node may hold a set
+    of boxes to decide (no other node of it does).  Nodes pop best bound
+    first, ties in push order.  One pop takes, as a batch, the groups tied
+    at the best bound, up to and including the first that ends in a leaf
+    or brings the batch to one screen's block of nodes (pool.block()).
+    expand(batch), batch being a list of groups, returns (children, boxes):
+    children hold the children of the batch's nodes, each group in node
+    order, and boxes the set of boxes the batch's leaf holds (None without
+    a leaf, or with one the pool rules out).  Only a leaf's solve changes
+    the incumbent or the pool, so each node of a batch is expanded as if it
+    had popped alone.  A node whose bound cannot beat the incumbent by a
+    full objective quantum is dropped, as is one within gap_tol of it (the
+    proof then stops at "gap-limit"), so popping one ends the run.  Each
+    leaf counts as a node and is decided by _solve_candidate; one whose
+    solve ends neither optimal nor infeasible keeps its bound, and leaves
+    the proof at "gap-limit" when that bound is below the incumbent.  seed
+    is a starting incumbent (objective, boxes, duals).  The time limit is
+    checked before each batch that survives the prune test; the node limit
+    only when a leaf is about to be counted, so a run whose next pop ends
+    the proof needs no node budget for it.  Limits never raise: the
+    incumbent is returned with proof "resource-limit".
     """
     grid_slack = (inst.quantum - 1e-9) if inst.quantum else 1e-9
     slack = max(grid_slack, opts.gap_tol)
@@ -393,21 +406,26 @@ def _best_first(inst: SearchInstance, pool: _MeasurePool, roots: list, expand,
         return True
 
     def push(children):
-        for bound, node in children:
+        for bound, group, leaf in children:
             if not prunable(bound):
-                heapq.heappush(heap, (bound, next(counter), node))
+                heapq.heappush(heap, (bound, next(counter), leaf, group))
 
     push(roots)
     if best is not None:
         _log_progress(logging.INFO, 0, heap[0][0] if heap else best_scaled, best_scaled)
     while heap:
-        bound, _, node = heapq.heappop(heap)
+        bound, _, leaf, group = heapq.heappop(heap)
         if prunable(bound):
             break  # every open node is bounded below by this one
         if time.perf_counter() - t0 > opts.time_limit:
             hit_limit = True
             break
-        children, boxes = expand(node)
+        batch, size, cap = [group], len(group), pool.block()
+        while not leaf and size < cap and heap and heap[0][0] == bound:
+            _, _, leaf, group = heapq.heappop(heap)
+            batch.append(group)
+            size += len(group)
+        children, boxes = expand(batch)
         push(children)
         if boxes is None:
             continue
@@ -521,9 +539,10 @@ def enumerate_boxes(inst: SearchInstance,
             start = stop
 
     def child(n) -> list:
-        return [] if n is None else [(float(bound[n]), n)]
+        return [] if n is None else [(float(bound[n]), [n], True)]
 
-    def expand(n: int) -> tuple:
+    def expand(batch: list) -> tuple:
+        [[n]] = batch  # every candidate is a leaf, so a batch is one candidate
         # the pool may have grown since n was screened
         survivors = kept(n)
         first = next(survivors, None)
@@ -543,56 +562,84 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
     """Best-first branch and bound over sets of lattice-aligned boxes.
 
     A node gives each height either the empty box or, on each axis j,
-    lattice index intervals lo_j in [a_j, b_j] and hi_j in [c_j, d_j]; a
-    node with some a_j > d_j holds no box and is never made.  The roots
-    take every empty/nonempty choice with whole-axis intervals.  Heights
-    are positive, so the outer box (lo = a, hi = d) has the largest
-    expectation in the node under every measure, and a node the measure
-    pool rules out on it is dropped whole.  The node bound takes the best
-    end of each interval, rounded up to the objective quantum.  An inner
-    node halves its widest interval without a solve; a node with one box
-    per height is a leaf of _best_first, and node_count reports the leaves
-    that reach a solve.  The whole-domain boxes, decided by
-    _solve_candidate with the pool before the loop, seed the incumbent.
+    lattice index intervals lo_j in [a_j, b_j] and hi_j in [c_j, d_j]: a
+    (k, 4, m) integer array of rows a, b, c, d, the empty box being rows
+    0, 0, -1, -1.  A node with some a_j > d_j holds no box and is never
+    made.  The roots take every empty/nonempty choice with whole-axis
+    intervals.  Heights are positive, so the outer box (lo = a, hi = d) has
+    the largest expectation in the node under every measure, and a node
+    the measure pool rules out on it is dropped whole.  The node bound
+    takes the best end of each interval, summed over the heights in order
+    and rounded up to the objective quantum.  A node whose intervals all
+    have width 0 holds one box per height: it is a leaf of _best_first,
+    and node_count reports the leaves that reach a solve.  Nodes live in
+    _best_first's groups as (nodes, k, 4, m) int32 arrays, and a batch is
+    their concatenation: one ruled_out call screens every outer box, each
+    inner node halves its widest interval without a solve, and one
+    vectorized _box_bounds pass bounds every child.  The children go back
+    as groups of one bound each, in node order.  The whole-domain boxes,
+    decided by _solve_candidate with the pool before the loop, seed the
+    incumbent; their value is one constant, so with a feasible point mass
+    they take no measure master (certify.adversary_problem).
     """
     opts = opts or SearchOptions()
     t0 = time.perf_counter()
     lattice = inst.lattice
     k, m, top = inst.fn.k, lattice.dim, lattice.n_axis - 1
     pool = _MeasurePool(inst)
+    empty_bounds = np.array(inst.empty_bounds)
 
-    def bounded(parts: tuple) -> tuple:
-        """(bound, parts) of a node; parts[i] is None or rows a, b, c, d."""
-        return _quantum_ceil(sum(
-            inst.empty_bounds[i] if p is None else float(_box_bounds(inst, i, *lattice.axis[p]))
-            for i, p in enumerate(parts)), inst.quantum), parts
+    def bounded(nodes: np.ndarray) -> list:
+        """nodes as _best_first's (bound, group, leaf) triples.
 
-    def expand(parts: tuple) -> tuple:
-        lo = np.array([np.zeros(m, dtype=int) if p is None else p[0] for p in parts])
-        hi = np.array([np.full(m, -1) if p is None else p[3] for p in parts])
-        if pool.ruled_out(lo[:, None], hi[:, None])[0]:
-            return (), None
-        # widths of the lo (row 0) and hi (row 1) intervals of each box
-        widths = [np.zeros((2, m), dtype=int) if p is None else p[[1, 3]] - p[[0, 2]]
-                  for p in parts]
-        i, half, j = np.unravel_index(np.argmax(widths), (k, 2, m))
-        if widths[i][half, j] == 0:
-            return (), [None if p is None else lattice.box(p[0], p[3]) for p in parts]
-        row = 2 * half
-        mid = (parts[i][row, j] + parts[i][row + 1, j]) // 2
-        children = []
-        for end, value in ((row + 1, mid), (row, mid + 1)):
-            child = parts[i].copy()
-            child[end, j] = value
-            if np.all(child[0] <= child[3]):
-                children.append(bounded(parts[:i] + (child,) + parts[i + 1:]))
-        return children, None
+        A node's bound sums its heights' bounds in order.  A group holds
+        nodes of one bound in node order, at most one screen's block of
+        them, and a leaf ends its group.
+        """
+        per = np.where(nodes[:, :, 3, 0] < 0, empty_bounds, _box_bounds(
+            inst, slice(None), *lattice.axis[nodes].transpose(2, 0, 1, 3)))
+        total = per[:, 0]
+        for i in range(1, k):
+            total = total + per[:, i]
+        total = _quantum_ceil(total, inst.quantum)
+        leaf = (nodes[:, :, 1::2] == nodes[:, :, ::2]).all(axis=(1, 2, 3))
+        order = np.argsort(total, kind="stable")
+        total, leaf = total[order], leaf[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (total[1:] != total[:-1]) | leaf[:-1]
+        runs, cap = np.flatnonzero(new).tolist() + [len(order)], pool.block()
+        bounds, leaves = total.tolist(), leaf.tolist()
+        return [(bounds[s], nodes[order[s:min(s + cap, e)]], leaves[min(s + cap, e) - 1])
+                for start, e in zip(runs, runs[1:]) for s in range(start, e, cap)]
+
+    def expand(batch: list) -> tuple:
+        nodes = np.concatenate(batch)
+        outer = nodes[:, :, [0, 3]].transpose(2, 1, 0, 3)  # lo = a and hi = d, per height
+        nodes = nodes[~pool.ruled_out(*outer)]
+        # widths of the lo (row 0) and hi (row 1) intervals of each box, flat per node
+        widths = (nodes[:, :, 1::2] - nodes[:, :, ::2]).reshape(len(nodes), 2 * k * m)
+        boxes = None
+        if len(nodes) and not widths[-1].any():  # only a batch's last node can be a leaf
+            boxes = [lattice.box(p[0], p[3]) for p in nodes[-1]]
+            nodes, widths = nodes[:-1], widths[:-1]
+        i, half, j = np.unravel_index(widths.argmax(axis=1), (k, 2, m))
+        r, row = np.arange(len(nodes)), 2 * half
+        mid = (nodes[r, i, row, j] + nodes[r, i, row + 1, j]) // 2
+        # each node's lower half, then its upper half
+        halves = np.repeat(nodes[:, None], 2, axis=1)
+        halves[r, 0, i, row + 1, j] = mid
+        halves[r, 1, i, row, j] = mid + 1
+        children = halves.reshape(-1, k, 4, m)
+        # a child with some a_j > d_j holds no box; an empty box (d = -1) has none to hold
+        a, d = children[:, :, 0], children[:, :, 3]
+        return bounded(children[((a <= d) | (d < 0)).all(axis=(1, 2))]), boxes
 
     _, seed = _solve_candidate(inst, [lattice.box([0] * m, [top] * m)] * k, pool)
+    empty = np.array([[0] * m, [0] * m, [-1] * m, [-1] * m])
     full = np.array([[0] * m, [top] * m, [0] * m, [top] * m])
-    roots = [bounded(tuple(None if e else full for e in empty))
-             for empty in itertools.product((True, False), repeat=k)]
-    return _best_first(inst, pool, roots, expand, opts, t0, seed)
+    roots = np.array([[empty if e else full for e in choice]
+                      for choice in itertools.product((True, False), repeat=k)], dtype=np.int32)
+    return _best_first(inst, pool, bounded(roots), expand, opts, t0, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 
 from drobox.certify import (
     Pricer,
+    _duals_prove,
     _seeds,
     adversary_oracle,
     adversary_problem,
@@ -228,17 +229,89 @@ def test_hinted_start_matches_the_whole_lattice(ref_spec, line_spec, which, capl
 def test_duals_that_price_no_atom_below_the_seed_leave_the_plain_seed(ref_spec, line_spec,
                                                                      which, caplog):
     # zero duals price each atom at the decision's value, 0 on the seed's
-    # atoms outside the box; with zero heights they price every atom alike.
-    # Either way no atom enters, so the rounds are those without duals.
+    # atoms outside the box, so no atom enters and the rounds are those
+    # without duals (zero heights take no master: see the constant tests)
     decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
-    for heights in (decision.heights, np.zeros(len(decision.heights))):
-        dec = Decision(heights, decision.boxes)
-        plain, want = _round_lines(caplog, lambda: adversary_problem(dec, spec, fine))
-        hinted, lines = _round_lines(
-            caplog, lambda: adversary_problem(dec, spec, fine, duals=zero_dual(spec)))
-        assert lines == want
-        assert lines[0].startswith("round=1 atoms=%d " % next(_seeds(fine, spec)).size)
-        assert hinted[:2] == plain[:2] and np.array_equal(hinted[2], plain[2])
+    plain, want = _round_lines(caplog, lambda: adversary_problem(decision, spec, fine))
+    hinted, lines = _round_lines(
+        caplog, lambda: adversary_problem(decision, spec, fine, duals=zero_dual(spec)))
+    assert lines == want
+    assert lines[0].startswith("round=1 atoms=%d " % next(_seeds(fine, spec)).size)
+    assert hinted[:2] == plain[:2] and np.array_equal(hinted[2], plain[2])
+
+
+def _constant_cases(which, ref_spec, line_spec):
+    """(decision, spec, fine, value): a decision with one value on every atom."""
+    if which == "whole-domain":
+        return full_box_decision(ref_spec), ref_spec, lattice_points(1.0, 2, 0.05), 1.0
+    if which == "two-whole-domain-boxes":
+        box = BoxRegion([0.0], [0.2])
+        return (Decision([0.6, 0.4], [box, box]), line_spec, lattice_points(0.2, 1, 0.0125),
+                0.6 + 0.4)
+    # zero heights on a box that covers part of the lattice
+    decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
+    return Decision(np.zeros(len(decision.heights)), decision.boxes), spec, fine, 0.0
+
+
+@pytest.mark.parametrize("which", ["whole-domain", "two-whole-domain-boxes", "reference",
+                                   "line", "confidence-off-seed", "tight-moments"])
+def test_constant_decision_takes_no_master(ref_spec, line_spec, which, monkeypatch, caplog):
+    # every measure of the ambiguity set gives a constant its own value, so
+    # with some feasible point mass that mass is a worst case, with or
+    # without duals to hint the first master
+    import drobox.certify as certify
+
+    decision, spec, fine, value = _constant_cases(which, ref_spec, line_spec)
+    # the mass row's multiplier alone prices every atom at reduced cost 0
+    price = Pricer(spec, fine.points, decision.evaluate(fine.points))
+    _, master = price.constant_master()
+    assert master.objective == value and not price.reduced_costs(master).any()
+    solves = []
+    monkeypatch.setattr(certify, "solve_sdp", lambda program: solves.append(program))
+    for duals in (None, zero_dual(spec), _random_psd_duals(spec, 5)):
+        (status, got, weights, _), lines = _round_lines(
+            caplog, lambda: adversary_problem(decision, spec, fine, duals=duals))
+        assert (status, got) == ("optimal", value)
+        assert (solves, lines) == ([], [])
+        support = np.flatnonzero(weights)
+        assert weights[support].tolist() == [1.0]
+        assert Pricer(spec, fine.points, 0.0).point_masses()[support].all()
+        assert_feasible_measure(weights, spec, fine, decision, value)
+
+
+@pytest.mark.parametrize("which", ["whole-domain", "two-whole-domain-boxes"])
+def test_constant_decision_duals_prove_it_when_the_value_less_margin_meets_b(
+        ref_spec, line_spec, which):
+    # the mass row's multiplier alone: every lattice row sits at the margin,
+    # and the threshold row reads the value less the margin
+    decision, spec, fine, value = _constant_cases(which, ref_spec, line_spec)
+    for margin in (0.0, value - spec.b - 0.01, value - spec.b + 0.01):
+        status, _, _, duals = adversary_problem(decision, spec, fine, margin=margin)
+        assert status == "optimal"
+        rows = dual_integrand(fine.points, decision.heights, decision.boxes,
+                              duals.Y1, duals.Y2, duals.y, spec)
+        assert rows.tolist() == [margin] * fine.n_points
+        assert duals.dual_objective() == value - margin
+        assert _duals_prove(duals, spec.b) == (value - margin >= spec.b)
+
+
+def test_constant_decision_without_a_feasible_point_mass_solves_its_masters(line_spec,
+                                                                           caplog):
+    # half the mass on each end of the line: no point mass is feasible, so
+    # column generation decides the constant, to the solver's accuracy
+    spec = AmbiguitySpec.with_normalization(
+        edge=0.2, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.0], [0.05]), 0.4),
+                    ConfidenceSet(BoxRegion([0.15], [0.2]), 0.4)))
+    fine = lattice_points(0.2, 1, 0.0125)
+    assert not Pricer(spec, fine.points, 0.0).point_masses().any()
+    decision = Decision([1.0], [BoxRegion([0.0], [0.2])])
+    (status, value, weights, _), lines = _round_lines(
+        caplog, lambda: adversary_problem(decision, spec, fine))
+    assert status == "optimal" and lines
+    assert value == pytest.approx(1.0, abs=1e-7)
+    assert_feasible_measure(weights, spec, fine, decision, value)
+    assert np.count_nonzero(weights > 1e-6) >= 2
 
 
 def test_hinted_master_that_fails_falls_back_to_the_plain_seed(ref_spec, monkeypatch, caplog):

@@ -1,5 +1,6 @@
 import itertools
 import logging
+import math
 import re
 import tracemalloc
 
@@ -30,6 +31,7 @@ from drobox.search import (
     SearchOptions,
     _ENUMERATE_CAP,
     _SCREEN_BUDGET,
+    _box_bounds,
     _candidate_stream,
     _MeasurePool,
     _leaf_objective,
@@ -501,6 +503,23 @@ def test_drivers_agree_on_small_instances(ref_model):
         assert abs(a.objective - b.objective) <= 1e-6
 
 
+@pytest.mark.parametrize("k,heights,objective", [(1, (1.0,), 0.05), (2, (0.6, 0.4), 0.0)])
+def test_drivers_agree_without_a_feasible_point_mass(k, heights, objective):
+    # 0.4 of the mass on each end of the line: no atom's point mass is in the
+    # ambiguity set, so the pool starts empty and the seed screen finds no atom
+    spec = AmbiguitySpec.with_normalization(
+        edge=0.2, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.0], [0.05]), 0.4),
+                    ConfidenceSet(BoxRegion([0.15], [0.2]), 0.4)))
+    fn = SimpleFunctionSpec(k=k, heights=list(heights), mode=VariableBoxes())
+    model = search_instance(spec, fn, 0.05, margin=0.01)
+    assert len(_MeasurePool(model).atoms) == 0
+    a, b = enumerate_boxes(model, SearchOptions()), solve_bnb(model, SearchOptions())
+    assert a.proof == b.proof == "optimal"
+    assert a.objective == pytest.approx(objective, abs=1e-9)
+    assert b.objective == pytest.approx(objective, abs=1e-9)
+
+
 def test_two_box_line_instance_splits():
     # equal bounds pop in the order of the stream positions read from the
     # last height, so the first optimum reached gives height 0.4 the
@@ -632,9 +651,9 @@ def test_time_limit_stops_before_expanding(monkeypatch, ref_model, driver):
     best_first = search._best_first
 
     def counting(model, pool, roots, expand, *rest):
-        def spy(node):
-            expanded.append(node)
-            return expand(node)
+        def spy(batch):
+            expanded.extend(batch)
+            return expand(batch)
         return best_first(model, pool, roots, spy, *rest)
 
     monkeypatch.setattr(search, "_best_first", counting)
@@ -793,6 +812,142 @@ def test_enumerate_rejects_large_instances(ref_spec, monkeypatch):
     with pytest.raises(ValueError, match="instance-too-large: .* 18983449;"):
         enumerate_boxes(search_instance(ref_spec, fn, 0.1), SearchOptions())
     assert solves == []
+
+
+# ---------------------------------------------------------------------------
+# bnb batches
+
+# the sets of boxes solve_bnb decides, in order, the whole-domain seed first:
+# per height the lattice index corners [lo, hi] of its box, None for an empty
+# one.  A loop that expanded one node per pop decided the same sets.
+_BNB_LEAVES = {
+    "reference-0.05": [
+        [[[0, 0], [20, 20]]], [[[0, 0], [8, 6]]], [[[0, 0], [10, 6]]], [[[0, 0], [15, 10]]],
+        [[[0, 0], [20, 10]]], [[[0, 0], [15, 15]]], [[[0, 0], [20, 11]]], [[[0, 0], [20, 12]]],
+        [[[0, 0], [20, 13]]], [[[0, 0], [20, 14]]]],
+    "reference-1/30": [
+        [[[0, 0], [30, 30]]], [[[0, 0], [13, 9]]], [[[0, 0], [15, 9]]], [[[0, 0], [15, 15]]],
+        [[[0, 0], [22, 9]]], [[[0, 0], [22, 15]]], [[[0, 0], [15, 22]]], [[[0, 0], [30, 9]]],
+        [[[0, 0], [22, 22]]], [[[0, 0], [15, 30]]], [[[0, 0], [30, 15]]]],
+    "line-two-boxes": [[[[0], [4]], [[0], [4]]], [[[3], [4]], [[0], [2]]]],
+    "two-boxes-0.1": [[[[0, 0], [10, 10]], [[0, 0], [10, 10]]],
+                      [[[0, 0], [4, 3]], [[0, 0], [4, 3]]]],
+    "two-boxes-0.05": [
+        [[[0, 0], [20, 20]], [[0, 0], [20, 20]]], [[[0, 0], [8, 6]], None],
+        [[[0, 0], [10, 10]], [[0, 10], [0, 10]]], [[[0, 0], [15, 6]], [[10, 0], [15, 0]]],
+        [[[0, 0], [20, 10]], [[15, 0], [15, 0]]], [[[0, 0], [15, 15]], [[0, 10], [0, 10]]],
+        [[[0, 0], [20, 15]], [[0, 20], [0, 20]]], [[[0, 0], [20, 15]], [[0, 0], [0, 0]]],
+        [[[0, 0], [20, 20]], None]],
+    "line-three-boxes": [[[[0], [8]], [[0], [8]], [[0], [8]]],
+                         [[[3], [4]], [[0], [2]], [[5], [8]]]],
+    "line-three-corner-costs": [[[[0], [4]], [[0], [4]], [[0], [4]]],
+                                [[[3], [4]], [[0], [2]], None]],
+}
+_BNB_OBJECTIVES = {"reference-0.05": 1.7, "reference-1/30": 1.5, "line-two-boxes": 0.15,
+                   "two-boxes-0.1": 4.0, "two-boxes-0.05": 2.0, "line-three-boxes": 0.15,
+                   "line-three-corner-costs": -0.15}
+
+
+def _bnb_case(which, ref_spec, ref_fn):
+    two = SimpleFunctionSpec(k=2, heights=[0.6, 0.4], mode=VariableBoxes())
+    # without the quantum's rounding, a bound shows the order of its three heights' sum
+    corners = VariableBoxes(c_minus=[[1]] * 3, c_plus=[[-1]] * 3, sense="max")
+    return {"reference-0.05": lambda: search_instance(ref_spec, ref_fn, 0.05),
+            "reference-1/30": lambda: search_instance(ref_spec, ref_fn, 1 / 30),
+            "line-two-boxes": lambda: line_model(k=2, heights=(0.6, 0.4)),
+            "two-boxes-0.1": lambda: search_instance(ref_spec, two, 0.1),
+            "two-boxes-0.05": lambda: search_instance(ref_spec, two, 0.05),
+            "line-three-boxes": lambda: line_model(k=3, heights=(0.5, 0.3, 0.2), delta=0.025),
+            "line-three-corner-costs": lambda: line_model(k=3, heights=(0.5, 0.3, 0.2),
+                                                          mode=corners)}[which]()
+
+
+def _one_node_bound(inst, node) -> float:
+    """A node's bound as a loop over its heights computes it, one box at a time."""
+    total = sum(inst.empty_bounds[i] if p[3, 0] < 0 else
+                float(_box_bounds(inst, i, *inst.lattice.axis[p])) for i, p in enumerate(node))
+    if inst.quantum is None:
+        return total
+    return math.ceil(total / inst.quantum - 1e-9) * inst.quantum
+
+
+def _spy_bnb(monkeypatch) -> tuple:
+    """Lists that fill with the sets of boxes solve_bnb decides, as in
+    _BNB_LEAVES, and with the number of nodes in each batch it expands;
+    every node of a root or child group must carry the group's bound as the
+    one-node loop computes it, and only a group's last node may be a leaf."""
+    import drobox.search as search
+
+    leaves, batches = [], []
+    solve, best_first = search._solve_candidate, search._best_first
+
+    def checked(inst, groups):
+        for bound, group, leaf in groups:
+            assert len(group) > 0
+            for j, node in enumerate(group):
+                assert bound == _one_node_bound(inst, node)
+                is_leaf = bool(np.all(node[:, [1, 3]] == node[:, [0, 2]]))
+                assert is_leaf == (leaf and j == len(group) - 1)
+        return groups
+
+    def deciding(inst, boxes, pool):
+        leaves.append([None if box is None else [inst.lattice.indices(box.lower).tolist(),
+                                                 inst.lattice.indices(box.upper).tolist()]
+                       for box in boxes])
+        return solve(inst, boxes, pool)
+
+    def batching(inst, pool, roots, expand, *rest):
+        def spy(batch):
+            batches.append(sum(len(group) for group in batch))
+            children, boxes = expand(batch)
+            return checked(inst, children), boxes
+        return best_first(inst, pool, checked(inst, roots), spy, *rest)
+
+    monkeypatch.setattr(search, "_solve_candidate", deciding)
+    monkeypatch.setattr(search, "_best_first", batching)
+    return leaves, batches
+
+
+@pytest.mark.parametrize("which", list(_BNB_LEAVES))
+def test_bnb_batches_decide_the_leaves_of_one_node_per_pop(ref_spec, ref_fn, monkeypatch,
+                                                           which):
+    # a batch screens, halves and bounds the run of tied nodes at once; no
+    # leaf is decided before the batch's last node, so the leaves and their
+    # order are those of one node per pop
+    leaves, batches = _spy_bnb(monkeypatch)
+    inc = solve_bnb(_bnb_case(which, ref_spec, ref_fn), SearchOptions())
+    assert leaves == _BNB_LEAVES[which]
+    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", len(leaves) - 1)
+    assert inc.objective == pytest.approx(_BNB_OBJECTIVES[which], abs=1e-9)
+    assert max(batches) > 1 and len(batches) < sum(batches)
+
+
+@pytest.mark.parametrize("which", ["reference-0.05", "line-three-boxes"])
+def test_bnb_with_one_set_per_screen_pops_one_node_at_a_time(ref_spec, ref_fn, monkeypatch,
+                                                            which):
+    # a screen budget of one set caps every group and batch at one node, so
+    # the loop expands one node per pop, and decides the same leaves
+    monkeypatch.setattr("drobox.search._SCREEN_BUDGET", 1)
+    leaves, batches = _spy_bnb(monkeypatch)
+    inc = solve_bnb(_bnb_case(which, ref_spec, ref_fn), SearchOptions())
+    assert set(batches) == {1}
+    assert leaves == _BNB_LEAVES[which]
+    assert inc.objective == pytest.approx(_BNB_OBJECTIVES[which], abs=1e-9)
+
+
+@pytest.mark.parametrize("limit", [1, 2, 3, 5, 6, 7])
+def test_bnb_node_limit_stops_at_a_leaf_that_ends_a_batch(ref_spec, ref_fn, monkeypatch,
+                                                         limit):
+    # each of these budgets runs out at the leaf of a batch that holds inner
+    # nodes too: they are expanded, the leaf is not decided, and the run
+    # keeps the seed incumbent with the leaves of one node per pop
+    leaves, batches = _spy_bnb(monkeypatch)
+    inc = solve_bnb(_bnb_case("reference-0.05", ref_spec, ref_fn),
+                    SearchOptions(node_limit=limit))
+    assert batches[-1] > 1
+    assert leaves == _BNB_LEAVES["reference-0.05"][:limit + 1]
+    assert (inc.proof, inc.status, inc.node_count) == ("resource-limit", "solved", limit)
+    assert inc.objective == pytest.approx(2.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
