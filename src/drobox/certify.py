@@ -22,6 +22,14 @@ certificate's first master adds to the coarsest seed the atoms where the
 answer's own duals price lowest.  A decision constant on the lattice takes no
 master: its worst case is the constant.  A command solves each measure master
 once: its memo, shared by the search and the oracle, holds them.
+
+The search needs less than a master's optimum: one measure of the family
+below its threshold rules a set of boxes out (weak duality).  Pricer.repair
+maps any weights into the family, by normalizing the mass and mixing in the
+point mass on a strictly feasible active atom, so given a threshold each
+interior-point iterate is repaired and checked, and the first below it ends
+the master with status "stopped" (a round line with status=stopped).  The
+pool of the search takes only repaired measures.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import itertools
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -188,14 +196,77 @@ class Pricer:
         return atoms[:1], _Master("optimal", float(vals[0]), duals,
                                   [np.zeros((m + 1, m + 1)), np.zeros((m, m))], np.ones(1))
 
+    def _distance(self, atoms) -> np.ndarray:
+        """(t - mu)^T Sigma^-1 (t - mu) at the atoms.  By Schur complements the
+        point mass on t meets both moment blocks when it is at most
+        min(eps_mu, eps_sigma), and holds them positive definite when it is
+        below."""
+        d = self.d[atoms]
+        return np.einsum("ni,ij,nj->n", d, np.linalg.inv(self.spec.sigma), d)
+
     def point_masses(self) -> np.ndarray:
         """Whether the point mass at each atom is a measure of the ambiguity set:
         (t - mu)^T Sigma^-1 (t - mu) <= min(eps_mu, eps_sigma), and every
         confidence row sgn(eps_i) 1[t in C_i] >= eps_i."""
         spec = self.spec
-        dist = np.einsum("ni,ij,nj->n", self.d, np.linalg.inv(spec.sigma), self.d)
-        moments = dist <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
+        moments = self._distance(slice(None)) <= min(spec.eps_mu, spec.eps_sigma) + 1e-12
         return moments & np.all(self.rows >= self.eps, axis=1)
+
+    def repair(self, active: np.ndarray, anchor: Optional[np.ndarray] = None
+               ) -> Optional[Callable[[np.ndarray], np.ndarray]]:
+        """A map of weights on the atoms active into the ambiguity family, or None.
+
+        The map clips the weights at 0 and normalizes their mass, then mixes
+        the measure with the anchor, a measure on the atoms active, by the
+        least weight theta that restores every moment block and confidence
+        row of the master.  The blocks are F1(t) and, at mass 1, the
+        second-moment cap eps_sigma Sigma - (t - mu)(t - mu)^T
+        (Pricer.moments).  A block sum_j w_j B(t_j), with the anchor's block
+        L L^T, needs theta >= u / (1 + u) when -u < 0 is the least eigenvalue
+        of L^-1 (sum_j w_j B(t_j)) L^-T, and a confidence row at r < eps_i
+        needs theta >= (eps_i - r) / (r_anchor - r).  The anchor defaults to
+        the point mass on the active atom nearest mu in
+        (t - mu)^T Sigma^-1 (t - mu), the most moment slack, among those
+        strictly inside every block and row.  None when there is no such
+        atom, or the anchor given is not strictly inside every block and row.
+        """
+        spec = self.spec
+        rows = self.rows[active][:, self.confidence]
+        eps = self.eps[self.confidence]
+        if anchor is None:
+            dist = self._distance(active)
+            strict = np.flatnonzero((dist < min(spec.eps_mu, spec.eps_sigma))
+                                    & np.all(rows > eps, axis=1))
+            if strict.size == 0:
+                return None
+            anchor = np.zeros(active.size)
+            anchor[strict[np.argmin(dist[strict])]] = 1.0
+        anchor = np.maximum(anchor, 0.0)
+        anchor = anchor / anchor.sum()
+        first, outer = self.moments(active)
+        blocks = (first, spec.eps_sigma * spec.sigma - outer)
+        r_anchor = anchor @ rows
+        if not np.all(r_anchor > eps):
+            return None
+        try:
+            roots = [np.linalg.inv(np.linalg.cholesky(np.tensordot(anchor, B, 1)))
+                     for B in blocks]
+        except np.linalg.LinAlgError:  # a block of the anchor is not positive definite
+            return None
+
+        def mix(w: np.ndarray) -> np.ndarray:
+            w = np.maximum(w, 0.0)
+            w = w / w.sum()
+            theta = [0.0]
+            for B, R in zip(blocks, roots):
+                u = max(-float(np.linalg.eigvalsh(R @ np.tensordot(w, B, 1) @ R.T)[0]), 0.0)
+                theta.append(u / (1.0 + u))
+            r = w @ rows
+            short = r < eps
+            theta.extend(((eps - r)[short] / (r_anchor - r)[short]).tolist())
+            return (1.0 - max(theta)) * w + max(theta) * anchor
+
+        return mix
 
 
 def _seeds(lattice: Lattice, spec: AmbiguitySpec):
@@ -296,8 +367,8 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     Returns (status, value, weights, duals): the minimizing probability
     vector over fine_lattice.points and, given a margin, the final
     master's multipliers, whose lattice rows hold at margin (see
-    Pricer.lattice_duals).  weights is None unless optimal, and duals is None
-    unless optimal with a margin.
+    Pricer.lattice_duals).  weights is None unless optimal or stopped, and
+    duals is None unless optimal with a margin.
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.
@@ -314,22 +385,59 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     depends only on the decision, the duals and the lattice.  A master
     whose value falls below stop_below ends the rounds: its measure is
     feasible on the lattice, so its value is an upper bound on the optimum,
-    which suffices to rule a candidate out.  memo maps a master's deflated
-    atom and value bytes to its _Master: the solver is deterministic, so a
-    master met again is not solved.
+    which suffices to rule a candidate out.
+
+    A finite stop_below (the search's threshold) also checks every
+    interior-point iterate of a master: the iterate's weights, repaired into
+    the ambiguity family (Pricer.repair), end the solve once their
+    expectation falls below stop_below.  Such a master ends the rounds with
+    status "stopped", its value being that repaired expectation, and is
+    logged as status=stopped.  Without an active atom to anchor the repair
+    the iterates are not checked, and the master converges.  With a finite
+    stop_below the weights returned, a stopped or an optimal master's, are
+    so repaired; when no active atom anchors the repair, the anchor is the
+    measure the master's constraints alone, solved with no objective, end
+    at (the interior-point limit, strictly inside every block and row when
+    some measure on the atoms is), and the weights are None when that fails
+    too.  A constant decision's point mass is in the family as it is.
+
+    memo maps a master's deflated atom and value bytes to its _Master,
+    (bytes, stop_below) to a master stopped at that threshold, and
+    ("center", atom bytes) to the anchor measure on those atoms: the solver
+    is deterministic, so a program met again is not solved.  A converged
+    master answers every call, and a stopped one only calls with its own
+    threshold.
     """
     from zlib import compress  # loaded with numpy already
     pts = fine_lattice.points
     vals = decision.evaluate(pts)
     price = Pricer(spec, pts, vals)
     memo = {} if memo is None else memo
+    search = math.isfinite(stop_below)
 
     def solve(active):
         key = compress(pts[active].tobytes() + vals[active].tobytes(), 1)
+        found = memo.get((key, stop_below)) or memo.get(key)
+        if found is not None:
+            return found
+        mix = price.repair(active) if search else None
+        stop = None if mix is None else lambda w: float(vals[active] @ mix(w)) < stop_below
+        sol = solve_sdp(price.master(active), stop=stop)
+        weights = np.array([max(sol.primal["w[%d]" % j], 0.0)
+                            for j in range(active.size) if sol.primal])
+        value = float(vals[active] @ mix(weights)) if sol.status == "stopped" else sol.objective
+        found = _Master(sol.status, value, sol.row_duals, sol.lmi_duals, weights)
+        memo[(key, stop_below) if sol.status == "stopped" else key] = found
+        return found
+
+    def center(active):
+        key = ("center", compress(pts[active].tobytes(), 1))
         if key not in memo:
-            sol = solve_sdp(price.master(active))
-            memo[key] = _Master(sol.status, sol.objective, sol.row_duals, sol.lmi_duals, np.array(
-                [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size) if sol.primal]))
+            program = price.master(active)
+            program.set_objective("min")
+            sol = solve_sdp(program)
+            memo[key] = None if sol.status != "optimal" else np.array(
+                [sol.primal["w[%d]" % j] for j in range(active.size)])
         return memo[key]
 
     constant = price.constant_master()
@@ -338,12 +446,20 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     else:
         first = None if duals is None else _hinted_start(fine_lattice, spec, price, duals)
         active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
-                                        stop_below=stop_below, first=first)
-    if sol.status != "optimal":
+                                        stop_below=stop_below, final=("stopped",), first=first)
+    if sol.status not in ("optimal", "stopped"):
         return sol.status, float("nan"), None, None
     weights = np.zeros(pts.shape[0])
     weights[active] = sol.weights
-    mapped = None if margin is None else price.lattice_duals(sol, margin)
+    if search and constant is None:
+        mix = price.repair(active)
+        if mix is None and center(active) is not None:
+            mix = price.repair(active, center(active))
+        if mix is None:
+            weights = None
+        else:
+            weights[active] = mix(sol.weights)
+    mapped = None if margin is None or sol.status != "optimal" else price.lattice_duals(sol, margin)
     return sol.status, float(sol.objective), weights, mapped
 
 

@@ -33,11 +33,18 @@ Optim. 8(3), 1998).  The PSD blocks are handled as one padded
 iteration makes the same numpy calls whatever the number of blocks: four
 stacked eigh for the scaling and one eigvalsh per step length.
 
+A caller that needs less than the optimum passes solve_sdp a stop rule:
+it reads each iterate's values of the program's scalar variables, and the
+first iterate it accepts ends the solve with status and exit "stopped",
+the solution holding that iterate (the search rules a set of boxes out on
+an iterate whose repaired measure falls below its threshold).
+
 Progress goes to the drobox.sdp logger as one DEBUG line per iteration in
 key=value form: iter=, mu=, pres=, dres=, gap=, tau=, kappa=; and one
 summary line per solve: exit=, status=, iters=, rows=, cols=, then pres=,
 dres= and gap= of the iterate the solve returns (computed only when the
-logger is at DEBUG).  exit= is SdpSolution.exit_reason.
+logger is at DEBUG).  exit= is SdpSolution.exit_reason, exit=stopped for
+a solve its stop rule ended.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ import functools
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -298,6 +305,10 @@ class _Compiled:
     n_nonneg: int
     psd_dims: list
     scalar_cols: dict  # name -> its columns: (col,) if nonneg, (col_pos, col_neg) if free
+    # (2, scalars) columns of each scalar's positive and negative part, in
+    # scalar_vars order; a nonneg scalar's negative part is the zero column
+    # that _scalar_values appends past the last
+    scalar_index: np.ndarray
     psd_offsets: dict  # name -> (first svec column, dim)
     lmi_row_spans: list  # (row_start, dim) per lmi, after the program's rows
     obj_sign: float
@@ -367,8 +378,11 @@ def _compile(p: ConicProgram) -> _Compiled:
         base, d = psd_offsets[name]
         c[base : base + svec_len(d)] += obj_sign * svec(mat)
 
+    scalar_index = np.array([(cols[0], cols[1] if len(cols) == 2 else n)
+                             for cols in scalar_cols.values()], dtype=int).reshape(-1, 2).T
     return _Compiled(A=A, b=b, c=c, n_nonneg=n_nonneg, psd_dims=psd_dims,
-                     scalar_cols=scalar_cols, psd_offsets=psd_offsets,
+                     scalar_cols=scalar_cols, scalar_index=scalar_index,
+                     psd_offsets=psd_offsets,
                      lmi_row_spans=lmi_row_spans, obj_sign=obj_sign,
                      obj_offset=p.obj_offset)
 
@@ -541,13 +555,14 @@ def _step_lengths(cone: _Cone, nt: _Scaling, x: np.ndarray, s: np.ndarray,
 
 @dataclass
 class SdpSolution:
-    status: str  # optimal | infeasible | unbounded | numerical-failure
+    status: str  # optimal | stopped | infeasible | unbounded | numerical-failure
     objective: float
     primal: dict
     row_duals: np.ndarray
     lmi_duals: list
     iterations: int
-    # how the iterations ended: converged | infeasible | unbounded (a
+    # how the iterations ended: converged | stopped (the stop rule accepted
+    # the iterate the solution holds) | infeasible | unbounded (a
     # certificate) | stall (no progress near the floor; the fallback, the
     # best iterate or a looser infeasibility ray, gave the status) |
     # stall-failed | tau-collapse | non-finite | tiny-step | iteration-cap
@@ -648,15 +663,15 @@ def _residuals(r_p: np.ndarray, r_d: np.ndarray, cx: float, by: float, tau: floa
 
 
 def _solve_hsd(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
-               tol: float) -> dict:
+               tol: float, stop: Optional[Callable]) -> dict:
     # interior-point internals legitimately push floats to their limits;
     # non-finite iterates are caught explicitly, not via warnings
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        return _hsd_loop(A, b, c, cone, tol)
+        return _hsd_loop(A, b, c, cone, tol, stop)
 
 
 def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
-              tol: float) -> dict:
+              tol: float, stop: Optional[Callable]) -> dict:
     m = A.shape[0]
     amax = float(np.max(np.abs(A), initial=0.0)) or 1.0
     At = A.T
@@ -702,6 +717,9 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
             stall += 1
         if pres <= tol and dres <= tol and gap <= tol:
             status, exit_reason = "optimal", "converged"
+            break
+        if stop is not None and stop(x / tau):
+            status = exit_reason = "stopped"
             break
 
         # -- infeasibility certificates --------------------------------------
@@ -803,7 +821,7 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
         tau += alpha * dtau
         kappa += alpha * dkappa
 
-    if status not in ("optimal", "infeasible", "unbounded"):
+    if status not in ("optimal", "stopped", "infeasible", "unbounded"):
         # the iteration ended on a stall or a degenerate step; first see
         # whether the final iterate is a usable infeasibility ray at a
         # relaxed threshold, then fall back to the best feasible iterate
@@ -839,18 +857,27 @@ def _hsd_loop(A: np.ndarray, b: np.ndarray, c: np.ndarray, cone: _Cone,
 # Public entry points
 
 
-def solve_sdp(program: ConicProgram, tol: float = DEFAULT_TOL) -> SdpSolution:
+def solve_sdp(program: ConicProgram, tol: float = DEFAULT_TOL,
+              stop: Optional[Callable[[np.ndarray], bool]] = None) -> SdpSolution:
     """Solve a conic program with no unresolved binary variables, to tol,
-    in at most DEFAULT_MAX_ITER iterations."""
+    in at most DEFAULT_MAX_ITER iterations.
+
+    stop, if given, is called on every iterate of a program with rows,
+    after the convergence test, with the iterate's values of the scalar
+    variables in declaration order.  When it returns True the solve ends
+    with status "stopped", the primal, objective and duals being that
+    iterate's; it never raises.
+    """
     comp = _compile(program)
     cone = _Cone(comp.n_nonneg, comp.psd_dims)
 
     if comp.A.shape[0] == 0:
         return _solve_unconstrained(program, comp, cone)
 
-    raw = _solve_hsd(comp.A, comp.b, comp.c, cone, tol)
+    raw = _solve_hsd(comp.A, comp.b, comp.c, cone, tol, None if stop is None
+                     else lambda xs: stop(_scalar_values(comp, xs)))
     status = raw["status"]
-    if status == "optimal":
+    if status in ("optimal", "stopped"):
         tau = raw["tau"]
         xs = raw["x"] / tau
         ys = raw["y"] / tau
@@ -862,7 +889,7 @@ def solve_sdp(program: ConicProgram, tol: float = DEFAULT_TOL) -> SdpSolution:
         internal_obj = float(comp.c @ xs)
         objective = comp.obj_sign * internal_obj + comp.obj_offset
         return SdpSolution(
-            status="optimal",
+            status=status,
             objective=objective,
             primal=primal,
             row_duals=row_duals,
@@ -892,10 +919,14 @@ def _solve_unconstrained(program, comp, cone) -> SdpSolution:
     return SdpSolution("unbounded", worst, {}, np.zeros(0), [], 0, "unbounded")
 
 
+def _scalar_values(comp: _Compiled, xs: np.ndarray) -> np.ndarray:
+    """The scalar variables' values at the standard-form point xs, in scalar_vars order."""
+    pos, neg = np.append(xs, 0.0)[comp.scalar_index]
+    return pos - neg
+
+
 def _extract_primal(comp: _Compiled, xs: np.ndarray) -> dict:
-    primal = {}
-    for name, cols in comp.scalar_cols.items():
-        primal[name] = float(xs[cols[0]] - xs[cols[1]] if len(cols) == 2 else xs[cols[0]])
+    primal = dict(zip(comp.scalar_cols, _scalar_values(comp, xs).tolist()))
     for name, (base, d) in comp.psd_offsets.items():
         primal[name] = smat(xs[base : base + svec_len(d)], d)
     return primal

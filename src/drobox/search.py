@@ -13,7 +13,10 @@ boxes that passes gets its own adversary measure program solved, each
 distinct master once per command (the instance's memo): a value below
 b + margin rules it out, and its measure joins the pool; otherwise the final
 master's duals, checked against every lattice row and the threshold row,
-prove it feasible.
+prove it feasible.  A master stops at the first interior-point iterate
+whose measure, repaired into the ambiguity family (certify.Pricer.repair),
+falls below the threshold ("stopped", exit=stopped on the drobox.sdp
+summary line), and every measure the pool takes is so repaired.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -331,13 +334,16 @@ def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> t
 
     Boxes whose corners no choice fits to the user constraints are
     "infeasible" without a solve.  Otherwise their adversary measure
-    program is solved on the assembly lattice: a value below b + margin
-    rules them out ("infeasible") and its measure joins the pool, and
-    else the final master's duals, whose lattice rows hold at the margin,
-    prove them feasible ("optimal") once their threshold row holds to
-    within 1e-9.  A stalled program or a short threshold row leaves them
-    "unresolved".  Returns (status, found): found is (objective, boxes,
-    duals) when "optimal".
+    program is solved on the assembly lattice, with the pool's threshold:
+    a value below it rules them out ("infeasible").  That is either a
+    master stopped on an iterate whose repaired measure falls below the
+    threshold, or a converged one; the repaired measure joins the pool, so
+    the pool takes only members of the family (nothing when no anchor
+    makes the repair).  Else the final master's duals, whose lattice
+    rows hold at the margin, prove them feasible ("optimal") once their
+    threshold row holds to within 1e-9.  A stalled program or a short
+    threshold row leaves them "unresolved".  Returns (status, found):
+    found is (objective, boxes, duals) when "optimal".
     """
     scaled = _leaf_objective(inst, boxes)
     if scaled is None:
@@ -345,10 +351,11 @@ def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> t
     status, value, weights, duals = adversary_problem(
         Decision.nonempty(inst.fn.heights, boxes), inst.spec, inst.lattice,
         stop_below=pool.threshold, margin=inst.margin, memo=inst.memo)
-    if status != "optimal":
+    if status not in ("optimal", "stopped"):
         return "unresolved", None
     if value < pool.threshold:
-        pool.add(weights)
+        if weights is not None:
+            pool.add(weights)
         return "infeasible", None
     if duals.dual_objective() < inst.spec.b - 1e-9:
         return "unresolved", None

@@ -31,6 +31,26 @@ def second_moment_outer(t, spec) -> np.ndarray:
     return np.outer(d, d)
 
 
+def family_violation(weights, points, spec) -> float:
+    """How far weights on points lie outside the discrete ambiguity family; 0 inside.
+
+    The largest of: the most negative weight; |mass - 1|; minus the least
+    eigenvalue, by numpy.linalg.eigvalsh, of sum_j w_j F1(t_j) and of
+    eps_sigma Sigma - sum_j w_j (t_j - mu)(t_j - mu)^T; and each confidence
+    row's shortfall eps - sgn(eps) P(C), P(C) the mass in C.
+    """
+    w = np.asarray(weights, dtype=float)
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    first = sum(wj * first_moment_block(t, spec) for wj, t in zip(w, pts))
+    second = spec.eps_sigma * spec.sigma - sum(
+        wj * second_moment_outer(t, spec) for wj, t in zip(w, pts))
+    rows = [cs.eps - np.copysign(1.0, cs.eps) * float(w @ indicator_box(pts, cs.region))
+            for cs in spec.confidence_sets]
+    return max(0.0, -float(w.min()), abs(float(w.sum()) - 1.0),
+               -float(np.linalg.eigvalsh(first).min()),
+               -float(np.linalg.eigvalsh(second).min()), *rows)
+
+
 def random_spd(rng, m, scale=1.0):
     a = rng.normal(size=(m, m))
     return scale * (a @ a.T + (0.05 + rng.uniform()) * np.eye(m))

@@ -31,7 +31,7 @@ from drobox.model import (
 )
 from drobox.sdp import _compile, solve_sdp, svec, svec_len
 from drobox.search import SearchInstance, SearchOptions, enumerate_boxes
-from oracles import dual_integrand, first_moment_block
+from oracles import dual_integrand, family_violation, first_moment_block
 
 
 def searched(spec, fn, delta):
@@ -267,7 +267,7 @@ def test_constant_decision_takes_no_master(ref_spec, line_spec, which, monkeypat
     _, master = price.constant_master()
     assert master.objective == value and not price.reduced_costs(master).any()
     solves = []
-    monkeypatch.setattr(certify, "solve_sdp", lambda program: solves.append(program))
+    monkeypatch.setattr(certify, "solve_sdp", lambda program, **kwargs: solves.append(program))
     for duals in (None, zero_dual(spec), _random_psd_duals(spec, 5)):
         (status, got, weights, _), lines = _round_lines(
             caplog, lambda: adversary_problem(decision, spec, fine, duals=duals))
@@ -323,9 +323,9 @@ def test_hinted_master_that_fails_falls_back_to_the_plain_seed(ref_spec, monkeyp
     plain, want = _round_lines(caplog, lambda: adversary_problem(decision, spec, fine))
     solve, calls = certify.solve_sdp, []
 
-    def fail_first(program):
+    def fail_first(program, **kwargs):
         calls.append(len(program.scalar_vars))
-        sol = solve(program)
+        sol = solve(program, **kwargs)
         return dataclasses.replace(sol, status="numerical-failure") if len(calls) == 1 else sol
 
     monkeypatch.setattr(certify, "solve_sdp", fail_first)
@@ -397,7 +397,8 @@ def test_memo_answers_a_repeated_master_bitwise(ref_spec, line_spec, monkeypatch
     decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
     solves = []
     solve = certify.solve_sdp
-    monkeypatch.setattr(certify, "solve_sdp", lambda program: solves.append(1) or solve(program))
+    monkeypatch.setattr(certify, "solve_sdp",
+                        lambda program, **kwargs: solves.append(1) or solve(program, **kwargs))
     memo = {}
     runs = [adversary_problem(decision, spec, fine, margin=0.1, memo=m) for m in (None, memo)]
     assert len(memo) == len(solves) // 2 >= 2
@@ -415,11 +416,142 @@ def test_column_generation_stops_below_the_threshold(ref_spec):
     decision, spec, fine = _column_generation_case("reference", ref_spec, None)
     _, optimum, _, _ = adversary_problem(decision, spec, fine)
     status, value, weights, _ = adversary_problem(decision, spec, fine, stop_below=1.0)
-    # the first master already falls below 1; its measure is feasible, so
-    # its value bounds the lattice optimum from above
-    assert status == "optimal"
+    # an iterate of the first master already falls below 1; its repaired
+    # measure is feasible, so its value bounds the lattice optimum from above
+    assert status == "stopped"
     assert optimum + 1e-6 < value < 1.0
     assert_feasible_measure(weights, spec, fine, decision, value)
+
+
+def test_a_stopped_master_is_memoized_under_its_threshold(ref_spec, monkeypatch):
+    # the search's master stops on an iterate; the certificate, with no
+    # threshold, solves the same atoms and values in full, and the search's
+    # call again finds its stopped master in the memo
+    import drobox.certify as certify
+
+    decision, spec, fine = _column_generation_case("reference", ref_spec, None)
+    solve, statuses = certify.solve_sdp, []
+
+    def spy(program, **kwargs):
+        sol = solve(program, **kwargs)
+        statuses.append((len(program.scalar_vars), sol.status))
+        return sol
+
+    monkeypatch.setattr(certify, "solve_sdp", spy)
+    memo = {}
+    stopped = adversary_problem(decision, spec, fine, stop_below=1.0, memo=memo)
+    assert stopped[0] == "stopped" and [s for _, s in statuses] == ["stopped"]
+    first = statuses[0][0]
+    statuses.clear()
+    full = adversary_problem(decision, spec, fine, memo=memo)
+    assert full[0] == "optimal" and statuses[0] == (first, "optimal")
+    fresh = adversary_problem(decision, spec, fine)
+    assert full[:2] == fresh[:2] and np.array_equal(full[2], fresh[2])
+    statuses.clear()
+    again = adversary_problem(decision, spec, fine, stop_below=1.0, memo=memo)
+    assert statuses == []
+    assert again[:2] == stopped[:2] and np.array_equal(again[2], stopped[2])
+
+
+def _line_with_confidence_rows():
+    """The unit line at step 0.1 with P([0, 0.3]) >= 0.3 and P([0.7, 1]) <= 0.2;
+    the moment blocks hold every measure, and only atoms up to 0.3 anchor."""
+    line = lattice_points(1.0, 1, 0.1)
+    spec = AmbiguitySpec.with_normalization(
+        edge=1.0, mu=[0.5], sigma=[[1.0]], eps_mu=1.0, eps_sigma=2.0, b=0.1,
+        extra_sets=(ConfidenceSet(BoxRegion([0.0], [line.axis[3]]), 0.3),
+                    ConfidenceSet(BoxRegion([line.axis[7]], [1.0]), -0.2)))
+    return spec, line
+
+
+def _repair_case(which, ref_spec):
+    """(spec, lattice, active, weights): weights on the atoms active that
+    break one constraint of the family by about 1e-6."""
+    if which == "first-moment":
+        # (1 - p) at mu = (0, 0) and p at (1, 1): sum_j w_j F1(t_j) loses its
+        # positive semidefiniteness as p grows; bisect p to a least
+        # eigenvalue of -1e-6, and put the mass off by 1e-7 too
+        fine = lattice_points(1.0, 2, 0.05)
+        active = next(_seeds(fine, ref_spec))
+        ends = [np.flatnonzero((fine.points[active] == t).all(axis=1))[0]
+                for t in ([0.0, 0.0], [1.0, 1.0])]
+
+        def measure(p):
+            w = np.zeros(active.size)
+            w[ends] = 1.0 - p, p
+            return w
+
+        def least(p):
+            return np.linalg.eigvalsh(sum(
+                wj * first_moment_block(t, ref_spec)
+                for wj, t in zip(measure(p), fine.points[active]))).min()
+
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if least(mid) > -1e-6 else (lo, mid)
+        return ref_spec, fine, active, (1.0 + 1e-7) * measure(hi)
+    spec, line = _line_with_confidence_rows()
+    w = np.zeros(line.n_points)
+    if which == "confidence-eps-positive":  # 1e-6 short of 0.3 in [0, 0.3]
+        w[[3, 5]] = 0.3 - 1e-6, 0.7 + 1e-6
+    else:  # 1e-6 over 0.2 in [0.7, 1]
+        w[[8, 3]] = 0.2 + 1e-6, 0.8 - 1e-6
+    return spec, line, np.arange(line.n_points), w
+
+
+@pytest.mark.parametrize("which", ["first-moment", "confidence-eps-positive",
+                                   "confidence-eps-negative"])
+def test_repair_brings_weights_into_the_family(ref_spec, which):
+    # the mixture with the anchor atom meets every block and row, and moves
+    # the weights by little more than they broke the family
+    spec, fine, active, w = _repair_case(which, ref_spec)
+    pts = fine.points[active]
+    assert 5e-7 <= family_violation(w, pts, spec) <= 2e-6
+    mix = Pricer(spec, fine.points, 0.0).repair(active)
+    fixed = mix(w)
+    assert family_violation(fixed, pts, spec) <= 1e-12
+    assert np.abs(fixed - w).sum() <= 1e-4
+    # a measure of the family is left as it is, up to rounding of its mass
+    member = fixed / fixed.sum()
+    assert np.abs(mix(member) - member).max() <= 1e-15
+
+
+def test_repair_is_refused_without_a_strictly_feasible_anchor(ref_spec):
+    spec, line = _line_with_confidence_rows()
+    price = Pricer(spec, line.points, 0.0)
+    # no atom above 0.3 holds P([0, 0.3]) >= 0.3, let alone strictly
+    assert price.repair(np.arange(4, 11)) is None
+    # an anchor on the atom 0.8 breaks P([0.7, 1]) <= 0.2
+    anchor = np.zeros(line.n_points)
+    anchor[8] = 1.0
+    assert price.repair(np.arange(line.n_points), anchor) is None
+    assert price.repair(np.arange(line.n_points)) is not None
+    # at mu = (0.05, 0.05) and eps_mu = 0.001 no atom at step 0.1 is even a
+    # feasible point mass; the four around mu in equal parts are strictly inside
+    tight = dataclasses.replace(ref_spec, mu=np.array([0.05, 0.05]), eps_mu=0.001)
+    coarse = lattice_points(1.0, 2, 0.1)
+    price = Pricer(tight, coarse.points, 0.0)
+    assert price.repair(np.arange(coarse.n_points)) is None
+    square = np.flatnonzero(np.all(coarse.points <= 0.1 + 1e-12, axis=1))
+    assert square.size == 4
+    mix = price.repair(square, np.full(4, 0.25))
+    fixed = mix(np.array([1.0, 0.0, 0.0, 0.0]))
+    assert family_violation(fixed, coarse.points[square], tight) <= 1e-12
+
+
+def test_search_repairs_on_the_analytic_center_without_an_anchor_atom(ref_spec):
+    # with no strictly feasible atom, the search's weights are repaired on
+    # the measure the master's constraints alone converge to
+    tight = dataclasses.replace(ref_spec, mu=np.array([0.05, 0.05]), eps_mu=0.001)
+    coarse = lattice_points(1.0, 2, 0.1)
+    decision = Decision([1.0], [BoxRegion([0.0, 0.0], [0.5, 0.5])])
+    memo = {}
+    status, value, weights, _ = adversary_problem(decision, tight, coarse,
+                                                  stop_below=1.5, memo=memo)
+    assert status == "optimal" and value < 1.5
+    assert any(key[0] == "center" for key in memo if isinstance(key, tuple))
+    assert family_violation(weights, coarse.points, tight) <= 1e-12
 
 
 @pytest.mark.parametrize("statuses, final, first, sizes", [

@@ -124,21 +124,22 @@ def _spy_master_solves(monkeypatch) -> list:
     build, solve = certify.Pricer.master, certify.solve_sdp
     monkeypatch.setattr(certify.Pricer, "master", lambda self, active: masters.append(
         self.pts[active].tobytes() + self.vals[active].tobytes()) or build(self, active))
-    monkeypatch.setattr(certify, "solve_sdp", lambda program: masters.append(None)
-                        or solve(program))
+    monkeypatch.setattr(certify, "solve_sdp", lambda program, **kwargs: masters.append(None)
+                        or solve(program, **kwargs))
     return masters
 
 
 def test_enumerate_solve_solves_each_distinct_master_once(tmp_path, monkeypatch):
-    # at delta = 1/20 the search and the certificate meet 15 measure masters,
-    # 10 of them distinct: the command's memo solves each distinct one once
+    # at delta = 1/20 the search and the certificate meet 21 measure masters
+    # in their rounds, 17 of them distinct: the command's memo solves each
+    # distinct one once
     masters = _spy_master_solves(monkeypatch)
     assert main(["solve", "--config", REFERENCE, "--delta", "0.05", "--mode", "enumerate",
                  "--out-dir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "result.json").read_text())
     assert (record["proof"], record["objective"]) == ("optimal", pytest.approx(1.7))
     built = [key for key in masters if key is not None]
-    assert len(built) == len(masters) // 2 == len(set(built)) == 10
+    assert len(built) == len(masters) // 2 == len(set(built)) == 17
 
 
 def test_no_master_carries_over_between_commands(tmp_path, monkeypatch):
@@ -222,7 +223,7 @@ def test_solve_cube_with_bnb(tmp_path):
                         sigma=(np.eye(3) + 0.2).tolist(), delta=1 / 12)
     assert main(["solve", "--config", path, "--mode", "bnb", "--out-dir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "result.json").read_text())
-    assert (record["status"], record["proof"], record["node_count"]) == ("solved", "optimal", 6)
+    assert (record["status"], record["proof"], record["node_count"]) == ("solved", "optimal", 1)
     assert record["objective"] == pytest.approx(3.0, abs=1e-6)
     assert record["certificate"]["verdict"] == "certified"
 
@@ -674,7 +675,7 @@ def test_solve_honours_confidence_sets(tmp_path, mode):
     assert (record["status"], record["proof"]) == ("solved", "optimal")
     assert record["objective"] == pytest.approx(1.0, abs=1e-6)
     assert record["boxes"] == [{"lower": [0.0, 0.0], "upper": [0.5, 0.5]}]
-    assert record["node_count"] == 3
+    assert record["node_count"] == 4
     assert len(record["duals"]["y"]) == 3
     assert record["certificate"]["verdict"] == "certified"
     assert record["certificate"]["worst_case_expectation"] == pytest.approx(0.9, abs=1e-6)

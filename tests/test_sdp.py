@@ -398,6 +398,53 @@ def test_iterations_log_key_value_lines(caplog):
     assert all(0.0 <= float(v) <= 1e-8 for v in summary.groups()), messages[-1]
 
 
+def stop_program():
+    # min u - v + 2 w with u - v free (the split of a free scalar) and w >= 0,
+    # u - v + w >= 1 and [[1, u - v], [u - v, 1]] psd: the optimum is u - v = 1
+    p = ConicProgram()
+    p.add_scalar("a")
+    p.add_scalar("w", nonneg=True)
+    p.add_row({"a": 1.0, "w": 1.0}, ">=", 1.0)
+    p.add_lmi({"a": np.array([[0.0, 1.0], [1.0, 0.0]])}, np.eye(2))
+    p.set_objective("min", {"a": -1.0, "w": 2.0})
+    return p
+
+
+@pytest.mark.parametrize("at", [1, 3])
+def test_stop_ends_the_solve_on_the_iterate_it_accepts(caplog, at):
+    # stop sees each iterate's scalar values in declaration order, the free
+    # scalar read as the difference of its columns; the iterate it accepts
+    # is the solution, with status and exit "stopped"
+    seen = []
+
+    def stop(values):
+        seen.append(values.copy())
+        return len(seen) == at
+
+    with caplog.at_level(logging.DEBUG, logger="drobox.sdp"):
+        sol = solve_sdp(stop_program(), stop=stop)
+    assert (sol.status, sol.exit_reason, sol.iterations) == ("stopped", "stopped", at)
+    assert [sol.primal["a"], sol.primal["w"]] == seen[-1].tolist()
+    assert sol.objective == -seen[-1][0] + 2.0 * seen[-1][1]
+    assert seen[-1][1] > 0.0 and len(sol.row_duals) == 1 and len(sol.lmi_duals) == 1
+    if at == 1:  # the starting point: every standard-form column 1, tau 1
+        assert seen[0].tolist() == [0.0, 1.0]
+    summary = [r.getMessage() for r in caplog.records if r.name == "drobox.sdp"][-1]
+    assert summary.startswith("exit=stopped status=stopped iters=%d " % at), summary
+
+
+def test_a_stop_that_never_holds_changes_no_bit_of_the_solve():
+    calls = []
+    plain = solve_sdp(stop_program())
+    ruled = solve_sdp(stop_program(), stop=lambda values: calls.append(1) or False)
+    assert (ruled.status, ruled.exit_reason) == ("optimal", "converged")
+    assert ruled.primal == plain.primal and ruled.objective == plain.objective
+    assert ruled.primal["a"] == pytest.approx(1.0, abs=1e-6)
+    assert np.array_equal(ruled.row_duals, plain.row_duals)
+    # every iterate but the converged one, which ends the solve before stop
+    assert len(calls) == plain.iterations - 1 == ruled.iterations - 1
+
+
 def test_summary_residuals_cost_nothing_with_logging_off(monkeypatch, caplog):
     calls = []
     original = sdp._residuals

@@ -6,12 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drobox.assemble import assemble_case2
 from drobox.lipschitz import lipschitz_certificate, safety_margin
-from drobox.certify import adversary_problem, certify_solution
+from drobox.certify import Pricer, adversary_problem, certify_solution
 from drobox.model import (
     AmbiguitySpec,
     BoxRegion,
@@ -39,7 +39,8 @@ from drobox.search import (
     run_search,
     solve_bnb,
 )
-from oracles import dual_integrand, first_moment_block, second_moment_outer, seed_screen_values
+from oracles import (dual_integrand, family_violation, first_moment_block, second_moment_outer,
+                     seed_screen_values)
 
 
 def search_instance(spec, fn, delta, margin=None):
@@ -457,10 +458,11 @@ def test_measure_pool_adds_never_copy_the_seed():
     assert peak < 1.6 * pool.added.nbytes
 
 
-@pytest.mark.parametrize("delta,objective,sets", [(0.05, 1.7, 53_362), (0.04, 1.56, 123_202)],
+@pytest.mark.parametrize("delta,objective,sets,nodes", [(0.05, 1.7, 53_362, 16),
+                                                        (0.04, 1.56, 123_202, 15)],
                          ids=["step-1/20", "step-1/25-near-the-cap"])
 def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypatch,
-                                                     delta, objective, sets):
+                                                     delta, objective, sets, nodes):
     # only candidates the pool keeps pop: each solved candidate costs a
     # re-screen and a search for the next kept one, and the whole list at
     # most one screen per block (one screen per candidate made 53,179 at
@@ -475,7 +477,7 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
     monkeypatch.setattr(_MeasurePool, "ruled_out", spy)
     model = search_instance(ref_spec, ref_fn, delta)
     inc = enumerate_boxes(model, SearchOptions())
-    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", 9)
+    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", nodes)
     assert inc.objective == pytest.approx(objective, abs=1e-6)
     assert len(_candidate_stream(model, 0)[0]) == sets <= _ENUMERATE_CAP
     pool = screens[-1]  # largest last, so its blocks are the smallest
@@ -487,6 +489,24 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
 # cross-solver agreement
 
 
+def _small_instance(dim, k, eps, corners, margin):
+    """A 1-D instance on [0, 0.2] at step 0.05, or the 2-D reference at step
+    0.25 (one box) or 0.5 (two), with k boxes and, unless eps is None, a
+    confidence cube at eps whose lattice indices run between the two corners
+    (clipped to the axis) on every axis."""
+    edge, mu, sigma, eps_mu, delta = ((0.2, [0.1], [[1.0]], 0.05, 0.05) if dim == 1 else
+                                      (1.0, [0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]], 0.1,
+                                       0.25 if k == 1 else 0.5))
+    lattice = lattice_points(edge, dim, delta)
+    lo, hi = sorted(min(c, lattice.n_axis - 1) for c in corners)
+    extra = () if eps is None else (
+        ConfidenceSet(lattice.box(np.full(dim, lo), np.full(dim, hi)), eps),)
+    spec = AmbiguitySpec.with_normalization(edge=edge, mu=mu, sigma=sigma, eps_mu=eps_mu,
+                                            eps_sigma=1.0, b=0.1, extra_sets=extra)
+    fn = SimpleFunctionSpec(k=k, heights=[1.0] if k == 1 else [0.6, 0.4], mode=VariableBoxes())
+    return SearchInstance(spec, fn, lattice, margin)
+
+
 def test_drivers_agree_on_small_instances(ref_model):
     spec = AmbiguitySpec.with_normalization(
         edge=1.0, mu=[0.1], sigma=[[1.0]], eps_mu=0.05, eps_sigma=1.0, b=0.1
@@ -494,13 +514,42 @@ def test_drivers_agree_on_small_instances(ref_model):
     fn = SimpleFunctionSpec(k=1, heights=[1.0], mode=VariableBoxes())
     models = [ref_model, line_model(), line_model(k=2, heights=(0.6, 0.4)),
               search_instance(spec, fn, 0.025, margin=5.0 * 0.025),  # 862 candidates
-              line_model(k=3, heights=(0.5, 0.3, 0.2))]  # 16^3 candidate sets
+              line_model(k=3, heights=(0.5, 0.3, 0.2)),  # 16^3 candidate sets
+              # two boxes on the line with P([0, 0.1]) >= 0.3, and with P([0.1, 0.2]) <= 0.2
+              _small_instance(1, 2, 0.3, (0, 2), 0.01), _small_instance(1, 2, -0.2, (2, 4), 0.01)]
     for model in models:
         a = enumerate_boxes(model, SearchOptions())
         b = solve_bnb(model, SearchOptions())
         assert a.proof == "optimal" and b.proof == "optimal"
         assert a.status == b.status == "solved"
         assert abs(a.objective - b.objective) <= 1e-6
+
+
+@settings(max_examples=30)
+@given(dim=st.sampled_from([1, 2]), k=st.sampled_from([1, 2]),
+       eps=st.sampled_from([None, 0.3, -0.2]),
+       corners=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       margin=st.sampled_from([0.0, 0.01, 0.05]))
+def test_drivers_agree_and_the_pool_takes_only_members(dim, k, eps, corners, margin):
+    # both drivers reach the same objective and proof, and every measure
+    # either of them adds to its pool lies in the ambiguity family; an empty
+    # family (no measure on the lattice meets the confidence box) is left out
+    model = _small_instance(dim, k, eps, corners, margin)
+    everywhere = np.arange(model.lattice.n_points)
+    family = Pricer(model.spec, model.lattice.points, np.zeros(everywhere.size)).master(everywhere)
+    assume(solve_sdp(family).status == "optimal")
+    added = []
+    add = _MeasurePool.add
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MeasurePool, "add", lambda pool, w: added.append(w.copy()) or add(pool, w))
+        a = enumerate_boxes(model, SearchOptions())
+        b = solve_bnb(model, SearchOptions())
+    assert a.proof == b.proof and a.status == b.status
+    assert a.objective == b.objective or abs(a.objective - b.objective) <= 1e-6
+    for w in added:
+        support = np.flatnonzero(w)
+        assert family_violation(w[support], model.lattice.points[support],
+                                model.spec) <= 1e-12
 
 
 @pytest.mark.parametrize("k,heights,objective", [(1, (1.0,), 0.05), (2, (0.6, 0.4), 0.0)])
@@ -514,7 +563,15 @@ def test_drivers_agree_without_a_feasible_point_mass(k, heights, objective):
     fn = SimpleFunctionSpec(k=k, heights=list(heights), mode=VariableBoxes())
     model = search_instance(spec, fn, 0.05, margin=0.01)
     assert len(_MeasurePool(model).atoms) == 0
-    a, b = enumerate_boxes(model, SearchOptions()), solve_bnb(model, SearchOptions())
+    added = []
+    add = _MeasurePool.add
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_MeasurePool, "add", lambda pool, w: added.append(w.copy()) or add(pool, w))
+        a, b = enumerate_boxes(model, SearchOptions()), solve_bnb(model, SearchOptions())
+    # no atom anchors a repair, so the pool's measures are repaired on the
+    # measure the master's constraints alone converge to
+    assert added and all(family_violation(w, model.lattice.points, spec) <= 1e-12
+                         for w in added)
     assert a.proof == b.proof == "optimal"
     assert a.objective == pytest.approx(objective, abs=1e-9)
     assert b.objective == pytest.approx(objective, abs=1e-9)
@@ -612,25 +669,26 @@ def test_node_limit_reports_resource_limit(ref_model, ref_spec, ref_fn):
     assert inc.status == "unknown"
     assert inc.objective == np.inf
 
-    # at delta = 0.05 the ninth surviving candidate is the optimum: a budget
-    # of eight ends with nothing, and nine both find and prove it, since the
-    # limit only stops a tenth solve, which the proof does not need
+    # at delta = 0.05 the sixteenth surviving candidate is the optimum: a
+    # budget of fifteen ends with nothing, and sixteen both find and prove
+    # it, since the limit only stops a seventeenth solve, which the proof
+    # does not need
     fine = search_instance(ref_spec, ref_fn, 0.05)
-    for limit, proof, status, objective in [(8, "resource-limit", "unknown", np.inf),
-                                            (9, "optimal", "solved", 1.7),
-                                            (10, "optimal", "solved", 1.7)]:
+    for limit, proof, status, objective in [(15, "resource-limit", "unknown", np.inf),
+                                            (16, "optimal", "solved", 1.7),
+                                            (17, "optimal", "solved", 1.7)]:
         inc = enumerate_boxes(fine, SearchOptions(node_limit=limit))
         assert (inc.proof, inc.status) == (proof, status), limit
         assert inc.objective == pytest.approx(objective, abs=1e-6)
-        assert inc.node_count == min(limit, 9)
+        assert inc.node_count == min(limit, 16)
 
     # B&B keeps its whole-domain seed incumbent when the budget runs out
     inc = solve_bnb(fine, SearchOptions(node_limit=3))
     assert (inc.proof, inc.status) == ("resource-limit", "solved")
     assert inc.objective == pytest.approx(2.0, abs=1e-6)
     assert inc.node_count == 3
-    inc = solve_bnb(fine, SearchOptions(node_limit=9))
-    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", 9)
+    inc = solve_bnb(fine, SearchOptions(node_limit=16))
+    assert (inc.proof, inc.status, inc.node_count) == ("optimal", "solved", 16)
     assert inc.objective == pytest.approx(1.7, abs=1e-6)
 
 
@@ -822,21 +880,28 @@ def test_enumerate_rejects_large_instances(ref_spec, monkeypatch):
 # one.  A loop that expanded one node per pop decided the same sets.
 _BNB_LEAVES = {
     "reference-0.05": [
-        [[[0, 0], [20, 20]]], [[[0, 0], [8, 6]]], [[[0, 0], [10, 6]]], [[[0, 0], [15, 10]]],
-        [[[0, 0], [20, 10]]], [[[0, 0], [15, 15]]], [[[0, 0], [20, 11]]], [[[0, 0], [20, 12]]],
-        [[[0, 0], [20, 13]]], [[[0, 0], [20, 14]]]],
+        [[[0, 0], [20, 20]]], [[[0, 0], [8, 6]]], [[[0, 0], [10, 6]]], [[[0, 0], [10, 10]]],
+        [[[0, 0], [15, 6]]], [[[0, 0], [8, 15]]], [[[0, 0], [10, 15]]], [[[0, 0], [15, 10]]],
+        [[[0, 0], [20, 6]]], [[[0, 0], [8, 20]]], [[[0, 0], [10, 20]]], [[[0, 0], [20, 10]]],
+        [[[0, 0], [15, 15]]], [[[0, 0], [20, 11]]], [[[0, 0], [20, 12]]], [[[0, 0], [20, 13]]],
+        [[[0, 0], [20, 14]]]],
     "reference-1/30": [
-        [[[0, 0], [30, 30]]], [[[0, 0], [13, 9]]], [[[0, 0], [15, 9]]], [[[0, 0], [15, 15]]],
-        [[[0, 0], [22, 9]]], [[[0, 0], [22, 15]]], [[[0, 0], [15, 22]]], [[[0, 0], [30, 9]]],
-        [[[0, 0], [22, 22]]], [[[0, 0], [15, 30]]], [[[0, 0], [30, 15]]]],
+        [[[0, 0], [30, 30]]], [[[0, 0], [13, 9]]], [[[0, 0], [15, 9]]], [[[0, 0], [13, 15]]],
+        [[[0, 0], [15, 15]]], [[[0, 0], [22, 9]]], [[[0, 0], [13, 22]]], [[[0, 0], [22, 15]]],
+        [[[0, 0], [15, 22]]], [[[0, 0], [30, 9]]], [[[0, 0], [13, 30]]], [[[0, 0], [22, 22]]],
+        [[[0, 0], [15, 30]]], [[[0, 0], [30, 15]]]],
     "line-two-boxes": [[[[0], [4]], [[0], [4]]], [[[3], [4]], [[0], [2]]]],
     "two-boxes-0.1": [[[[0, 0], [10, 10]], [[0, 0], [10, 10]]],
                       [[[0, 0], [4, 3]], [[0, 0], [4, 3]]]],
     "two-boxes-0.05": [
         [[[0, 0], [20, 20]], [[0, 0], [20, 20]]], [[[0, 0], [8, 6]], None],
-        [[[0, 0], [10, 10]], [[0, 10], [0, 10]]], [[[0, 0], [15, 6]], [[10, 0], [15, 0]]],
-        [[[0, 0], [20, 10]], [[15, 0], [15, 0]]], [[[0, 0], [15, 15]], [[0, 10], [0, 10]]],
-        [[[0, 0], [20, 15]], [[0, 20], [0, 20]]], [[[0, 0], [20, 15]], [[0, 0], [0, 0]]],
+        [[[0, 0], [10, 10]], [[0, 0], [0, 5]]], [[[0, 0], [10, 15]], [[0, 0], [0, 0]]],
+        [[[0, 0], [15, 10]], [[0, 0], [0, 0]]], [[[0, 0], [10, 15]], [[0, 0], [0, 5]]],
+        [[[0, 0], [10, 20]], [[0, 0], [0, 0]]], [[[0, 0], [20, 10]], [[0, 0], [0, 0]]],
+        [[[0, 0], [15, 15]], [[0, 0], [0, 0]]], [[[0, 0], [20, 6]], [[0, 0], [5, 0]]],
+        [[[0, 0], [10, 20]], [[0, 0], [0, 5]]], [[[0, 0], [15, 15]], [[0, 0], [0, 5]]],
+        [[[0, 0], [20, 10]], [[0, 0], [5, 0]]], [[[0, 0], [15, 15]], [[0, 0], [5, 0]]],
+        [[[0, 0], [15, 20]], [[0, 0], [0, 0]]], [[[0, 0], [20, 15]], [[0, 0], [0, 0]]],
         [[[0, 0], [20, 20]], None]],
     "line-three-boxes": [[[[0], [8]], [[0], [8]], [[0], [8]]],
                          [[[3], [4]], [[0], [2]], [[5], [8]]]],
@@ -935,7 +1000,7 @@ def test_bnb_with_one_set_per_screen_pops_one_node_at_a_time(ref_spec, ref_fn, m
     assert inc.objective == pytest.approx(_BNB_OBJECTIVES[which], abs=1e-9)
 
 
-@pytest.mark.parametrize("limit", [1, 2, 3, 5, 6, 7])
+@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 7])
 def test_bnb_node_limit_stops_at_a_leaf_that_ends_a_batch(ref_spec, ref_fn, monkeypatch,
                                                          limit):
     # each of these budgets runs out at the leaf of a batch that holds inner
