@@ -21,15 +21,16 @@ one column per lattice atom, so it is solved by column generation
 certificate's first master adds to the coarsest seed the atoms where the
 answer's own duals price lowest.  A decision constant on the lattice takes no
 master: its worst case is the constant.  A command solves each measure master
-once: its memo, shared by the search and the oracle, holds them.
+that converges once: its memo, shared by the search and the oracle, holds them.
 
 The search needs less than a master's optimum: one measure of the family
 below its threshold rules a set of boxes out (weak duality).  Pricer.repair
-maps any weights into the family, by normalizing the mass and mixing in the
-point mass on a strictly feasible active atom, so given a threshold each
-interior-point iterate is repaired and checked, and the first below it ends
-the master with status "stopped" (a round line with status=stopped).  The
-pool of the search takes only repaired measures.
+maps any weights into the family, by normalizing the mass and mixing in one
+anchor measure per master, so given a threshold each interior-point iterate
+is repaired and checked, and the first below it ends the master with status
+"stopped" (a round line with status=stopped).  A search master's value is
+its repaired expectation, stopped or converged, so the pool of the search
+takes only measures of the family and never compares an unrepaired value.
 """
 
 from __future__ import annotations
@@ -368,7 +369,8 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     vector over fine_lattice.points and, given a margin, the final
     master's multipliers, whose lattice rows hold at margin (see
     Pricer.lattice_duals).  weights is None unless optimal or stopped, and
-    duals is None unless optimal with a margin.
+    for a search master with no anchor (below); duals is None unless
+    optimal with a margin.
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
     equality; exact indicators evaluate the decision on the atoms.
@@ -387,26 +389,25 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     feasible on the lattice, so its value is an upper bound on the optimum,
     which suffices to rule a candidate out.
 
-    A finite stop_below (the search's threshold) also checks every
-    interior-point iterate of a master: the iterate's weights, repaired into
-    the ambiguity family (Pricer.repair), end the solve once their
-    expectation falls below stop_below.  Such a master ends the rounds with
-    status "stopped", its value being that repaired expectation, and is
-    logged as status=stopped.  Without an active atom to anchor the repair
-    the iterates are not checked, and the master converges.  With a finite
-    stop_below the weights returned, a stopped or an optimal master's, are
-    so repaired; when no active atom anchors the repair, the anchor is the
-    measure the master's constraints alone, solved with no objective, end
+    A finite stop_below (the search's threshold) gives every master one
+    anchor: the point mass on its most slack strictly feasible atom, or
+    else the measure its constraints alone, solved with no objective, end
     at (the interior-point limit, strictly inside every block and row when
-    some measure on the atoms is), and the weights are None when that fails
-    too.  A constant decision's point mass is in the family as it is.
+    some measure on the atoms is).  Pricer.repair on that anchor maps each
+    interior-point iterate's weights into the ambiguity family, and the
+    first iterate whose repaired expectation falls below stop_below ends
+    the solve with status "stopped" (logged as status=stopped).  A search
+    master's value and weights, stopped or converged, are its repaired
+    expectation and measure; a master with no anchor converges, with its
+    LP objective as value and no weights.  A constant decision's point mass is in the family
+    as it is.
 
-    memo maps a master's deflated atom and value bytes to its _Master,
-    (bytes, stop_below) to a master stopped at that threshold, and
-    ("center", atom bytes) to the anchor measure on those atoms: the solver
-    is deterministic, so a program met again is not solved.  A converged
-    master answers every call, and a stopped one only calls with its own
-    threshold.
+    memo maps a master's deflated atom and value bytes to its _Master as
+    solved (LP objective, raw weights and multipliers), unless it stopped,
+    and ("center", atom bytes) to the anchor measure on those atoms.  The
+    solver is deterministic, so a program met again is not solved, and a
+    call without stop_below gets what a fresh solve gets.  A stopped
+    master is not kept: the search's pool holds its measure already.
     """
     from zlib import compress  # loaded with numpy already
     pts = fine_lattice.points
@@ -414,21 +415,6 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     price = Pricer(spec, pts, vals)
     memo = {} if memo is None else memo
     search = math.isfinite(stop_below)
-
-    def solve(active):
-        key = compress(pts[active].tobytes() + vals[active].tobytes(), 1)
-        found = memo.get((key, stop_below)) or memo.get(key)
-        if found is not None:
-            return found
-        mix = price.repair(active) if search else None
-        stop = None if mix is None else lambda w: float(vals[active] @ mix(w)) < stop_below
-        sol = solve_sdp(price.master(active), stop=stop)
-        weights = np.array([max(sol.primal["w[%d]" % j], 0.0)
-                            for j in range(active.size) if sol.primal])
-        value = float(vals[active] @ mix(weights)) if sol.status == "stopped" else sol.objective
-        found = _Master(sol.status, value, sol.row_duals, sol.lmi_duals, weights)
-        memo[(key, stop_below) if sol.status == "stopped" else key] = found
-        return found
 
     def center(active):
         key = ("center", compress(pts[active].tobytes(), 1))
@@ -440,6 +426,25 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
                 [sol.primal["w[%d]" % j] for j in range(active.size)])
         return memo[key]
 
+    def solve(active):
+        key = compress(pts[active].tobytes() + vals[active].tobytes(), 1)
+        found = memo.get(key)
+        mix = price.repair(active) if search else None
+        if search and mix is None and center(active) is not None:
+            mix = price.repair(active, center(active))
+        if found is None:
+            stop = None if mix is None else lambda w: float(vals[active] @ mix(w)) < stop_below
+            sol = solve_sdp(price.master(active), stop=stop)
+            weights = np.array([max(sol.primal["w[%d]" % j], 0.0)
+                                for j in range(active.size) if sol.primal])
+            found = _Master(sol.status, sol.objective, sol.row_duals, sol.lmi_duals, weights)
+            if sol.status != "stopped":
+                memo[key] = found
+        if mix is not None and found.status in ("optimal", "stopped"):
+            repaired = mix(found.weights)
+            return found._replace(objective=float(vals[active] @ repaired), weights=repaired)
+        return found._replace(weights=None) if search else found
+
     constant = price.constant_master()
     if constant is not None:
         active, sol = constant
@@ -449,16 +454,10 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
                                         stop_below=stop_below, final=("stopped",), first=first)
     if sol.status not in ("optimal", "stopped"):
         return sol.status, float("nan"), None, None
-    weights = np.zeros(pts.shape[0])
-    weights[active] = sol.weights
-    if search and constant is None:
-        mix = price.repair(active)
-        if mix is None and center(active) is not None:
-            mix = price.repair(active, center(active))
-        if mix is None:
-            weights = None
-        else:
-            weights[active] = mix(sol.weights)
+    weights = None
+    if sol.weights is not None:
+        weights = np.zeros(pts.shape[0])
+        weights[active] = sol.weights
     mapped = None if margin is None or sol.status != "optimal" else price.lattice_duals(sol, margin)
     return sol.status, float(sol.objective), weights, mapped
 

@@ -581,9 +581,10 @@ class _NormalFactor:
     nonzero (the slack of an inequality row) adds d a^2 to one diagonal
     entry; those columns are split off once and added as a diagonal.
     numpy factors M = U^T U with U upper triangular (the factor LAPACK's
-    dpotrf returns), and U is inverted by blocks (_triu_inv), so a solve is
-    U^-1 (U^-T rhs).  solve() refines twice against M, which matters once
-    the barrier parameter gets small and M turns badly conditioned.
+    dpotrf returns), and np.linalg.inv inverts U, exactly zero below its
+    diagonal, so a solve is U^-1 (U^-T rhs).  solve() refines twice
+    against M, which matters once the barrier parameter gets small and M
+    turns badly conditioned.
     """
 
     def __init__(self, A: np.ndarray, cone: _Cone):
@@ -616,7 +617,7 @@ class _NormalFactor:
                 U = np.linalg.cholesky(M + _shift(M.diagonal()) * np.eye(len(M)), upper=True)
             except np.linalg.LinAlgError:
                 raise RuntimeError("normal matrix is singular") from None
-        self.M, self.U_inv = M, _triu_inv(U)
+        self.M, self.U_inv = M, np.linalg.inv(U)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         U_inv = self.U_inv
@@ -624,28 +625,6 @@ class _NormalFactor:
         for _ in range(2):
             z = z + U_inv @ (U_inv.T @ (rhs - self.M @ z))
         return z
-
-
-# the largest diagonal block _triu_inv inverts whole
-_INV_BLOCK = 64
-
-
-def _triu_inv(U: np.ndarray) -> np.ndarray:
-    """Inverse of an upper triangular U, by 2 x 2 blocks.
-
-    [[A, B], [0, C]]^-1 = [[A^-1, -A^-1 B C^-1], [0, C^-1]], with
-    np.linalg.inv on blocks of at most _INV_BLOCK rows; below the diagonal
-    the result is exactly zero.
-    """
-    n = len(U)
-    if n <= _INV_BLOCK:
-        return np.linalg.inv(U)
-    h = n // 2
-    out = np.zeros_like(U)
-    out[:h, :h] = _triu_inv(U[:h, :h])
-    out[h:, h:] = _triu_inv(U[h:, h:])
-    out[:h, h:] = -(out[:h, :h] @ U[:h, h:]) @ out[h:, h:]
-    return out
 
 
 def _shift(diag_m: np.ndarray) -> float:

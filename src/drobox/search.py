@@ -13,10 +13,12 @@ boxes that passes gets its own adversary measure program solved, each
 distinct master once per command (the instance's memo): a value below
 b + margin rules it out, and its measure joins the pool; otherwise the final
 master's duals, checked against every lattice row and the threshold row,
-prove it feasible.  A master stops at the first interior-point iterate
-whose measure, repaired into the ambiguity family (certify.Pricer.repair),
-falls below the threshold ("stopped", exit=stopped on the drobox.sdp
-summary line), and every measure the pool takes is so repaired.
+prove it feasible.  A master's value is the expectation of its measure
+repaired into the ambiguity family (certify.Pricer.repair), and it stops
+at the first interior-point iterate whose repaired value falls below the
+threshold ("stopped", exit=stopped on the drobox.sdp summary line).  So
+the threshold is b + margin exactly, and every measure that rules a set
+out is a member of the family and joins the pool.
 
 Both drivers run one best-first loop, which owns the limits, the pruning
 by the objective quantum and gap_tol, the incumbent and the proof; they
@@ -201,7 +203,7 @@ class _MeasurePool:
         spec = inst.spec
         lattice = inst.lattice
         self.shape = lattice.shape
-        self.threshold = spec.b + inst.margin - 1e-7  # less a slack for rounding
+        self.threshold = spec.b + inst.margin
         ok = Pricer(spec, lattice.points, 0.0).point_masses()
         self.atoms = np.argwhere(ok.reshape(self.shape))
         self.counts = _padded_prefix(ok.astype(np.int64), self.shape)
@@ -334,16 +336,17 @@ def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> t
 
     Boxes whose corners no choice fits to the user constraints are
     "infeasible" without a solve.  Otherwise their adversary measure
-    program is solved on the assembly lattice, with the pool's threshold:
-    a value below it rules them out ("infeasible").  That is either a
-    master stopped on an iterate whose repaired measure falls below the
-    threshold, or a converged one; the repaired measure joins the pool, so
-    the pool takes only members of the family (nothing when no anchor
-    makes the repair).  Else the final master's duals, whose lattice
-    rows hold at the margin, prove them feasible ("optimal") once their
-    threshold row holds to within 1e-9.  A stalled program or a short
-    threshold row leaves them "unresolved".  Returns (status, found):
-    found is (objective, boxes, duals) when "optimal".
+    program is solved on the assembly lattice, with the pool's threshold.
+    Its value is the expectation of its measure repaired into the
+    ambiguity family (certify.adversary_problem), whether the master
+    stopped on an iterate or converged.  A value below the threshold
+    rules the boxes out ("infeasible"), and the measure joins the pool.
+    Else the final master's duals, whose lattice rows hold at the margin,
+    prove them feasible ("optimal") once their threshold row holds to
+    within 1e-9.  A stalled program, a short threshold row, or a value
+    below the threshold with no anchor to repair the measure leaves them
+    "unresolved".  Returns (status, found): found is (objective, boxes,
+    duals) when "optimal".
     """
     scaled = _leaf_objective(inst, boxes)
     if scaled is None:
@@ -354,8 +357,9 @@ def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> t
     if status not in ("optimal", "stopped"):
         return "unresolved", None
     if value < pool.threshold:
-        if weights is not None:
-            pool.add(weights)
+        if weights is None:  # no anchor, so no member of the family to show
+            return "unresolved", None
+        pool.add(weights)
         return "infeasible", None
     if duals.dual_objective() < inst.spec.b - 1e-9:
         return "unresolved", None
@@ -502,10 +506,11 @@ def enumerate_boxes(inst: SearchInstance,
     listed once as stream positions and sorted by bound, the sum of its
     entries' bounds.  Equal bounds sort by the positions in lexicographic
     order read from the last height, so with one height the list is the
-    stream itself.  The measure pool (seeded with the feasible point
-    masses) screens the list a block at a time, and only a candidate it
-    keeps is a node of _best_first: a leaf decided by _solve_candidate from
-    its adversary measure program alone, whose one child is the next
+    stream itself.  The measure pool screens the whole list once, a block
+    at a time, while it holds only its seed (the feasible point masses),
+    and the list keeps the survivors.  Then only a candidate the pool
+    keeps is a node of _best_first: a leaf decided by _solve_candidate
+    from its adversary measure program alone, whose one child is the next
     candidate the pool keeps.  The pool only grows, so a skipped candidate
     would be ruled out when popped too, and a popped one is screened again
     first.  A candidate the pool rules out therefore never bounds the
@@ -544,6 +549,10 @@ def enumerate_boxes(inst: SearchInstance,
                       for j in (1, 2))
             yield from (start + np.flatnonzero(~pool.ruled_out(lo, hi))).tolist()
             start = stop
+
+    # the seed never changes, so its verdicts hold for the whole run
+    keep = list(kept(0))
+    pos, bound, sets = pos[:, keep], bound[keep], len(keep)
 
     def child(n) -> list:
         return [] if n is None else [(float(bound[n]), [n], True)]

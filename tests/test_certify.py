@@ -423,10 +423,11 @@ def test_column_generation_stops_below_the_threshold(ref_spec):
     assert_feasible_measure(weights, spec, fine, decision, value)
 
 
-def test_a_stopped_master_is_memoized_under_its_threshold(ref_spec, monkeypatch):
-    # the search's master stops on an iterate; the certificate, with no
-    # threshold, solves the same atoms and values in full, and the search's
-    # call again finds its stopped master in the memo
+def test_the_memo_keeps_converged_masters_only(ref_spec, monkeypatch):
+    # a stopped master is not kept, so the search's call is solved again, to
+    # the same answer; a converged master answers a later search call with
+    # its repaired measure and a certificate call with its LP objective, each
+    # bit for bit what a fresh solve gives
     import drobox.certify as certify
 
     decision, spec, fine = _column_generation_case("reference", ref_spec, None)
@@ -434,23 +435,33 @@ def test_a_stopped_master_is_memoized_under_its_threshold(ref_spec, monkeypatch)
 
     def spy(program, **kwargs):
         sol = solve(program, **kwargs)
-        statuses.append((len(program.scalar_vars), sol.status))
+        statuses.append(sol.status)
         return sol
 
     monkeypatch.setattr(certify, "solve_sdp", spy)
     memo = {}
     stopped = adversary_problem(decision, spec, fine, stop_below=1.0, memo=memo)
-    assert stopped[0] == "stopped" and [s for _, s in statuses] == ["stopped"]
-    first = statuses[0][0]
-    statuses.clear()
-    full = adversary_problem(decision, spec, fine, memo=memo)
-    assert full[0] == "optimal" and statuses[0] == (first, "optimal")
-    fresh = adversary_problem(decision, spec, fine)
-    assert full[:2] == fresh[:2] and np.array_equal(full[2], fresh[2])
-    statuses.clear()
+    assert stopped[0] == "stopped" and statuses == ["stopped"] and memo == {}
     again = adversary_problem(decision, spec, fine, stop_below=1.0, memo=memo)
-    assert statuses == []
+    assert statuses == ["stopped"] * 2
     assert again[:2] == stopped[:2] and np.array_equal(again[2], stopped[2])
+
+    # below every value no iterate stops: the masters converge and are kept
+    searched = adversary_problem(decision, spec, fine, stop_below=-1.0, memo=memo)
+    assert searched[0] == "optimal" and set(statuses[2:]) == {"optimal"}
+    statuses.clear()
+    hit = adversary_problem(decision, spec, fine, stop_below=-1.0, memo=memo)
+    full = adversary_problem(decision, spec, fine, memo=memo)
+    assert statuses == []
+    fresh = [adversary_problem(decision, spec, fine, stop_below=-1.0),
+             adversary_problem(decision, spec, fine)]
+    for got, want in zip((hit, full), fresh):
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+    # the search's value is that of its repaired measure, a member of the
+    # family; the certificate's is the LP objective of the raw weights
+    assert abs(hit[1] - decision.evaluate(fine.points) @ hit[2]) <= 1e-15
+    assert family_violation(hit[2], fine.points, spec) <= 1e-12
+    assert not np.array_equal(full[2], hit[2])
 
 
 def _line_with_confidence_rows():
@@ -541,15 +552,16 @@ def test_repair_is_refused_without_a_strictly_feasible_anchor(ref_spec):
 
 
 def test_search_repairs_on_the_analytic_center_without_an_anchor_atom(ref_spec):
-    # with no strictly feasible atom, the search's weights are repaired on
-    # the measure the master's constraints alone converge to
+    # with no strictly feasible atom, the measure the master's constraints
+    # alone converge to anchors the repair, and an iterate so repaired
+    # stops the master
     tight = dataclasses.replace(ref_spec, mu=np.array([0.05, 0.05]), eps_mu=0.001)
     coarse = lattice_points(1.0, 2, 0.1)
     decision = Decision([1.0], [BoxRegion([0.0, 0.0], [0.5, 0.5])])
     memo = {}
     status, value, weights, _ = adversary_problem(decision, tight, coarse,
                                                   stop_below=1.5, memo=memo)
-    assert status == "optimal" and value < 1.5
+    assert status == "stopped" and value < 1.5
     assert any(key[0] == "center" for key in memo if isinstance(key, tuple))
     assert family_violation(weights, coarse.points, tight) <= 1e-12
 

@@ -559,15 +559,14 @@ def test_normal_factor_shifts_a_short_program_with_a_repeated_row():
     assert np.linalg.norm(M @ z - rhs) <= 1e-8 * np.linalg.norm(rhs)
 
 
-def test_normal_factor_inverts_its_triangle_by_blocks():
-    # 150 rows: the inverse splits into 75-row halves, then 64-row leaves
+def test_normal_factor_inverts_a_tall_triangle_exactly_upper():
+    # 150 rows, well past any measure master: the inverse stays upper triangular
     rng = np.random.default_rng(9)
     A = rng.normal(size=(150, 200 + 6))
     cone = _Cone(200, [3])
     fact = _NormalFactor(A, cone)
     fact.factor(rng.uniform(0.5, 2.0, size=200), rng.normal(size=(6, 6)) + 3.0 * np.eye(6))
     U = np.linalg.cholesky(fact.M, upper=True)
-    assert len(U) > 2 * sdp._INV_BLOCK
     assert np.all(np.tril(fact.U_inv, -1) == 0.0)
     assert np.max(np.abs(fact.U_inv @ U - np.eye(150))) <= 1e-12
 

@@ -269,7 +269,7 @@ def test_measure_pool_screen_matches_brute_force(ref_spec, ref_fn, monkeypatch, 
     sets = list(itertools.product(*[range(len(bound)) for bound, _, _ in streams]))
     lo, hi = (np.stack([stream[j][[idx[i] for idx in sets]]
                         for i, stream in enumerate(streams)]) for j in (1, 2))
-    threshold = model.spec.b + model.margin - 1e-7
+    threshold = model.spec.b + model.margin
     want = []
     for idx in sets:
         boxes = [lattice.box(streams[i][1][n], streams[i][2][n]) for i, n in enumerate(idx)]
@@ -466,12 +466,14 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
     # only candidates the pool keeps pop: each solved candidate costs a
     # re-screen and a search for the next kept one, and the whole list at
     # most one screen per block (one screen per candidate made 53,179 at
-    # delta = 1/20)
-    screens = []
+    # delta = 1/20).  The point-mass seed is screened over the list once,
+    # so the screens take little more than the candidate sets in all
+    screens, screened = [], []
     ruled_out = _MeasurePool.ruled_out
 
     def spy(self, lo, hi):
         screens.append(self)
+        screened.append(lo.shape[1])
         return ruled_out(self, lo, hi)
 
     monkeypatch.setattr(_MeasurePool, "ruled_out", spy)
@@ -483,6 +485,7 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
     pool = screens[-1]  # largest last, so its blocks are the smallest
     blocks = -(-sets // pool.block())
     assert len(screens) <= 2 * inc.node_count + blocks
+    assert sum(screened) <= 1.1 * sets
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +658,32 @@ def test_zero_threshold_zero_margin_empty_box():
         assert inc.status == "solved"
         assert inc.objective == pytest.approx(0.0, abs=1e-7)
         assert all(box is None or float(np.sum(box.widths)) == 0.0 for box in inc.boxes)
+
+
+def test_a_set_just_short_of_the_threshold_is_ruled_out_by_its_repaired_measure(ref_spec,
+                                                                              ref_fn):
+    # the pool's threshold is b + margin exactly: the box [0, 0.8]^2, whose
+    # repaired worst-case measure falls 5e-8 short of it, is ruled out, and
+    # that measure, a member of the family, joins the pool; every feasible
+    # point mass lies in the box, so the seed alone keeps it
+    import drobox.search as search
+
+    lattice = lattice_points(1.0, 2, 0.1)
+    boxes = [BoxRegion([0.0, 0.0], [0.8, 0.8])]
+    decision = Decision([1.0], boxes)
+    _, value, _, _ = adversary_problem(decision, ref_spec, lattice, stop_below=-1.0)
+    inst = SearchInstance(ref_spec, ref_fn, lattice, value + 5e-8 - ref_spec.b)
+    pool = _MeasurePool(inst)
+    corners = np.zeros((1, 1, 2), dtype=int), np.full((1, 1, 2), 8)
+    assert not pool.ruled_out(*corners)[0]
+    added = []
+    pool.add = lambda w: added.append(w) or _MeasurePool.add(pool, w)
+    assert search._solve_candidate(inst, boxes, pool) == ("infeasible", None)
+    assert pool.threshold == ref_spec.b + inst.margin
+    [w] = added
+    assert pool.threshold - 1e-7 < float(w @ decision.evaluate(lattice.points)) < pool.threshold
+    assert family_violation(w, lattice.points, ref_spec) <= 1e-12
+    assert pool.ruled_out(*corners)[0]
 
 
 # ---------------------------------------------------------------------------
