@@ -81,7 +81,7 @@ def _lattice_rows(spec, lattice: Lattice, atoms: np.ndarray):
     """The dual-side terms (lin, mats) of the sampled row of each atom, read
     from the Pricer of the atoms: -sgn(eps_i) 1[t in C_i] on y[i], -F1(t) on
     Y1 and (t - mu)(t - mu)^T on Y2."""
-    price = Pricer(spec, lattice.points[atoms], 0.0)
+    price = Pricer(spec, lattice.points[atoms])
     first, outer = price.moments(slice(None))
     for signs, Y1, Y2 in zip(price.rows, -first, outer):
         yield {"y[%d]" % i: -float(signs[i]) for i in np.flatnonzero(signs)}, {"Y1": Y1, "Y2": Y2}

@@ -14,14 +14,15 @@ in depth on top of them.
 Pricer is the one owner of the lattice measure program: it builds each master,
 prices every atom (the lattice row under explicit duals, which is a master's
 reduced cost under its multipliers), maps a master's multipliers to duals and
-names the atoms whose point mass is feasible.  Its coefficient arrays (rows,
-moments) are also the sampled rows of the assembled programs.  The program has
-one column per lattice atom, so it is solved by column generation
-(column_generation, which the fixed-box solve of `drobox solve` shares).  The
-certificate's first master adds to the coarsest seed the atoms where the
-answer's own duals price lowest.  A decision constant on the lattice takes no
-master: its worst case is the constant.  A command solves each measure master
-that converges once: its memo, shared by the search and the oracle, holds them.
+names the atoms whose point mass is feasible.  A column depends on its atom
+alone, so one Pricer serves every decision on its lattice (the search builds
+one, the certificate one) and solves each master that does not stop, and each
+anchor centre, once.  Its arrays (rows, moments) are also the sampled rows of
+the assembled programs.  The program has one column per lattice atom, so it is
+solved by column generation (column_generation, which the fixed-box solve of
+`drobox solve` shares).  The certificate's first master adds to the coarsest
+seed the atoms where the answer's own duals price lowest.  A decision constant
+on the lattice takes no master: its worst case is the constant.
 
 The search needs less than a master's optimum: one measure of the family
 below its threshold rules a set of boxes out (weak duality).  Pricer.repair
@@ -85,9 +86,9 @@ _Master = NamedTuple("_Master", [("status", str), ("objective", float), ("row_du
 
 
 class Pricer:
-    """The lattice measure program on atoms pts with values vals, and its lattice row.
+    """The lattice measure program on atoms pts, and its lattice row.
 
-    Under explicit duals (Y1, Y2, y) the lattice row at atom t_j is
+    Under explicit duals (Y1, Y2, y) the lattice row of atom values vals at t_j is
 
         v_j - <F1(t_j), Y1> + <(t_j - mu)(t_j - mu)^T, Y2> - sum_i y_i rows[j, i],
 
@@ -96,13 +97,11 @@ class Pricer:
     reduced cost of atom t_j's column in the measure program (master), whose
     multipliers reduced_costs reads as such duals.  Only this class knows
     the master's rows: the mass row, then one row per set in confidence.
-    vals may be one number for every atom, except for master.
+    vals may be one number for every atom, except for master, solved and constant_master.
     """
 
-    def __init__(self, spec: AmbiguitySpec, pts: np.ndarray, vals):
+    def __init__(self, spec: AmbiguitySpec, pts: np.ndarray):
         self.spec = spec
-        self.pts = pts
-        self.vals = vals
         self.d = pts - spec.mu
         sets = spec.confidence_sets
         self.eps = np.array([cs.eps for cs in sets])
@@ -112,14 +111,14 @@ class Pricer:
         # equality already covers the normalization pair and any whole domain
         self.confidence = [i for i, cs in enumerate(sets)
                            if i >= 2 and not isinstance(cs.region, WholeDomain)]
+        self._solved, self._centers = {}, {}  # see solved and center
 
-    def __call__(self, Y1: np.ndarray, Y2: np.ndarray, y: np.ndarray) -> np.ndarray:
-        spec = self.spec
-        m = spec.m
+    def __call__(self, vals, Y1: np.ndarray, Y2: np.ndarray, y: np.ndarray) -> np.ndarray:
+        spec, m = self.spec, self.spec.m
         first = (float(np.sum(spec.sigma * Y1[:m, :m])) + spec.eps_mu * Y1[m, m]
                  + self.d @ (Y1[:m, m] + Y1[m, :m]))
         second = np.einsum("ni,ij,nj->n", self.d, Y2, self.d)
-        return self.vals - self.rows @ y - first + second
+        return vals - self.rows @ y - first + second
 
     def moments(self, active) -> tuple:
         """F1(t) = [[Sigma, t - mu], [(t - mu)^T, eps_mu]] and (t - mu)(t - mu)^T
@@ -132,8 +131,9 @@ class Pricer:
         block[:, m, m] = spec.eps_mu
         return block, d[:, :, None] * d[:, None, :]
 
-    def master(self, active: np.ndarray) -> ConicProgram:
-        """The discrete-measure program over the atoms active (flat indices)."""
+    def master(self, vals: Optional[np.ndarray], active: np.ndarray) -> ConicProgram:
+        """The discrete-measure program of vals over the atoms active (flat
+        indices); with vals None, its constraints alone (Pricer.center)."""
         spec, m = self.spec, self.spec.m
         names = ["w[%d]" % j for j in range(active.size)]
         program = ConicProgram()
@@ -148,8 +148,34 @@ class Pricer:
         program.add_lmi(dict(zip(names, block)), np.zeros((m + 1, m + 1)), name="first-moment")
         program.add_lmi(dict(zip(names, -outer)), spec.eps_sigma * spec.sigma,
                         name="second-moment")
-        program.set_objective("min", {name: float(v) for name, v in zip(names, self.vals[active])})
+        if vals is not None:
+            program.set_objective("min", {name: float(v) for name, v in zip(names, vals[active])})
         return program
+
+    def solved(self, vals: np.ndarray, active: np.ndarray, stop=None) -> _Master:
+        """The master as solved (LP objective, weights clipped at 0, multipliers);
+        stop is solve_sdp's.  The solver is deterministic, so a master kept
+        (any that did not stop) answers a later call as a fresh solve would."""
+        key = (active.tobytes(), vals[active].tobytes())
+        if key not in self._solved:
+            sol = solve_sdp(self.master(vals, active), stop=stop)
+            found = _Master(sol.status, sol.objective, sol.row_duals, sol.lmi_duals, np.array(
+                [max(sol.primal["w[%d]" % j], 0.0) for j in range(active.size) if sol.primal]))
+            if sol.status == "stopped":
+                return found
+            self._solved[key] = found
+        return self._solved[key]
+
+    def center(self, active: np.ndarray) -> Optional[np.ndarray]:
+        """The weights the constraints alone, solved with no objective, end at
+        (strictly inside every block and row when some measure on the atoms
+        is), kept as solved; None unless that solve is optimal."""
+        key = active.tobytes()
+        if key not in self._centers:
+            sol = solve_sdp(self.master(None, active))
+            self._centers[key] = None if sol.status != "optimal" else np.array(
+                [sol.primal["w[%d]" % j] for j in range(active.size)])
+        return self._centers[key]
 
     def master_y(self, row_duals: np.ndarray) -> np.ndarray:
         """y of a master's row duals: the mass-row dual as y[1], each
@@ -158,11 +184,11 @@ class Pricer:
         y[1], y[self.confidence] = row_duals[0], row_duals[1:]
         return y
 
-    def reduced_costs(self, sol) -> np.ndarray:
+    def reduced_costs(self, vals: np.ndarray, sol) -> np.ndarray:
         """Every atom's reduced cost against a master's multipliers."""
-        return self(*sol.lmi_duals, self.master_y(sol.row_duals))
+        return self(vals, *sol.lmi_duals, self.master_y(sol.row_duals))
 
-    def lattice_duals(self, sol, margin: float) -> DualSolution:
+    def lattice_duals(self, vals: np.ndarray, sol, margin: float) -> DualSolution:
         """A master's multipliers as duals whose lattice rows hold at margin.
 
         Y1 and Y2 are the LMI duals projected onto the PSD cone, and y past the
@@ -172,20 +198,19 @@ class Pricer:
         """
         Y1, Y2 = ((V * np.maximum(w, 0.0)) @ V.T for w, V in map(np.linalg.eigh, sol.lmi_duals))
         y = np.maximum(self.master_y(np.r_[0.0, sol.row_duals[1:]]), 0.0)
-        shift = float(self(Y1, Y2, y).min()) - margin
+        shift = float(self(vals, Y1, Y2, y).min()) - margin
         y[:2] = max(-shift, 0.0), max(shift, 0.0)
         return DualSolution(Y1, Y2, y, self.spec)
 
-    def constant_master(self) -> Optional[tuple]:
+    def constant_master(self, vals: np.ndarray) -> Optional[tuple]:
         """(active, master) of the optimum when vals is one constant c, without a solve.
 
         Every measure of the ambiguity set has expectation c, so the point mass
         on the first atom point_masses names is optimal, and so are the
         multipliers c on the mass row and 0 on every other row and LMI: each
         atom's reduced cost is 0.  None when vals varies or no point mass is
-        feasible.  vals must be an array, as for master.
+        feasible.
         """
-        vals = self.vals
         if np.any(vals != vals[0]):
             return None
         atoms = np.flatnonzero(self.point_masses())
@@ -340,7 +365,7 @@ def column_generation(lattice: Lattice, spec: AmbiguitySpec, solve, price, *,
     return active, sol
 
 
-def _hinted_start(lattice: Lattice, spec: AmbiguitySpec, price: Pricer,
+def _hinted_start(lattice: Lattice, spec: AmbiguitySpec, price: Pricer, vals: np.ndarray,
                   duals: DualSolution) -> Optional[np.ndarray]:
     """The coarsest seed plus the atoms where the duals' lattice row is lowest.
 
@@ -351,7 +376,7 @@ def _hinted_start(lattice: Lattice, spec: AmbiguitySpec, price: Pricer,
     seed alone.
     """
     seed = next(_seeds(lattice, spec))
-    rows = price(duals.Y1, duals.Y2, duals.y)
+    rows = price(vals, duals.Y1, duals.Y2, duals.y)
     entering = np.flatnonzero(rows < rows[seed].min() - _PRICE_TOL)
     if entering.size == 0:
         return None
@@ -362,7 +387,7 @@ def _hinted_start(lattice: Lattice, spec: AmbiguitySpec, price: Pricer,
 
 def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice,
                       *, stop_below: float = -math.inf, margin: Optional[float] = None,
-                      duals: Optional[DualSolution] = None, memo: Optional[dict] = None):
+                      duals: Optional[DualSolution] = None, price: Optional[Pricer] = None):
     """Solve the discrete-measure adversary and keep the measure.
 
     Returns (status, value, weights, duals): the minimizing probability
@@ -373,7 +398,8 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
     optimal with a margin.
     The measure is constrained by the first-moment block, the
     second-moment cap, the extra confidence rows, and a single total-mass
-    equality; exact indicators evaluate the decision on the atoms.
+    equality; exact indicators evaluate the decision on the atoms.  price,
+    by default a new one, is the Pricer of spec on fine_lattice.points.
 
     A decision that takes one value on every atom (the whole-domain boxes,
     say) needs no master when some point mass is feasible: its worst case
@@ -391,87 +417,59 @@ def adversary_problem(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lat
 
     A finite stop_below (the search's threshold) gives every master one
     anchor: the point mass on its most slack strictly feasible atom, or
-    else the measure its constraints alone, solved with no objective, end
-    at (the interior-point limit, strictly inside every block and row when
-    some measure on the atoms is).  Pricer.repair on that anchor maps each
-    interior-point iterate's weights into the ambiguity family, and the
-    first iterate whose repaired expectation falls below stop_below ends
-    the solve with status "stopped" (logged as status=stopped).  A search
-    master's value and weights, stopped or converged, are its repaired
-    expectation and measure; a master with no anchor converges, with its
-    LP objective as value and no weights.  A constant decision's point mass is in the family
-    as it is.
-
-    memo maps a master's deflated atom and value bytes to its _Master as
-    solved (LP objective, raw weights and multipliers), unless it stopped,
-    and ("center", atom bytes) to the anchor measure on those atoms.  The
-    solver is deterministic, so a program met again is not solved, and a
-    call without stop_below gets what a fresh solve gets.  A stopped
-    master is not kept: the search's pool holds its measure already.
+    else its constraints-only centre (Pricer.center).  Pricer.repair on
+    that anchor maps each interior-point iterate's weights into the
+    ambiguity family, and the first iterate whose repaired expectation
+    falls below stop_below ends the solve with status "stopped" (logged as
+    status=stopped).  A search master's value and weights, stopped or
+    converged, are its repaired expectation and measure; a master with no
+    anchor converges, with its LP objective as value and no weights.  A
+    constant decision's point mass is in the family as it is.
     """
-    from zlib import compress  # loaded with numpy already
-    pts = fine_lattice.points
-    vals = decision.evaluate(pts)
-    price = Pricer(spec, pts, vals)
-    memo = {} if memo is None else memo
+    vals = decision.evaluate(fine_lattice.points)
+    price = price or Pricer(spec, fine_lattice.points)
     search = math.isfinite(stop_below)
 
-    def center(active):
-        key = ("center", compress(pts[active].tobytes(), 1))
-        if key not in memo:
-            program = price.master(active)
-            program.set_objective("min")
-            sol = solve_sdp(program)
-            memo[key] = None if sol.status != "optimal" else np.array(
-                [sol.primal["w[%d]" % j] for j in range(active.size)])
-        return memo[key]
-
     def solve(active):
-        key = compress(pts[active].tobytes() + vals[active].tobytes(), 1)
-        found = memo.get(key)
         mix = price.repair(active) if search else None
-        if search and mix is None and center(active) is not None:
-            mix = price.repair(active, center(active))
-        if found is None:
-            stop = None if mix is None else lambda w: float(vals[active] @ mix(w)) < stop_below
-            sol = solve_sdp(price.master(active), stop=stop)
-            weights = np.array([max(sol.primal["w[%d]" % j], 0.0)
-                                for j in range(active.size) if sol.primal])
-            found = _Master(sol.status, sol.objective, sol.row_duals, sol.lmi_duals, weights)
-            if sol.status != "stopped":
-                memo[key] = found
+        if search and mix is None and price.center(active) is not None:
+            mix = price.repair(active, price.center(active))
+        stop = None if mix is None else lambda w: float(vals[active] @ mix(w)) < stop_below
+        found = price.solved(vals, active, stop)
         if mix is not None and found.status in ("optimal", "stopped"):
             repaired = mix(found.weights)
             return found._replace(objective=float(vals[active] @ repaired), weights=repaired)
         return found._replace(weights=None) if search else found
 
-    constant = price.constant_master()
+    constant = price.constant_master(vals)
     if constant is not None:
         active, sol = constant
     else:
-        first = None if duals is None else _hinted_start(fine_lattice, spec, price, duals)
-        active, sol = column_generation(fine_lattice, spec, solve, price.reduced_costs,
+        first = None if duals is None else _hinted_start(fine_lattice, spec, price, vals, duals)
+        active, sol = column_generation(fine_lattice, spec, solve,
+                                        lambda sol: price.reduced_costs(vals, sol),
                                         stop_below=stop_below, final=("stopped",), first=first)
     if sol.status not in ("optimal", "stopped"):
         return sol.status, float("nan"), None, None
     weights = None
     if sol.weights is not None:
-        weights = np.zeros(pts.shape[0])
+        weights = np.zeros(fine_lattice.n_points)
         weights[active] = sol.weights
-    mapped = None if margin is None or sol.status != "optimal" else price.lattice_duals(sol, margin)
+    mapped = (None if margin is None or sol.status != "optimal"
+              else price.lattice_duals(vals, sol, margin))
     return sol.status, float(sol.objective), weights, mapped
 
 
 def adversary_oracle(decision: Decision, spec: AmbiguitySpec, fine_lattice: Lattice, *,
-                     duals: Optional[DualSolution] = None, memo: Optional[dict] = None) -> float:
+                     duals: Optional[DualSolution] = None) -> float:
     """Minimum expectation of the decision over fine-lattice measures.
 
     Returns nan when the discrete subfamily is empty (oracle infeasible);
     the caller should treat that as inconclusive.  A finite value below b
     falsifies the decision outright.  duals, an answer's duals for this
-    decision, and memo are adversary_problem's.
+    decision, are adversary_problem's.
     """
-    return adversary_problem(decision, spec, fine_lattice, duals=duals, memo=memo)[1]
+    return adversary_problem(decision, spec, fine_lattice, duals=duals)[1]
 
 
 def weak_duality_gap(dual_solution: DualSolution, oracle_value: float) -> float:
@@ -495,9 +493,9 @@ def fc_values(decision: Decision, dual_solution: DualSolution, spec: AmbiguitySp
         else:
             ind = smoothed_indicator_lower(t, box, delta)
         out += h * ind
-    # q(t), the moment terms: the lattice row of zero values and zero y
-    out += Pricer(spec, t, 0.0)(dual_solution.Y1, dual_solution.Y2,
-                                np.zeros(len(spec.confidence_sets)))
+    # plus q(t), the moment terms: the lattice row of these values and zero y
+    out = Pricer(spec, t)(out, dual_solution.Y1, dual_solution.Y2,
+                          np.zeros(len(spec.confidence_sets)))
     for cs, yi in zip(spec.confidence_sets, dual_solution.y):
         sgn = math.copysign(1.0, cs.eps)
         if isinstance(cs.region, WholeDomain):
@@ -535,8 +533,7 @@ def _duals_prove(duals: DualSolution, b: float) -> bool:
 def certify_solution(decision: Decision, dual_solution: DualSolution,
                      spec: AmbiguitySpec, delta: float,
                      fine_lattice: Optional[Lattice] = None,
-                     n_samples: int = 10_000, seed: int = 0,
-                     memo: Optional[dict] = None) -> Certificate:
+                     n_samples: int = 10_000, seed: int = 0) -> Certificate:
     """Run all three checks and fold them into one Certificate.
 
     delta is the assembly step.  The fine lattice defaults to half that
@@ -547,7 +544,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     only enter as a difference, both to -1e-9.  The oracle's first master
     holds the fine-lattice atoms where the lattice row of dual_solution is
     lowest (adversary_problem), so re-certifying a stored answer repeats the
-    certificate its solve wrote.  memo is adversary_problem's.
+    certificate its solve wrote.
     """
     if fine_lattice is None:
         fine_lattice = lattice_points(spec.edge, spec.m, delta / 2.0)
@@ -557,7 +554,7 @@ def certify_solution(decision: Decision, dual_solution: DualSolution,
     gap = float("nan")
     value = float("nan")
     if fine_lattice.delta <= delta / 2.0 + 1e-12:
-        value = adversary_oracle(decision, spec, fine_lattice, duals=dual_solution, memo=memo)
+        value = adversary_oracle(decision, spec, fine_lattice, duals=dual_solution)
         if not math.isnan(value):
             gap = weak_duality_gap(dual_solution, value)
     if math.isnan(value):

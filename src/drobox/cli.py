@@ -383,19 +383,19 @@ def _solve_fixed(spec, fn, lattice, margin: float):
 
     certify.column_generation adds the most violated lattice rows to a
     master, assemble_case1 on the active atoms; an infeasible master, a
-    relaxation, ends the solve.  A row's slack is the box indicators times
-    the heights plus the Pricer row of zero atom values, less margin.
+    relaxation, ends the solve.  A row's slack is the Pricer row of the atom
+    values, the box indicators times the heights less margin.
     """
     pts = lattice.points
     inside = np.stack([box.contains(pts) for box in fn.mode.boxes], axis=1).astype(float)
-    pricer = Pricer(spec, pts, np.zeros(lattice.n_points))
+    pricer = Pricer(spec, pts)
 
     def solve(active):
         return solve_sdp(assemble_case1(spec, fn, lattice, margin, atoms=active).program)
 
     def price(sol):
         heights, d = decode_fixed(sol, spec, fn.k)
-        return inside @ heights + pricer(d.Y1, d.Y2, d.y) - margin
+        return pricer(inside @ heights - margin, d.Y1, d.Y2, d.y)
 
     _, sol = column_generation(lattice, spec, solve, price, final=("infeasible",))
     return sol
@@ -412,7 +412,6 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     ConfigError.
     """
     delta = lattice.delta
-    memo = {}  # measure masters, shared by the search and the certificate
     L = lipschitz_certificate(spec, fn).L
     margin = safety_margin(L, delta, spec.m)
     record = {
@@ -440,7 +439,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
     else:
         record["case"] = "variable"
         try:
-            inc = run_search(SearchInstance(spec, fn, lattice, margin, memo), opts)
+            inc = run_search(SearchInstance(spec, fn, lattice, margin), opts)
         except InstanceTooLarge as exc:
             raise ConfigError(str(exc)) from exc
         record["status"] = inc.status
@@ -458,7 +457,7 @@ def _solve_once(spec, fn, lattice, opts: SearchOptions, seed: int,
                            for key in ("Y1", "Y2", "y")}
         t1 = time.perf_counter()
         cert = certify_solution(Decision.nonempty(heights, boxes), duals, spec,
-                                delta=delta, n_samples=samples, seed=seed, memo=memo)
+                                delta=delta, n_samples=samples, seed=seed)
         record["certify_seconds"] = time.perf_counter() - t1
         record["certificate"] = cert.as_record()
     return record
@@ -495,25 +494,28 @@ def _search_log(path: Path):
 # commands
 
 
+def _snap(region, lattice):
+    """The lattice's own box for a box region whose bounds lie on the lattice and
+    miss its values (by an ulp, say, written through another step); else region."""
+    if isinstance(region, BoxRegion):
+        try:
+            box = lattice.box(*lattice.indices([region.lower, region.upper]))
+        except ValueError:
+            return region
+        if np.any(box.lower != region.lower) or np.any(box.upper != region.upper):
+            return box
+    return region
+
+
 def _lattice_boxes(spec, fn, lattice) -> tuple:
     """(spec, fn) with each box whose bounds lie on the lattice replaced by
-    the lattice's own box; validation reports any other box.  An object is
-    rebuilt only when a bound moves."""
-    def snap(region):
-        if isinstance(region, BoxRegion):
-            try:
-                box = lattice.box(*lattice.indices([region.lower, region.upper]))
-            except ValueError:
-                return region
-            if np.any(box.lower != region.lower) or np.any(box.upper != region.upper):
-                return box
-        return region
-
-    sets = [ConfidenceSet(snap(c.region), c.eps) for c in spec.confidence_sets]
+    the lattice's own box (_snap); validation reports any other box.  An
+    object is rebuilt only when a bound moves."""
+    sets = [ConfidenceSet(_snap(c.region, lattice), c.eps) for c in spec.confidence_sets]
     if any(new.region is not c.region for new, c in zip(sets, spec.confidence_sets)):
         spec = dataclasses.replace(spec, confidence_sets=sets)
     if isinstance(fn.mode, FixedBoxes):
-        boxes = [snap(box) for box in fn.mode.boxes]
+        boxes = [_snap(box, lattice) for box in fn.mode.boxes]
         if any(new is not box for new, box in zip(boxes, fn.mode.boxes)):
             fn = dataclasses.replace(fn, mode=dataclasses.replace(fn.mode, boxes=boxes))
     return spec, fn
@@ -621,19 +623,17 @@ def cmd_certify(args) -> int:
     spec, fn = build_instance(cfg)
     delta, decision, duals = _solution_from(load_config(args.solution, "solution"), spec)
     spec = _validate_step(spec, fn, delta)[0]
-    duals = dataclasses.replace(duals, spec=spec)
     seed, samples = _sampling(cfg, args)
     out = _out_dir(cfg, args)
     fine_step = _one_delta(args)
-    fine = None
-    if fine_step is not None:
-        fine = _lattice(spec, fine_step)
-        if fine_step > delta / 2.0 + 1e-12:
-            print(
-                "warning: fine step %.9g is coarser than delta/2=%.9g; "
-                "the verdict will be inconclusive" % (fine_step, delta / 2.0),
-                file=sys.stderr,
-            )
+    fine = _lattice(spec, delta / 2.0 if fine_step is None else fine_step)
+    if fine.delta > delta / 2.0 + 1e-12:
+        print("warning: fine step %.9g is coarser than delta/2=%.9g; the verdict will be "
+              "inconclusive" % (fine.delta, delta / 2.0), file=sys.stderr)
+    # the record's boxes and the confidence boxes as the fine lattice writes them
+    spec = _lattice_boxes(spec, fn, fine)[0]
+    decision = Decision(decision.heights, [_snap(box, fine) for box in decision.boxes])
+    duals = dataclasses.replace(duals, spec=spec)
     cert = certify_solution(
         decision, duals, spec, delta=delta, fine_lattice=fine, n_samples=samples, seed=seed
     )

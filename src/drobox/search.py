@@ -10,7 +10,7 @@ with a point mass on every feasible lattice atom (Pricer.point_masses), read
 off one count grid.  Callers hand it the lattice index corners (lo, hi) of
 each box, and only the pool knows how its measures are stored.  A set of
 boxes that passes gets its own adversary measure program solved, each
-distinct master once per command (the instance's memo): a value below
+distinct master once (by the instance's one certify.Pricer): a value below
 b + margin rules it out, and its measure joins the pool; otherwise the final
 master's duals, checked against every lattice row and the threshold row,
 prove it feasible.  A master's value is the expectation of its measure
@@ -117,8 +117,8 @@ class Incumbent:
 class SearchInstance:
     """A variable-box instance as the search drivers read it.
 
-    margin is the right-hand side of every lattice row, and memo the command's
-    memo of measure masters (certify.adversary_problem).  sgn is +1 when the
+    margin is the right-hand side of every lattice row, and pricer the measure
+    program of the lattice (certify.Pricer), built once.  sgn is +1 when the
     mode's objective is minimized and -1 when maximized; the drivers minimize
     sgn times the objective.  quantum is the lattice step when every objective
     value is a multiple of it (the width sum without user constraints), else None.
@@ -133,7 +133,7 @@ class SearchInstance:
     fn: SimpleFunctionSpec
     lattice: Lattice
     margin: float
-    memo: dict = field(default_factory=dict, repr=False)
+    pricer: Pricer = field(init=False, repr=False)
     sgn: float = field(init=False)
     quantum: Optional[float] = field(init=False)
     corner_costs: tuple = field(init=False, repr=False)
@@ -145,6 +145,7 @@ class SearchInstance:
             raise TypeError("search drivers need a VariableBoxes decision mode")
         if np.any(self.fn.heights <= 0.0):
             raise ValueError("variable mode requires strictly positive heights")
+        object.__setattr__(self, "pricer", Pricer(self.spec, self.lattice.points))
         object.__setattr__(self, "sgn", 1.0 if mode.objective_sense == "min" else -1.0)
         object.__setattr__(self, "quantum", self.lattice.delta
                            if mode.width_sum and not mode.constraints else None)
@@ -200,11 +201,10 @@ class _MeasurePool:
     """
 
     def __init__(self, inst: SearchInstance):
-        spec = inst.spec
         lattice = inst.lattice
         self.shape = lattice.shape
-        self.threshold = spec.b + inst.margin
-        ok = Pricer(spec, lattice.points, 0.0).point_masses()
+        self.threshold = inst.spec.b + inst.margin
+        ok = inst.pricer.point_masses()
         self.atoms = np.argwhere(ok.reshape(self.shape))
         self.counts = _padded_prefix(ok.astype(np.int64), self.shape)
         self.heights = np.asarray(inst.fn.heights, dtype=float)
@@ -353,7 +353,7 @@ def _solve_candidate(inst: SearchInstance, boxes: list, pool: _MeasurePool) -> t
         return "infeasible", None
     status, value, weights, duals = adversary_problem(
         Decision.nonempty(inst.fn.heights, boxes), inst.spec, inst.lattice,
-        stop_below=pool.threshold, margin=inst.margin, memo=inst.memo)
+        stop_below=pool.threshold, margin=inst.margin, price=inst.pricer)
     if status not in ("optimal", "stopped"):
         return "unresolved", None
     if value < pool.threshold:

@@ -166,8 +166,8 @@ _ROUND_LINE = re.compile(
                                    "tight-moments"])
 def test_column_generation_matches_the_whole_lattice(ref_spec, line_spec, which, caplog):
     decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
-    direct = solve_sdp(Pricer(spec, fine.points, decision.evaluate(fine.points)).master(
-        np.arange(fine.n_points)))
+    direct = solve_sdp(Pricer(spec, fine.points).master(decision.evaluate(fine.points),
+                                                        np.arange(fine.n_points)))
     assert direct.status == "optimal"
     with caplog.at_level(logging.DEBUG, logger="drobox.certify"):
         status, value, weights, _ = adversary_problem(decision, spec, fine)
@@ -204,8 +204,8 @@ def test_hinted_start_matches_the_whole_lattice(ref_spec, line_spec, which, capl
     # the duals only choose the first master, so with the duals of its own
     # margin solve, or with any PSD duals, the answer is the lattice optimum
     decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
-    direct = solve_sdp(Pricer(spec, fine.points, decision.evaluate(fine.points)).master(
-        np.arange(fine.n_points)))
+    direct = solve_sdp(Pricer(spec, fine.points).master(decision.evaluate(fine.points),
+                                                        np.arange(fine.n_points)))
     own = adversary_problem(decision, spec, fine, margin=0.1)[3]
     seed, entered = next(_seeds(fine, spec)), []
     for duals in (own, _random_psd_duals(spec, 5), _random_psd_duals(spec, 6)):
@@ -263,9 +263,10 @@ def test_constant_decision_takes_no_master(ref_spec, line_spec, which, monkeypat
 
     decision, spec, fine, value = _constant_cases(which, ref_spec, line_spec)
     # the mass row's multiplier alone prices every atom at reduced cost 0
-    price = Pricer(spec, fine.points, decision.evaluate(fine.points))
-    _, master = price.constant_master()
-    assert master.objective == value and not price.reduced_costs(master).any()
+    vals = decision.evaluate(fine.points)
+    price = Pricer(spec, fine.points)
+    _, master = price.constant_master(vals)
+    assert master.objective == value and not price.reduced_costs(vals, master).any()
     solves = []
     monkeypatch.setattr(certify, "solve_sdp", lambda program, **kwargs: solves.append(program))
     for duals in (None, zero_dual(spec), _random_psd_duals(spec, 5)):
@@ -275,7 +276,7 @@ def test_constant_decision_takes_no_master(ref_spec, line_spec, which, monkeypat
         assert (solves, lines) == ([], [])
         support = np.flatnonzero(weights)
         assert weights[support].tolist() == [1.0]
-        assert Pricer(spec, fine.points, 0.0).point_masses()[support].all()
+        assert Pricer(spec, fine.points).point_masses()[support].all()
         assert_feasible_measure(weights, spec, fine, decision, value)
 
 
@@ -304,7 +305,7 @@ def test_constant_decision_without_a_feasible_point_mass_solves_its_masters(line
         extra_sets=(ConfidenceSet(BoxRegion([0.0], [0.05]), 0.4),
                     ConfidenceSet(BoxRegion([0.15], [0.2]), 0.4)))
     fine = lattice_points(0.2, 1, 0.0125)
-    assert not Pricer(spec, fine.points, 0.0).point_masses().any()
+    assert not Pricer(spec, fine.points).point_masses().any()
     decision = Decision([1.0], [BoxRegion([0.0], [0.2])])
     (status, value, weights, _), lines = _round_lines(
         caplog, lambda: adversary_problem(decision, spec, fine))
@@ -359,7 +360,7 @@ def test_point_masses_are_the_atoms_whose_point_mass_is_in_the_ambiguity_set():
         rows = all(math.copysign(1.0, cs.eps) * float(cs.region.contains(t)) >= cs.eps
                    for cs in spec.confidence_sets)
         want.append(moments and rows)
-    got = Pricer(spec, pts, 0.0).point_masses()
+    got = Pricer(spec, pts).point_masses()
     assert got.tolist() == want
     assert 0 < got.sum() < len(pts)
 
@@ -371,8 +372,8 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
     # term of the batched pricing count
     decision, spec, fine = _column_generation_case(which, ref_spec, None)
     vals = decision.evaluate(fine.points)
-    price = Pricer(spec, fine.points, vals)
-    program = price.master(np.arange(fine.n_points))
+    price = Pricer(spec, fine.points)
+    program = price.master(vals, np.arange(fine.n_points))
     comp = _compile(program)
     rng = np.random.default_rng(3)
     duals = SimpleNamespace(row_duals=rng.normal(size=program.n_rows), lmi_duals=[])
@@ -384,14 +385,14 @@ def test_pricing_matches_the_compiled_reduced_costs(ref_spec, which):
         y[start:start + svec_len(d)] = svec(Z + Z.T)
     n = fine.n_points
     compiled = comp.c[:n] - comp.A[:, :n].T @ y
-    priced = price.reduced_costs(duals)
+    priced = price.reduced_costs(vals, duals)
     assert np.max(np.abs(priced - compiled)) <= 1e-12 * (1.0 + np.max(np.abs(compiled)))
 
 
 @pytest.mark.parametrize("which", ["reference", "tight-moments", "confidence-off-seed"])
 def test_memo_answers_a_repeated_master_bitwise(ref_spec, line_spec, monkeypatch, which):
-    # a memo changes no bit of the answer: a fresh memo solves what a call
-    # without one solves, and a second call on the filled memo solves nothing
+    # a Pricer's kept masters change no bit of the answer: a fresh Pricer
+    # solves what a call without one solves, and a second call solves nothing
     import drobox.certify as certify
 
     decision, spec, fine = _column_generation_case(which, ref_spec, line_spec)
@@ -399,11 +400,11 @@ def test_memo_answers_a_repeated_master_bitwise(ref_spec, line_spec, monkeypatch
     solve = certify.solve_sdp
     monkeypatch.setattr(certify, "solve_sdp",
                         lambda program, **kwargs: solves.append(1) or solve(program, **kwargs))
-    memo = {}
-    runs = [adversary_problem(decision, spec, fine, margin=0.1, memo=m) for m in (None, memo)]
-    assert len(memo) == len(solves) // 2 >= 2
+    price = Pricer(spec, fine.points)
+    runs = [adversary_problem(decision, spec, fine, margin=0.1, price=p) for p in (None, price)]
+    assert len(price._solved) == len(solves) // 2 >= 2
     solves.clear()
-    runs.append(adversary_problem(decision, spec, fine, margin=0.1, memo=memo))
+    runs.append(adversary_problem(decision, spec, fine, margin=0.1, price=price))
     assert solves == []
     for status, value, weights, duals in runs[1:]:
         assert (status, value) == runs[0][:2] and status == "optimal"
@@ -439,19 +440,19 @@ def test_the_memo_keeps_converged_masters_only(ref_spec, monkeypatch):
         return sol
 
     monkeypatch.setattr(certify, "solve_sdp", spy)
-    memo = {}
-    stopped = adversary_problem(decision, spec, fine, stop_below=1.0, memo=memo)
-    assert stopped[0] == "stopped" and statuses == ["stopped"] and memo == {}
-    again = adversary_problem(decision, spec, fine, stop_below=1.0, memo=memo)
+    price = Pricer(spec, fine.points)
+    stopped = adversary_problem(decision, spec, fine, stop_below=1.0, price=price)
+    assert stopped[0] == "stopped" and statuses == ["stopped"] and price._solved == {}
+    again = adversary_problem(decision, spec, fine, stop_below=1.0, price=price)
     assert statuses == ["stopped"] * 2
     assert again[:2] == stopped[:2] and np.array_equal(again[2], stopped[2])
 
     # below every value no iterate stops: the masters converge and are kept
-    searched = adversary_problem(decision, spec, fine, stop_below=-1.0, memo=memo)
+    searched = adversary_problem(decision, spec, fine, stop_below=-1.0, price=price)
     assert searched[0] == "optimal" and set(statuses[2:]) == {"optimal"}
     statuses.clear()
-    hit = adversary_problem(decision, spec, fine, stop_below=-1.0, memo=memo)
-    full = adversary_problem(decision, spec, fine, memo=memo)
+    hit = adversary_problem(decision, spec, fine, stop_below=-1.0, price=price)
+    full = adversary_problem(decision, spec, fine, price=price)
     assert statuses == []
     fresh = [adversary_problem(decision, spec, fine, stop_below=-1.0),
              adversary_problem(decision, spec, fine)]
@@ -519,7 +520,7 @@ def test_repair_brings_weights_into_the_family(ref_spec, which):
     spec, fine, active, w = _repair_case(which, ref_spec)
     pts = fine.points[active]
     assert 5e-7 <= family_violation(w, pts, spec) <= 2e-6
-    mix = Pricer(spec, fine.points, 0.0).repair(active)
+    mix = Pricer(spec, fine.points).repair(active)
     fixed = mix(w)
     assert family_violation(fixed, pts, spec) <= 1e-12
     assert np.abs(fixed - w).sum() <= 1e-4
@@ -530,7 +531,7 @@ def test_repair_brings_weights_into_the_family(ref_spec, which):
 
 def test_repair_is_refused_without_a_strictly_feasible_anchor(ref_spec):
     spec, line = _line_with_confidence_rows()
-    price = Pricer(spec, line.points, 0.0)
+    price = Pricer(spec, line.points)
     # no atom above 0.3 holds P([0, 0.3]) >= 0.3, let alone strictly
     assert price.repair(np.arange(4, 11)) is None
     # an anchor on the atom 0.8 breaks P([0.7, 1]) <= 0.2
@@ -542,7 +543,7 @@ def test_repair_is_refused_without_a_strictly_feasible_anchor(ref_spec):
     # feasible point mass; the four around mu in equal parts are strictly inside
     tight = dataclasses.replace(ref_spec, mu=np.array([0.05, 0.05]), eps_mu=0.001)
     coarse = lattice_points(1.0, 2, 0.1)
-    price = Pricer(tight, coarse.points, 0.0)
+    price = Pricer(tight, coarse.points)
     assert price.repair(np.arange(coarse.n_points)) is None
     square = np.flatnonzero(np.all(coarse.points <= 0.1 + 1e-12, axis=1))
     assert square.size == 4
@@ -558,11 +559,11 @@ def test_search_repairs_on_the_analytic_center_without_an_anchor_atom(ref_spec):
     tight = dataclasses.replace(ref_spec, mu=np.array([0.05, 0.05]), eps_mu=0.001)
     coarse = lattice_points(1.0, 2, 0.1)
     decision = Decision([1.0], [BoxRegion([0.0, 0.0], [0.5, 0.5])])
-    memo = {}
+    price = Pricer(tight, coarse.points)
     status, value, weights, _ = adversary_problem(decision, tight, coarse,
-                                                  stop_below=1.5, memo=memo)
+                                                  stop_below=1.5, price=price)
     assert status == "stopped" and value < 1.5
-    assert any(key[0] == "center" for key in memo if isinstance(key, tuple))
+    assert any(center is not None for center in price._centers.values())
     assert family_violation(weights, coarse.points, tight) <= 1e-12
 
 

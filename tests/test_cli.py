@@ -116,36 +116,44 @@ def test_variable_solve_makes_no_assembled_solve(tmp_path, monkeypatch, mode):
     assert calls == []
 
 
-def _spy_master_solves(monkeypatch) -> list:
-    """Record the (atoms, values) bytes of every measure master that is solved."""
+def _spy_master_solves(monkeypatch) -> tuple:
+    """Record the (atoms, values) bytes of every measure master that is
+    looked up and of every one that is built, and a None for each solve."""
     import drobox.certify as certify
 
-    masters = []
-    build, solve = certify.Pricer.master, certify.solve_sdp
-    monkeypatch.setattr(certify.Pricer, "master", lambda self, active: masters.append(
-        self.pts[active].tobytes() + self.vals[active].tobytes()) or build(self, active))
+    looked, masters = [], []
+    lookup, build, solve = certify.Pricer.solved, certify.Pricer.master, certify.solve_sdp
+
+    def key(price, vals, active):
+        return price.d[active].tobytes() + vals[active].tobytes()
+
+    monkeypatch.setattr(certify.Pricer, "solved", lambda self, vals, active, stop=None: (
+        looked.append(key(self, vals, active)) or lookup(self, vals, active, stop)))
+    monkeypatch.setattr(certify.Pricer, "master", lambda self, vals, active: masters.append(
+        key(self, vals, active)) or build(self, vals, active))
     monkeypatch.setattr(certify, "solve_sdp", lambda program, **kwargs: masters.append(None)
                         or solve(program, **kwargs))
-    return masters
+    return looked, masters
 
 
 def test_enumerate_solve_solves_each_distinct_master_once(tmp_path, monkeypatch):
     # at delta = 1/20 the search and the certificate meet 21 measure masters
-    # in their rounds, 17 of them distinct: the command's memo solves each
-    # distinct one once
-    masters = _spy_master_solves(monkeypatch)
+    # in their rounds, 17 of them distinct: the Pricer of each lattice solves
+    # each distinct one once
+    looked, masters = _spy_master_solves(monkeypatch)
     assert main(["solve", "--config", REFERENCE, "--delta", "0.05", "--mode", "enumerate",
                  "--out-dir", str(tmp_path)]) == 0
     record = json.loads((tmp_path / "result.json").read_text())
     assert (record["proof"], record["objective"]) == ("optimal", pytest.approx(1.7))
     built = [key for key in masters if key is not None]
+    assert len(looked) == 21 and len(set(looked)) == 17
     assert len(built) == len(masters) // 2 == len(set(built)) == 17
 
 
 def test_no_master_carries_over_between_commands(tmp_path, monkeypatch):
-    # each command owns its memo, so a second solve in the same process
-    # solves exactly the masters the first one did
-    masters = _spy_master_solves(monkeypatch)
+    # each command builds its own Pricers, so a second solve in the same
+    # process solves exactly the masters the first one did
+    _, masters = _spy_master_solves(monkeypatch)
     argv = ["solve", "--config", REFERENCE, "--delta", "0.05", "--mode", "enumerate",
             "--out-dir", str(tmp_path)]
     assert main(argv) == 0
@@ -153,6 +161,20 @@ def test_no_master_carries_over_between_commands(tmp_path, monkeypatch):
     masters.clear()
     assert main(argv) == 0
     assert masters == first
+
+
+def test_a_search_builds_one_pricer_for_its_lattice(tmp_path, monkeypatch):
+    # the pool's seed and every master of the search read one Pricer of the
+    # 21 x 21 search lattice; the certificate and the sampling build their own
+    import drobox.certify as certify
+
+    atoms = []
+    init = certify.Pricer.__init__
+    monkeypatch.setattr(certify.Pricer, "__init__", lambda self, spec, pts: (
+        atoms.append(len(pts)) or init(self, spec, pts)))
+    assert main(["solve", "--config", REFERENCE, "--delta", "0.05", "--mode", "bnb",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert atoms.count(441) == 1
 
 
 @pytest.mark.parametrize("mode", ["bnb", "enumerate"])
@@ -520,6 +542,32 @@ def test_stored_records_stay_certified_at_fine_steps(tmp_path, name, fine):
     cert = json.loads((tmp_path / "certificate.json").read_text())
     assert cert["verdict"] == "certified"
     assert cert["worst_case_expectation"] == pytest.approx(_RECORD_WORST[name][fine], abs=1e-7)
+
+
+def test_certify_reads_the_record_boxes_as_the_fine_lattice_writes_them(tmp_path):
+    # solving at delta = 1/12 stores the corner 5/6 as 0.8333333333333333,
+    # which the fine lattice at 1/60 writes 0.8333333333333334; read as it
+    # is, the box would miss the 101 fine atoms on its upper faces
+    from drobox.certify import adversary_oracle
+    from drobox.model import Decision, lattice_points
+
+    cfg = json.loads(Path(FIXED_DEMO).read_text())
+    cfg["function"]["mode"]["boxes"][1]["upper"] = [5 / 6, 5 / 6]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["solve", "--config", str(path), "--delta", repr(1 / 12),
+                 "--out-dir", str(tmp_path)]) == 0
+    record = json.loads((tmp_path / "result.json").read_text())
+    fine = lattice_points(1.0, 2, 1 / 60)
+    assert record["boxes"][1]["upper"] == [0.8333333333333333] * 2
+    assert fine.axis[50] == 0.8333333333333334
+    assert main(["certify", "--config", str(path), "--solution", str(tmp_path / "result.json"),
+                 "--delta", repr(1 / 60), "--out-dir", str(tmp_path)]) == 0
+    cert = json.loads((tmp_path / "certificate.json").read_text())
+    spec, _ = cli.build_instance(cfg)
+    own = Decision(record["heights"], [fine.box([0, 0], [60, 60]), fine.box([0, 0], [50, 50])])
+    assert cert["worst_case_expectation"] == pytest.approx(adversary_oracle(own, spec, fine),
+                                                           abs=1e-7)
 
 
 def test_certify_coarse_fine_step_is_inconclusive(solved_reference, tmp_path, capsys):

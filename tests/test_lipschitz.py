@@ -160,7 +160,7 @@ def test_poly_part_batch_matches_pricer(ref_spec):
     pts = rng.uniform(0, 1, size=(25, 2))
     batch = poly_part_batch(pts, Y1, Y2, ref_spec)
     zeros = np.zeros(len(ref_spec.confidence_sets))
-    priced = Pricer(ref_spec, pts, np.zeros(len(pts)))(Y1, Y2, zeros)
+    priced = Pricer(ref_spec, pts)(0.0, Y1, Y2, zeros)
     singles = [-np.sum(first_moment_block(p, ref_spec) * Y1)
                + np.sum(second_moment_outer(p, ref_spec) * Y2) for p in pts]
     np.testing.assert_allclose(batch, priced, atol=1e-12)

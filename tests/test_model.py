@@ -48,14 +48,14 @@ def test_box_region_membership_is_closed():
 def test_first_moment_block_reference_value(ref_spec):
     # the Pricer's F1(t) and the oracle's, against the value by hand
     want = np.array([[2.0, 0.5, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 0.1]])
-    first, _ = Pricer(ref_spec, np.array([[0.3, 0.4], [1.0, 1.0]]), 0.0).moments([1])
+    first, _ = Pricer(ref_spec, np.array([[0.3, 0.4], [1.0, 1.0]])).moments([1])
     np.testing.assert_allclose(first, [want], rtol=0, atol=0)
     np.testing.assert_allclose(first_moment_block([1.0, 1.0], ref_spec), want, rtol=0, atol=0)
 
 
 def test_second_moment_outer_reference_value(ref_spec):
     want = [[0.09, 0.12], [0.12, 0.16]]
-    _, outer = Pricer(ref_spec, np.array([[0.3, 0.4], [1.0, 1.0]]), 0.0).moments([0])
+    _, outer = Pricer(ref_spec, np.array([[0.3, 0.4], [1.0, 1.0]])).moments([0])
     np.testing.assert_allclose(outer, [want], atol=1e-15)
     np.testing.assert_allclose(second_moment_outer([0.3, 0.4], ref_spec), want, atol=1e-15)
 
@@ -63,7 +63,7 @@ def test_second_moment_outer_reference_value(ref_spec):
 def moment_part(t, Y1, Y2, spec):
     """q(t), the lattice row of a zero-valued atom at t with y = 0."""
     zeros = np.zeros(len(spec.confidence_sets))
-    return float(Pricer(spec, np.array([t]), np.zeros(1))(Y1, Y2, zeros)[0])
+    return float(Pricer(spec, np.array([t]))(0.0, Y1, Y2, zeros)[0])
 
 
 def test_pricer_moment_part_second_moment_identity(ref_spec):

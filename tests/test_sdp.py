@@ -530,7 +530,7 @@ def test_normal_factor_solves_a_measure_program_with_a_confidence_box():
         extra_sets=(ConfidenceSet(BoxRegion([0.0, 0.0], [0.5, 0.5]), 0.2),))
     pts = lattice_points(1.0, 2, 0.0125).points
     vals = BoxRegion([0.1, 0.1], [0.6, 0.6]).contains(pts).astype(float)
-    comp = _compile(Pricer(spec, pts, vals).master(np.arange(len(pts))))
+    comp = _compile(Pricer(spec, pts).master(vals, np.arange(len(pts))))
     cone = _Cone(comp.n_nonneg, comp.psd_dims)
     assert comp.A.shape[0] == 11
     assert np.sum(np.count_nonzero(comp.A[:, : cone.l], axis=0) > 10) >= 1000

@@ -539,7 +539,7 @@ def test_drivers_agree_and_the_pool_takes_only_members(dim, k, eps, corners, mar
     # family (no measure on the lattice meets the confidence box) is left out
     model = _small_instance(dim, k, eps, corners, margin)
     everywhere = np.arange(model.lattice.n_points)
-    family = Pricer(model.spec, model.lattice.points, np.zeros(everywhere.size)).master(everywhere)
+    family = Pricer(model.spec, model.lattice.points).master(None, everywhere)
     assume(solve_sdp(family).status == "optimal")
     added = []
     add = _MeasurePool.add
