@@ -117,7 +117,7 @@ class Pricer:
         spec, m = self.spec, self.spec.m
         first = (float(np.sum(spec.sigma * Y1[:m, :m])) + spec.eps_mu * Y1[m, m]
                  + self.d @ (Y1[:m, m] + Y1[m, :m]))
-        second = np.einsum("ni,ij,nj->n", self.d, Y2, self.d)
+        second = np.einsum("ni,ni->n", self.d @ Y2, self.d)
         return vals - self.rows @ y - first + second
 
     def moments(self, active) -> tuple:

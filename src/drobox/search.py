@@ -35,9 +35,11 @@ node holds, per height, either the empty box or an interval of lattice
 indices for each corner coordinate, and expands by halving its widest
 interval.  Heights are positive, so the node's outer box has its largest
 expectation under every measure, and one pool screen of it drops the
-whole node.  A batch is one integer array: one screen, one halving and
-one bound pass serve all its nodes, and the open nodes wait in the heap
-as arrays of equal bound.  run_search dispatches on SearchOptions.mode.
+whole node.  The same screen pins it: a seed atom that only one box's
+outer box can carry caps that box's corner intervals.  A batch is one
+integer array: one screen, one halving and one bound pass serve all its
+nodes, and the open nodes wait in the heap as arrays of equal bound.
+run_search dispatches on SearchOptions.mode.
 
 Progress goes to the drobox.search logger as machine-parseable key=value
 lines: node=, bound=, incumbent=, gap= (all in minimization scale).
@@ -229,21 +231,30 @@ class _MeasurePool:
         self.added[self.n_added] = _padded_prefix(np.asarray(weights, dtype=float), self.shape)
         self.n_added += 1
 
-    def block(self) -> int:
+    def block(self, pins: bool = False) -> int:
         """How many sets of boxes one screen takes: _SCREEN_BUDGET array elements, each set
-        taking the cheaper seed cost, k 2^m corners and their masses under each added measure."""
-        per_set = min(self.atom_cost, self.grid_cost) + self.weights.size * (self.n_added + 1)
-        return max(1, _SCREEN_BUDGET // per_set)
+        taking the cheaper seed cost (the atom test's when it pins), k 2^m corners and their
+        masses under each added measure."""
+        seed = self.atom_cost if pins else min(self.atom_cost, self.grid_cost)
+        return max(1, _SCREEN_BUDGET // (seed + self.weights.size * (self.n_added + 1)))
 
     def _corners(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Flat padded corners (..., 2^m) of boxes with index corners lo, hi."""
         return (lo @ self.strides)[..., None] + ((hi + 1 - lo) * self.strides) @ self.picks.T
 
-    def _atom_seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-        """The seed's least value for each set, atom by atom."""
+    def _atom_seed(self, lo: np.ndarray, hi: np.ndarray, pins=None) -> np.ndarray:
+        """The seed's least value for each set, atom by atom; fills pins as ruled_out says."""
+        k = len(self.heights)
         inside = np.all((lo[:, :, None] <= self.atoms) & (self.atoms <= hi[:, :, None]), axis=-1)
-        return (self.heights @ inside.reshape(len(self.heights), -1)).reshape(
-            inside.shape[1:]).min(axis=1, initial=np.inf)
+        flat = inside.reshape(k, -1)
+        if pins is not None:
+            # atoms to which the set's other boxes give less than the threshold
+            alone = ((self.heights * (1 - np.eye(k))) @ flat < self.threshold).reshape(
+                inside.shape + (1,))
+            top = max(self.shape)
+            pins[0] = np.where(alone, self.atoms, top).min(axis=2, initial=top)
+            pins[1] = np.where(alone, self.atoms, -1).max(axis=2, initial=-1)
+        return (self.heights @ flat).reshape(inside.shape[1:]).min(axis=1, initial=np.inf)
 
     def _grid_seed(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """The seed's least value for each set, from the count grid."""
@@ -260,27 +271,32 @@ class _MeasurePool:
             pair[:, 0] -= pair[:, 1]
         return np.where(exact > 0, h_q[:, None], np.inf).min(axis=0)
 
-    def ruled_out(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    def ruled_out(self, lo: np.ndarray, hi: np.ndarray, pins=None) -> np.ndarray:
         """Whether some measure gives each set of boxes an expected value
         below the threshold.
 
         lo and hi are (k, n, m): per height, the lattice indices of the
         lower and upper corners of n sets of boxes; the empty box is
         lo = 0, hi = -1.  Returns n verdicts, screened a block() of sets
-        at a time.
+        at a time.  pins, a (2, k, n, m) integer array when given, takes
+        per box the least and largest index on each axis of the seed atoms
+        that the other boxes give less than the threshold (max(shape), -1
+        where none); the seed is then tested atom by atom.
         """
         n = lo.shape[1]
         lowest = np.empty(n)
-        step = self.block()
-        by_grid = n * (self.atom_cost - self.grid_cost) >= _GRID_SETUP * len(self.heights)
-        seed = self._grid_seed if by_grid else self._atom_seed
+        step = self.block(pins is not None)
+        by_grid = pins is None and (n * (self.atom_cost - self.grid_cost)
+                                    >= _GRID_SETUP * len(self.heights))
         for start in range(0, n, step):
-            los, his = lo[:, start:start + step], hi[:, start:start + step]
+            cut = slice(start, start + step)
+            los, his = lo[:, cut], hi[:, cut]
             # padded corners of every box, in weights order
             c = self._corners(los, his)
             c = c.transpose(1, 0, 2).reshape(c.shape[1], -1)
-            lowest[start:start + step] = np.minimum(
-                seed(los, his),
+            lowest[cut] = np.minimum(
+                self._grid_seed(los, his) if by_grid else
+                self._atom_seed(los, his, None if pins is None else pins[:, :, cut]),
                 (self.added[:self.n_added, c] @ self.weights).min(axis=0, initial=np.inf))
         return lowest < self.threshold
 
@@ -574,6 +590,21 @@ def enumerate_boxes(inst: SearchInstance,
 # Branch and bound over box-corner intervals
 
 
+def _tightened(pool: _MeasurePool, nodes: np.ndarray) -> tuple:
+    """The bnb nodes the pool keeps on their outer boxes, and each of them tightened:
+    a seed atom to which the other heights' outer boxes give less than the threshold
+    lies in box i of every set the seed keeps, so it caps box i's lo interval (row b)
+    and floors its hi interval (row c).  No outer box moves, so one pass is enough."""
+    outer = nodes[:, :, [0, 3]].transpose(2, 1, 0, 3)  # lo = a and hi = d, per height
+    pins = np.empty((2,) + outer.shape[1:], dtype=nodes.dtype)
+    kept = ~pool.ruled_out(*outer, pins)
+    nodes, pins = nodes[kept], pins[:, :, kept].transpose(0, 2, 1, 3)
+    tight = nodes.copy()  # clipped into rows a..b and c..d, so no interval ever empties
+    tight[:, :, 1] = np.clip(pins[0], nodes[:, :, 0], nodes[:, :, 1])
+    tight[:, :, 2] = np.clip(pins[1], nodes[:, :, 2], nodes[:, :, 3])
+    return nodes, tight
+
+
 def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Incumbent:
     """Best-first branch and bound over sets of lattice-aligned boxes.
 
@@ -584,14 +615,16 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
     made.  The roots take every empty/nonempty choice with whole-axis
     intervals.  Heights are positive, so the outer box (lo = a, hi = d) has
     the largest expectation in the node under every measure, and a node
-    the measure pool rules out on it is dropped whole.  The node bound
+    the measure pool rules out on it is dropped whole.  A node the pool
+    keeps is tightened (_tightened); one that moves goes back whole with
+    its new bound, as it may now be a leaf, and only the others halve.  The node bound
     takes the best end of each interval, summed over the heights in order
     and rounded up to the objective quantum.  A node whose intervals all
     have width 0 holds one box per height: it is a leaf of _best_first,
     and node_count reports the leaves that reach a solve.  Nodes live in
     _best_first's groups as (nodes, k, 4, m) int32 arrays, and a batch is
-    their concatenation: one ruled_out call screens every outer box, each
-    inner node halves its widest interval without a solve, and one
+    their concatenation: one ruled_out call screens and pins every outer
+    box, each inner node halves its widest interval without a solve, and one
     vectorized _box_bounds pass bounds every child.  The children go back
     as groups of one bound each, in node order.  The whole-domain boxes,
     decided by _solve_candidate with the pool before the loop, seed the
@@ -629,15 +662,14 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
                 for start, e in zip(runs, runs[1:]) for s in range(start, e, cap)]
 
     def expand(batch: list) -> tuple:
-        nodes = np.concatenate(batch)
-        outer = nodes[:, :, [0, 3]].transpose(2, 1, 0, 3)  # lo = a and hi = d, per height
-        nodes = nodes[~pool.ruled_out(*outer)]
+        nodes, tight = _tightened(pool, np.concatenate(batch))
+        moved = (tight != nodes).any(axis=(1, 2, 3))
         # widths of the lo (row 0) and hi (row 1) intervals of each box, flat per node
         widths = (nodes[:, :, 1::2] - nodes[:, :, ::2]).reshape(len(nodes), 2 * k * m)
         boxes = None
         if len(nodes) and not widths[-1].any():  # only a batch's last node can be a leaf
             boxes = [lattice.box(p[0], p[3]) for p in nodes[-1]]
-            nodes, widths = nodes[:-1], widths[:-1]
+            nodes, widths, tight, moved = nodes[:-1], widths[:-1], tight[:-1], moved[:-1]
         i, half, j = np.unravel_index(widths.argmax(axis=1), (k, 2, m))
         r, row = np.arange(len(nodes)), 2 * half
         mid = (nodes[r, i, row, j] + nodes[r, i, row + 1, j]) // 2
@@ -645,10 +677,14 @@ def solve_bnb(inst: SearchInstance, opts: Optional[SearchOptions] = None) -> Inc
         halves = np.repeat(nodes[:, None], 2, axis=1)
         halves[r, 0, i, row + 1, j] = mid
         halves[r, 1, i, row, j] = mid + 1
+        # a node that tightened goes back whole with its new bound, in place of both halves
+        halves[moved, 0] = tight[moved]
         children = halves.reshape(-1, k, 4, m)
         # a child with some a_j > d_j holds no box; an empty box (d = -1) has none to hold
         a, d = children[:, :, 0], children[:, :, 3]
-        return bounded(children[((a <= d) | (d < 0)).all(axis=(1, 2))]), boxes
+        keep = ((a <= d) | (d < 0)).all(axis=(1, 2))
+        keep[1::2] &= ~moved
+        return bounded(children[keep]), boxes
 
     _, seed = _solve_candidate(inst, [lattice.box([0] * m, [top] * m)] * k, pool)
     empty = np.array([[0] * m, [0] * m, [-1] * m, [-1] * m])

@@ -35,6 +35,7 @@ from drobox.search import (
     _candidate_stream,
     _MeasurePool,
     _leaf_objective,
+    _tightened,
     enumerate_boxes,
     run_search,
     solve_bnb,
@@ -410,7 +411,8 @@ def test_measure_pool_screens_twelve_boxes_in_bounded_memory(monkeypatch, sigma,
                                                              atoms, by_grid):
     # with k = 12 the count grid reads 4,096 box intersections a set, so the
     # pool tests 58 atoms one by one and counts only 20,001; either way a
-    # screen's arrays stay near _SCREEN_BUDGET elements, never 4^k
+    # screen's arrays stay near _SCREEN_BUDGET elements, never 4^k, and so
+    # do those of a screen that pins each box's atoms, always atom by atom
     m = len(sigma)
     spec = AmbiguitySpec.with_normalization(edge=1.0, mu=[0.0] * m, sigma=sigma,
                                             eps_mu=eps_mu, eps_sigma=1.0, b=0.1)
@@ -427,10 +429,15 @@ def test_measure_pool_screens_twelve_boxes_in_bounded_memory(monkeypatch, sigma,
         pool = _MeasurePool(SearchInstance(spec, fn, lattice, 0.1))
         verdicts = pool.ruled_out(lo, hi)
         _, peak = tracemalloc.get_traced_memory()
+        pins = np.empty((2,) + lo.shape, dtype=lo.dtype)
+        tracemalloc.reset_peak()
+        pinned = pool.ruled_out(lo, hi, pins)
+        _, pin_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert (len(pool.atoms), bool(grid_screens)) == (atoms, by_grid)
-    assert peak < 4 * _SCREEN_BUDGET * 8
+    assert peak < 4 * _SCREEN_BUDGET * 8 and pin_peak < 4 * _SCREEN_BUDGET * 8
+    assert np.array_equal(pinned, verdicts)
     seed = pool._atom_seed(lo[:, :20], hi[:, :20])
     assert verdicts[:20].tolist() == (seed < pool.threshold).tolist()
     assert np.array_equal(pool._grid_seed(lo[:, :20], hi[:, :20]), seed)
@@ -494,9 +501,9 @@ def test_enumerate_screens_the_sorted_list_in_blocks(ref_spec, ref_fn, monkeypat
 
 def _small_instance(dim, k, eps, corners, margin):
     """A 1-D instance on [0, 0.2] at step 0.05, or the 2-D reference at step
-    0.25 (one box) or 0.5 (two), with k boxes and, unless eps is None, a
-    confidence cube at eps whose lattice indices run between the two corners
-    (clipped to the axis) on every axis."""
+    0.25 (one box) or 0.5 (two or three), with k boxes and, unless eps is
+    None, a confidence cube at eps whose lattice indices run between the two
+    corners (clipped to the axis) on every axis."""
     edge, mu, sigma, eps_mu, delta = ((0.2, [0.1], [[1.0]], 0.05, 0.05) if dim == 1 else
                                       (1.0, [0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]], 0.1,
                                        0.25 if k == 1 else 0.5))
@@ -506,7 +513,8 @@ def _small_instance(dim, k, eps, corners, margin):
         ConfidenceSet(lattice.box(np.full(dim, lo), np.full(dim, hi)), eps),)
     spec = AmbiguitySpec.with_normalization(edge=edge, mu=mu, sigma=sigma, eps_mu=eps_mu,
                                             eps_sigma=1.0, b=0.1, extra_sets=extra)
-    fn = SimpleFunctionSpec(k=k, heights=[1.0] if k == 1 else [0.6, 0.4], mode=VariableBoxes())
+    heights = {1: [1.0], 2: [0.6, 0.4], 3: [0.5, 0.3, 0.2]}[k]
+    fn = SimpleFunctionSpec(k=k, heights=heights, mode=VariableBoxes())
     return SearchInstance(spec, fn, lattice, margin)
 
 
@@ -902,6 +910,95 @@ def test_enumerate_rejects_large_instances(ref_spec, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# bnb node tightening
+
+
+def _boxes_of(rows) -> tuple:
+    """The (n, m) lower and upper index corners of every box that one height
+    of a bnb node holds: lo_j in [a_j, b_j] and hi_j in [c_j, d_j] with
+    lo_j <= hi_j on each axis j, or the empty box alone (lo = 0, hi = -1)."""
+    a, b, c, d = rows
+    if d[0] < 0:
+        return a[None], d[None]
+    axes = [[(lo, hi) for lo in range(a[j], b[j] + 1) for hi in range(c[j], d[j] + 1) if lo <= hi]
+            for j in range(len(a))]
+    corners = np.array(list(itertools.product(*axes))).reshape(-1, len(a), 2)
+    return corners[:, :, 0], corners[:, :, 1]
+
+
+@settings(max_examples=100)
+@given(dim=st.sampled_from([1, 2]), k=st.integers(1, 3), eps=st.sampled_from([None, 0.3, -0.2]),
+       corners=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+       margin=st.sampled_from([0.0, 0.01, 0.05, 0.45]), data=st.data())
+def test_a_tightened_node_keeps_every_set_no_point_mass_rules_out(dim, k, eps, corners, margin,
+                                                                   data):
+    # a bnb node, tightened on the seed atoms that only one of its outer boxes
+    # can carry, holds every set of boxes of its parent that no point mass of
+    # the seed rules out; each set is valued atom by atom over the whole node
+    model = _small_instance(dim, k, eps, corners, margin)
+    pool = _MeasurePool(model)
+    top = model.lattice.n_axis - 1
+    node = np.zeros((k, 4, dim), dtype=np.int32)
+    for i in range(k):
+        if data.draw(st.integers(0, 3)) == 0:
+            node[i, 2:] = -1  # the empty box
+            continue
+        for j in range(dim):
+            lo, hi = (sorted(data.draw(st.lists(st.integers(0, top), min_size=2, max_size=2)))
+                      for _ in range(2))
+            node[i, :, j] = lo + hi if lo[0] <= hi[1] else hi + lo
+    kept, tight = _tightened(pool, node[None])
+
+    heights, atoms = model.fn.heights, pool.atoms
+    value = np.zeros((1,) * k + (len(atoms),))
+    in_tight = np.ones((1,) * k, dtype=bool)
+    for i, rows in enumerate(node):
+        lo, hi = _boxes_of(rows)
+        inside = np.all((lo[:, None] <= atoms) & (atoms <= hi[:, None]), axis=-1)
+        at = [1] * k
+        at[i] = len(lo)
+        value = value + heights[i] * inside.reshape(at + [len(atoms)])
+        if len(kept):
+            a, b, c, d = tight[0, i]
+            held = np.all((a <= lo) & (lo <= b) & (c <= hi) & (hi <= d), axis=-1)
+            in_tight = in_tight & held.reshape(at)
+    ruled = value.min(axis=-1, initial=np.inf) < pool.threshold
+    if not len(kept):
+        assert ruled.all()
+        return
+    tight = tight[0]
+    assert np.array_equal(tight[:, [0, 3]], node[:, [0, 3]])  # no outer box moves
+    assert np.all(tight[:, 1] <= node[:, 1]) and np.all(tight[:, 2] >= node[:, 2])
+    assert np.array_equal(ruled | in_tight, np.ones_like(ruled))
+
+
+def test_seed_atoms_outside_the_other_outer_box_pin_its_corner_intervals():
+    # seed atoms (1, 3), (2, 2), (3, 1) and (4, 0) on a 5 x 5 lattice; box 0
+    # (height 1) ranges over [0, 4] x [0, 2] and box 1 (height 0.5, exactly
+    # the threshold) over [0, 2] x [0, 4]: (3, 1) and (4, 0) lie outside box
+    # 1's outer box, so box 0 must hold both, and (1, 3) lies outside box 0's,
+    # so box 1 must hold it; (2, 2) lies in both, and box 1 alone gives it
+    # the threshold, so it pins neither
+    lattice = lattice_points(4.0, 2, 1.0)
+    mask = np.zeros(lattice.shape, dtype=bool)
+    mask[[1, 2, 3, 4], [3, 2, 1, 0]] = True
+    spec = AmbiguitySpec.with_normalization(
+        edge=lattice.edge, mu=[0.0, 0.0], sigma=100.0 * np.eye(2), eps_mu=1.0, eps_sigma=1.0,
+        b=0.5, extra_sets=tuple(ConfidenceSet(BoxRegion(t, t), -0.5)
+                                for t in lattice.points[~mask.ravel()]))
+    fn = SimpleFunctionSpec(k=2, heights=[1.0, 0.5], mode=VariableBoxes())
+    pool = _MeasurePool(SearchInstance(spec, fn, lattice, 0.0))
+    assert pool.atoms.tolist() == [[1, 3], [2, 2], [3, 1], [4, 0]] and pool.threshold == 0.5
+    node = np.array([[[0, 0], [4, 2], [0, 0], [4, 2]],
+                     [[0, 0], [2, 4], [0, 0], [2, 4]]], dtype=np.int32)
+    kept, tight = _tightened(pool, node[None])
+    assert np.array_equal(kept, node[None])
+    # rows a, b, c, d: lo capped at the least pinned index on each axis, hi floored at the largest
+    assert tight[0].tolist() == [[[0, 0], [3, 0], [4, 1], [4, 2]],
+                                 [[0, 0], [1, 3], [1, 3], [2, 4]]]
+
+
+# ---------------------------------------------------------------------------
 # bnb batches
 
 # the sets of boxes solve_bnb decides, in order, the whole-domain seed first:
@@ -911,31 +1008,31 @@ _BNB_LEAVES = {
     "reference-0.05": [
         [[[0, 0], [20, 20]]], [[[0, 0], [8, 6]]], [[[0, 0], [10, 6]]], [[[0, 0], [10, 10]]],
         [[[0, 0], [15, 6]]], [[[0, 0], [8, 15]]], [[[0, 0], [10, 15]]], [[[0, 0], [15, 10]]],
-        [[[0, 0], [20, 6]]], [[[0, 0], [8, 20]]], [[[0, 0], [10, 20]]], [[[0, 0], [20, 10]]],
-        [[[0, 0], [15, 15]]], [[[0, 0], [20, 11]]], [[[0, 0], [20, 12]]], [[[0, 0], [20, 13]]],
+        [[[0, 0], [20, 6]]], [[[0, 0], [8, 20]]], [[[0, 0], [15, 15]]], [[[0, 0], [10, 20]]],
+        [[[0, 0], [20, 10]]], [[[0, 0], [20, 11]]], [[[0, 0], [20, 12]]], [[[0, 0], [20, 13]]],
         [[[0, 0], [20, 14]]]],
     "reference-1/30": [
         [[[0, 0], [30, 30]]], [[[0, 0], [13, 9]]], [[[0, 0], [15, 9]]], [[[0, 0], [13, 15]]],
-        [[[0, 0], [15, 15]]], [[[0, 0], [22, 9]]], [[[0, 0], [13, 22]]], [[[0, 0], [22, 15]]],
-        [[[0, 0], [15, 22]]], [[[0, 0], [30, 9]]], [[[0, 0], [13, 30]]], [[[0, 0], [22, 22]]],
+        [[[0, 0], [15, 15]]], [[[0, 0], [22, 9]]], [[[0, 0], [13, 22]]], [[[0, 0], [15, 22]]],
+        [[[0, 0], [22, 15]]], [[[0, 0], [30, 9]]], [[[0, 0], [13, 30]]], [[[0, 0], [22, 22]]],
         [[[0, 0], [15, 30]]], [[[0, 0], [30, 15]]]],
-    "line-two-boxes": [[[[0], [4]], [[0], [4]]], [[[3], [4]], [[0], [2]]]],
+    "line-two-boxes": [[[[0], [4]], [[0], [4]]], [[[0], [1]], [[2], [4]]]],
     "two-boxes-0.1": [[[[0, 0], [10, 10]], [[0, 0], [10, 10]]],
                       [[[0, 0], [4, 3]], [[0, 0], [4, 3]]]],
     "two-boxes-0.05": [
         [[[0, 0], [20, 20]], [[0, 0], [20, 20]]], [[[0, 0], [8, 6]], None],
         [[[0, 0], [10, 10]], [[0, 0], [0, 5]]], [[[0, 0], [10, 15]], [[0, 0], [0, 0]]],
         [[[0, 0], [15, 10]], [[0, 0], [0, 0]]], [[[0, 0], [10, 15]], [[0, 0], [0, 5]]],
-        [[[0, 0], [10, 20]], [[0, 0], [0, 0]]], [[[0, 0], [20, 10]], [[0, 0], [0, 0]]],
-        [[[0, 0], [15, 15]], [[0, 0], [0, 0]]], [[[0, 0], [20, 6]], [[0, 0], [5, 0]]],
-        [[[0, 0], [10, 20]], [[0, 0], [0, 5]]], [[[0, 0], [15, 15]], [[0, 0], [0, 5]]],
-        [[[0, 0], [20, 10]], [[0, 0], [5, 0]]], [[[0, 0], [15, 15]], [[0, 0], [5, 0]]],
-        [[[0, 0], [15, 20]], [[0, 0], [0, 0]]], [[[0, 0], [20, 15]], [[0, 0], [0, 0]]],
+        [[[0, 0], [15, 15]], [[0, 0], [0, 0]]], [[[0, 0], [10, 20]], [[0, 0], [0, 0]]],
+        [[[0, 0], [20, 10]], [[0, 0], [0, 0]]], [[[0, 0], [20, 6]], [[0, 0], [5, 0]]],
+        [[[0, 0], [15, 15]], [[0, 0], [0, 5]]], [[[0, 0], [10, 20]], [[0, 0], [0, 5]]],
+        [[[0, 0], [15, 15]], [[0, 0], [5, 0]]], [[[0, 0], [20, 10]], [[0, 0], [5, 0]]],
+        [[[0, 0], [20, 15]], [[0, 0], [0, 0]]], [[[0, 0], [15, 20]], [[0, 0], [0, 0]]],
         [[[0, 0], [20, 20]], None]],
     "line-three-boxes": [[[[0], [8]], [[0], [8]], [[0], [8]]],
-                         [[[3], [4]], [[0], [2]], [[5], [8]]]],
+                         [[[0], [1]], [[2], [6]], [[7], [8]]]],
     "line-three-corner-costs": [[[[0], [4]], [[0], [4]], [[0], [4]]],
-                                [[[3], [4]], [[0], [2]], None]],
+                                [[[0], [2]], [[3], [4]], [[1], [1]]]],
 }
 _BNB_OBJECTIVES = {"reference-0.05": 1.7, "reference-1/30": 1.5, "line-two-boxes": 0.15,
                    "two-boxes-0.1": 4.0, "two-boxes-0.05": 2.0, "line-three-boxes": 0.15,
@@ -1029,7 +1126,7 @@ def test_bnb_with_one_set_per_screen_pops_one_node_at_a_time(ref_spec, ref_fn, m
     assert inc.objective == pytest.approx(_BNB_OBJECTIVES[which], abs=1e-9)
 
 
-@pytest.mark.parametrize("limit", [1, 2, 3, 4, 5, 7])
+@pytest.mark.parametrize("limit", [4, 5, 7, 8, 9, 10])
 def test_bnb_node_limit_stops_at_a_leaf_that_ends_a_batch(ref_spec, ref_fn, monkeypatch,
                                                          limit):
     # each of these budgets runs out at the leaf of a batch that holds inner
